@@ -187,8 +187,13 @@ def topology_hash(
 
     Accepts a live :class:`~repro.cluster.ClusterTopology` (optionally
     with ``params`` to embed), an already-serialised dictionary, or a
-    JSON string.
+    JSON string.  The ``params``-less hash of a live topology is
+    memoised on the instance (the tuner's warm lookup is otherwise all
+    hashing) and dropped by ``set_pair_multiplier``.
     """
+    memo = isinstance(source, ClusterTopology) and params is None
+    if memo and source._content_hash is not None:
+        return source._content_hash
     if isinstance(source, ClusterTopology):
         data: dict = topology_to_dict(source, params=params)
     elif isinstance(source, str):
@@ -210,7 +215,10 @@ def topology_hash(
     if canonical.get("params") is None:
         canonical.pop("params", None)
     payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    if memo:
+        source._content_hash = digest
+    return digest
 
 
 def dumps(

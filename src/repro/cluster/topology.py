@@ -99,6 +99,9 @@ class ClusterTopology:
         self._cluster_members: list[list[int]] = []
         self._cluster_parent: list[int | None] = []
         self._pair_multipliers: dict[tuple[int, int], float] = {}
+        #: Memo of ``serialization.topology_hash(self)``; the tree is
+        #: immutable, so only :meth:`set_pair_multiplier` invalidates it.
+        self._content_hash: str | None = None
 
         self._walk(root, parent_chain=(), depth=0)
         self._height = max(len(chain) for chain in self._machine_ancestors)
@@ -266,6 +269,7 @@ class ClusterTopology:
         if a == b:
             raise TopologyError("pair multiplier needs two distinct machines")
         self._pair_multipliers[(min(a, b), max(a, b))] = float(factor)
+        self._content_hash = None
 
     # -- transformations --------------------------------------------------------------
     def normalized(self) -> "ClusterTopology":

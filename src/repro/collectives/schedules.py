@@ -103,9 +103,16 @@ def effective_coordinator(ctx: HbspContext, level: int, root: int) -> int:
     the root itself at every level (so the data ends up — or starts —
     on the requested processor); every other cluster keeps its default
     (fastest-member) coordinator, per Section 3.1.
+
+    ``root`` is a member of the cluster exactly when the two pids share
+    their level-``level`` ancestor, so membership is one table lookup —
+    not a scan of the member list, which is ``p`` long at the top level.
     """
-    members = ctx.cluster_members(level)
-    if root in members:
+    if level == 0:
+        return ctx.pid
+    runtime = ctx.runtime
+    # ``.get``: a root outside the machine is a member of no cluster.
+    if runtime._ancestor_of.get((root, level)) is runtime._ancestor(ctx.pid, level):
         return root
     return ctx.coordinator_pid(level)
 

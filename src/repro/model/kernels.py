@@ -115,6 +115,14 @@ class _Step:
         mode = 0 if self.code is None else int(self.code[i])
         return self.labels[mode][int(self.choice[i])]
 
+    def take(self, cols: np.ndarray) -> "_Step":
+        """This step at points ``cols`` — one plan's columns of a shared step."""
+        code = None if self.code is None else self.code[cols]
+        return _Step(
+            self.level, self.gh[cols], self.L[cols], self.choice[cols],
+            self.labels, code,
+        )
+
 
 class KernelGrid:
     """The evaluated grid: per-step arrays plus ledger reconstruction.
@@ -199,8 +207,10 @@ class PlanGrid:
 
     Different plans charge different step *sequences* (segmentation and
     binomial rounds change the super-step count), so the grid is
-    partitioned into uniform-plan groups, each a :class:`KernelGrid`;
-    this wrapper scatters group results back onto the caller's axis.
+    partitioned into uniform-plan groups, each a :class:`KernelGrid`
+    whose steps are columns of the call's shared level-step table (see
+    :func:`_plan_grid`); this wrapper scatters group results back onto
+    the caller's axis.
     ``totals`` and ``ledger(i)`` keep the bit-identity contract against
     the scalar ``predict_gather_plan`` / ``predict_broadcast_plan``.
     """
@@ -297,6 +307,71 @@ def _group_plans(
         pos_of[sel] = np.arange(sel.size, dtype=np.int64)
         out.append((plan, sel))
     return out, group_of, pos_of
+
+
+def _distinct_points(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deduplicate grid points given as per-point key columns.
+
+    Returns ``(first, point_of)``: the grid index of each distinct
+    point's first occurrence, and every grid point's position in that
+    list.  A level's charged steps depend on the point only, so the
+    plan evaluators price the ``first`` points and every plan reads its
+    columns through ``point_of`` (``score_plans`` repeats one point
+    ``len(plans)`` times).
+    """
+    keys = np.ascontiguousarray(np.column_stack(columns))
+    rows = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize)))
+    _, first, point_of = np.unique(
+        rows.ravel(), return_index=True, return_inverse=True
+    )
+    return first, point_of
+
+
+def _plan_grid(
+    collective: str,
+    k: int,
+    ns: np.ndarray,
+    roots: np.ndarray,
+    plan_list: t.Sequence[t.Any],
+    levels: t.Sequence[int],
+    level_steps: t.Callable[[int, t.Any], t.Sequence[_Step]],
+    point_of: np.ndarray,
+    active: np.ndarray,
+) -> PlanGrid:
+    """Assemble a :class:`PlanGrid` from a shared level-step table.
+
+    The HBSP^k cost is a sum over levels, and a level's charged steps
+    depend on ``(level, LevelSchedule)`` and the point — never on what
+    the other levels chose.  So ``level_steps(level, schedule)`` runs
+    once per *distinct* pair over the distinct points (``|choices|·k``
+    kernel passes for a full ``|choices|^k`` space), and each plan's
+    :class:`KernelGrid` gathers its points' columns out of those shared
+    steps: the same floats the per-plan evaluation produced.
+    """
+    groups, group_of, pos_of = _group_plans(plan_list, ns.size)
+    table = {
+        (level, schedule): level_steps(level, schedule)
+        for level in levels
+        for schedule in dict.fromkeys(plan.level(level) for plan, _ in groups)
+    }
+    grids = []
+    for plan, sel in groups:
+        sub_ns, cols = ns[sel], point_of[sel]
+
+        def name_of(
+            i: int, plan: t.Any = plan, sub_ns: np.ndarray = sub_ns
+        ) -> str:
+            return f"{collective}(k={k}, n={int(sub_ns[i])}, plan={plan.key})"
+
+        steps = [
+            step.take(cols)
+            for level in levels
+            for step in table[level, plan.level(level)]
+        ]
+        grids.append(
+            KernelGrid(collective, sub_ns, roots[sel], steps, active[sel], name_of)
+        )
+    return PlanGrid(collective, ns, roots, plan_list, grids, group_of, pos_of)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +528,22 @@ def _check_ns(ns: np.ndarray | t.Sequence[int]) -> np.ndarray:
     return arr
 
 
+def _check_counts(counts: t.Any, ns: np.ndarray, p: int) -> np.ndarray:
+    """Validate a ``(G, p)`` per-point workload matrix against ``ns``."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.shape != (ns.size, p):
+        raise CollectiveError(
+            f"counts must have shape ({ns.size}, {p}), got {counts.shape}"
+        )
+    sums = counts.sum(axis=1)
+    if not np.array_equal(sums, ns):
+        i = int(np.argmax(sums != ns))
+        raise CollectiveError(
+            f"counts sum to {int(sums[i])}, expected n={int(ns[i])}"
+        )
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # Gather
 # ---------------------------------------------------------------------------
@@ -501,18 +592,7 @@ class GatherKernel:
         if counts is None:
             counts = balanced_counts(params, ns)
         else:
-            counts = np.asarray(counts, dtype=np.int64)
-            if counts.shape != (G, params.p):
-                raise CollectiveError(
-                    f"counts must have shape ({G}, {params.p}), "
-                    f"got {counts.shape}"
-                )
-            sums = counts.sum(axis=1)
-            if not np.array_equal(sums, ns):
-                i = int(np.argmax(sums != ns))
-                raise CollectiveError(
-                    f"counts sum to {int(sums[i])}, expected n={int(ns[i])}"
-                )
+            counts = _check_counts(counts, ns, params.p)
 
         def name_of(i: int) -> str:
             return f"gather(k={params.k}, n={int(ns[i])})"
@@ -675,63 +755,50 @@ class GatherKernel:
             )
         return steps
 
-    def _plan_steps(
+    def _level_steps(
         self,
-        plan: t.Any,
-        ns: np.ndarray,
-        roots_arr: np.ndarray,
-        counts: np.ndarray,
+        level: int,
+        schedule: t.Any,
+        totals_below: np.ndarray,
+        totals_here: np.ndarray,
+        coords_here: np.ndarray,
+        coords_below: np.ndarray | None,
     ) -> list[_Step]:
-        """All charged steps of one uniform-plan sub-grid."""
-        tree, params = self._tree, self.params
-        G = ns.size
-        steps: list[_Step] = []
-        totals_below = np.ascontiguousarray(counts.T)
-        coords_below: np.ndarray | None = None
-        for level in range(1, params.k + 1):
-            totals_here = np.add.reduceat(
-                totals_below, tree.child_start[level], axis=0
+        """The charged steps of one level under one ``LevelSchedule``."""
+        G = totals_below.shape[1]
+        if schedule.algorithm == "binomial":
+            return self._binomial_steps(
+                level, totals_below, coords_here, coords_below, G
             )
-            coords_here = tree.coords(level, roots_arr)
-            schedule = plan.level(level)
-            if schedule.algorithm == "flat":
-                S = schedule.segments
-                for s in range(S):
-                    gh_stack = self._flat_gh(
-                        level, totals_below, totals_here, coords_here,
-                        coords_below, G,
-                        segment=None if S == 1 else (s, S),
-                    )
-                    cost_stack = gh_stack + tree.L[level][:, np.newaxis]
-                    choice = np.argmax(cost_stack, axis=0)
-                    gh_sel = np.take_along_axis(
-                        gh_stack, choice[np.newaxis, :], axis=0
-                    )[0]
-                    labels = (
-                        self._labels[level]
-                        if S == 1
-                        else tuple(
-                            f"super{level}.{s + 1}: gather into {(level, j)}"
-                            for j in range(params.m[level])
-                        )
-                    )
-                    steps.append(
-                        _Step(
-                            level=level,
-                            gh=gh_sel,
-                            L=tree.L[level][choice],
-                            choice=choice,
-                            labels=(labels,),
-                        )
-                    )
-            else:  # binomial
-                steps.extend(
-                    self._binomial_steps(
-                        level, totals_below, coords_here, coords_below, G
-                    )
+        tree, S = self._tree, schedule.segments
+        steps: list[_Step] = []
+        for s in range(S):
+            gh_stack = self._flat_gh(
+                level, totals_below, totals_here, coords_here, coords_below,
+                G, segment=None if S == 1 else (s, S),
+            )
+            cost_stack = gh_stack + tree.L[level][:, np.newaxis]
+            choice = np.argmax(cost_stack, axis=0)
+            gh_sel = np.take_along_axis(
+                gh_stack, choice[np.newaxis, :], axis=0
+            )[0]
+            labels = (
+                self._labels[level]
+                if S == 1
+                else tuple(
+                    f"super{level}.{s + 1}: gather into {(level, j)}"
+                    for j in range(self.params.m[level])
                 )
-            totals_below = totals_here
-            coords_below = coords_here
+            )
+            steps.append(
+                _Step(
+                    level=level,
+                    gh=gh_sel,
+                    L=tree.L[level][choice],
+                    choice=choice,
+                    labels=(labels,),
+                )
+            )
         return steps
 
     def evaluate_plans(
@@ -745,53 +812,41 @@ class GatherKernel:
         """Evaluate ``(n, root, counts)`` points under explicit plans.
 
         ``plans`` is one :class:`~repro.tuning.plan.SchedulePlan` for
-        the whole grid or a per-point sequence; each uniform-plan group
-        evaluates as its own vectorized pass.  Bit-identical to
+        the whole grid or a per-point sequence.  Each distinct
+        ``(level, LevelSchedule)`` is one vectorized pass over the
+        distinct points; plans only gather columns (:func:`_plan_grid`).
+        Bit-identical to
         :func:`~repro.model.predict.predict_gather_plan` per point.
         """
-        tree = self._tree
-        params = self.params
+        tree, params = self._tree, self.params
         ns = _check_ns(ns)
-        G = ns.size
-        roots_arr = tree.check_roots(roots, G)
+        roots_arr = tree.check_roots(roots, ns.size)
+        plan_list = _check_plans(plans, "gather", params.k, ns.size)
         if counts is None:
-            counts = balanced_counts(params, ns)
+            first, point_of = _distinct_points(ns, roots_arr)
+            point_counts = balanced_counts(params, ns[first])
         else:
-            counts = np.asarray(counts, dtype=np.int64)
-            if counts.shape != (G, params.p):
-                raise CollectiveError(
-                    f"counts must have shape ({G}, {params.p}), "
-                    f"got {counts.shape}"
-                )
-            sums = counts.sum(axis=1)
-            if not np.array_equal(sums, ns):
-                i = int(np.argmax(sums != ns))
-                raise CollectiveError(
-                    f"counts sum to {int(sums[i])}, expected n={int(ns[i])}"
-                )
-        plan_list = _check_plans(plans, "gather", params.k, G)
-        groups, group_of, pos_of = _group_plans(plan_list, G)
-        grids = []
-        for plan, sel in groups:
-            sub_ns = ns[sel]
-            sub_roots = roots_arr[sel]
-
-            def name_of(
-                i: int, plan: t.Any = plan, sub_ns: np.ndarray = sub_ns
-            ) -> str:
-                return f"gather(k={params.k}, n={int(sub_ns[i])}, plan={plan.key})"
-
-            active = np.ones(sub_ns.size, dtype=bool)
-            if params.k == 0 or params.p == 1 or sub_ns.size == 0:
-                grids.append(
-                    KernelGrid("gather", sub_ns, sub_roots, [], active, name_of)
-                )
-                continue
-            steps = self._plan_steps(plan, sub_ns, sub_roots, counts[sel])
-            grids.append(
-                KernelGrid("gather", sub_ns, sub_roots, steps, active, name_of)
+            counts = _check_counts(counts, ns, params.p)
+            first, point_of = _distinct_points(ns, roots_arr, counts)
+            point_counts = counts[first]
+        # A lone processor (or an empty grid) communicates nothing.
+        levels = range(1, params.k + 1) if params.p > 1 and ns.size else ()
+        #: Plan-independent per-level tables over the distinct points.
+        totals = [np.ascontiguousarray(point_counts.T)]  # (m_level, U) int64
+        coords: list[np.ndarray | None] = [None]
+        for level in levels:
+            totals.append(
+                np.add.reduceat(totals[-1], tree.child_start[level], axis=0)
             )
-        return PlanGrid("gather", ns, roots_arr, plan_list, grids, group_of, pos_of)
+            coords.append(tree.coords(level, roots_arr[first]))
+        return _plan_grid(
+            "gather", params.k, ns, roots_arr, plan_list, levels,
+            lambda level, schedule: self._level_steps(
+                level, schedule, totals[level - 1], totals[level],
+                coords[level], coords[level - 1],
+            ),
+            point_of, np.ones(ns.size, dtype=bool),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1186,47 +1241,33 @@ class BroadcastKernel:
             )
         return steps
 
-    def _plan_steps(
+    def _level_steps(
         self,
-        plan: t.Any,
+        level: int,
+        schedule: t.Any,
         ns: np.ndarray,
-        roots_arr: np.ndarray,
+        coords_here: np.ndarray,
+        coords_below: np.ndarray | None,
         fractions: t.Sequence[float] | None,
     ) -> list[_Step]:
-        """All charged steps of one uniform-plan sub-grid."""
-        tree, params = self._tree, self.params
+        """The charged steps of one level under one ``LevelSchedule``."""
         G = ns.size
-        steps: list[_Step] = []
-        for level in range(params.k, 0, -1):
-            if not self._fanned[level]:
-                continue
-            coords_here = tree.coords(level, roots_arr)
-            coords_below = (
-                tree.coords(level - 1, roots_arr) if level - 1 >= 1 else None
-            )
-            schedule = plan.level(level)
-            if schedule.algorithm == "one":
-                S = schedule.segments
-                for s in range(S):
-                    steps.append(
-                        self._one_phase_step(
-                            level, ns, coords_here, coords_below, G,
-                            segment=None if S == 1 else (s, S),
-                        )
-                    )
-            elif schedule.algorithm == "two":
-                steps.append(
-                    self._two_phase_step(
-                        level, ns, coords_here, coords_below, G, fractions
-                    )
+        if schedule.algorithm == "one":
+            S = schedule.segments
+            return [
+                self._one_phase_step(
+                    level, ns, coords_here, coords_below, G,
+                    segment=None if S == 1 else (s, S),
                 )
-            else:  # binomial
-                steps.extend(
-                    self._binomial_steps(
-                        level, ns, coords_here, coords_below, G
-                    )
+                for s in range(S)
+            ]
+        if schedule.algorithm == "two":
+            return [
+                self._two_phase_step(
+                    level, ns, coords_here, coords_below, G, fractions
                 )
-        return steps
+            ]
+        return self._binomial_steps(level, ns, coords_here, coords_below, G)
 
     def evaluate_plans(
         self,
@@ -1238,47 +1279,33 @@ class BroadcastKernel:
     ) -> PlanGrid:
         """Evaluate ``(n, root)`` points under explicit broadcast plans.
 
+        One vectorized pass per distinct ``(level, LevelSchedule)`` over
+        the distinct points, as in :meth:`GatherKernel.evaluate_plans`.
         Bit-identical per point to
         :func:`~repro.model.predict.predict_broadcast_plan`.
         """
-        tree = self._tree
-        params = self.params
+        tree, params = self._tree, self.params
         ns = _check_ns(ns)
-        G = ns.size
-        roots_arr = tree.check_roots(roots, G)
+        roots_arr = tree.check_roots(roots, ns.size)
         if fractions is not None and len(fractions) != params.p:
             raise CollectiveError(f"fractions must have p={params.p} entries")
-        plan_list = _check_plans(plans, "broadcast", params.k, G)
-        groups, group_of, pos_of = _group_plans(plan_list, G)
-        grids = []
-        degenerate = params.k == 0 or params.p == 1
-        for plan, sel in groups:
-            sub_ns = ns[sel]
-            sub_roots = roots_arr[sel]
-
-            def name_of(
-                i: int, plan: t.Any = plan, sub_ns: np.ndarray = sub_ns
-            ) -> str:
-                return (
-                    f"broadcast(k={params.k}, n={int(sub_ns[i])}, "
-                    f"plan={plan.key})"
-                )
-
-            if degenerate or sub_ns.size == 0:
-                grids.append(
-                    KernelGrid(
-                        "broadcast", sub_ns, sub_roots, [],
-                        np.zeros(sub_ns.size, dtype=bool), name_of,
-                    )
-                )
-                continue
-            steps = self._plan_steps(plan, sub_ns, sub_roots, fractions)
-            grids.append(
-                KernelGrid(
-                    "broadcast", sub_ns, sub_roots, steps,
-                    sub_ns > 0, name_of,
-                )
-            )
-        return PlanGrid(
-            "broadcast", ns, roots_arr, plan_list, grids, group_of, pos_of
+        plan_list = _check_plans(plans, "broadcast", params.k, ns.size)
+        first, point_of = _distinct_points(ns, roots_arr)
+        point_ns, point_roots = ns[first], roots_arr[first]
+        # Singleton-only levels (and so p == 1 machines) charge nothing.
+        levels = [
+            level for level in range(params.k, 0, -1) if self._fanned[level]
+        ]
+        #: Plan-independent coordinator tables over the distinct points.
+        coords = {
+            level: tree.coords(level, point_roots)
+            for level in range(1, params.k + 1)
+        }
+        return _plan_grid(
+            "broadcast", params.k, ns, roots_arr, plan_list, levels,
+            lambda level, schedule: self._level_steps(
+                level, schedule, point_ns, coords[level],
+                coords.get(level - 1), fractions,
+            ),
+            point_of, ns > 0,
         )

@@ -30,7 +30,10 @@ testbed.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import functools
+import itertools
 import math
 import typing as t
 
@@ -131,32 +134,44 @@ class HBSPParams:
     # Levels are filled left-to-right in DFS order, so the children of
     # M_{i,j} are a contiguous run of level-(i-1) nodes starting at the
     # sum of the fan-outs of M_{i,0} .. M_{i,j-1}.
+    @functools.cached_property
+    def _child_start(self) -> tuple[tuple[int, ...], ...]:
+        """``[level][j]``: level-(level-1) index of ``M_{level,j}``'s first
+        child, closed by the level's child total (``[0]`` is unused)."""
+        return ((),) + tuple(
+            tuple(
+                itertools.accumulate(
+                    (self.fan_out[(level, j)] for j in range(self.m[level])),
+                    initial=0,
+                )
+            )
+            for level in range(1, self.k + 1)
+        )
+
     def children_of(self, level: int, index: int) -> tuple[Key, ...]:
         """Keys of the children of ``M_{level,index}`` (level-1 nodes)."""
         if level < 1:
             return ()
-        offset = sum(self.fan_out[(level, j)] for j in range(index))
-        return tuple(
-            (level - 1, offset + j) for j in range(self.fan_out[(level, index)])
-        )
+        fan = self.fan_out[(level, index)]
+        offset = self._child_start[level][index]
+        return tuple((level - 1, offset + j) for j in range(fan))
 
     def parent_of(self, level: int, index: int) -> Key | None:
         """Key of the parent of ``M_{level,index}`` (``None`` for the root)."""
-        if level >= self.k:
+        if not 0 <= level < self.k:
             return None
-        for j in range(self.m[level + 1]):
-            if (level, index) in self.children_of(level + 1, j):
-                return (level + 1, j)
-        return None  # pragma: no cover - every non-root node has a parent
+        starts = self._child_start[level + 1]
+        if not 0 <= index < starts[-1]:
+            return None
+        return (level + 1, bisect.bisect_right(starts, index) - 1)
 
     def leaf_indices(self, level: int, index: int) -> tuple[int, ...]:
         """Level-0 indices in the subtree of ``M_{level,index}``."""
-        if level == 0:
-            return (index,)
-        out: list[int] = []
-        for child in self.children_of(level, index):
-            out.extend(self.leaf_indices(*child))
-        return tuple(out)
+        lo, hi = index, index + 1
+        for above in range(level, 0, -1):  # subtrees are contiguous runs
+            starts = self._child_start[above]
+            lo, hi = starts[lo], starts[hi]
+        return tuple(range(lo, hi))
 
     def with_equal_fractions(self) -> "HBSPParams":
         """A copy with ``c_{0,j} = 1/p`` (the unbalanced baseline)."""

@@ -115,7 +115,12 @@ def score_plans(
 
     All plans must share one op; each becomes one grid point of a
     single :meth:`~repro.model.kernels.GatherKernel.evaluate_plans`
-    pass, bit-identical to the scalar ``predict_*_plan`` enumeration.
+    call.  That call prices by *level*, not by plan: one vectorized
+    pass per distinct ``(level, LevelSchedule)`` — ``|choices|·k`` of
+    them for a full ``|choices|^k`` space, 15 rather than 375 level
+    evaluations for the k = 3 broadcast — and every plan's total is
+    assembled from those shared steps, bit-identical to the scalar
+    ``predict_*_plan`` enumeration.
     """
     if not plans:
         raise ModelError("score_plans needs at least one plan")

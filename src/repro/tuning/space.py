@@ -8,9 +8,11 @@ The candidate set per hierarchy level:
 A plan is the cross product over the ``k`` levels, so the space is
 ``(1 + |segments|)^k`` for gather and ``(2 + |segments|)^k`` for
 broadcast — e.g. 64 / 125 plans at ``k = 3`` with the default
-``segments = (1, 2, 4)``.  Small enough to price exhaustively with one
-vectorized kernel pass (the analytic pruning stage), far too large to
-DES-simulate exhaustively (hence the top-N shortlist).
+``segments = (1, 2, 4)``.  The model cost is a sum over levels, so
+pricing the space exhaustively (the analytic pruning stage) takes only
+``|level_choices| · k`` vectorized kernel passes — 12 / 15 — whose
+steps every plan shares; it is far too large to DES-simulate
+exhaustively (hence the top-N shortlist).
 """
 
 from __future__ import annotations

@@ -5,9 +5,11 @@ Cold path (:func:`tune` on an unseen ``(op, machine, n)``):
 1. **Enumerate** the per-level schedule space
    (:func:`repro.tuning.space.enumerate_plans`) — every combination of
    flat/binomial fan-out, one-/two-phase, and segmentation.
-2. **Price** the whole grid in one vectorized
-   :mod:`repro.model.kernels` pass (:func:`repro.model.rank_plans`),
-   bit-identical to the scalar predictors.
+2. **Price** the whole grid in one :mod:`repro.model.kernels` call
+   (:func:`repro.model.rank_plans`): one vectorized pass per distinct
+   ``(level, LevelSchedule)`` — ``|choices|·k``, not ``|choices|^k`` —
+   with every plan assembled from the shared level steps, bit-identical
+   to the scalar predictors.
 3. **Validate** the analytic top-``shortlist`` — the default plan is
    always re-included — by actually running each candidate through the
    macro-event DES engine, which prices contention and overlap the
@@ -149,13 +151,12 @@ def tune(
         raise CollectiveError("root resolution diverged from the runtime's")
     params = runtime.params
     plans = enumerate_plans(op, params.k, segments=segments)
-    ranked = rank_plans(
-        params, n, plans, root=root_pid, top=shortlist
-    )
+    everything = rank_plans(params, n, plans, root=root_pid)
+    ranked = everything[:shortlist]
     base = default_plan(op, params.k)
     if all(plan != base for plan, _ in ranked):
-        base_rank = rank_plans(params, n, [base], root=root_pid)
-        ranked.append(base_rank[0])
+        # Already priced with the rest of the space: no second pass.
+        ranked.append(next(entry for entry in everything if entry[0] == base))
 
     best_plan: SchedulePlan | None = None
     best_predicted = 0.0

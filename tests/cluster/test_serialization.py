@@ -147,6 +147,16 @@ class TestTopologyHash:
         degraded.set_pair_multiplier(0, 3, 7.5)
         assert topology_hash(plain) != topology_hash(degraded)
 
+    def test_multiplier_set_after_hashing_still_discriminates(self):
+        # The hash is memoised on the instance; mutation must drop it.
+        topology = ucf_testbed(4)
+        before = topology_hash(topology)
+        assert topology_hash(topology) == before
+        topology.set_pair_multiplier(0, 3, 7.5)
+        after = topology_hash(topology)
+        assert after != before
+        assert after == topology_hash(topology_to_dict(topology))
+
     def test_embedded_params_discriminate(self):
         topology = ucf_testbed(4)
         params = calibrate(topology)

@@ -137,6 +137,29 @@ class TestCoordinatorOverride:
             else:
                 assert default == runtime.coordinator_pid(pid, 1)
 
+    def test_equals_the_membership_definition_everywhere(self, fig1_machine):
+        """Ancestor identity decides what scanning the member list did,
+        for every (pid, level, root) of an irregular HBSP^2 tree."""
+        runtime = HbspRuntime(fig1_machine)
+        levels = range(runtime.tree.k + 1)
+        got = {}
+
+        def prog(ctx):
+            for level in levels:
+                for root in range(runtime.nprocs):
+                    got[ctx.pid, level, root] = effective_coordinator(ctx, level, root)
+            yield from ctx.sync()
+
+        runtime.run(prog)
+        assert len(got) == runtime.nprocs * len(levels) * runtime.nprocs
+        sizes = set()
+        for (pid, level, root), coordinator in got.items():
+            members = runtime.cluster_members(pid, level)
+            sizes.add(len(members))
+            want = root if root in members else runtime.coordinator_pid(pid, level)
+            assert coordinator == want
+        assert len(sizes) > 2  # singletons, unequal clusters, the whole machine
+
     def test_participants_cover_child_clusters(self, fig1_machine):
         runtime, captured = self._contexts(fig1_machine)
         _d, _o, participants = captured[0]

@@ -109,6 +109,79 @@ class TestStructureNavigation:
         assert fig1_params.leaf_indices(0, 3) == (3,)
 
 
+def _children_by_definition(params, level, index):
+    if level < 1:
+        return ()
+    offset = sum(params.fan_out[(level, j)] for j in range(index))
+    return tuple(
+        (level - 1, offset + j) for j in range(params.fan_out[(level, index)])
+    )
+
+
+def _parent_by_definition(params, level, index):
+    if level >= params.k:
+        return None
+    for j in range(params.m[level + 1]):
+        if (level, index) in _children_by_definition(params, level + 1, j):
+            return (level + 1, j)
+    return None
+
+
+def _leaves_by_definition(params, level, index):
+    if level == 0:
+        return (index,)
+    return tuple(
+        leaf
+        for child in _children_by_definition(params, level, index)
+        for leaf in _leaves_by_definition(params, *child)
+    )
+
+
+def _irregular_params():
+    """A hand-built HBSP^3 tree: fan-outs 2 | 1, 3 | 2, 1, 3, 1."""
+    m = (7, 4, 2, 1)
+    fan_out = {
+        (3, 0): 2,
+        (2, 0): 1, (2, 1): 3,
+        (1, 0): 2, (1, 1): 1, (1, 2): 3, (1, 3): 1,
+    }
+    nodes = [(level, j) for level, count in enumerate(m) for j in range(count)]
+    return HBSPParams(
+        k=3, g=1e-7, m=m, fan_out=fan_out,
+        r={key: 1.0 for key in nodes},
+        L={key: 0.0 for key in nodes if key[0] >= 1},
+        c={key: 1 / 7 for key in nodes if key[0] == 0},
+    )
+
+
+class TestNavigationTables:
+    """The precomputed child offsets answer exactly what the summing /
+    scanning / recursive definitions (kept above as the reference) do."""
+
+    @pytest.fixture(params=["irregular", "fig1"])
+    def params(self, request, fig1_params):
+        return _irregular_params() if request.param == "irregular" else fig1_params
+
+    def test_every_node_matches_the_definitions(self, params):
+        for level in range(params.k + 1):
+            # One index past the level too: no parent there, by either route.
+            assert params.parent_of(level, params.m[level]) is None
+            for j in range(params.m[level]):
+                key = (level, j)
+                assert params.children_of(*key) == _children_by_definition(params, *key)
+                assert params.parent_of(*key) == _parent_by_definition(params, *key)
+                assert params.leaf_indices(*key) == _leaves_by_definition(params, *key)
+
+    def test_unknown_node_has_no_children(self):
+        with pytest.raises(KeyError):
+            _irregular_params().children_of(1, 4)
+
+    def test_copies_navigate_like_the_original(self):
+        params = _irregular_params()
+        copy = params.with_equal_fractions()
+        assert copy.leaf_indices(2, 1) == params.leaf_indices(2, 1) == (2, 3, 4, 5, 6)
+
+
 class TestAccessorsAndCopies:
     def test_slowest_r(self, testbed_params):
         assert testbed_params.slowest_r(0) == pytest.approx(1.25, rel=0.01)

@@ -12,7 +12,15 @@ must agree exactly (every float, label, and level — no tolerances):
   schedule costs exactly what an untuned run does.
 
 The hypothesis section drives all three over random k<=3 machines.
+
+``evaluate_plans`` prices each distinct ``(level, LevelSchedule)`` once
+over the distinct points and assembles plans by gathering columns, so
+two more things are held here: the pass count (host-independent), and
+identity on *heterogeneous* grids where the column gather has more
+than one point and more than one plan per point to get wrong.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -32,6 +40,7 @@ from repro.model.predict import (
 )
 from repro.model.planner import rank_plans, score_plans
 from repro.tuning import SchedulePlan, default_plan, enumerate_plans
+from repro.tuning.space import level_choices
 
 from tests.model.test_kernels import assert_ledger_identical
 
@@ -93,6 +102,45 @@ def tree(draw, depth):
 @st.composite
 def random_topology(draw):
     return ClusterTopology(draw(tree(depth=draw(st.integers(1, 3)))))
+
+
+def assert_heterogeneous_grid_identical(params, op, seed, *, segments=(1, 2, 4)):
+    """A grid with nothing uniform about it ``==`` the scalar predictor.
+
+    Points draw ``n`` and ``root`` from small pools (so distinct points
+    repeat under different plans), gathers carry explicit unbalanced
+    ``counts``, and the plan axis is shuffled with duplicates.
+    """
+    rng = random.Random(seed)
+    plans = enumerate_plans(op, params.k, segments=segments)
+    bases = []
+    for n in rng.sample([0, 1, 7, 997, 4_096, 25_600], 4):
+        cuts = sorted(rng.randint(0, n) for _ in range(params.p - 1))
+        counts = [hi - lo for lo, hi in zip([0] + cuts, cuts + [n])]
+        bases.append((n, rng.randrange(params.p), counts))
+    points = [
+        (*rng.choice(bases), rng.choice(plans)) for _ in range(3 * len(plans))
+    ]
+    ns = np.array([n for n, _, _, _ in points], dtype=np.int64)
+    roots = [root for _, root, _, _ in points]
+    plan_axis = [plan for _, _, _, plan in points]
+    if op == "gather":
+        grid = GatherKernel(params).evaluate_plans(
+            ns, plan_axis, roots=roots,
+            counts=np.array([counts for _, _, counts, _ in points]),
+        )
+    else:
+        grid = BroadcastKernel(params).evaluate_plans(
+            ns, plan_axis, roots=roots
+        )
+    ledgers = grid.ledgers()
+    for i, (n, root, counts, plan) in enumerate(points):
+        if op == "gather":
+            want = predict_gather_plan(params, n, plan, root=root, counts=counts)
+        else:
+            want = predict_broadcast_plan(params, n, plan, root=root)
+        assert_ledger_identical(want, ledgers[i])
+        assert grid.totals[i] == want.total
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +229,50 @@ class TestKernelPlanGrids:
                 predict_broadcast_plan(params, n, plan), grid.ledger(i)
             )
 
+    @pytest.mark.parametrize("op", ["gather", "broadcast"])
+    @pytest.mark.parametrize("name", ["testbed", "fig1", "grid3"])
+    def test_heterogeneous_grid_bit_identical_to_scalar(
+        self, params_by_name, name, op
+    ):
+        assert_heterogeneous_grid_identical(params_by_name[name], op, seed=12)
+
+    @pytest.mark.parametrize(
+        "op, kernel_cls",
+        [("gather", GatherKernel), ("broadcast", BroadcastKernel)],
+    )
+    def test_full_space_costs_one_pass_per_level_schedule(
+        self, params_by_name, monkeypatch, op, kernel_cls
+    ):
+        """|choices|·k level passes price the |choices|^k space (not
+        k·|choices|^k: 192 / 375 at k = 3) — counted, not timed."""
+        params = params_by_name["grid3"]
+        built = []
+        real = kernel_cls._level_steps
+
+        def spy(self, level, schedule, *tables):
+            built.append((level, schedule))
+            return real(self, level, schedule, *tables)
+
+        monkeypatch.setattr(kernel_cls, "_level_steps", spy)
+        plans = enumerate_plans(op, params.k)
+        totals = score_plans(params, 25_600, plans)
+        assert len(totals) == len(level_choices(op)) ** params.k
+        assert len(built) <= len(level_choices(op)) * params.k
+        assert len(set(built)) == len(built)
+
+    @pytest.mark.parametrize(
+        "op, kernel_cls",
+        [("gather", GatherKernel), ("broadcast", BroadcastKernel)],
+    )
+    def test_empty_grid_prices_nothing(self, params_by_name, op, kernel_cls):
+        params = params_by_name["grid3"]
+        empty = np.array([], dtype=np.int64)
+        for plans in ([], default_plan(op, params.k)):
+            grid = kernel_cls(params).evaluate_plans(empty, plans)
+            assert grid.size == 0
+            assert grid.totals.shape == (0,)
+            assert grid.ledgers() == []
+
     def test_single_plan_broadcasts_over_the_grid(self, params_by_name):
         params = params_by_name["testbed"]
         plan = default_plan("gather", params.k)
@@ -250,3 +342,13 @@ class TestRandomMachines:
             legacy_fn = predict_gather if op == "gather" else predict_broadcast
             kwargs = {} if op == "gather" else {"phases": "two"}
             assert scalar.total == legacy_fn(params, n, root=root, **kwargs).total
+
+    @given(topology=random_topology(), data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_heterogeneous_grids_agree_everywhere(self, topology, data):
+        assert_heterogeneous_grid_identical(
+            calibrate(topology),
+            data.draw(st.sampled_from(["gather", "broadcast"])),
+            data.draw(st.integers(0, 2**16)),
+            segments=(1, 3),
+        )

@@ -84,6 +84,25 @@ class TestTune:
         tune(topology, "broadcast", 4000, cache=cache, force=True)
         assert calls
 
+    def test_default_outside_the_shortlist_is_not_priced_again(
+        self, topology, cache, monkeypatch
+    ):
+        import repro.tuning.tuner as tuner_module
+
+        calls = []
+        original = tuner_module.rank_plans
+
+        def counting(params, n, plans, **kwargs):
+            calls.append(len(plans))
+            return original(params, n, plans, **kwargs)
+
+        monkeypatch.setattr(tuner_module, "rank_plans", counting)
+        decision = tune(topology, "broadcast", 4000, shortlist=1, cache=cache)
+        assert calls == [decision.candidates]
+        # The appended default carries its total from that one pricing.
+        assert decision.validated == 2
+        assert decision.default_time >= decision.simulated_time
+
     def test_topology_mutation_changes_the_key(self, cache):
         """Satellite invariant: a mutated machine never reuses the old
         machine's decision."""
