@@ -66,9 +66,9 @@ def histogram_program(
     """
     mine = make_items(seed, ctx.pid, counts[ctx.pid])
     yield from ctx.compute(CPU_OPS["count"] * mine.size)
-    local = np.bincount(
-        (mine.astype(np.int64) % bins).astype(np.int64), minlength=bins
-    ).astype(np.int64)
+    # Items are non-negative int32, so the remainder needs no widening;
+    # bincount returns the int64 bin vector the reduction sums.
+    local = np.bincount(mine % bins, minlength=bins)
 
     # Hierarchical reduction of the bin vectors (cf. collectives.reduce).
     acc = local

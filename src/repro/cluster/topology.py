@@ -102,6 +102,9 @@ class ClusterTopology:
         #: Memo of ``serialization.topology_hash(self)``; the tree is
         #: immutable, so only :meth:`set_pair_multiplier` invalidates it.
         self._content_hash: str | None = None
+        #: Memo of this topology's ``perf.job.content_tokens`` encoding
+        #: (tree + pair multipliers); same invalidation.
+        self._content_tokens: bytes | None = None
 
         self._walk(root, parent_chain=(), depth=0)
         self._height = max(len(chain) for chain in self._machine_ancestors)
@@ -270,6 +273,7 @@ class ClusterTopology:
             raise TopologyError("pair multiplier needs two distinct machines")
         self._pair_multipliers[(min(a, b), max(a, b))] = float(factor)
         self._content_hash = None
+        self._content_tokens = None
 
     # -- transformations --------------------------------------------------------------
     def normalized(self) -> "ClusterTopology":

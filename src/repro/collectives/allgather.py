@@ -78,9 +78,10 @@ def allgather_program(
         return (int(everything.size), int(everything.astype(np.int64).sum()))
     if strategy == "hierarchical":
         # Phase 1: gather everything onto the root.  make_items is
-        # deterministic per (seed, pid), so _rebroadcast can rebuild the
-        # root's gathered buffer exactly; checksums verify the real
-        # data movement end to end.
+        # deterministic per (seed, pid) and serves the streams the
+        # gather just drew, so _rebroadcast rebuilds the root's gathered
+        # buffer exactly and without a redraw; checksums verify the
+        # real data movement end to end.
         yield from gather_program(ctx, counts, root, seed)
         return (yield from _rebroadcast(ctx, counts, root, seed))
     raise CollectiveError(f"unknown allgather strategy {strategy!r}")

@@ -53,10 +53,12 @@ from repro.perf.job import SimResult
 
 __all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "DiskCache", "default_cache_dir"]
 
-#: Bump when the on-disk entry layout changes.
+#: Bump when the on-disk entry layout or the key scheme changes.
 #: v2: entries carry the compact RunObs observability record, so
 #: warm-cache runs reconstruct identical metrics and superstep ledgers.
-CACHE_SCHEMA_VERSION = 2
+#: v3: job keys encode a topology's pair multipliers (v2 keys collided
+#: for machines differing only in ``set_pair_multiplier``).
+CACHE_SCHEMA_VERSION = 3
 
 
 def default_cache_dir() -> Path:

@@ -135,8 +135,8 @@ class SweepExecutor:
     # -- pool management -----------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            # Forked workers inherit the parent's warm caches (items
-            # LRU, calibrations); fall back to the platform default
+            # Forked workers inherit the parent's warm caches (item
+            # streams, calibrations); fall back to the platform default
             # where fork is unavailable.
             methods = multiprocessing.get_all_start_methods()
             context = multiprocessing.get_context(

@@ -111,9 +111,16 @@ def content_tokens(value: t.Any, out: list[bytes]) -> None:
     elif isinstance(value, np.generic):
         content_tokens(value.item(), out)
     elif isinstance(value, ClusterTopology):
-        out.append(b"Y(")
-        content_tokens(value.root, out)
-        out.append(b")")
+        # Memoised on the instance (a sweep hashes ~5 jobs per
+        # topology); dropped by set_pair_multiplier.  A fixed-size
+        # digest rather than the raw tokens, so the memo adds 33 bytes,
+        # not a second copy of the tree, to every pickled job.
+        if value._content_tokens is None:
+            tokens: list[bytes] = []
+            content_tokens(value.root, tokens)
+            content_tokens(sorted(value._pair_multipliers.items()), tokens)
+            value._content_tokens = b"Y" + hashlib.sha256(b"".join(tokens)).digest()
+        out.append(value._content_tokens)
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):
         out.append(f"D{type(value).__qualname__}(".encode())
         for field in dataclasses.fields(value):

@@ -1,9 +1,11 @@
 """Tests for the distributed histogram application."""
 
+import numpy as np
 import pytest
 
 from repro.apps import run_histogram
 from repro.collectives import RootPolicy, WorkloadPolicy
+from repro.collectives.base import make_items
 
 N = 30_000
 
@@ -29,6 +31,27 @@ class TestCorrectness:
         counts = outcome.runtime.partition(N, balanced=True)
         for pid, (binned, _total) in outcome.values.items():
             assert binned == counts[pid]
+
+    def test_outcome_values_on_the_fig1_tree(self, fig1_machine):
+        outcome = run_histogram(fig1_machine, N, seed=3)
+        counts = outcome.runtime.partition(N, balanced=True)
+        root = outcome.runtime.fastest_pid
+        assert outcome.values == {
+            pid: (counts[pid], N if pid == root else 0)
+            for pid in range(fig1_machine.num_machines)
+        }
+
+    @pytest.mark.parametrize("bins", [1, 7, 64])
+    def test_map_step_on_int32_items_equals_the_widened_reference(self, bins):
+        """The map step bins the read-only int32 items without widening
+        them first; the widened form is the reference."""
+        items = make_items(3, 1, 10_001)
+        reference = np.bincount(
+            (items.astype(np.int64) % bins).astype(np.int64), minlength=bins
+        ).astype(np.int64)
+        local = np.bincount(items % bins, minlength=bins)
+        assert local.dtype == np.int64
+        np.testing.assert_array_equal(local, reference)
 
     def test_equal_workload(self, testbed_small):
         outcome = run_histogram(testbed_small, N, workload=WorkloadPolicy.EQUAL)

@@ -54,6 +54,38 @@ class TestEvaluate:
         assert parallel == serial
 
 
+class TestPairMultiplierCollision:
+    """Machines differing only in ``set_pair_multiplier`` once shared a key."""
+
+    @staticmethod
+    def _jobs() -> tuple[SimJob, SimJob]:
+        plain, slow_link = ucf_testbed(4), ucf_testbed(4)
+        slow_link.set_pair_multiplier(0, 1, 50.0)
+        return (
+            SimJob.collective("gather", plain, 100_000),
+            SimJob.collective("gather", slow_link, 100_000),
+        )
+
+    def test_sweep_memo_keeps_them_apart(self):
+        plain, slow_link = self._jobs()
+        expected = [plain.run().time, slow_link.run().time]
+        assert expected[1] > 10 * expected[0]
+        with sweep(jobs=1) as executor:
+            got = [evaluate([job])[0].time for job in (plain, slow_link)]
+        assert got == expected
+        assert executor.cache_misses == 2 and executor.cache_hits == 0
+
+    def test_reopened_disk_cache_keeps_them_apart(self, tmp_path):
+        plain, slow_link = self._jobs()
+        with sweep(jobs=1, cache_dir=tmp_path):
+            expected = [evaluate([job])[0].time for job in (plain, slow_link)]
+        plain, slow_link = self._jobs()  # fresh instances, as a new process has
+        with sweep(jobs=1, cache_dir=tmp_path) as reopened:
+            got = [evaluate([job])[0].time for job in (slow_link, plain)]
+        assert got == expected[::-1]
+        assert reopened.disk_hits == 2 and reopened.cache_misses == 0
+
+
 class TestSweepContext:
     def test_installs_and_restores_current_executor(self):
         assert current_executor() is None

@@ -87,6 +87,32 @@ class TestDiscriminating:
         digests = {_hash(base), *(_hash(v) for v in variants)}
         assert len(digests) == len(variants) + 1
 
+    def test_pair_multipliers_feed_the_hash(self):
+        plain, scaled, rescaled = ucf_testbed(4), ucf_testbed(4), ucf_testbed(4)
+        scaled.set_pair_multiplier(0, 1, 50.0)
+        rescaled.set_pair_multiplier(1, 0, 50.0)  # same pair, other spelling
+        rescaled.set_pair_multiplier(2, 3, 1.5)
+        digests = [
+            _hash(SimJob.collective("gather", topology, 1000, seed=0))
+            for topology in (plain, scaled, rescaled)
+        ]
+        assert len(set(digests)) == 3
+        rescaled_twin = ucf_testbed(4)
+        rescaled_twin.set_pair_multiplier(2, 3, 1.5)  # other insertion order
+        rescaled_twin.set_pair_multiplier(0, 1, 50.0)
+        assert _hash(
+            SimJob.collective("gather", rescaled_twin, 1000, seed=0)
+        ) == digests[2]
+
+    def test_set_pair_multiplier_drops_the_memoised_encoding(self):
+        topology = ucf_testbed(4)
+        before = _hash(SimJob.collective("gather", topology, 1000, seed=0))
+        assert topology._content_tokens is not None
+        topology.set_pair_multiplier(0, 1, 50.0)
+        assert topology._content_tokens is None
+        after = _hash(SimJob.collective("gather", topology, 1000, seed=0))
+        assert after != before
+
     def test_enum_members_are_distinguished(self):
         topology = ucf_testbed(4)
         a = SimJob.collective("gather", topology, 1000,

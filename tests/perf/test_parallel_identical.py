@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.collectives.base import make_items
 from repro.experiments.fig3_gather import fig3a_gather_root
 from repro.experiments.robustness import robustness_report
 from repro.perf import sweep
@@ -26,6 +27,18 @@ def test_fig3a_report_is_byte_identical_under_parallelism(jobs):
         return fig3a_gather_root(sizes_kb=[100], processor_counts=[2, 3])
 
     assert _render(factory, jobs) == _render(factory, 1)
+
+
+def test_forked_workers_regrow_inherited_item_streams_identically():
+    """Workers fork with the parent's resident item streams and must
+    serve longer sizes from them exactly as a serial sweep does."""
+
+    def factory():
+        return fig3a_gather_root(sizes_kb=[100, 200, 300], processor_counts=[2, 3])
+
+    for pid in range(3):
+        make_items(0, pid, 1000)  # short resident streams to inherit
+    assert _render(factory, 2) == _render(factory, 1)
 
 
 @pytest.mark.parametrize("jobs", [4])
