@@ -185,6 +185,20 @@ def _cmd_probe(preset: str) -> int:
     return 0
 
 
+def _root_spec(root: str) -> t.Any:
+    """``--root`` as the collectives take it: a policy or an explicit pid."""
+    from repro.collectives import RootPolicy
+
+    if root in ("fastest", "slowest"):
+        return RootPolicy(root)
+    try:
+        return int(root)
+    except ValueError:
+        raise ReproError(
+            f"--root must be 'fastest', 'slowest' or a pid, got {root!r}"
+        ) from None
+
+
 def _cmd_run(
     collective: str,
     preset: str,
@@ -205,7 +219,7 @@ def _cmd_run(
     import contextlib
 
     from repro import collectives as coll
-    from repro.collectives import RootPolicy, WorkloadPolicy, resolve_plan
+    from repro.collectives import WorkloadPolicy, resolve_plan
     from repro.util.units import format_time
 
     if collective not in _COLLECTIVES:
@@ -215,12 +229,8 @@ def _cmd_run(
     topology = build_preset(preset)
     runner = getattr(coll, f"run_{collective}")
     kwargs: dict[str, t.Any] = {"trace": gantt, "seed": seed}
+    root_spec = _root_spec(root)
     if schedule != "default":
-        root_spec: t.Any = (
-            RootPolicy.SLOWEST if root == "slowest"
-            else RootPolicy.FASTEST if root == "fastest"
-            else int(root)
-        )
         plan = resolve_plan(topology, collective, n, schedule, root=root_spec)
         if plan is not None:
             kwargs["plan"] = plan
@@ -240,11 +250,7 @@ def _cmd_run(
     elif retries > 0:
         raise ReproError("--retries needs --send-timeout to arm the timer")
     if collective in ("gather", "broadcast", "scatter", "reduce", "allreduce"):
-        kwargs["root"] = (
-            RootPolicy.SLOWEST if root == "slowest"
-            else RootPolicy.FASTEST if root == "fastest"
-            else int(root)
-        )
+        kwargs["root"] = root_spec
     if collective in ("gather", "scatter", "allgather", "alltoall"):
         kwargs["workload"] = (
             WorkloadPolicy.EQUAL if workload == "equal" else WorkloadPolicy.BALANCED
@@ -291,7 +297,6 @@ def _cmd_tune(
     force: bool,
     shortlist: int,
 ) -> int:
-    from repro.collectives import RootPolicy
     from repro.tuning.tuner import tune
     from repro.util.units import format_time
 
@@ -300,13 +305,8 @@ def _cmd_tune(
             f"tune supports gather/broadcast, got {collective!r}"
         )
     topology = _build_any(preset)
-    root_spec: t.Any = (
-        RootPolicy.SLOWEST if root == "slowest"
-        else RootPolicy.FASTEST if root == "fastest"
-        else int(root)
-    )
     decision = tune(
-        topology, collective, n, root=root_spec, force=force,
+        topology, collective, n, root=_root_spec(root), force=force,
         shortlist=shortlist,
     )
     print(f"{collective}(n={n}) on {preset} -> {decision.plan.key}")

@@ -29,10 +29,9 @@ from repro.collectives.schedules import (
     resolve_root,
     split_counts,
 )
-from repro.collectives.gather import gather_program, predict_gather_cost, run_gather
+from repro.collectives.gather import gather_program, run_gather
 from repro.collectives.broadcast import (
     broadcast_program,
-    predict_broadcast_cost,
     run_broadcast,
 )
 from repro.collectives.scatter import predict_scatter_cost, run_scatter, scatter_program
@@ -66,10 +65,8 @@ __all__ = [
     "split_counts",
     "gather_program",
     "run_gather",
-    "predict_gather_cost",
     "broadcast_program",
     "run_broadcast",
-    "predict_broadcast_cost",
     "scatter_program",
     "run_scatter",
     "predict_scatter_cost",

@@ -15,10 +15,16 @@ The hierarchical algorithm runs top-down: the root's cluster
 distributes across level-``k`` participants, then every cluster
 broadcasts internally, concurrently, until all level-0 processors hold
 the data.
+
+The program runs a :class:`~repro.tuning.plan.SchedulePlan` — per level
+one-phase (optionally segmented), two-phase or a binomial tree.  A
+``phases`` spec is the plan :func:`~repro.tuning.plan.plan_from_phases`
+makes of it: a plan-less call converts on entry and runs the same loops.
 """
 
 from __future__ import annotations
 
+import functools
 import typing as t
 
 import numpy as np
@@ -32,30 +38,29 @@ from repro.collectives.schedules import (
     level_participants,
     resolve_root,
 )
-from repro.errors import CollectiveError
 from repro.hbsplib.context import HbspContext
-from repro.model.cost import CostLedger
-from repro.model.params import HBSPParams
 from repro.model.predict import predict_broadcast, predict_broadcast_plan
 from repro.sim.macro import macro_safe
-from repro.tuning.plan import SchedulePlan, binomial_rounds, split_segments
+from repro.tuning.plan import (
+    PhaseSpec,
+    SchedulePlan,
+    binomial_rounds,
+    check_plan,
+    plan_from_phases,
+    segment_bounds,
+    segment_suffix,
+    split_segments,
+)
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
 
-__all__ = ["broadcast_program", "run_broadcast", "predict_broadcast_cost"]
+__all__ = ["broadcast_program", "run_broadcast"]
 
 #: Tag space: level * _TAG_STRIDE + share index; full copies use
 #: share index _TAG_FULL.
 _TAG_STRIDE = 1 << 16
 _TAG_FULL = _TAG_STRIDE - 1
-
-
-def _phase_of(phases: str | t.Mapping[int, str], level: int) -> str:
-    mode = phases if isinstance(phases, str) else phases.get(level, "two")
-    if mode not in ("one", "two"):
-        raise CollectiveError(f"phase must be 'one' or 'two', got {mode!r}")
-    return mode
 
 
 def _share_counts(
@@ -64,8 +69,7 @@ def _share_counts(
     """First-phase share sizes across participants (equal or by c)."""
     m = len(participants)
     if not balanced:
-        base, extra = divmod(n, m)
-        return [base + (1 if i < extra else 0) for i in range(m)]
+        return split_segments(n, m)
     node = ctx.runtime._ancestor(ctx.pid, level)
     weights = []
     for child in node.children:
@@ -82,7 +86,7 @@ def broadcast_program(
     ctx: HbspContext,
     n: int,
     root: int,
-    phases: str | t.Mapping[int, str] = "two",
+    phases: PhaseSpec = "two",
     balanced_shares: bool = False,
     seed: int = 0,
     plan: SchedulePlan | None = None,
@@ -90,59 +94,47 @@ def broadcast_program(
     """Per-process broadcast program.
 
     Returns ``(items, checksum)``; on success every pid reports ``n``
-    items with identical checksums.  ``plan`` overrides ``phases`` with
-    a per-level schedule — one-phase (optionally segmented), two-phase,
-    or binomial-tree doubling.
+    items with identical checksums.  ``plan`` is the per-level schedule
+    — one-phase (optionally segmented), two-phase, or binomial-tree
+    doubling; ``None`` is the plan ``phases`` denotes.
     """
+    k = ctx.runtime.tree.k
+    if plan is None:
+        plan = plan_from_phases(phases, k)
     data: np.ndarray | None = (
         make_items(seed, root, n) if ctx.pid == root else None
     )
-    k = ctx.runtime.tree.k
     for level in range(k, 0, -1):
-        schedule = plan.level(level) if plan is not None else None
-        mode = _phase_of(phases, level) if schedule is None else schedule.algorithm
+        schedule = plan.level(level)
+        mode = schedule.algorithm
         participants = level_participants(ctx, level, root)
         coordinator = effective_coordinator(ctx, level, root)
         am_participant = ctx.pid in participants
         if mode == "one":
-            segments = 1 if schedule is None else schedule.segments
-            if segments == 1:
-                if ctx.pid == coordinator and data is not None:
-                    with ctx.phase(f"broadcast full L{level}", level=level):
+            segments = schedule.segments
+            bounds = None
+            if ctx.pid == coordinator and data is not None:
+                bounds = segment_bounds(data.size, segments)
+            pieces: list[np.ndarray] = []
+            for s in range(segments):
+                if bounds is not None:
+                    with ctx.phase(
+                        f"broadcast full L{level}{segment_suffix(s, segments)}",
+                        level=level,
+                    ):
+                        piece = data[bounds[s] : bounds[s + 1]]
                         for peer in participants:
                             if peer != ctx.pid:
                                 yield from ctx.send(
-                                    peer, data, tag=level * _TAG_STRIDE + _TAG_FULL
+                                    peer, piece,
+                                    tag=level * _TAG_STRIDE + _TAG_FULL,
                                 )
                 yield from ctx.sync(level)
                 arrived = ctx.messages(tag=level * _TAG_STRIDE + _TAG_FULL)
                 if arrived and am_participant:
-                    data = arrived[0].payload
-            else:
-                offsets = None
-                if ctx.pid == coordinator and data is not None:
-                    offsets = np.cumsum(
-                        [0] + split_segments(data.size, segments)
-                    )
-                pieces: list[np.ndarray] = []
-                for s in range(segments):
-                    if offsets is not None:
-                        with ctx.phase(
-                            f"broadcast full L{level}.{s + 1}", level=level
-                        ):
-                            piece = data[offsets[s] : offsets[s + 1]]
-                            for peer in participants:
-                                if peer != ctx.pid:
-                                    yield from ctx.send(
-                                        peer, piece,
-                                        tag=level * _TAG_STRIDE + _TAG_FULL,
-                                    )
-                    yield from ctx.sync(level)
-                    arrived = ctx.messages(tag=level * _TAG_STRIDE + _TAG_FULL)
-                    if arrived and am_participant:
-                        pieces.append(arrived[0].payload)
-                if pieces and am_participant:
-                    data = concat_payloads(pieces)
+                    pieces.append(arrived[0].payload)
+            if pieces:
+                data = concat_payloads(pieces)
         elif mode == "binomial":
             # Doubling over the child-coordinator positions, rotated so
             # the coordinator holds relative position 0: in round t
@@ -203,14 +195,14 @@ def broadcast_program(
                             )
             yield from ctx.sync(level)
             if am_participant:
-                pieces: dict[int, np.ndarray] = {}
+                by_index: dict[int, np.ndarray] = {}
                 if my_share is not None:
-                    pieces[my_index] = my_share
+                    by_index[my_index] = my_share
                 for message in ctx.messages():
-                    pieces[message.tag - level * _TAG_STRIDE] = message.payload
-                if pieces:
+                    by_index[message.tag - level * _TAG_STRIDE] = message.payload
+                if by_index:
                     data = concat_payloads(
-                        [pieces[i] for i in sorted(pieces)]
+                        [by_index[i] for i in sorted(by_index)]
                     )
     if data is None:
         return (0, 0)
@@ -222,7 +214,7 @@ def run_broadcast(
     n: int,
     *,
     root: int | RootPolicy | None = None,
-    phases: str | t.Mapping[int, str] = "two",
+    phases: PhaseSpec = "two",
     balanced_shares: bool = False,
     scores: t.Mapping[str, float] | None = None,
     seed: int = 0,
@@ -241,13 +233,21 @@ def run_broadcast(
     ``macro`` selects the macro-event fast path (default: auto on
     fault-free untraced runs; the result is bit-identical either way).
     ``plan`` runs an explicit :class:`~repro.tuning.plan.SchedulePlan`
-    (overriding ``phases``), and the prediction prices that plan.
+    (overriding ``phases``); ``None`` is ``plan_from_phases(phases, k)``
+    — the run and the prediction are that plan's and only the outcome
+    and ledger names say ``phases=``.
     """
     runtime = make_runtime(
         topology, scores=scores, trace=trace, faults=faults,
         fault_seed=seed if fault_seed is None else fault_seed, delivery=delivery,
         macro=macro,
     )
+    if plan is None:
+        plan, tag = plan_from_phases(phases, runtime.params.k), f"phases={phases!r}"
+        predict = functools.partial(predict_broadcast, phases=phases)
+    else:
+        tag = f"plan={check_plan(plan, 'broadcast', runtime.params.k).key}"
+        predict = functools.partial(predict_broadcast_plan, plan=plan)
     root_pid = resolve_root(runtime, root)
     result = runtime.run(
         broadcast_program, n, root_pid, phases, balanced_shares, seed, plan
@@ -257,35 +257,14 @@ def run_broadcast(
         if balanced_shares
         else None
     )
-    if plan is None:
-        predicted = predict_broadcast(
-            runtime.params, n, root=root_pid, phases=phases, fractions=fractions
-        )
-        name = f"broadcast(n={n}, root=pid{root_pid}, phases={phases!r})"
-    else:
-        predicted = predict_broadcast_plan(
-            runtime.params, n, plan, root=root_pid, fractions=fractions
-        )
-        name = f"broadcast(n={n}, root=pid{root_pid}, plan={plan.key})"
     return CollectiveOutcome(
-        name=name,
+        name=f"broadcast(n={n}, root=pid{root_pid}, {tag})",
         time=result.time,
         supersteps=result.supersteps,
         values=result.values,
-        predicted=predicted,
+        predicted=predict(
+            runtime.params, n, root=root_pid, fractions=fractions
+        ),
         result=result,
         runtime=runtime,
     )
-
-
-def predict_broadcast_cost(
-    params: HBSPParams,
-    n: int,
-    *,
-    root: int | None = None,
-    phases: str | t.Mapping[int, str] = "two",
-    fractions: t.Sequence[float] | None = None,
-) -> CostLedger:
-    """Closed-form broadcast cost (re-export of
-    :func:`repro.model.predict.predict_broadcast` for API symmetry)."""
-    return predict_broadcast(params, n, root=root, phases=phases, fractions=fractions)

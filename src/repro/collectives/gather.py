@@ -9,10 +9,16 @@ items to its level-ℓ coordinator, followed by a cluster-scoped
 super^ℓ-step synchronisation; after level ``k`` the root holds all
 ``n`` items.  A processor never sends to itself, so the root's own
 items stay put.
+
+The program runs a :class:`~repro.tuning.plan.SchedulePlan` — per level
+a flat fan-in (optionally segmented) or a binomial tree — and the
+paper's schedule above is ``default_plan("gather", k)``: a plan-less
+call resolves to it on entry and runs the same loops.
 """
 
 from __future__ import annotations
 
+import functools
 import typing as t
 
 import numpy as np
@@ -28,21 +34,26 @@ from repro.collectives.schedules import (
     RootPolicy,
     WorkloadPolicy,
     effective_coordinator,
+    level_participants,
     resolve_root,
     split_counts,
 )
-from repro.collectives.schedules import level_participants
 from repro.hbsplib.context import HbspContext
-from repro.model.cost import CostLedger
-from repro.model.params import HBSPParams
 from repro.model.predict import predict_gather, predict_gather_plan
 from repro.sim.macro import macro_safe
-from repro.tuning.plan import SchedulePlan, binomial_rounds, split_segments
+from repro.tuning.plan import (
+    SchedulePlan,
+    binomial_rounds,
+    check_plan,
+    default_plan,
+    segment_bounds,
+    segment_suffix,
+)
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
 
-__all__ = ["gather_program", "run_gather", "predict_gather_cost"]
+__all__ = ["gather_program", "run_gather"]
 
 
 @macro_safe
@@ -58,51 +69,37 @@ def gather_program(
     ``counts[pid]`` items are generated locally; the program returns
     ``(held_items, checksum)`` — the root ends with ``sum(counts)``
     items, everyone else with 0.  ``plan`` selects per-level flat
-    (optionally segmented) or binomial-tree fan-in; ``None`` (and the
-    default plan) is the paper's single-step flat schedule.
+    (optionally segmented) or binomial-tree fan-in; ``None`` is the
+    default plan, the paper's single-step flat schedule.
     """
+    k = ctx.runtime.tree.k
+    if plan is None:
+        plan = default_plan("gather", k)
     data = make_items(seed, ctx.pid, counts[ctx.pid])
     buffer: list[np.ndarray] = [data]
-    k = ctx.runtime.tree.k
     for level in range(1, k + 1):
-        schedule = plan.level(level) if plan is not None else None
-        if schedule is None or schedule.algorithm == "flat":
+        schedule = plan.level(level)
+        if schedule.algorithm == "flat":
             sender = effective_coordinator(ctx, level - 1, root)
             receiver = effective_coordinator(ctx, level, root)
-            sending = ctx.pid == sender and ctx.pid != receiver
-            segments = 1 if schedule is None else schedule.segments
-            if segments == 1:
-                if sending:
-                    with ctx.phase(f"gather up L{level}", level=level):
-                        payload = concat_payloads(buffer)
-                        buffer = []
-                        yield from ctx.send(receiver, payload, tag=level)
+            segments = schedule.segments
+            bounds = None
+            if ctx.pid == sender and ctx.pid != receiver:
+                payload = concat_payloads(buffer)
+                buffer = []
+                bounds = segment_bounds(payload.size, segments)
+            for s in range(segments):
+                if bounds is not None:
+                    with ctx.phase(
+                        f"gather up L{level}{segment_suffix(s, segments)}",
+                        level=level,
+                    ):
+                        yield from ctx.send(
+                            receiver, payload[bounds[s] : bounds[s + 1]], tag=level
+                        )
                 yield from ctx.sync(level)
                 if ctx.pid == receiver:
                     buffer.extend(m.payload for m in ctx.messages(tag=level))
-            else:
-                offsets = None
-                if sending:
-                    payload = concat_payloads(buffer)
-                    buffer = []
-                    offsets = np.cumsum(
-                        [0] + split_segments(payload.size, segments)
-                    )
-                for s in range(segments):
-                    if offsets is not None:
-                        with ctx.phase(
-                            f"gather up L{level}.{s + 1}", level=level
-                        ):
-                            yield from ctx.send(
-                                receiver,
-                                payload[offsets[s] : offsets[s + 1]],
-                                tag=level,
-                            )
-                    yield from ctx.sync(level)
-                    if ctx.pid == receiver:
-                        buffer.extend(
-                            m.payload for m in ctx.messages(tag=level)
-                        )
         else:  # binomial fan-in over the child-coordinator positions
             participants = level_participants(ctx, level, root)
             receiver = effective_coordinator(ctx, level, root)
@@ -156,8 +153,9 @@ def run_gather(
     the macro-event fast path (default: auto on fault-free untraced
     runs; the result is bit-identical either way).  ``plan`` runs an
     explicit :class:`~repro.tuning.plan.SchedulePlan` (e.g. a tuned
-    one) instead of the paper's flat schedule, and the prediction
-    prices that plan.
+    one); ``None`` is the paper's flat schedule,
+    ``default_plan("gather", k)`` — the run and the prediction are the
+    default plan's and only the outcome and ledger names differ.
     """
     runtime = make_runtime(
         topology, scores=scores, trace=trace, serialize_nic=serialize_nic,
@@ -165,37 +163,21 @@ def run_gather(
         fault_seed=seed if fault_seed is None else fault_seed, delivery=delivery,
         macro=macro,
     )
+    if plan is None:
+        plan, tag = default_plan("gather", runtime.params.k), ""
+        predict = predict_gather
+    else:
+        tag = f", plan={check_plan(plan, 'gather', runtime.params.k).key}"
+        predict = functools.partial(predict_gather_plan, plan=plan)
     root_pid = resolve_root(runtime, root)
     counts = split_counts(runtime, n, workload)
     result = runtime.run(gather_program, counts, root_pid, seed, plan)
-    if plan is None:
-        predicted = predict_gather(
-            runtime.params, n, root=root_pid, counts=counts
-        )
-    else:
-        predicted = predict_gather_plan(
-            runtime.params, n, plan, root=root_pid, counts=counts
-        )
     return CollectiveOutcome(
-        name=f"gather(n={n}, root=pid{root_pid})"
-        if plan is None
-        else f"gather(n={n}, root=pid{root_pid}, plan={plan.key})",
+        name=f"gather(n={n}, root=pid{root_pid}{tag})",
         time=result.time,
         supersteps=result.supersteps,
         values=result.values,
-        predicted=predicted,
+        predicted=predict(runtime.params, n, root=root_pid, counts=counts),
         result=result,
         runtime=runtime,
     )
-
-
-def predict_gather_cost(
-    params: HBSPParams,
-    n: int,
-    *,
-    root: int | None = None,
-    counts: t.Sequence[int] | None = None,
-) -> CostLedger:
-    """Closed-form gather cost (re-export of
-    :func:`repro.model.predict.predict_gather` for API symmetry)."""
-    return predict_gather(params, n, root=root, counts=counts)

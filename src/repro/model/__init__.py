@@ -27,6 +27,7 @@ from repro.model.kernels import (
     BroadcastKernel,
     GatherKernel,
     KernelGrid,
+    PlanGrid,
     balanced_counts,
     equal_counts,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "BroadcastKernel",
     "GatherKernel",
     "KernelGrid",
+    "PlanGrid",
     "balanced_counts",
     "equal_counts",
     "best_broadcast_phases",

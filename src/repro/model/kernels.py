@@ -1,29 +1,42 @@
 """Vectorized analytic cost kernels: whole grids in one numpy pass.
 
 :mod:`repro.model.predict` walks the HBSP^k tree once per ``(n, root,
-workload, phases)`` configuration — fine for a single prediction,
-wasteful for the planner's ``2^k x roots`` enumeration and for the
-experiment modules' model-side curves, which evaluate hundreds of
-closely-related points.  This module *compiles* a parameter set once —
-tree slices, coordinator tables, per-cluster labels — and then
+workload, plan)`` configuration — fine for a single prediction,
+wasteful for the planner's ``2^k x roots`` enumeration, the tuner's
+plan spaces and the experiment modules' model-side curves, which
+evaluate hundreds of closely-related points.  This module *compiles* a
+parameter set once — tree slices, coordinator tables — and then
 evaluates an entire grid of configurations with array operations:
 per-level ``r·h`` maxima, ``g·h + L`` ledger terms, and workload
 subtree sums all become numpy expressions over the grid axis.
+
+One path
+--------
+
+``evaluate_plans`` prices per-point
+:class:`~repro.tuning.plan.SchedulePlan`s; ``evaluate`` is
+``evaluate_plans`` at the paper's hand schedule —
+:func:`~repro.tuning.plan.default_plan` for the gather,
+:func:`~repro.tuning.plan.plan_from_phases` of each point's phase spec
+for the broadcast — and differs only in the ledgers' names.  Both
+validate their arguments with the scalar predictors' own checks.
 
 Bit-identity contract
 ---------------------
 
 The kernels are not approximations.  For every grid point, the charged
 ``(label, level, gh, L)`` steps and the ledger total are **the same
-floats** the scalar :func:`~repro.model.predict.predict_gather` /
-:func:`~repro.model.predict.predict_broadcast` produce — enforced by
-``tests/model/test_kernels.py`` and the hypothesis suite in
-``tests/properties/test_prop_kernels.py`` with exact ``==`` on every
-component.  This works because the scalar path is a fixed sequence of
-IEEE-754 double operations (``r*h`` products, a running max, ``g*h``,
-``+ L``) and the vectorized path performs the *same* operations
-elementwise; integer workload arithmetic (subtree sums, two-phase
-shares) is exact in int64.  The only knowingly scalar piece is
+floats** the scalar
+:func:`~repro.model.predict.predict_gather_plan` /
+:func:`~repro.model.predict.predict_broadcast_plan` produce — enforced
+by ``tests/model/test_plan_kernels.py``, ``tests/model/test_kernels.py``
+and the hypothesis suite in ``tests/properties/test_prop_kernels.py``
+with exact ``==`` on every component.  This works because the scalar
+path is a fixed sequence of IEEE-754 double operations (``r*h``
+products, a running max, ``g*h``, ``+ L``) and the vectorized path
+performs the *same* operations elementwise; integer workload arithmetic
+(subtree sums, chunk sizes, two-phase shares) is exact in int64.  The
+only knowingly scalar piece is
 :func:`~repro.bytemark.ranking.partition_items` (largest-remainder
 with string-keyed tie-breaks), which runs once per *unique* ``n``
 rather than once per grid point.
@@ -50,7 +63,23 @@ from repro.bytemark.ranking import partition_items
 from repro.errors import CollectiveError, ModelError
 from repro.model.cost import CostLedger
 from repro.model.params import HBSPParams
-from repro.model.predict import default_counts
+from repro.model.predict import (
+    _check_inputs,
+    check_counts,
+    check_fractions,
+    check_item_bytes,
+    default_counts,
+)
+from repro.tuning.plan import (
+    LevelSchedule,
+    PhaseSpec,
+    SchedulePlan,
+    binomial_rounds,
+    check_plan,
+    default_plan,
+    plan_from_phases,
+    segment_suffix,
+)
 from repro.util.units import BYTES_PER_INT
 
 __all__ = [
@@ -61,10 +90,6 @@ __all__ = [
     "balanced_counts",
     "equal_counts",
 ]
-
-#: Phase-scheme spec accepted per point: the same shapes the scalar
-#: ``predict_broadcast`` takes (``"one"``/``"two"`` or a per-level map).
-PhaseSpec = t.Union[str, t.Mapping[int, str]]
 
 
 # ---------------------------------------------------------------------------
@@ -99,33 +124,66 @@ def equal_counts(params: HBSPParams, ns: np.ndarray) -> np.ndarray:
 class _Step:
     """One charged super-step, for every grid point at once.
 
-    ``labels[mode][cluster]`` resolves the label; gather steps carry a
-    single mode, broadcast steps one per phase scheme (``code`` holds
-    the per-point mode index).
+    ``labels[cluster]`` names the step when ``cluster`` is the point's
+    worst (``choice``) cluster.
     """
 
     level: int
     gh: np.ndarray  # (G,) selected g*h per point
     L: np.ndarray  # (G,) selected L charge per point
     choice: np.ndarray  # (G,) index into the level's cluster list
-    labels: tuple[tuple[str, ...], ...]
-    code: np.ndarray | None = None  # (G,) mode per point; None = mode 0
+    labels: tuple[str, ...]
 
     def label(self, i: int) -> str:
-        mode = 0 if self.code is None else int(self.code[i])
-        return self.labels[mode][int(self.choice[i])]
+        return self.labels[int(self.choice[i])]
 
     def take(self, cols: np.ndarray) -> "_Step":
         """This step at points ``cols`` — one plan's columns of a shared step."""
-        code = None if self.code is None else self.code[cols]
         return _Step(
-            self.level, self.gh[cols], self.L[cols], self.choice[cols],
-            self.labels, code,
+            self.level, self.gh[cols], self.L[cols], self.choice[cols], self.labels
         )
 
 
+def _worst_cluster(
+    level: int, gh_rows: np.ndarray, L_of: np.ndarray, labels: tuple[str, ...]
+) -> _Step:
+    """The super^i-step every point charges: its costliest cluster.
+
+    ``gh_rows`` is the ``(clusters, G)`` stack of concurrent clusters'
+    ``g·h`` and ``L_of`` their ``(clusters,)`` synchronisation charges;
+    ``argmax`` takes the first maximum of ``g·h + L``, matching the
+    scalar predictor's strict ``>`` scan.
+    """
+    choice = np.argmax(gh_rows + L_of[:, np.newaxis], axis=0)
+    gh = gh_rows[choice, np.arange(choice.size)]
+    return _Step(level, gh, L_of[choice], choice, labels)
+
+
+def _binomial_round_steps(
+    level: int,
+    per_round: t.Mapping[int, list[tuple[int, np.ndarray]]],
+    L_level: np.ndarray,
+    what: str,
+) -> list[_Step]:
+    """One step per binomial round from ``{round: [(cluster j, g·h)]}``.
+
+    Clusters run ⌈log₂C⌉ rounds, so a later round's worst-cluster scan
+    covers only the clusters still active in it.
+    """
+    steps = []
+    for t_round in sorted(per_round):
+        js = [j for j, _ in per_round[t_round]]
+        labels = tuple(
+            f"super{level}: binomial {what} round {t_round + 1} in {(level, j)}"
+            for j in js
+        )
+        gh_rows = np.stack([gh for _, gh in per_round[t_round]])
+        steps.append(_worst_cluster(level, gh_rows, L_level[js], labels))
+    return steps
+
+
 class KernelGrid:
-    """The evaluated grid: per-step arrays plus ledger reconstruction.
+    """One uniform-plan group of an evaluated grid.
 
     ``totals`` reproduces :attr:`CostLedger.total` exactly (``math.fsum``
     over step totals; for <= 2 steps a single IEEE add is the correctly
@@ -220,7 +278,7 @@ class PlanGrid:
         collective: str,
         ns: np.ndarray,
         roots: np.ndarray,
-        plans: t.Sequence[t.Any],
+        plans: t.Sequence[SchedulePlan],
         grids: t.Sequence[KernelGrid],
         group_of: np.ndarray,
         pos_of: np.ndarray,
@@ -265,45 +323,43 @@ class PlanGrid:
 
 
 def _check_plans(
-    plans: t.Any, op: str, k: int, G: int
-) -> list[t.Any]:
+    plans: SchedulePlan | t.Sequence[SchedulePlan], op: str, k: int, G: int
+) -> list[SchedulePlan]:
     """Normalise/validate the per-point plan axis."""
-    from repro.tuning.plan import SchedulePlan
-
     if isinstance(plans, SchedulePlan):
-        plan_list = [plans] * G
-    else:
-        plan_list = list(plans)
-        if len(plan_list) != G:
-            raise CollectiveError(
-                f"plans must be one plan or a length-{G} sequence, "
-                f"got {len(plan_list)}"
-            )
-    for plan in set(plan_list):
-        if not isinstance(plan, SchedulePlan):
-            raise CollectiveError(f"expected a SchedulePlan, got {plan!r}")
-        if plan.op != op:
-            raise CollectiveError(f"plan is for {plan.op!r}, expected {op!r}")
-        if plan.k != k:
-            raise CollectiveError(
-                f"plan schedules {plan.k} levels, topology has k={k}"
-            )
+        return [check_plan(plans, op, k)] * G
+    plan_list = list(plans)
+    if len(plan_list) != G:
+        raise CollectiveError(
+            f"plans must be one plan or a length-{G} sequence, "
+            f"got {len(plan_list)}"
+        )
+    for plan in {id(plan): plan for plan in plan_list}.values():
+        check_plan(plan, op, k)
     return plan_list
 
 
 def _group_plans(
-    plan_list: t.Sequence[t.Any], G: int
-) -> tuple[list[tuple[t.Any, np.ndarray]], np.ndarray, np.ndarray]:
-    """Partition grid indices into uniform-plan groups."""
-    groups: dict[t.Any, list[int]] = {}
-    for i, plan in enumerate(plan_list):
-        groups.setdefault(plan, []).append(i)
-    group_of = np.zeros(G, dtype=np.int64)
+    plan_list: t.Sequence[SchedulePlan], G: int
+) -> tuple[list[tuple[SchedulePlan, np.ndarray]], np.ndarray, np.ndarray]:
+    """Partition grid indices into uniform-plan groups.
+
+    A grid usually repeats a few plan *objects* (``evaluate`` repeats
+    one ``G`` times), so each distinct object is hashed once and the
+    points are grouped by object identity.
+    """
+    gids: dict[SchedulePlan, int] = {}
+    gid_of_object = {
+        key: gids.setdefault(plan, len(gids))
+        for key, plan in {id(plan): plan for plan in plan_list}.items()
+    }
+    group_of = np.fromiter(
+        (gid_of_object[id(plan)] for plan in plan_list), dtype=np.int64, count=G
+    )
     pos_of = np.zeros(G, dtype=np.int64)
     out = []
-    for gid, (plan, idxs) in enumerate(groups.items()):
-        sel = np.array(idxs, dtype=np.int64)
-        group_of[sel] = gid
+    for plan, gid in gids.items():
+        sel = np.flatnonzero(group_of == gid)
         pos_of[sel] = np.arange(sel.size, dtype=np.int64)
         out.append((plan, sel))
     return out, group_of, pos_of
@@ -329,14 +385,14 @@ def _distinct_points(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _plan_grid(
     collective: str,
-    k: int,
     ns: np.ndarray,
     roots: np.ndarray,
-    plan_list: t.Sequence[t.Any],
+    plan_list: t.Sequence[SchedulePlan],
     levels: t.Sequence[int],
-    level_steps: t.Callable[[int, t.Any], t.Sequence[_Step]],
+    level_steps: t.Callable[[int, LevelSchedule], t.Sequence[_Step]],
     point_of: np.ndarray,
     active: np.ndarray,
+    name_of: t.Callable[[int], str],
 ) -> PlanGrid:
     """Assemble a :class:`PlanGrid` from a shared level-step table.
 
@@ -347,6 +403,7 @@ def _plan_grid(
     kernel passes for a full ``|choices|^k`` space), and each plan's
     :class:`KernelGrid` gathers its points' columns out of those shared
     steps: the same floats the per-plan evaluation produced.
+    ``name_of(i)`` names grid point ``i``'s ledger.
     """
     groups, group_of, pos_of = _group_plans(plan_list, ns.size)
     table = {
@@ -356,20 +413,18 @@ def _plan_grid(
     }
     grids = []
     for plan, sel in groups:
-        sub_ns, cols = ns[sel], point_of[sel]
-
-        def name_of(
-            i: int, plan: t.Any = plan, sub_ns: np.ndarray = sub_ns
-        ) -> str:
-            return f"{collective}(k={k}, n={int(sub_ns[i])}, plan={plan.key})"
-
+        cols = point_of[sel]
         steps = [
             step.take(cols)
             for level in levels
             for step in table[level, plan.level(level)]
         ]
+
+        def group_name(i: int, sel: np.ndarray = sel) -> str:
+            return name_of(int(sel[i]))
+
         grids.append(
-            KernelGrid(collective, sub_ns, roots[sel], steps, active[sel], name_of)
+            KernelGrid(collective, ns[sel], roots[sel], steps, active[sel], group_name)
         )
     return PlanGrid(collective, ns, roots, plan_list, grids, group_of, pos_of)
 
@@ -446,25 +501,44 @@ class _CompiledTree:
             )
 
     # -- per-evaluation helpers -------------------------------------------------
-    def check_roots(
-        self, roots: int | t.Sequence[int] | np.ndarray | None, G: int
-    ) -> np.ndarray:
-        """Resolve/validate the per-point root axis (None = fastest)."""
-        if roots is None:
-            return np.full(G, self.fastest, dtype=np.int64)
-        arr = np.asarray(roots, dtype=np.int64)
-        if arr.ndim == 0:
-            arr = np.full(G, int(arr), dtype=np.int64)
-        if arr.shape != (G,):
+    def check_grid(
+        self,
+        ns: np.ndarray | t.Sequence[int],
+        roots: int | t.Sequence[int] | np.ndarray | None,
+        counts: t.Any = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Normalise the per-point axes; reject what the scalars reject.
+
+        Shapes are this representation's own concern; the *values* are
+        screened with array comparisons and the first offending point
+        is handed to the scalar predictors' checks, which raise.
+        ``roots=None`` is the fastest processor at every point.
+        """
+        ns = np.asarray(ns, dtype=np.int64)
+        if ns.ndim != 1:
+            raise CollectiveError(f"ns must be one-dimensional, got shape {ns.shape}")
+        G = ns.size
+        roots_arr = np.asarray(self.fastest if roots is None else roots, dtype=np.int64)
+        if roots_arr.ndim == 0:
+            roots_arr = np.full(G, int(roots_arr), dtype=np.int64)
+        if roots_arr.shape != (G,):
             raise CollectiveError(
                 f"roots must be a scalar or a length-{G} sequence, "
-                f"got shape {arr.shape}"
+                f"got shape {roots_arr.shape}"
             )
-        bad = (arr < 0) | (arr >= self.p)
+        bad = (ns < 0) | (roots_arr < 0) | (roots_arr >= self.p)
+        if counts is not None:
+            counts = np.asarray(counts, dtype=np.int64)
+            if counts.shape != (G, self.p):
+                raise CollectiveError(
+                    f"counts must have shape ({G}, {self.p}), got {counts.shape}"
+                )
+            bad |= (counts < 0).any(axis=1) | (counts.sum(axis=1) != ns)
         if bad.any():
-            root = int(arr[np.argmax(bad)])
-            raise CollectiveError(f"root {root} out of range for p={self.p}")
-        return arr
+            i = int(np.argmax(bad))
+            _check_inputs(self.params, int(ns[i]), int(roots_arr[i]))
+            check_counts(counts[i].tolist(), int(ns[i]), self.p)
+        return ns, roots_arr, counts
 
     def coords(self, level: int, roots: np.ndarray) -> np.ndarray:
         """``(m_level, G)`` coordinator leaf of every node, per point.
@@ -482,15 +556,28 @@ class _CompiledTree:
             self.dc[level][:, np.newaxis],
         )
 
-    def sender_r(
-        self, level: int, start: int, stop: int, coords_below: np.ndarray | None
-    ) -> np.ndarray:
-        """``r`` of the child coordinators in a cluster's child run."""
-        if level - 1 == 0:
-            # A leaf coordinates itself whatever the root is.
-            return self.r0[start:stop][:, np.newaxis]
-        assert coords_below is not None
-        return self.r0[coords_below[start:stop]]
+    def cluster_tables(
+        self,
+        level: int,
+        j: int,
+        coords_here: np.ndarray,
+        coords_below: np.ndarray | None,
+    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """``(C, r_coord, child_r, own_pos)`` of cluster ``M_{level,j}``.
+
+        ``child_r`` is the slowness of the child coordinators — ``(C, G)``,
+        or ``(C, 1)`` for leaves, which coordinate themselves whatever
+        the root is — and ``own_pos`` the ``(G,)`` child whose
+        coordinator is the cluster's own: it keeps its data local (no
+        self-send).
+        """
+        start, stop = self.child_slice[level][j]
+        coord = coords_here[j]  # (G,)
+        if coords_below is None:
+            child_r = self.r0[start:stop][:, np.newaxis]
+        else:
+            child_r = self.r0[coords_below[start:stop]]
+        return stop - start, self.r0[coord], child_r, self.child_pos[level][j][coord]
 
     def weighted_fractions(self, level: int, j: int) -> dict[str, float]:
         """Per-child first-phase fractions for the "c"-weighted scheme.
@@ -518,30 +605,36 @@ class _CompiledTree:
         return cached
 
 
-def _check_ns(ns: np.ndarray | t.Sequence[int]) -> np.ndarray:
-    arr = np.asarray(ns, dtype=np.int64)
-    if arr.ndim != 1:
-        raise CollectiveError(f"ns must be one-dimensional, got shape {arr.shape}")
-    if arr.size and int(arr.min()) < 0:
-        first_bad = int(arr[arr < 0][0])
-        raise CollectiveError(f"n must be >= 0, got {first_bad}")
-    return arr
+def _fan_h(
+    r_coord: np.ndarray,
+    child_r: np.ndarray,
+    own_pos: np.ndarray,
+    volumes: np.ndarray,
+) -> np.ndarray:
+    """``(G,)`` ``max r·h`` of one coordinator fan-in or fan-out.
+
+    Every child coordinator but the cluster's own moves its row of the
+    ``(C, G)`` byte ``volumes``; the cluster coordinator moves all of
+    them.
+    """
+    points = np.arange(own_pos.size)
+    values = np.empty((volumes.shape[0] + 1, own_pos.size))
+    values[0] = r_coord * (volumes.sum(axis=0) - volumes[own_pos, points])
+    values[1:] = child_r * volumes
+    values[own_pos + 1, points] = 0.0
+    return values.max(axis=0)
 
 
-def _check_counts(counts: t.Any, ns: np.ndarray, p: int) -> np.ndarray:
-    """Validate a ``(G, p)`` per-point workload matrix against ``ns``."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.shape != (ns.size, p):
-        raise CollectiveError(
-            f"counts must have shape ({ns.size}, {p}), got {counts.shape}"
-        )
-    sums = counts.sum(axis=1)
-    if not np.array_equal(sums, ns):
-        i = int(np.argmax(sums != ns))
-        raise CollectiveError(
-            f"counts sum to {int(sums[i])}, expected n={int(ns[i])}"
-        )
-    return counts
+def _rotated(rows: np.ndarray, own_pos: np.ndarray) -> np.ndarray:
+    """Per-child ``rows`` with the cluster coordinator's child first.
+
+    Binomial trees run over the child positions relative to the
+    coordinator's: row ``q`` of the result is child ``(own_pos + q) % C``
+    at every point.
+    """
+    C = rows.shape[0]
+    idx = (own_pos[np.newaxis, :] + np.arange(C)[:, np.newaxis]) % C
+    return np.take_along_axis(np.broadcast_to(rows, idx.shape), idx, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +642,7 @@ def _check_counts(counts: t.Any, ns: np.ndarray, p: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class GatherKernel:
-    """Vectorized :func:`~repro.model.predict.predict_gather`.
+    """Vectorized :func:`~repro.model.predict.predict_gather_plan`.
 
     Compile once per parameter set; evaluate arbitrary grids of
     ``(n, root, counts)`` points.  The gather ascends level by level:
@@ -561,15 +654,8 @@ class GatherKernel:
 
     def __init__(self, params: HBSPParams, *, item_bytes: int = BYTES_PER_INT) -> None:
         self.params = params
-        self.item_bytes = int(item_bytes)
+        self.item_bytes = check_item_bytes(int(item_bytes))
         self._tree = _CompiledTree(params)
-        self._labels = {
-            level: tuple(
-                f"super{level}: gather into {(level, j)}"
-                for j in range(params.m[level])
-            )
-            for level in range(1, params.k + 1)
-        }
 
     def evaluate(
         self,
@@ -577,234 +663,28 @@ class GatherKernel:
         *,
         roots: int | t.Sequence[int] | np.ndarray | None = None,
         counts: np.ndarray | None = None,
-    ) -> KernelGrid:
+    ) -> PlanGrid:
         """Evaluate every ``(n, root, counts)`` point in one pass.
 
         ``counts`` is an optional ``(G, p)`` int64 matrix of initial
         per-processor item counts (default: the balanced workload per
-        point, as in the scalar predictor).
+        point, as in the scalar predictor).  This is
+        :meth:`evaluate_plans` at ``default_plan("gather", k)``, with
+        the ledgers named as :func:`~repro.model.predict.predict_gather`
+        names them.
         """
-        tree = self._tree
-        params, item_bytes = self.params, self.item_bytes
-        ns = _check_ns(ns)
-        G = ns.size
-        roots_arr = tree.check_roots(roots, G)
-        if counts is None:
-            counts = balanced_counts(params, ns)
-        else:
-            counts = _check_counts(counts, ns, params.p)
-
-        def name_of(i: int) -> str:
-            return f"gather(k={params.k}, n={int(ns[i])})"
-
-        active = np.ones(G, dtype=bool)
-        if params.k == 0 or params.p == 1 or G == 0:
-            return KernelGrid("gather", ns, roots_arr, [], active, name_of)
-
-        steps: list[_Step] = []
-        totals_below = np.ascontiguousarray(counts.T)  # (p, G) int64
-        coords_below: np.ndarray | None = None
-        for level in range(1, params.k + 1):
-            totals_here = np.add.reduceat(
-                totals_below, tree.child_start[level], axis=0
-            )
-            coords_here = tree.coords(level, roots_arr)
-            gh_stack = self._flat_gh(
-                level, totals_below, totals_here, coords_here, coords_below, G
-            )
-            cost_stack = gh_stack + tree.L[level][:, np.newaxis]
-            choice = np.argmax(cost_stack, axis=0)
-            gh_sel = np.take_along_axis(
-                gh_stack, choice[np.newaxis, :], axis=0
-            )[0]
-            steps.append(
-                _Step(
-                    level=level,
-                    gh=gh_sel,
-                    L=tree.L[level][choice],
-                    choice=choice,
-                    labels=(self._labels[level],),
-                )
-            )
-            totals_below = totals_here
-            coords_below = coords_here
-        return KernelGrid("gather", ns, roots_arr, steps, active, name_of)
-
-    # -- schedule-plan evaluation ---------------------------------------------
-
-    def _flat_gh(
-        self,
-        level: int,
-        totals_below: np.ndarray,
-        totals_here: np.ndarray,
-        coords_here: np.ndarray,
-        coords_below: np.ndarray | None,
-        G: int,
-        segment: tuple[int, int] | None = None,
-    ) -> np.ndarray:
-        """``(m_level, G)`` per-cluster ``g·h`` of one flat fan-in step.
-
-        ``segment=(s, S)`` prices chunk ``s`` of an ``S``-way segmented
-        level (each child coordinator sends ``T//S + (1 if s < T%S)`` of
-        its ``T`` accumulated items); ``None`` is the whole message —
-        the exact arithmetic of the plan-less :meth:`evaluate`.
-        """
-        tree, item_bytes = self._tree, self.item_bytes
-        m_here = self.params.m[level]
-        gh_stack = np.empty((m_here, G))
-        for j in range(m_here):
-            start, stop = tree.child_slice[level][j]
-            child_tot = totals_below[start:stop]  # (C, G)
-            coord = coords_here[j]  # (G,)
-            own_pos = tree.child_pos[level][j][coord]  # (G,)
-            if segment is None:
-                sent = child_tot
-                own_sent = np.take_along_axis(
-                    sent, own_pos[np.newaxis, :], axis=0
-                )[0]
-                received = totals_here[j] - own_sent
-            else:
-                s, S = segment
-                sent = child_tot // S + (s < child_tot % S)
-                own_sent = np.take_along_axis(
-                    sent, own_pos[np.newaxis, :], axis=0
-                )[0]
-                received = sent.sum(axis=0) - own_sent
-            values = np.empty((stop - start + 1, G))
-            values[0] = tree.r0[coord] * (received * item_bytes)
-            values[1:] = tree.sender_r(level, start, stop, coords_below) * (
-                sent * item_bytes
-            )
-            np.put_along_axis(
-                values[1:], own_pos[np.newaxis, :], 0.0, axis=0
-            )
-            gh_stack[j] = tree.g * values.max(axis=0)
-        return gh_stack
-
-    def _binomial_steps(
-        self,
-        level: int,
-        totals_below: np.ndarray,
-        coords_here: np.ndarray,
-        coords_below: np.ndarray | None,
-        G: int,
-    ) -> list[_Step]:
-        """Per-round steps of a binomial-tree gather level.
-
-        Child positions rotate so the cluster coordinator sits at
-        relative 0; round ``t`` sends each holder's accumulated window
-        ``[q, q+2^t)`` down to ``q - 2^t``.  Clusters run ⌈log₂C⌉
-        rounds; the later rounds' worst-cluster scans cover only the
-        clusters still active.
-        """
-        tree, item_bytes = self._tree, self.item_bytes
-        per_round: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for j in range(self.params.m[level]):
-            start, stop = tree.child_slice[level][j]
-            C = stop - start
-            R = max(0, C - 1).bit_length()
-            if R == 0:
-                continue
-            child_tot = totals_below[start:stop]
-            child_r = tree.sender_r(level, start, stop, coords_below)
-            if child_r.shape[1] == 1:
-                child_r = np.broadcast_to(child_r, (C, G))
-            coord = coords_here[j]
-            own_pos = tree.child_pos[level][j][coord]
-            idx = (
-                own_pos[np.newaxis, :]
-                + np.arange(C, dtype=np.int64)[:, np.newaxis]
-            ) % C
-            rot_tot = np.take_along_axis(child_tot, idx, axis=0)
-            rot_r = np.take_along_axis(child_r, idx, axis=0)
-            prefix = np.zeros((C + 1, G), dtype=np.int64)
-            np.cumsum(rot_tot, axis=0, out=prefix[1:])
-            for t_round in range(R):
-                half = 1 << t_round
-                rows = []
-                for q in range(half, C, 2 * half):
-                    volume = (prefix[min(q + half, C)] - prefix[q]) * item_bytes
-                    rows.append(rot_r[q] * volume)
-                    rows.append(rot_r[q - half] * volume)
-                gh = tree.g * np.max(np.stack(rows), axis=0)
-                per_round.setdefault(t_round, []).append((j, gh))
-        steps: list[_Step] = []
-        for t_round in sorted(per_round):
-            entries = per_round[t_round]
-            js = np.array([j for j, _ in entries], dtype=np.int64)
-            gh_stack = np.stack([gh for _, gh in entries])
-            L_here = tree.L[level][js]
-            cost_stack = gh_stack + L_here[:, np.newaxis]
-            choice = np.argmax(cost_stack, axis=0)
-            gh_sel = np.take_along_axis(
-                gh_stack, choice[np.newaxis, :], axis=0
-            )[0]
-            labels = tuple(
-                f"super{level}: binomial gather round {t_round + 1} "
-                f"in {(level, int(j))}"
-                for j in js
-            )
-            steps.append(
-                _Step(
-                    level=level,
-                    gh=gh_sel,
-                    L=L_here[choice],
-                    choice=choice,
-                    labels=(labels,),
-                )
-            )
-        return steps
-
-    def _level_steps(
-        self,
-        level: int,
-        schedule: t.Any,
-        totals_below: np.ndarray,
-        totals_here: np.ndarray,
-        coords_here: np.ndarray,
-        coords_below: np.ndarray | None,
-    ) -> list[_Step]:
-        """The charged steps of one level under one ``LevelSchedule``."""
-        G = totals_below.shape[1]
-        if schedule.algorithm == "binomial":
-            return self._binomial_steps(
-                level, totals_below, coords_here, coords_below, G
-            )
-        tree, S = self._tree, schedule.segments
-        steps: list[_Step] = []
-        for s in range(S):
-            gh_stack = self._flat_gh(
-                level, totals_below, totals_here, coords_here, coords_below,
-                G, segment=None if S == 1 else (s, S),
-            )
-            cost_stack = gh_stack + tree.L[level][:, np.newaxis]
-            choice = np.argmax(cost_stack, axis=0)
-            gh_sel = np.take_along_axis(
-                gh_stack, choice[np.newaxis, :], axis=0
-            )[0]
-            labels = (
-                self._labels[level]
-                if S == 1
-                else tuple(
-                    f"super{level}.{s + 1}: gather into {(level, j)}"
-                    for j in range(self.params.m[level])
-                )
-            )
-            steps.append(
-                _Step(
-                    level=level,
-                    gh=gh_sel,
-                    L=tree.L[level][choice],
-                    choice=choice,
-                    labels=(labels,),
-                )
-            )
-        return steps
+        ns, roots_arr, counts = self._tree.check_grid(ns, roots, counts)
+        k = self.params.k
+        plans = [default_plan("gather", k)] * ns.size
+        return self._price(
+            ns, roots_arr, counts, plans,
+            lambda i: f"gather(k={k}, n={int(ns[i])})",
+        )
 
     def evaluate_plans(
         self,
         ns: np.ndarray | t.Sequence[int],
-        plans: t.Any,
+        plans: SchedulePlan | t.Sequence[SchedulePlan],
         *,
         roots: int | t.Sequence[int] | np.ndarray | None = None,
         counts: np.ndarray | None = None,
@@ -818,16 +698,29 @@ class GatherKernel:
         Bit-identical to
         :func:`~repro.model.predict.predict_gather_plan` per point.
         """
+        ns, roots_arr, counts = self._tree.check_grid(ns, roots, counts)
+        k = self.params.k
+        plan_list = _check_plans(plans, "gather", k, ns.size)
+        return self._price(
+            ns, roots_arr, counts, plan_list,
+            lambda i: f"gather(k={k}, n={int(ns[i])}, plan={plan_list[i].key})",
+        )
+
+    def _price(
+        self,
+        ns: np.ndarray,
+        roots: np.ndarray,
+        counts: np.ndarray | None,
+        plan_list: t.Sequence[SchedulePlan],
+        name_of: t.Callable[[int], str],
+    ) -> PlanGrid:
+        """The one gather evaluation, over already-checked arguments."""
         tree, params = self._tree, self.params
-        ns = _check_ns(ns)
-        roots_arr = tree.check_roots(roots, ns.size)
-        plan_list = _check_plans(plans, "gather", params.k, ns.size)
         if counts is None:
-            first, point_of = _distinct_points(ns, roots_arr)
+            first, point_of = _distinct_points(ns, roots)
             point_counts = balanced_counts(params, ns[first])
         else:
-            counts = _check_counts(counts, ns, params.p)
-            first, point_of = _distinct_points(ns, roots_arr, counts)
+            first, point_of = _distinct_points(ns, roots, counts)
             point_counts = counts[first]
         # A lone processor (or an empty grid) communicates nothing.
         levels = range(1, params.k + 1) if params.p > 1 and ns.size else ()
@@ -838,66 +731,104 @@ class GatherKernel:
             totals.append(
                 np.add.reduceat(totals[-1], tree.child_start[level], axis=0)
             )
-            coords.append(tree.coords(level, roots_arr[first]))
+            coords.append(tree.coords(level, roots[first]))
         return _plan_grid(
-            "gather", params.k, ns, roots_arr, plan_list, levels,
+            "gather", ns, roots, plan_list, levels,
             lambda level, schedule: self._level_steps(
-                level, schedule, totals[level - 1], totals[level],
+                level, schedule, totals[level - 1],
                 coords[level], coords[level - 1],
             ),
-            point_of, np.ones(ns.size, dtype=bool),
+            point_of, np.ones(ns.size, dtype=bool), name_of,
         )
+
+    def _level_steps(
+        self,
+        level: int,
+        schedule: LevelSchedule,
+        totals_below: np.ndarray,
+        coords_here: np.ndarray,
+        coords_below: np.ndarray | None,
+    ) -> list[_Step]:
+        """The charged steps of one level under one ``LevelSchedule``."""
+        if schedule.algorithm == "binomial":
+            return self._binomial_steps(
+                level, totals_below, coords_here, coords_below
+            )
+        tree, S = self._tree, schedule.segments
+        clusters = range(self.params.m[level])
+        steps = []
+        for s in range(S):
+            gh_rows = np.empty((len(clusters), totals_below.shape[1]))
+            for j in clusters:
+                start, stop = tree.child_slice[level][j]
+                _, r_coord, child_r, own_pos = tree.cluster_tables(
+                    level, j, coords_here, coords_below
+                )
+                # Chunk s of each child's T accumulated items,
+                # T//S + (1 if s < T%S), as the one division it equals.
+                sent = (totals_below[start:stop] + (S - 1 - s)) // S
+                gh_rows[j] = tree.g * _fan_h(
+                    r_coord, child_r, own_pos, sent * self.item_bytes
+                )
+            labels = tuple(
+                f"super{level}{segment_suffix(s, S)}: gather into {(level, j)}"
+                for j in clusters
+            )
+            steps.append(_worst_cluster(level, gh_rows, tree.L[level], labels))
+        return steps
+
+    def _binomial_steps(
+        self,
+        level: int,
+        totals_below: np.ndarray,
+        coords_here: np.ndarray,
+        coords_below: np.ndarray | None,
+    ) -> list[_Step]:
+        """Per-round steps of a binomial-tree gather level.
+
+        Child positions rotate so the cluster coordinator sits at
+        relative 0; round ``t`` sends each holder's accumulated window
+        ``[q, q+2^t)`` down to ``q - 2^t``.
+        """
+        tree, item_bytes = self._tree, self.item_bytes
+        G = totals_below.shape[1]
+        per_round: dict[int, list[tuple[int, np.ndarray]]] = {}
+        for j in range(self.params.m[level]):
+            C, _, child_r, own_pos = tree.cluster_tables(
+                level, j, coords_here, coords_below
+            )
+            start, stop = tree.child_slice[level][j]
+            rot_tot = _rotated(totals_below[start:stop], own_pos)
+            rot_r = _rotated(child_r, own_pos)
+            prefix = np.zeros((C + 1, G), dtype=np.int64)
+            np.cumsum(rot_tot, axis=0, out=prefix[1:])
+            for t_round in range(binomial_rounds(C)):
+                half = 1 << t_round
+                rows = []
+                for q in range(half, C, 2 * half):
+                    volume = (prefix[min(q + half, C)] - prefix[q]) * item_bytes
+                    rows.append(rot_r[q] * volume)
+                    rows.append(rot_r[q - half] * volume)
+                gh = tree.g * np.max(np.stack(rows), axis=0)
+                per_round.setdefault(t_round, []).append((j, gh))
+        return _binomial_round_steps(level, per_round, tree.L[level], "gather")
 
 
 # ---------------------------------------------------------------------------
 # Broadcast
 # ---------------------------------------------------------------------------
 
-def _phase_codes(
-    phases: PhaseSpec | t.Sequence[PhaseSpec], k: int, G: int
-) -> tuple[np.ndarray, t.Callable[[int], PhaseSpec]]:
-    """Per-point phase codes (0 = one, 1 = two) for levels 1..k."""
-
-    def code_row(spec: PhaseSpec) -> list[int]:
-        row = []
-        for level in range(1, k + 1):
-            if isinstance(spec, str):
-                mode = spec
-            else:
-                mode = spec.get(level, "two")
-            if mode not in ("one", "two"):
-                raise CollectiveError(
-                    f"phase must be 'one' or 'two', got {mode!r}"
-                )
-            row.append(0 if mode == "one" else 1)
-        return row
-
-    if isinstance(phases, (str, t.Mapping)):
-        codes = np.broadcast_to(
-            np.array(code_row(phases), dtype=np.int64), (G, k)
-        )
-        return codes, lambda i: phases
-    specs = list(phases)
-    if len(specs) != G:
-        raise CollectiveError(
-            f"phases must be one spec or a length-{G} sequence, "
-            f"got {len(specs)}"
-        )
-    codes = np.array([code_row(spec) for spec in specs], dtype=np.int64)
-    return codes, lambda i: specs[i]
-
-
 class BroadcastKernel:
-    """Vectorized :func:`~repro.model.predict.predict_broadcast`.
+    """Vectorized :func:`~repro.model.predict.predict_broadcast_plan`.
 
-    Descends from level k to 1; per point the phase scheme can differ
-    (``phases`` accepts one spec or a per-point sequence), so the
-    planner's whole ``2^k`` enumeration is a single evaluation.
+    Descends from level k to 1; per point the schedule can differ
+    (``phases`` / ``plans`` accept one value or a per-point sequence),
+    so the planner's whole ``2^k`` enumeration is a single evaluation.
     """
 
     def __init__(self, params: HBSPParams, *, item_bytes: int = BYTES_PER_INT) -> None:
         self.params = params
-        self.item_bytes = int(item_bytes)
+        self.item_bytes = check_item_bytes(int(item_bytes))
         self._tree = _CompiledTree(params)
         #: Clusters with more than one child, per level (singleton
         #: wrapper clusters send nothing and charge nothing).
@@ -909,21 +840,162 @@ class BroadcastKernel:
             ]
             for level in range(1, params.k + 1)
         }
-        self._labels = {
-            level: (
-                tuple(
-                    f"super{level}: one-phase bcast in {(level, j)}"
-                    for j in self._fanned[level]
-                ),
-                tuple(
-                    f"super{level}: two-phase bcast in {(level, j)}"
-                    for j in self._fanned[level]
-                ),
-            )
+
+    def evaluate(
+        self,
+        ns: np.ndarray | t.Sequence[int],
+        *,
+        roots: int | t.Sequence[int] | np.ndarray | None = None,
+        phases: PhaseSpec | t.Sequence[PhaseSpec] = "two",
+        fractions: t.Sequence[float] | None = None,
+    ) -> PlanGrid:
+        """Evaluate every ``(n, root, phase-scheme)`` point in one pass.
+
+        ``phases`` is one spec for the whole grid or a per-point
+        sequence.  This is :meth:`evaluate_plans` at each point's
+        :func:`~repro.tuning.plan.plan_from_phases`, with the ledgers
+        named as :func:`~repro.model.predict.predict_broadcast` names
+        them.
+        """
+        ns, roots_arr, _ = self._tree.check_grid(ns, roots)
+        k = self.params.k
+        if isinstance(phases, (str, t.Mapping)) or not isinstance(phases, t.Iterable):
+            specs: t.Sequence[PhaseSpec] = [phases] * ns.size
+            plans = [plan_from_phases(phases, k)] * ns.size
+        else:
+            specs = list(phases)
+            if len(specs) != ns.size:
+                raise CollectiveError(
+                    f"phases must be one spec or a length-{ns.size} sequence, "
+                    f"got {len(specs)}"
+                )
+            plans = [plan_from_phases(spec, k) for spec in specs]
+        return self._price(
+            ns, roots_arr, plans, fractions,
+            lambda i: f"broadcast(k={k}, n={int(ns[i])}, phases={specs[i]!r})",
+        )
+
+    def evaluate_plans(
+        self,
+        ns: np.ndarray | t.Sequence[int],
+        plans: SchedulePlan | t.Sequence[SchedulePlan],
+        *,
+        roots: int | t.Sequence[int] | np.ndarray | None = None,
+        fractions: t.Sequence[float] | None = None,
+    ) -> PlanGrid:
+        """Evaluate ``(n, root)`` points under explicit broadcast plans.
+
+        One vectorized pass per distinct ``(level, LevelSchedule)`` over
+        the distinct points, as in :meth:`GatherKernel.evaluate_plans`.
+        Bit-identical per point to
+        :func:`~repro.model.predict.predict_broadcast_plan`.
+        """
+        ns, roots_arr, _ = self._tree.check_grid(ns, roots)
+        k = self.params.k
+        plan_list = _check_plans(plans, "broadcast", k, ns.size)
+        return self._price(
+            ns, roots_arr, plan_list, fractions,
+            lambda i: f"broadcast(k={k}, n={int(ns[i])}, plan={plan_list[i].key})",
+        )
+
+    def _price(
+        self,
+        ns: np.ndarray,
+        roots: np.ndarray,
+        plan_list: t.Sequence[SchedulePlan],
+        fractions: t.Sequence[float] | None,
+        name_of: t.Callable[[int], str],
+    ) -> PlanGrid:
+        """The one broadcast evaluation, over already-checked points."""
+        tree, params = self._tree, self.params
+        check_fractions(fractions, params.p)
+        first, point_of = _distinct_points(ns, roots)
+        point_ns, point_roots = ns[first], roots[first]
+        # Singleton-only levels (and so p == 1 machines) charge nothing.
+        levels = [
+            level for level in range(params.k, 0, -1) if self._fanned[level]
+        ]
+        #: Plan-independent coordinator tables over the distinct points.
+        coords = {
+            level: tree.coords(level, point_roots)
             for level in range(1, params.k + 1)
         }
+        return _plan_grid(
+            "broadcast", ns, roots, plan_list, levels,
+            lambda level, schedule: self._level_steps(
+                level, schedule, point_ns, coords[level],
+                coords.get(level - 1), fractions,
+            ),
+            point_of, ns > 0, name_of,
+        )
 
-    # -- share matrices ---------------------------------------------------------
+    def _level_steps(
+        self,
+        level: int,
+        schedule: LevelSchedule,
+        ns: np.ndarray,
+        coords_here: np.ndarray,
+        coords_below: np.ndarray | None,
+        fractions: t.Sequence[float] | None,
+    ) -> list[_Step]:
+        """The charged steps of one level under one ``LevelSchedule``."""
+        if schedule.algorithm == "binomial":
+            return self._binomial_steps(level, ns, coords_here, coords_below)
+        tree, fanned, S = self._tree, self._fanned[level], schedule.segments
+        L_of = tree.L[level][fanned]
+        if schedule.algorithm == "two":
+            gh_rows = np.stack(
+                [
+                    self._two_phase_gh(
+                        level, j, ns, coords_here, coords_below, fractions
+                    )
+                    for j in fanned
+                ]
+            )
+            labels = tuple(
+                f"super{level}: two-phase bcast in {(level, j)}" for j in fanned
+            )
+            return [_worst_cluster(level, gh_rows, 2 * L_of, labels)]
+        steps = []
+        for s in range(S):
+            # Coordinator fan-out of chunk s to every child.
+            chunk = (ns + (S - 1 - s)) // S * self.item_bytes
+            gh_rows = np.empty((len(fanned), ns.size))
+            for row, j in enumerate(fanned):
+                C, r_coord, child_r, own_pos = tree.cluster_tables(
+                    level, j, coords_here, coords_below
+                )
+                volumes = np.broadcast_to(chunk, (C, ns.size))
+                gh_rows[row] = tree.g * _fan_h(r_coord, child_r, own_pos, volumes)
+            labels = tuple(
+                f"super{level}{segment_suffix(s, S)}: one-phase bcast "
+                f"in {(level, j)}"
+                for j in fanned
+            )
+            steps.append(_worst_cluster(level, gh_rows, L_of, labels))
+        return steps
+
+    def _two_phase_gh(
+        self,
+        level: int,
+        j: int,
+        ns: np.ndarray,
+        coords_here: np.ndarray,
+        coords_below: np.ndarray | None,
+        fractions: t.Sequence[float] | None,
+    ) -> np.ndarray:
+        """``(G,)`` ``g·h`` of cluster ``j``'s scatter + total exchange."""
+        tree, item_bytes = self._tree, self.item_bytes
+        C, r_coord, child_r, own_pos = tree.cluster_tables(
+            level, j, coords_here, coords_below
+        )
+        shares = self._shares(level, j, C, ns, fractions)
+        h_a = _fan_h(r_coord, child_r, own_pos, shares * item_bytes)
+        values_b = child_r * (
+            np.maximum(shares * (C - 1), ns[np.newaxis, :] - shares) * item_bytes
+        )
+        return tree.g * (h_a + values_b.max(axis=0))
+
     def _shares(
         self,
         level: int,
@@ -948,244 +1020,12 @@ class BroadcastKernel:
             table[u] = [part[str(i)] for i in range(C)]
         return table[inverse].T
 
-    def evaluate(
-        self,
-        ns: np.ndarray | t.Sequence[int],
-        *,
-        roots: int | t.Sequence[int] | np.ndarray | None = None,
-        phases: PhaseSpec | t.Sequence[PhaseSpec] = "two",
-        fractions: t.Sequence[float] | None = None,
-    ) -> KernelGrid:
-        """Evaluate every ``(n, root, phase-scheme)`` point in one pass."""
-        tree = self._tree
-        params, item_bytes = self.params, self.item_bytes
-        ns = _check_ns(ns)
-        G = ns.size
-        roots_arr = tree.check_roots(roots, G)
-        k = params.k
-
-        if params.k == 0 or params.p == 1 or G == 0:
-            def flat_name(i: int) -> str:
-                spec = phases if isinstance(phases, (str, t.Mapping)) else phases[i]
-                return f"broadcast(k={k}, n={int(ns[i])}, phases={spec!r})"
-
-            return KernelGrid(
-                "broadcast", ns, roots_arr, [],
-                np.zeros(G, dtype=bool), flat_name,
-            )
-
-        codes, spec_of = _phase_codes(phases, k, G)
-        if fractions is not None and len(fractions) != params.p:
-            raise CollectiveError(
-                f"fractions must have p={params.p} entries"
-            )
-
-        def name_of(i: int) -> str:
-            return f"broadcast(k={k}, n={int(ns[i])}, phases={spec_of(i)!r})"
-
-        active = ns > 0
-        steps: list[_Step] = []
-        for level in range(k, 0, -1):
-            fanned = self._fanned[level]
-            if not fanned:
-                continue
-            code_l = codes[:, level - 1]
-            any_one = bool((code_l == 0).any())
-            any_two = bool((code_l == 1).any())
-            coords_here = tree.coords(level, roots_arr)
-            coords_below = tree.coords(level - 1, roots_arr) if level - 1 >= 1 else None
-            cost_stack = np.empty((len(fanned), G))
-            gh_rows = np.empty((len(fanned), G))
-            L_rows = np.empty((len(fanned), G))
-            for row, j in enumerate(fanned):
-                start, stop = tree.child_slice[level][j]
-                C = stop - start
-                coord = coords_here[j]
-                r_coord = tree.r0[coord]
-                child_r = tree.sender_r(level, start, stop, coords_below)
-                if child_r.shape[1] == 1:
-                    child_r = np.broadcast_to(child_r, (C, G))
-                own_pos = tree.child_pos[level][j][coord]
-                L_j = tree.L[level][j]
-                gh_one = tot_one = gh_two = tot_two = None
-                if any_one:
-                    values = np.empty((C + 1, G))
-                    values[0] = r_coord * ((ns * (C - 1)) * item_bytes)
-                    values[1:] = child_r * (ns * item_bytes)[np.newaxis, :]
-                    np.put_along_axis(
-                        values[1:], own_pos[np.newaxis, :], 0.0, axis=0
-                    )
-                    gh_one = tree.g * values.max(axis=0)
-                    tot_one = gh_one + L_j
-                if any_two:
-                    shares = self._shares(level, j, C, ns, fractions)
-                    own_share = np.take_along_axis(
-                        shares, own_pos[np.newaxis, :], axis=0
-                    )[0]
-                    values_a = np.empty((C + 1, G))
-                    values_a[0] = r_coord * ((ns - own_share) * item_bytes)
-                    values_a[1:] = child_r * (shares * item_bytes)
-                    np.put_along_axis(
-                        values_a[1:], own_pos[np.newaxis, :], 0.0, axis=0
-                    )
-                    h_a = values_a.max(axis=0)
-                    values_b = child_r * (
-                        np.maximum(shares * (C - 1), ns[np.newaxis, :] - shares)
-                        * item_bytes
-                    )
-                    h_b = values_b.max(axis=0)
-                    gh_two = tree.g * (h_a + h_b)
-                    tot_two = gh_two + 2 * L_j
-                if not any_two:
-                    gh_sel, tot_sel = gh_one, tot_one
-                    L_sel = np.full(G, L_j)
-                elif not any_one:
-                    gh_sel, tot_sel = gh_two, tot_two
-                    L_sel = np.full(G, 2 * L_j)
-                else:
-                    two = code_l == 1
-                    gh_sel = np.where(two, gh_two, gh_one)
-                    tot_sel = np.where(two, tot_two, tot_one)
-                    L_sel = np.where(two, 2 * L_j, L_j)
-                gh_rows[row] = gh_sel
-                cost_stack[row] = tot_sel
-                L_rows[row] = L_sel
-            choice = np.argmax(cost_stack, axis=0)
-            gh = np.take_along_axis(gh_rows, choice[np.newaxis, :], axis=0)[0]
-            L = np.take_along_axis(L_rows, choice[np.newaxis, :], axis=0)[0]
-            steps.append(
-                _Step(
-                    level=level,
-                    gh=gh,
-                    L=L,
-                    choice=choice,
-                    labels=self._labels[level],
-                    code=code_l,
-                )
-            )
-        return KernelGrid("broadcast", ns, roots_arr, steps, active, name_of)
-
-    # -- schedule-plan evaluation ---------------------------------------------
-
-    def _cluster_tables(
-        self,
-        level: int,
-        j: int,
-        coords_here: np.ndarray,
-        coords_below: np.ndarray | None,
-        G: int,
-    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """(C, r_coord, child_r, own_pos) of one fanned cluster."""
-        tree = self._tree
-        start, stop = tree.child_slice[level][j]
-        C = stop - start
-        coord = coords_here[j]
-        r_coord = tree.r0[coord]
-        child_r = tree.sender_r(level, start, stop, coords_below)
-        if child_r.shape[1] == 1:
-            child_r = np.broadcast_to(child_r, (C, G))
-        own_pos = tree.child_pos[level][j][coord]
-        return C, r_coord, child_r, own_pos
-
-    def _one_phase_step(
-        self,
-        level: int,
-        ns: np.ndarray,
-        coords_here: np.ndarray,
-        coords_below: np.ndarray | None,
-        G: int,
-        segment: tuple[int, int] | None,
-    ) -> _Step:
-        """One (possibly chunked) coordinator fan-out sub-step."""
-        tree, item_bytes = self._tree, self.item_bytes
-        fanned = self._fanned[level]
-        if segment is None:
-            chunk = ns
-        else:
-            s, S = segment
-            chunk = ns // S + (s < ns % S)
-        gh_rows = np.empty((len(fanned), G))
-        cost_rows = np.empty((len(fanned), G))
-        for row, j in enumerate(fanned):
-            C, r_coord, child_r, own_pos = self._cluster_tables(
-                level, j, coords_here, coords_below, G
-            )
-            values = np.empty((C + 1, G))
-            values[0] = r_coord * ((chunk * (C - 1)) * item_bytes)
-            values[1:] = child_r * (chunk * item_bytes)[np.newaxis, :]
-            np.put_along_axis(values[1:], own_pos[np.newaxis, :], 0.0, axis=0)
-            gh_rows[row] = tree.g * values.max(axis=0)
-            cost_rows[row] = gh_rows[row] + tree.L[level][j]
-        choice = np.argmax(cost_rows, axis=0)
-        gh = np.take_along_axis(gh_rows, choice[np.newaxis, :], axis=0)[0]
-        L_of = np.array([tree.L[level][j] for j in fanned])
-        labels = (
-            self._labels[level][0]
-            if segment is None
-            else tuple(
-                f"super{level}.{segment[0] + 1}: one-phase bcast "
-                f"in {(level, j)}"
-                for j in fanned
-            )
-        )
-        return _Step(
-            level=level, gh=gh, L=L_of[choice], choice=choice, labels=(labels,)
-        )
-
-    def _two_phase_step(
-        self,
-        level: int,
-        ns: np.ndarray,
-        coords_here: np.ndarray,
-        coords_below: np.ndarray | None,
-        G: int,
-        fractions: t.Sequence[float] | None,
-    ) -> _Step:
-        """The scatter + total-exchange two-phase step of one level."""
-        tree, item_bytes = self._tree, self.item_bytes
-        fanned = self._fanned[level]
-        gh_rows = np.empty((len(fanned), G))
-        cost_rows = np.empty((len(fanned), G))
-        for row, j in enumerate(fanned):
-            C, r_coord, child_r, own_pos = self._cluster_tables(
-                level, j, coords_here, coords_below, G
-            )
-            shares = self._shares(level, j, C, ns, fractions)
-            own_share = np.take_along_axis(
-                shares, own_pos[np.newaxis, :], axis=0
-            )[0]
-            values_a = np.empty((C + 1, G))
-            values_a[0] = r_coord * ((ns - own_share) * item_bytes)
-            values_a[1:] = child_r * (shares * item_bytes)
-            np.put_along_axis(
-                values_a[1:], own_pos[np.newaxis, :], 0.0, axis=0
-            )
-            h_a = values_a.max(axis=0)
-            values_b = child_r * (
-                np.maximum(shares * (C - 1), ns[np.newaxis, :] - shares)
-                * item_bytes
-            )
-            h_b = values_b.max(axis=0)
-            gh_rows[row] = tree.g * (h_a + h_b)
-            cost_rows[row] = gh_rows[row] + 2 * tree.L[level][j]
-        choice = np.argmax(cost_rows, axis=0)
-        gh = np.take_along_axis(gh_rows, choice[np.newaxis, :], axis=0)[0]
-        L_of = np.array([2 * tree.L[level][j] for j in fanned])
-        return _Step(
-            level=level,
-            gh=gh,
-            L=L_of[choice],
-            choice=choice,
-            labels=(self._labels[level][1],),
-        )
-
     def _binomial_steps(
         self,
         level: int,
         ns: np.ndarray,
         coords_here: np.ndarray,
         coords_below: np.ndarray | None,
-        G: int,
     ) -> list[_Step]:
         """Per-round steps of a binomial-tree broadcast level.
 
@@ -1193,20 +1033,15 @@ class BroadcastKernel:
         ``t`` every holder ``q < 2^t`` forwards the full payload to
         ``q + 2^t``.
         """
-        tree, item_bytes = self._tree, self.item_bytes
+        tree = self._tree
+        volume = ns * self.item_bytes
         per_round: dict[int, list[tuple[int, np.ndarray]]] = {}
         for j in self._fanned[level]:
-            C, _r_coord, child_r, own_pos = self._cluster_tables(
-                level, j, coords_here, coords_below, G
+            C, _, child_r, own_pos = tree.cluster_tables(
+                level, j, coords_here, coords_below
             )
-            R = max(0, C - 1).bit_length()
-            idx = (
-                own_pos[np.newaxis, :]
-                + np.arange(C, dtype=np.int64)[:, np.newaxis]
-            ) % C
-            rot_r = np.take_along_axis(child_r, idx, axis=0)
-            volume = ns * item_bytes
-            for t_round in range(R):
+            rot_r = _rotated(child_r, own_pos)
+            for t_round in range(binomial_rounds(C)):
                 half = 1 << t_round
                 rows = []
                 for q in range(min(half, C - half)):
@@ -1214,98 +1049,4 @@ class BroadcastKernel:
                     rows.append(rot_r[q + half] * volume)
                 gh = tree.g * np.max(np.stack(rows), axis=0)
                 per_round.setdefault(t_round, []).append((j, gh))
-        steps: list[_Step] = []
-        for t_round in sorted(per_round):
-            entries = per_round[t_round]
-            js = np.array([j for j, _ in entries], dtype=np.int64)
-            gh_stack = np.stack([gh for _, gh in entries])
-            L_here = tree.L[level][js]
-            cost_stack = gh_stack + L_here[:, np.newaxis]
-            choice = np.argmax(cost_stack, axis=0)
-            gh_sel = np.take_along_axis(
-                gh_stack, choice[np.newaxis, :], axis=0
-            )[0]
-            labels = tuple(
-                f"super{level}: binomial bcast round {t_round + 1} "
-                f"in {(level, int(j))}"
-                for j in js
-            )
-            steps.append(
-                _Step(
-                    level=level,
-                    gh=gh_sel,
-                    L=L_here[choice],
-                    choice=choice,
-                    labels=(labels,),
-                )
-            )
-        return steps
-
-    def _level_steps(
-        self,
-        level: int,
-        schedule: t.Any,
-        ns: np.ndarray,
-        coords_here: np.ndarray,
-        coords_below: np.ndarray | None,
-        fractions: t.Sequence[float] | None,
-    ) -> list[_Step]:
-        """The charged steps of one level under one ``LevelSchedule``."""
-        G = ns.size
-        if schedule.algorithm == "one":
-            S = schedule.segments
-            return [
-                self._one_phase_step(
-                    level, ns, coords_here, coords_below, G,
-                    segment=None if S == 1 else (s, S),
-                )
-                for s in range(S)
-            ]
-        if schedule.algorithm == "two":
-            return [
-                self._two_phase_step(
-                    level, ns, coords_here, coords_below, G, fractions
-                )
-            ]
-        return self._binomial_steps(level, ns, coords_here, coords_below, G)
-
-    def evaluate_plans(
-        self,
-        ns: np.ndarray | t.Sequence[int],
-        plans: t.Any,
-        *,
-        roots: int | t.Sequence[int] | np.ndarray | None = None,
-        fractions: t.Sequence[float] | None = None,
-    ) -> PlanGrid:
-        """Evaluate ``(n, root)`` points under explicit broadcast plans.
-
-        One vectorized pass per distinct ``(level, LevelSchedule)`` over
-        the distinct points, as in :meth:`GatherKernel.evaluate_plans`.
-        Bit-identical per point to
-        :func:`~repro.model.predict.predict_broadcast_plan`.
-        """
-        tree, params = self._tree, self.params
-        ns = _check_ns(ns)
-        roots_arr = tree.check_roots(roots, ns.size)
-        if fractions is not None and len(fractions) != params.p:
-            raise CollectiveError(f"fractions must have p={params.p} entries")
-        plan_list = _check_plans(plans, "broadcast", params.k, ns.size)
-        first, point_of = _distinct_points(ns, roots_arr)
-        point_ns, point_roots = ns[first], roots_arr[first]
-        # Singleton-only levels (and so p == 1 machines) charge nothing.
-        levels = [
-            level for level in range(params.k, 0, -1) if self._fanned[level]
-        ]
-        #: Plan-independent coordinator tables over the distinct points.
-        coords = {
-            level: tree.coords(level, point_roots)
-            for level in range(1, params.k + 1)
-        }
-        return _plan_grid(
-            "broadcast", params.k, ns, roots_arr, plan_list, levels,
-            lambda level, schedule: self._level_steps(
-                level, schedule, point_ns, coords[level],
-                coords.get(level - 1), fractions,
-            ),
-            point_of, ns > 0,
-        )
+        return _binomial_round_steps(level, per_round, tree.L[level], "bcast")

@@ -13,6 +13,10 @@ phase combinations, or all ``p`` roots, in one vectorized pass) instead
 of a Python loop over scalar ``predict_*`` calls.  The kernels are
 bit-identical to the scalar predictors, so the argmin — and the ledger
 returned for it — are exactly what the scalar enumeration would pick.
+Phase combinations reach the kernel as ``phases`` specs, which it
+prices as the plans :func:`~repro.tuning.plan.plan_from_phases` makes
+of them — the same evaluation :func:`score_plans` drives with explicit
+plans.
 """
 
 from __future__ import annotations
@@ -27,9 +31,7 @@ from repro.model.cost import CostLedger
 from repro.model.kernels import BroadcastKernel, GatherKernel
 from repro.model.params import HBSPParams
 from repro.model.predict import predict_broadcast, predict_gather
-
-if t.TYPE_CHECKING:  # pragma: no cover
-    from repro.tuning.plan import SchedulePlan
+from repro.tuning.plan import SchedulePlan
 
 __all__ = [
     "best_broadcast_phases",
@@ -66,6 +68,14 @@ def best_broadcast_phases(
     return specs[best], grid.ledger(best)
 
 
+def _counts_grid(counts: t.Sequence[int] | None, G: int) -> np.ndarray | None:
+    """One workload repeated at each of ``G`` grid points (a view)."""
+    if counts is None:
+        return None
+    row = np.asarray(list(counts), dtype=np.int64)
+    return np.broadcast_to(row, (G, row.size))
+
+
 def best_root(
     params: HBSPParams,
     n: int,
@@ -90,13 +100,9 @@ def best_root(
     ns = np.full(params.p, n, dtype=np.int64)
     roots = np.arange(params.p, dtype=np.int64)
     if collective == "gather":
-        counts_grid = None
-        if counts is not None:
-            counts_grid = np.broadcast_to(
-                np.asarray(list(counts), dtype=np.int64),
-                (params.p, len(counts)),
-            )
-        grid = GatherKernel(params).evaluate(ns, roots=roots, counts=counts_grid)
+        grid = GatherKernel(params).evaluate(
+            ns, roots=roots, counts=_counts_grid(counts, params.p)
+        )
     else:
         grid = BroadcastKernel(params).evaluate(ns, roots=roots)
     best = int(np.argmin(grid.totals))
@@ -106,7 +112,7 @@ def best_root(
 def score_plans(
     params: HBSPParams,
     n: int,
-    plans: "t.Sequence[SchedulePlan]",
+    plans: t.Sequence[SchedulePlan],
     *,
     root: int | None = None,
     counts: t.Sequence[int] | None = None,
@@ -130,14 +136,8 @@ def score_plans(
     op = plans[0].op
     ns = np.full(len(plans), n, dtype=np.int64)
     if op == "gather":
-        counts_grid = None
-        if counts is not None:
-            counts_grid = np.broadcast_to(
-                np.asarray(list(counts), dtype=np.int64),
-                (len(plans), len(counts)),
-            )
         grid = GatherKernel(params).evaluate_plans(
-            ns, list(plans), roots=root, counts=counts_grid
+            ns, list(plans), roots=root, counts=_counts_grid(counts, len(plans))
         )
     else:
         grid = BroadcastKernel(params).evaluate_plans(
@@ -149,12 +149,12 @@ def score_plans(
 def rank_plans(
     params: HBSPParams,
     n: int,
-    plans: "t.Sequence[SchedulePlan]",
+    plans: t.Sequence[SchedulePlan],
     *,
     root: int | None = None,
     counts: t.Sequence[int] | None = None,
     top: int | None = None,
-) -> list[tuple["SchedulePlan", float]]:
+) -> list[tuple[SchedulePlan, float]]:
     """Plans sorted by predicted cost, cheapest first.
 
     Ties keep the enumeration order (stable sort), so with

@@ -2,10 +2,18 @@
 
 Two families of functions:
 
-* ``predict_gather`` / ``predict_broadcast`` — *exact* h-relation
-  evaluations of the paper's algorithms on an arbitrary HBSP^k
-  parameter set (any k, any root, any workload distribution).  These
-  return an itemised :class:`~repro.model.cost.CostLedger`.
+* ``predict_gather_plan`` / ``predict_broadcast_plan`` — *exact*
+  h-relation evaluations of the paper's algorithms under a per-level
+  :class:`~repro.tuning.plan.SchedulePlan`, on an arbitrary HBSP^k
+  parameter set (any k, any root, any workload distribution), returning
+  an itemised :class:`~repro.model.cost.CostLedger`.  This is the one
+  scalar definition of the Section-4 arithmetic and the reference the
+  vectorized ``model.kernels`` are tested against.  ``predict_gather``
+  / ``predict_broadcast`` are the same functions at the paper's hand
+  schedule: they convert their arguments to a plan
+  (:func:`~repro.tuning.plan.default_plan` /
+  :func:`~repro.tuning.plan.plan_from_phases`) and differ only in the
+  ledger's name.
 * ``paper_*`` — the paper's *simplified* formulas, verbatim
   (e.g. HBSP^1 gather ``= g·n + L_{1,0}``), used by tests and by the
   Section-4 analysis benchmarks to show where the simplifications hold.
@@ -15,6 +23,22 @@ the bytes that ``g`` (seconds/byte) is expressed against.  Volumes
 follow the paper's accounting — a machine's ``h`` is the largest number
 of units it *sends or receives* in the step, and a processor never
 sends data to itself.
+
+Modelling conventions for the schedule space:
+
+* **segmentation** (``segments = S``): every sender splits its payload
+  into ``S`` chunks (:func:`~repro.tuning.plan.split_segments`) and the
+  level runs ``S`` chunked sub-steps, each charging its own
+  ``g·h + L`` — latency multiplies, peak h-relation shrinks.
+* **binomial**: ⌈log₂C⌉ rounds over the child-coordinator positions,
+  rotated so the cluster coordinator sits at relative position 0.  In
+  round ``t`` the holder at relative ``q`` (``q mod 2^{t+1} = 2^t``)
+  sends its accumulated window ``[q, q+2^t)`` down to ``q - 2^t``
+  (gather), or position ``q < 2^t`` forwards the full payload up to
+  ``q + 2^t`` (broadcast); each round charges ``g·h + L`` with the
+  h-relation over that round's senders and receivers.  Clusters with
+  fewer rounds than the level's worst simply drop out of the later
+  rounds' worst-cluster scans.
 """
 
 from __future__ import annotations
@@ -23,8 +47,18 @@ import typing as t
 
 from repro.bytemark.ranking import partition_items
 from repro.errors import CollectiveError, ModelError
-from repro.model.cost import CostLedger
+from repro.model.cost import CostLedger, h_relation
 from repro.model.params import HBSPParams, Key
+from repro.tuning.plan import (
+    PhaseSpec,
+    SchedulePlan,
+    binomial_rounds,
+    check_plan,
+    default_plan,
+    plan_from_phases,
+    segment_suffix,
+    split_segments,
+)
 from repro.util.units import BYTES_PER_INT
 
 __all__ = [
@@ -56,11 +90,21 @@ def _coordinator_leaf(params: HBSPParams, key: Key, root: int | None) -> int:
     subtree containing ``root`` is coordinated by ``root`` itself — this
     is how the experiments re-root a collective on a chosen processor.
     """
+    if key[0] == 0:
+        return key[1]  # a leaf coordinates itself whatever the root is
     leaves = params.leaf_indices(*key)
     if root is not None and root in leaves:
         return root
     return min(leaves, key=lambda j: (params.r_of(0, j), j))
 
+
+# ---------------------------------------------------------------------------
+# Argument checks, shared with the vectorized kernels
+# ---------------------------------------------------------------------------
+#
+# ``model.kernels`` screens whole grids with array comparisons and hands
+# the first offending point to these same functions, so both
+# representations reject the same inputs with the same error.
 
 def _check_inputs(params: HBSPParams, n: int, root: int | None) -> int:
     if n < 0:
@@ -71,6 +115,283 @@ def _check_inputs(params: HBSPParams, n: int, root: int | None) -> int:
         raise CollectiveError(f"root {root} out of range for p={params.p}")
     return root
 
+
+def check_counts(counts: t.Sequence[int], n: int, p: int) -> None:
+    """Reject a per-processor workload that is not ``n`` items over ``p``."""
+    if len(counts) != p:
+        raise CollectiveError(f"counts must have p={p} entries")
+    if p and min(counts) < 0:
+        raise CollectiveError(f"counts must be >= 0, got {min(counts)}")
+    if sum(counts) != n:
+        raise CollectiveError(f"counts sum to {sum(counts)}, expected n={n}")
+
+
+def check_item_bytes(item_bytes: int) -> int:
+    if item_bytes < 1:
+        raise CollectiveError(f"item_bytes must be >= 1, got {item_bytes}")
+    return item_bytes
+
+
+def check_fractions(fractions: t.Sequence[float] | None, p: int) -> None:
+    if fractions is not None and len(fractions) != p:
+        raise CollectiveError(f"fractions must have p={p} entries")
+
+
+# ---------------------------------------------------------------------------
+# The Section-4 arithmetic, once: per-level clusters, worst-cluster charge
+# ---------------------------------------------------------------------------
+
+#: One cluster of a level: (key, children, r_coord, child_r, own_pos, L)
+#: — ``child_r[i]`` is the slowness of child ``i``'s coordinator and
+#: ``own_pos`` the child whose coordinator is the cluster's own (it
+#: keeps its data local: no self-send).
+_Cluster = tuple[Key, list[Key], float, list[float], t.Optional[int], float]
+
+
+def _clusters(params: HBSPParams, level: int, root: int) -> list[_Cluster]:
+    """Per-cluster facts of one level, shared by all its sub-steps."""
+    clusters = []
+    for j in range(params.m[level]):
+        key = (level, j)
+        children = params.children_of(*key)
+        coord = _coordinator_leaf(params, key, root)
+        child_coords = [_coordinator_leaf(params, c, root) for c in children]
+        own_pos = next(
+            (i for i, c in enumerate(child_coords) if c == coord), None
+        )
+        clusters.append(
+            (
+                key,
+                children,
+                params.r_of(0, coord),
+                [params.r_of(0, c) for c in child_coords],
+                own_pos,
+                params.L_of(level, j),
+            )
+        )
+    return clusters
+
+
+def _charge_worst(
+    ledger: CostLedger,
+    level: int,
+    candidates: t.Iterable[tuple[float, float, str]],
+) -> None:
+    """Charge the level's costliest cluster: the super^i-step time.
+
+    ``candidates`` yields each concurrent cluster's ``(gh, L, label)``;
+    the first one with the largest ``gh + L`` is charged (strict ``>``,
+    the kernels' first-max ``argmax``), nothing when no cluster takes
+    part.
+    """
+    worst: tuple[float, float, str] | None = None
+    worst_total = 0.0
+    for gh, L, label in candidates:
+        total = gh + L
+        if worst is None or total > worst_total:
+            worst, worst_total = (gh, L, label), total
+    if worst is not None:
+        ledger.charge(worst[2], level=level, gh=worst[0], L=worst[1])
+
+
+def _charge_binomial(
+    ledger: CostLedger,
+    level: int,
+    g: float,
+    clusters: t.Sequence[_Cluster],
+    what: str,
+    loads_of: t.Callable[[int, int, int, list[float], int], list[tuple[float, int]]],
+) -> None:
+    """Charge a binomial-tree level: one worst-cluster step per round.
+
+    ``loads_of(index, C, own_pos, child_r, 2^t)`` gives round ``t``'s
+    ``(r, h)`` loads in cluster ``index`` (``C`` children).  Clusters
+    run ⌈log₂C⌉ rounds and drop out of the later rounds' scans.
+    """
+    rounds = [binomial_rounds(len(cluster[1])) for cluster in clusters]
+    for t_round in range(max(rounds, default=0)):
+        candidates = []
+        for index, (key, children, _, child_r, own_pos, L) in enumerate(clusters):
+            if rounds[index] <= t_round:
+                continue
+            assert own_pos is not None
+            loads = loads_of(index, len(children), own_pos, child_r, 1 << t_round)
+            label = f"super{level}: binomial {what} round {t_round + 1} in {key}"
+            candidates.append((g * h_relation(loads), L, label))
+        _charge_worst(ledger, level, candidates)
+
+
+def _fan_loads(
+    r_coord: float,
+    child_r: t.Sequence[float],
+    own_pos: int | None,
+    volumes: t.Sequence[int],
+) -> list[tuple[float, int]]:
+    """``(r, h)`` loads of one coordinator fan-in or fan-out.
+
+    Every child coordinator but the cluster's own moves its
+    ``volumes[i]`` bytes; the cluster coordinator moves all of them.
+    """
+    peers = [(child_r[i], v) for i, v in enumerate(volumes) if i != own_pos]
+    return [(r_coord, sum(v for _, v in peers))] + peers
+
+
+def _gather_ledger(
+    params: HBSPParams,
+    n: int,
+    plan: SchedulePlan,
+    root: int | None,
+    counts: t.Sequence[int] | None,
+    item_bytes: int,
+    name: str,
+) -> CostLedger:
+    """The gather's cost under ``plan``, charged to a ledger ``name``."""
+    root = _check_inputs(params, n, root)
+    check_item_bytes(item_bytes)
+    if counts is None:
+        counts = default_counts(params, n)
+    else:
+        check_counts(counts, n, params.p)
+    ledger = CostLedger(name)
+    if params.k == 0 or params.p == 1:
+        return ledger  # nothing to communicate
+    g = params.g
+
+    # Items held by the coordinator of each subtree as the gather
+    # ascends: starts as each leaf's own count.
+    subtree_total: dict[Key, int] = {(0, j): int(counts[j]) for j in range(params.p)}
+
+    for level in range(1, params.k + 1):
+        schedule = plan.level(level)
+        clusters = _clusters(params, level, root)
+        held = [[subtree_total[c] for c in cluster[1]] for cluster in clusters]
+        for cluster, totals in zip(clusters, held):
+            subtree_total[cluster[0]] = sum(totals)
+        if schedule.algorithm == "flat":
+            S = schedule.segments
+            chunked = [[split_segments(c, S) for c in totals] for totals in held]
+            for s in range(S):
+                candidates = []
+                for (key, _, r_coord, child_r, own_pos, L), chunks in zip(
+                    clusters, chunked
+                ):
+                    volumes = [chunk[s] * item_bytes for chunk in chunks]
+                    loads = _fan_loads(r_coord, child_r, own_pos, volumes)
+                    label = f"super{level}{segment_suffix(s, S)}: gather into {key}"
+                    candidates.append((g * h_relation(loads), L, label))
+                _charge_worst(ledger, level, candidates)
+        else:  # binomial
+
+            def window_loads(index, C, own_pos, child_r, half):
+                totals, loads = held[index], []
+                for q in range(half, C, 2 * half):
+                    window = sum(
+                        totals[(own_pos + u) % C]
+                        for u in range(q, min(q + half, C))
+                    )
+                    volume = window * item_bytes
+                    loads.append((child_r[(own_pos + q) % C], volume))
+                    loads.append((child_r[(own_pos + q - half) % C], volume))
+                return loads
+
+            _charge_binomial(ledger, level, g, clusters, "gather", window_loads)
+    return ledger
+
+
+def _first_phase_shares(
+    params: HBSPParams,
+    children: t.Sequence[Key],
+    n: int,
+    fractions: t.Sequence[float] | None,
+) -> list[int]:
+    """Items each child receives in a two-phase level's scatter.
+
+    Equal split when ``fractions`` is omitted, otherwise proportional
+    to each child subtree's summed ``c`` (Fig. 4(b)'s balanced first
+    phase).
+    """
+    m = len(children)
+    if fractions is None:
+        return split_segments(n, m)
+    weights = {
+        str(i): sum(params.c_of(0, leaf) for leaf in params.leaf_indices(*child))
+        for i, child in enumerate(children)
+    }
+    total_w = sum(weights.values())
+    part = partition_items(n, {k_: v / total_w for k_, v in weights.items()})
+    return [part[str(i)] for i in range(m)]
+
+
+def _broadcast_ledger(
+    params: HBSPParams,
+    n: int,
+    plan: SchedulePlan,
+    root: int | None,
+    fractions: t.Sequence[float] | None,
+    item_bytes: int,
+    name: str,
+) -> CostLedger:
+    """The broadcast's cost under ``plan``, charged to a ledger ``name``."""
+    root = _check_inputs(params, n, root)
+    check_item_bytes(item_bytes)
+    check_fractions(fractions, params.p)
+    ledger = CostLedger(name)
+    if params.k == 0 or params.p == 1 or n == 0:
+        return ledger
+    g = params.g
+
+    for level in range(params.k, 0, -1):
+        schedule = plan.level(level)
+        # Singleton wrapper clusters have nothing to send.
+        clusters = [c for c in _clusters(params, level, root) if len(c[1]) > 1]
+        if schedule.algorithm == "one":
+            S = schedule.segments
+            for s, chunk in enumerate(split_segments(n, S)):
+                candidates = []
+                for key, children, r_coord, child_r, own_pos, L in clusters:
+                    volumes = [chunk * item_bytes] * len(children)
+                    loads = _fan_loads(r_coord, child_r, own_pos, volumes)
+                    label = (
+                        f"super{level}{segment_suffix(s, S)}: "
+                        f"one-phase bcast in {key}"
+                    )
+                    candidates.append((g * h_relation(loads), L, label))
+                _charge_worst(ledger, level, candidates)
+        elif schedule.algorithm == "two":
+            candidates = []
+            for key, children, r_coord, child_r, own_pos, L in clusters:
+                m = len(children)
+                shares = _first_phase_shares(params, children, n, fractions)
+                # Phase A: coordinator scatters shares.
+                loads_a = _fan_loads(
+                    r_coord, child_r, own_pos, [x * item_bytes for x in shares]
+                )
+                # Phase B: total exchange of shares among children.
+                loads_b = [
+                    (child_r[i], max(shares[i] * (m - 1), n - shares[i]) * item_bytes)
+                    for i in range(m)
+                ]
+                gh = g * (h_relation(loads_a) + h_relation(loads_b))
+                label = f"super{level}: two-phase bcast in {key}"
+                candidates.append((gh, 2 * L, label))
+            _charge_worst(ledger, level, candidates)
+        else:  # binomial
+            volume = n * item_bytes
+
+            def doubling_loads(index, m, own_pos, child_r, half):
+                loads = []
+                for q in range(min(half, m - half)):
+                    loads.append((child_r[(own_pos + q) % m], volume))
+                    loads.append((child_r[(own_pos + q + half) % m], volume))
+                return loads
+
+            _charge_binomial(ledger, level, g, clusters, "bcast", doubling_loads)
+    return ledger
+
+
+# ---------------------------------------------------------------------------
+# Public predictors: a plan, or the paper's hand schedule as one
+# ---------------------------------------------------------------------------
 
 def predict_gather(
     params: HBSPParams,
@@ -91,56 +412,9 @@ def predict_gather(
     the balanced workload ``c_{0,j}·n``).  ``root`` overrides the
     coordinator of its own chain (default: the fastest processor).
     """
-    root = _check_inputs(params, n, root)
-    if counts is None:
-        counts = default_counts(params, n)
-    if len(counts) != params.p:
-        raise CollectiveError(f"counts must have p={params.p} entries")
-    if sum(counts) != n:
-        raise CollectiveError(f"counts sum to {sum(counts)}, expected n={n}")
-
-    ledger = CostLedger(f"gather(k={params.k}, n={n})")
-    if params.k == 0 or params.p == 1:
-        return ledger  # nothing to communicate
-
-    # Items held by the coordinator of each subtree as the gather
-    # ascends: starts as each leaf's own count.
-    subtree_total: dict[Key, int] = {(0, j): int(counts[j]) for j in range(params.p)}
-
-    for level in range(1, params.k + 1):
-        worst: tuple[float, float, float, str] | None = None  # (total, gh, L, label)
-        for j in range(params.m[level]):
-            key = (level, j)
-            children = params.children_of(*key)
-            total_items = sum(subtree_total[c] for c in children)
-            subtree_total[key] = total_items
-            coord = _coordinator_leaf(params, key, root)
-            r_coord = params.r_of(0, coord)
-            # The child subtree whose coordinator *is* this cluster's
-            # coordinator keeps its data local (no self-send).
-            own = next(
-                (c for c in children if _coordinator_leaf(params, c, root) == coord),
-                None,
-            )
-            received = total_items - (subtree_total[own] if own is not None else 0)
-            loads = [(r_coord, received * item_bytes)]
-            for child in children:
-                if child == own:
-                    continue
-                sender = _coordinator_leaf(params, child, root)
-                loads.append(
-                    (params.r_of(0, sender), subtree_total[child] * item_bytes)
-                )
-            from repro.model.cost import h_relation
-
-            gh = params.g * h_relation(loads)
-            L = params.L_of(level, j)
-            total = gh + L
-            if worst is None or total > worst[0]:
-                worst = (total, gh, L, f"super{level}: gather into {key}")
-        assert worst is not None
-        ledger.charge(worst[3], level=level, gh=worst[1], L=worst[2])
-    return ledger
+    plan = default_plan("gather", params.k)
+    name = f"gather(k={params.k}, n={n})"
+    return _gather_ledger(params, n, plan, root, counts, item_bytes, name)
 
 
 def predict_broadcast(
@@ -148,7 +422,7 @@ def predict_broadcast(
     n: int,
     *,
     root: int | None = None,
-    phases: str | t.Mapping[int, str] = "two",
+    phases: PhaseSpec = "two",
     fractions: t.Sequence[float] | None = None,
     item_bytes: int = BYTES_PER_INT,
 ) -> CostLedger:
@@ -166,139 +440,20 @@ def predict_broadcast(
         ``{level: "one"|"two"}`` (e.g. the paper's HBSP^2 variants use
         either at level 2 and two-phase at level 1).
     fractions:
-        Optional per-*child* first-phase shares for the two-phase
-        scheme (Fig. 4(b)'s balanced first phase); equal split when
-        omitted.  Interpreted per cluster over its children by
-        normalised child ``c`` when given as ``"c"``.
+        Optional per-processor ``c`` fractions selecting the two-phase
+        scheme's *balanced* first phase (Fig. 4(b)): each child's share
+        is proportional to its subtree's summed ``c``.  Equal split
+        when omitted.
     """
-    root = _check_inputs(params, n, root)
-
-    def phase_of(level: int) -> str:
-        if isinstance(phases, str):
-            mode = phases
-        else:
-            mode = phases.get(level, "two")
-        if mode not in ("one", "two"):
-            raise CollectiveError(f"phase must be 'one' or 'two', got {mode!r}")
-        return mode
-
-    ledger = CostLedger(f"broadcast(k={params.k}, n={n}, phases={phases!r})")
-    if params.k == 0 or params.p == 1 or n == 0:
-        return ledger
-
-    from repro.model.cost import h_relation
-
-    for level in range(params.k, 0, -1):
-        mode = phase_of(level)
-        worst: tuple[float, float, float, int, str] | None = None
-        for j in range(params.m[level]):
-            key = (level, j)
-            children = params.children_of(*key)
-            m = len(children)
-            if m <= 1:
-                continue  # singleton wrapper cluster: nothing to send
-            coord = _coordinator_leaf(params, key, root)
-            r_coord = params.r_of(0, coord)
-            child_coords = [_coordinator_leaf(params, c, root) for c in children]
-            own_pos = next(
-                (i for i, c in enumerate(child_coords) if c == coord), None
-            )
-            peers = [i for i in range(m) if i != own_pos]
-            if mode == "one":
-                loads = [(r_coord, n * len(peers) * item_bytes)]
-                loads += [(params.r_of(0, child_coords[i]), n * item_bytes) for i in peers]
-                gh = params.g * h_relation(loads)
-                L = params.L_of(level, j)
-                total, n_L = gh + L, 1
-                label = f"super{level}: one-phase bcast in {key}"
-                parts = (gh, L)
-            else:
-                if fractions is None:
-                    shares = {i: n // m + (1 if i < n % m else 0) for i in range(m)}
-                else:
-                    if len(fractions) != params.p:
-                        raise CollectiveError(
-                            f"fractions must have p={params.p} entries"
-                        )
-                    weights = {
-                        str(i): sum(params.c_of(0, leaf) for leaf in params.leaf_indices(*children[i]))
-                        for i in range(m)
-                    }
-                    total_w = sum(weights.values())
-                    part = partition_items(
-                        n, {k_: v / total_w for k_, v in weights.items()}
-                    )
-                    shares = {i: part[str(i)] for i in range(m)}
-                own_share = shares[own_pos] if own_pos is not None else 0
-                # Phase A: coordinator scatters shares.
-                loads_a = [(r_coord, (n - own_share) * item_bytes)]
-                loads_a += [
-                    (params.r_of(0, child_coords[i]), shares[i] * item_bytes)
-                    for i in peers
-                ]
-                # Phase B: total exchange of shares among children.
-                loads_b = [
-                    (
-                        params.r_of(0, child_coords[i]),
-                        max(shares[i] * (m - 1), n - shares[i]) * item_bytes,
-                    )
-                    for i in range(m)
-                ]
-                gh = params.g * (h_relation(loads_a) + h_relation(loads_b))
-                L = params.L_of(level, j)
-                total, n_L = gh + 2 * L, 2
-                label = f"super{level}: two-phase bcast in {key}"
-                parts = (gh, 2 * L)
-            if worst is None or total > worst[0]:
-                worst = (total, parts[0], parts[1], n_L, label)
-        if worst is not None:
-            ledger.charge(worst[4], level=level, gh=worst[1], L=worst[2])
-    return ledger
-
-
-# ---------------------------------------------------------------------------
-# Schedule-plan predictions (the auto-tuner's scalar reference)
-# ---------------------------------------------------------------------------
-#
-# ``predict_gather_plan`` / ``predict_broadcast_plan`` price an explicit
-# :class:`~repro.tuning.plan.SchedulePlan` — per-level flat/binomial
-# algorithm choice plus message segmentation — with the same per-level
-# worst-cluster accounting as the plan-less predictors above.  On the
-# default plan they charge the *identical* ledger (same floats, same
-# labels) as ``predict_gather`` / ``predict_broadcast``; the vectorized
-# ``model.kernels`` plan evaluators are bit-identical to these scalars.
-#
-# Modelling conventions for the extended space:
-#
-# * **segmentation** (``segments = S``): every sender splits its payload
-#   into ``S`` chunks (chunk ``s`` holds ``T//S + (1 if s < T%S)``
-#   items) and the level runs ``S`` chunked sub-steps, each charging its
-#   own ``g·h + L`` — latency multiplies, peak h-relation shrinks.
-# * **binomial**: ⌈log₂C⌉ rounds over the child-coordinator positions,
-#   rotated so the cluster coordinator sits at relative position 0.  In
-#   round ``t`` the holder at relative ``q`` (``q mod 2^{t+1} = 2^t``)
-#   sends its accumulated window ``[q, q+2^t)`` down to ``q - 2^t``
-#   (gather), or position ``q < 2^t`` forwards the full payload up to
-#   ``q + 2^t`` (broadcast); each round charges ``g·h + L`` with the
-#   h-relation over that round's senders and receivers.  Clusters with
-#   fewer rounds than the level's worst simply drop out of the later
-#   rounds' worst-cluster scans.
-
-
-def _binomial_rounds(fan_out: int) -> int:
-    """⌈log₂ fan_out⌉ — rounds of a binomial tree over the children."""
-    return max(0, fan_out - 1).bit_length()
-
-
-def _chunk(total: int, segments: int, s: int) -> int:
-    """Items in chunk ``s`` when ``total`` splits into ``segments``."""
-    return total // segments + (1 if s < total % segments else 0)
+    plan = plan_from_phases(phases, params.k)
+    name = f"broadcast(k={params.k}, n={n}, phases={phases!r})"
+    return _broadcast_ledger(params, n, plan, root, fractions, item_bytes, name)
 
 
 def predict_gather_plan(
     params: HBSPParams,
     n: int,
-    plan: t.Any,
+    plan: SchedulePlan,
     *,
     root: int | None = None,
     counts: t.Sequence[int] | None = None,
@@ -308,119 +463,18 @@ def predict_gather_plan(
 
     ``plan`` is a :class:`repro.tuning.plan.SchedulePlan` with
     ``op == "gather"`` and one :class:`~repro.tuning.plan.LevelSchedule`
-    per hierarchy level.  The default plan reproduces
-    :func:`predict_gather` exactly.
+    per hierarchy level; :func:`predict_gather` is this function at
+    ``default_plan("gather", k)``.
     """
-    from repro.model.cost import h_relation
-
-    if plan.op != "gather":
-        raise CollectiveError(f"plan is for {plan.op!r}, expected 'gather'")
-    root = _check_inputs(params, n, root)
-    if counts is None:
-        counts = default_counts(params, n)
-    if len(counts) != params.p:
-        raise CollectiveError(f"counts must have p={params.p} entries")
-    if sum(counts) != n:
-        raise CollectiveError(f"counts sum to {sum(counts)}, expected n={n}")
-    if plan.k != params.k:
-        raise CollectiveError(
-            f"plan schedules {plan.k} levels, topology has k={params.k}"
-        )
-
-    ledger = CostLedger(f"gather(k={params.k}, n={n}, plan={plan.key})")
-    if params.k == 0 or params.p == 1:
-        return ledger
-
-    subtree_total: dict[Key, int] = {(0, j): int(counts[j]) for j in range(params.p)}
-
-    for level in range(1, params.k + 1):
-        schedule = plan.level(level)
-        # Per-cluster facts, shared by every sub-step of the level.
-        clusters = []
-        for j in range(params.m[level]):
-            key = (level, j)
-            children = params.children_of(*key)
-            totals = [subtree_total[c] for c in children]
-            subtree_total[key] = sum(totals)
-            coord = _coordinator_leaf(params, key, root)
-            child_coords = [_coordinator_leaf(params, c, root) for c in children]
-            own_pos = next(
-                (i for i, c in enumerate(child_coords) if c == coord), None
-            )
-            clusters.append(
-                (
-                    key,
-                    totals,
-                    params.r_of(0, coord),
-                    [params.r_of(0, c) for c in child_coords],
-                    own_pos,
-                    params.L_of(level, j),
-                )
-            )
-        if schedule.algorithm == "flat":
-            S = schedule.segments
-            for s in range(S):
-                worst: tuple[float, float, float, str] | None = None
-                for key, totals, r_coord, child_r, own_pos, L in clusters:
-                    chunks = [_chunk(c, S, s) for c in totals]
-                    received = sum(
-                        c for i, c in enumerate(chunks) if i != own_pos
-                    )
-                    loads = [(r_coord, received * item_bytes)]
-                    loads += [
-                        (child_r[i], chunks[i] * item_bytes)
-                        for i in range(len(chunks))
-                        if i != own_pos
-                    ]
-                    gh = params.g * h_relation(loads)
-                    total = gh + L
-                    label = (
-                        f"super{level}: gather into {key}"
-                        if S == 1
-                        else f"super{level}.{s + 1}: gather into {key}"
-                    )
-                    if worst is None or total > worst[0]:
-                        worst = (total, gh, L, label)
-                assert worst is not None
-                ledger.charge(worst[3], level=level, gh=worst[1], L=worst[2])
-        else:  # binomial
-            rounds = [_binomial_rounds(len(c[1])) for c in clusters]
-            for t_round in range(max(rounds, default=0)):
-                worst = None
-                half = 1 << t_round
-                for (key, totals, _r_coord, child_r, own_pos, L), R in zip(
-                    clusters, rounds
-                ):
-                    if R <= t_round:
-                        continue
-                    C = len(totals)
-                    assert own_pos is not None
-                    loads = []
-                    for q in range(half, C, 2 * half):
-                        held = sum(
-                            totals[(own_pos + u) % C]
-                            for u in range(q, min(q + half, C))
-                        )
-                        volume = held * item_bytes
-                        loads.append((child_r[(own_pos + q) % C], volume))
-                        loads.append((child_r[(own_pos + q - half) % C], volume))
-                    gh = params.g * h_relation(loads)
-                    total = gh + L
-                    label = (
-                        f"super{level}: binomial gather round {t_round + 1} "
-                        f"in {key}"
-                    )
-                    if worst is None or total > worst[0]:
-                        worst = (total, gh, L, label)
-                if worst is not None:
-                    ledger.charge(worst[3], level=level, gh=worst[1], L=worst[2])
-    return ledger
+    check_plan(plan, "gather", params.k)
+    name = f"gather(k={params.k}, n={n}, plan={plan.key})"
+    return _gather_ledger(params, n, plan, root, counts, item_bytes, name)
 
 
 def predict_broadcast_plan(
     params: HBSPParams,
     n: int,
-    plan: t.Any,
+    plan: SchedulePlan,
     *,
     root: int | None = None,
     fractions: t.Sequence[float] | None = None,
@@ -428,140 +482,13 @@ def predict_broadcast_plan(
 ) -> CostLedger:
     """Cost of the HBSP^k broadcast under an explicit schedule plan.
 
-    The default plan (two-phase everywhere) reproduces
-    :func:`predict_broadcast` exactly; ``fractions`` selects the
+    :func:`predict_broadcast` is this function at
+    ``plan_from_phases(phases, k)``; ``fractions`` selects the
     c-weighted first-phase shares for two-phase levels, as there.
     """
-    from repro.model.cost import h_relation
-
-    if plan.op != "broadcast":
-        raise CollectiveError(f"plan is for {plan.op!r}, expected 'broadcast'")
-    root = _check_inputs(params, n, root)
-    if plan.k != params.k:
-        raise CollectiveError(
-            f"plan schedules {plan.k} levels, topology has k={params.k}"
-        )
-
-    ledger = CostLedger(f"broadcast(k={params.k}, n={n}, plan={plan.key})")
-    if params.k == 0 or params.p == 1 or n == 0:
-        return ledger
-
-    for level in range(params.k, 0, -1):
-        schedule = plan.level(level)
-        clusters = []
-        for j in range(params.m[level]):
-            key = (level, j)
-            children = params.children_of(*key)
-            m = len(children)
-            if m <= 1:
-                continue  # singleton wrapper cluster: nothing to send
-            coord = _coordinator_leaf(params, key, root)
-            child_coords = [_coordinator_leaf(params, c, root) for c in children]
-            own_pos = next(
-                (i for i, c in enumerate(child_coords) if c == coord), None
-            )
-            clusters.append(
-                (
-                    key,
-                    children,
-                    params.r_of(0, coord),
-                    [params.r_of(0, c) for c in child_coords],
-                    own_pos,
-                    params.L_of(level, j),
-                )
-            )
-        if not clusters:
-            continue
-        if schedule.algorithm == "one":
-            S = schedule.segments
-            for s in range(S):
-                chunk = _chunk(n, S, s)
-                worst: tuple[float, float, float, str] | None = None
-                for key, children, r_coord, child_r, own_pos, L in clusters:
-                    m = len(children)
-                    peers = [i for i in range(m) if i != own_pos]
-                    loads = [(r_coord, chunk * len(peers) * item_bytes)]
-                    loads += [(child_r[i], chunk * item_bytes) for i in peers]
-                    gh = params.g * h_relation(loads)
-                    total = gh + L
-                    label = (
-                        f"super{level}: one-phase bcast in {key}"
-                        if S == 1
-                        else f"super{level}.{s + 1}: one-phase bcast in {key}"
-                    )
-                    if worst is None or total > worst[0]:
-                        worst = (total, gh, L, label)
-                assert worst is not None
-                ledger.charge(worst[3], level=level, gh=worst[1], L=worst[2])
-        elif schedule.algorithm == "two":
-            worst = None
-            for key, children, r_coord, child_r, own_pos, L in clusters:
-                m = len(children)
-                peers = [i for i in range(m) if i != own_pos]
-                if fractions is None:
-                    shares = {i: n // m + (1 if i < n % m else 0) for i in range(m)}
-                else:
-                    if len(fractions) != params.p:
-                        raise CollectiveError(
-                            f"fractions must have p={params.p} entries"
-                        )
-                    weights = {
-                        str(i): sum(
-                            params.c_of(0, leaf)
-                            for leaf in params.leaf_indices(*children[i])
-                        )
-                        for i in range(m)
-                    }
-                    total_w = sum(weights.values())
-                    part = partition_items(
-                        n, {k_: v / total_w for k_, v in weights.items()}
-                    )
-                    shares = {i: part[str(i)] for i in range(m)}
-                own_share = shares[own_pos] if own_pos is not None else 0
-                loads_a = [(r_coord, (n - own_share) * item_bytes)]
-                loads_a += [(child_r[i], shares[i] * item_bytes) for i in peers]
-                loads_b = [
-                    (
-                        child_r[i],
-                        max(shares[i] * (m - 1), n - shares[i]) * item_bytes,
-                    )
-                    for i in range(m)
-                ]
-                gh = params.g * (h_relation(loads_a) + h_relation(loads_b))
-                total = gh + 2 * L
-                label = f"super{level}: two-phase bcast in {key}"
-                if worst is None or total > worst[0]:
-                    worst = (total, gh, 2 * L, label)
-            assert worst is not None
-            ledger.charge(worst[3], level=level, gh=worst[1], L=worst[2])
-        else:  # binomial
-            rounds = [_binomial_rounds(len(c[1])) for c in clusters]
-            for t_round in range(max(rounds, default=0)):
-                worst = None
-                half = 1 << t_round
-                for (key, children, _r_coord, child_r, own_pos, L), R in zip(
-                    clusters, rounds
-                ):
-                    if R <= t_round:
-                        continue
-                    m = len(children)
-                    assert own_pos is not None
-                    volume = n * item_bytes
-                    loads = []
-                    for q in range(min(half, m - half)):
-                        loads.append((child_r[(own_pos + q) % m], volume))
-                        loads.append((child_r[(own_pos + q + half) % m], volume))
-                    gh = params.g * h_relation(loads)
-                    total = gh + L
-                    label = (
-                        f"super{level}: binomial bcast round {t_round + 1} "
-                        f"in {key}"
-                    )
-                    if worst is None or total > worst[0]:
-                        worst = (total, gh, L, label)
-                if worst is not None:
-                    ledger.charge(worst[3], level=level, gh=worst[1], L=worst[2])
-    return ledger
+    check_plan(plan, "broadcast", params.k)
+    name = f"broadcast(k={params.k}, n={n}, plan={plan.key})"
+    return _broadcast_ledger(params, n, plan, root, fractions, item_bytes, name)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from repro.tuning.plan import (
     SchedulePlan,
     binomial_rounds,
     default_plan,
+    plan_from_phases,
     split_segments,
 )
 from repro.tuning.space import (
@@ -46,6 +47,7 @@ __all__ = [
     "default_plan",
     "enumerate_plans",
     "level_choices",
+    "plan_from_phases",
     "space_size",
     "split_segments",
     "DecisionCache",

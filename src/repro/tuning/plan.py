@@ -18,13 +18,18 @@ Plans are *pure data*: the cost model prices them
 :func:`~repro.model.predict.predict_broadcast_plan`, vectorized by
 ``model.kernels``), the DES executes them (``collectives/`` programs
 take a ``plan=`` argument), and the decision cache persists them as
-JSON.  ``default_plan`` reproduces the paper's hand schedules exactly
-— a default-plan run is bit-identical to a plan-less run.
+JSON.  A plan is also the *only* thing those layers price and run:
+``default_plan`` is the paper's hand schedule and
+:func:`plan_from_phases` the plan a ``"one"|"two"|{level: …}`` spec
+denotes, so every plan-less entry point converts once at its boundary
+and a plan-less run *is* a default-plan run.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import typing as t
 
 from repro.errors import CollectiveError
@@ -35,6 +40,7 @@ __all__ = [
     "LevelSchedule",
     "SchedulePlan",
     "default_plan",
+    "plan_from_phases",
 ]
 
 #: Per-level algorithms understood by the gather program/model.
@@ -44,6 +50,10 @@ BROADCAST_ALGORITHMS = ("one", "two", "binomial")
 
 #: Algorithms that accept message segmentation (``segments > 1``).
 _SEGMENTABLE = ("flat", "one")
+
+#: One-/two-phase broadcast spec: one scheme for every level, or a
+#: per-level map (see :func:`plan_from_phases`).
+PhaseSpec = t.Union[str, t.Mapping[int, str]]
 
 
 def binomial_rounds(fan_out: int) -> int:
@@ -59,6 +69,20 @@ def split_segments(total: int, segments: int) -> list[int]:
     """
     base, extra = divmod(int(total), segments)
     return [base + (1 if s < extra else 0) for s in range(segments)]
+
+
+def segment_bounds(total: int, segments: int) -> list[int]:
+    """Slice offsets of the chunks: chunk ``s`` is ``[b[s], b[s + 1])``."""
+    return [0, *itertools.accumulate(split_segments(total, segments))]
+
+
+def segment_suffix(s: int, segments: int) -> str:
+    """Label suffix of sub-step ``s``: none for an unsegmented level.
+
+    ``super1`` / ``gather up L1`` name the whole-message step,
+    ``super1.2`` / ``gather up L1.2`` the second chunk of a segmented one.
+    """
+    return "" if segments == 1 else f".{s + 1}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,6 +196,7 @@ class SchedulePlan:
         return self.key
 
 
+@functools.lru_cache(maxsize=None)
 def default_plan(op: str, k: int) -> SchedulePlan:
     """The paper's hand schedule as a plan.
 
@@ -181,3 +206,40 @@ def default_plan(op: str, k: int) -> SchedulePlan:
     """
     algorithm = "flat" if op == "gather" else "two"
     return SchedulePlan(op, tuple(LevelSchedule(algorithm) for _ in range(k)))
+
+
+def plan_from_phases(phases: PhaseSpec, k: int) -> SchedulePlan:
+    """The broadcast plan a one-/two-phase spec denotes on ``k`` levels.
+
+    The single place a phase spec is parsed and rejected: a string
+    applies to every level; a mapping schedules the levels it names,
+    the others default to ``"two"`` and entries beyond ``k`` are
+    ignored.
+    """
+    if isinstance(phases, str):
+        # Rejected even where no level would use it (k = 0).
+        given, modes = [phases], [phases] * k
+    elif isinstance(phases, t.Mapping):
+        given = modes = [phases.get(level, "two") for level in range(1, k + 1)]
+    else:
+        raise CollectiveError(
+            f"phases must be 'one', 'two' or a {{level: scheme}} mapping, "
+            f"got {phases!r}"
+        )
+    for mode in given:
+        if mode not in ("one", "two"):
+            raise CollectiveError(f"phase must be 'one' or 'two', got {mode!r}")
+    return SchedulePlan("broadcast", tuple(LevelSchedule(m) for m in modes))
+
+
+def check_plan(plan: t.Any, op: str, k: int) -> SchedulePlan:
+    """Reject a ``plan`` argument that cannot schedule ``op`` on ``k`` levels."""
+    if not isinstance(plan, SchedulePlan):
+        raise CollectiveError(f"plan must be a SchedulePlan, got {plan!r}")
+    if plan.op != op:
+        raise CollectiveError(f"plan is for {plan.op!r}, expected {op!r}")
+    if plan.k != k:
+        raise CollectiveError(
+            f"plan schedules {plan.k} levels, topology has k={k}"
+        )
+    return plan

@@ -11,11 +11,13 @@ import pytest
 
 from repro.collectives import run_broadcast, run_gather
 from repro.errors import CollectiveError
+from repro.obs import observe
 from repro.tuning import (
     LevelSchedule,
     SchedulePlan,
     default_plan,
     enumerate_plans,
+    plan_from_phases,
 )
 
 N = 4_000
@@ -107,6 +109,66 @@ class TestPlanIdentities:
             assert planned.predicted_time == plain.predicted_time
 
     @pytest.mark.parametrize(
+        "run, planless, plan, phase_labels",
+        [
+            (
+                run_gather, {}, default_plan("gather", 2),
+                {"gather up L1", "gather up L2"},
+            ),
+            (
+                run_broadcast, {}, default_plan("broadcast", 2),
+                {
+                    "broadcast scatter L2", "broadcast exchange L2",
+                    "broadcast scatter L1", "broadcast exchange L1",
+                },
+            ),
+            (
+                run_broadcast, {"phases": {2: "one"}},
+                plan_from_phases({2: "one"}, 2),
+                {
+                    "broadcast full L2",
+                    "broadcast scatter L1", "broadcast exchange L1",
+                },
+            ),
+        ],
+        ids=["gather", "broadcast-two", "broadcast-mixed"],
+    )
+    def test_a_planless_run_is_its_plan_on_both_engine_paths(
+        self, fig1_machine, run, planless, plan, phase_labels
+    ):
+        """Same spans, same phase labels, same supersteps — only the
+        outcome and ledger are named after what the caller passed."""
+
+        def observed(**kwargs):
+            with observe(spans=True) as observation:
+                run(fig1_machine, N, seed=2, **kwargs)
+            return [
+                (s.category, s.name, s.actor, s.start, s.end)
+                for s in observation.tracer.spans
+            ]
+
+        spans = observed(**planless)  # spans force the object path
+        assert spans == observed(plan=plan)
+        # Unsegmented steps keep their bare labels ("L1", never "L1.1").
+        assert {name for cat, name, *_ in spans if cat == "phase"} == phase_labels
+
+        for macro in (True, False):
+            plain = run(fig1_machine, N, seed=2, macro=macro, **planless)
+            planned = run(fig1_machine, N, seed=2, macro=macro, plan=plan)
+            assert (plain.runtime.macro is not None) == macro
+            assert planned.time == plain.time
+            assert planned.values == plain.values
+            assert (
+                planned.runtime.superstep_marks()
+                == plain.runtime.superstep_marks()
+            )
+            assert planned.predicted.steps == plain.predicted.steps
+            assert planned.name == plain.name.split(", phases=")[0].rstrip(
+                ")"
+            ) + f", plan={plan.key})"
+            assert "plan=" not in plain.name + plain.predicted.name
+
+    @pytest.mark.parametrize(
         "op, run",
         [("gather", run_gather), ("broadcast", run_broadcast)],
         ids=["gather", "broadcast"],
@@ -130,7 +192,7 @@ class TestPlanValidation:
             run_broadcast(fig1_machine, N, plan=default_plan("gather", 2))
 
     def test_wrong_k_plan_rejected(self, fig1_machine):
-        with pytest.raises(CollectiveError, match="out of range"):
+        with pytest.raises(CollectiveError, match="levels"):
             run_gather(fig1_machine, N, plan=default_plan("gather", 1))
         with pytest.raises(CollectiveError, match="levels"):
             run_broadcast(fig1_machine, N, plan=default_plan("broadcast", 3))

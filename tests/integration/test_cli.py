@@ -68,6 +68,13 @@ class TestCommands:
         assert main(["run", "gather", "testbed:4", "--root", "2"]) == 0
         assert "root=pid2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["run", "tune"])
+    def test_junk_root_is_a_typed_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "gather", "testbed:4", "--root", "fastish"])
+        assert exit_info.value.code == 2
+        assert "--root must be" in capsys.readouterr().err
+
     def test_run_unknown_collective(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "sort", "testbed:4"])

@@ -6,9 +6,12 @@ introduced a behaviour change (fix it) or it deliberately recalibrated
 the simulator (update the goldens *and* EXPERIMENTS.md together).
 """
 
+import json
+import pathlib
+
 import pytest
 
-from repro.cluster import ucf_testbed
+from repro.cluster import grid_three_level, smp_sgi_lan, ucf_testbed
 from repro.collectives import (
     RootPolicy,
     WorkloadPolicy,
@@ -16,6 +19,8 @@ from repro.collectives import (
     run_gather,
 )
 from repro.experiments import fig3a_gather_root
+from repro.model.params import HBSPParams, calibrate
+from repro.model.predict import predict_broadcast, predict_gather
 
 REL = 1e-6
 
@@ -47,3 +52,113 @@ class TestGoldenValues:
         assert a.time == b.time  # exact float equality, no tolerance
         assert a.values == b.values
         assert a.predicted_time == b.predicted_time
+
+
+# ---------------------------------------------------------------------------
+# Plan-less predicted ledgers: exact pins and a hand-computed oracle
+# ---------------------------------------------------------------------------
+#
+# ``predict_gather`` / ``predict_broadcast`` are boundary conversions onto
+# the schedule-plan arithmetic, so comparing them with ``predict_*_plan``
+# compares a function with its own wrapper.  What holds them instead is
+# (a) every float, label and name they produced before that fold, captured
+# at the last commit that still had a separate plan-less body, and (b) one
+# ledger worked out by hand from Sections 4.2 and 4.4.
+
+PINS = json.loads(
+    pathlib.Path(__file__).with_name("predicted_ledgers.json").read_text()
+)
+MACHINES = {
+    "testbed": lambda: ucf_testbed(10),
+    "fig1": smp_sgi_lan,
+    "grid3": lambda: grid_three_level(2, 2, 2),
+}
+SCHEMES = {"one": "one", "two": "two", "mixed": {1: "one", 3: "one"}}
+
+
+@pytest.fixture(scope="module")
+def pinned_params():
+    return {name: calibrate(build()) for name, build in MACHINES.items()}
+
+
+class TestPredictedLedgerPins:
+    @pytest.mark.parametrize(
+        "pin",
+        PINS,
+        ids=lambda pin: "{machine}-{scheme}-n{n}-{root}".format(**pin),
+    )
+    def test_planless_ledger_is_float_for_float_the_pinned_one(
+        self, pinned_params, pin
+    ):
+        params = pinned_params[pin["machine"]]
+        root = (
+            params.fastest_index(0)
+            if pin["root"] == "fastest"
+            else params.slowest_index(0)
+        )
+        if pin["scheme"] == "gather":
+            ledger = predict_gather(params, pin["n"], root=root)
+        else:
+            ledger = predict_broadcast(
+                params, pin["n"], root=root, phases=SCHEMES[pin["scheme"]]
+            )
+        assert ledger.name == pin["name"]
+        assert [
+            [s.label, s.level, s.gh, s.L] for s in ledger.steps
+        ] == pin["steps"]  # == on floats: no tolerance
+
+
+class TestHandComputedHbsp1:
+    """Three machines on one network, every number written out.
+
+    ``r = (1, 2, 4)``, ``g`` = 1 µs/byte, ``L`` = 1 ms, 4-byte items,
+    rooted at the fastest machine.  An h-relation is ``max r·bytes``
+    over the machines that send or receive (Section 3.4).
+    """
+
+    G, L = 1e-6, 1e-3
+
+    @pytest.fixture(scope="class")
+    def params(self):
+        return HBSPParams(
+            k=1,
+            g=self.G,
+            m=(3, 1),
+            r={(0, 0): 1.0, (0, 1): 2.0, (0, 2): 4.0, (1, 0): 1.0},
+            L={(1, 0): self.L},
+            c={(0, 0): 4 / 7, (0, 1): 2 / 7, (0, 2): 1 / 7, (1, 0): 1.0},
+            fan_out={(0, 0): 0, (0, 1): 0, (0, 2): 0, (1, 0): 3},
+        )
+
+    def test_gather(self, params):
+        # 1400 items split 800/400/200 by c.  The root keeps its 800 and
+        # receives 600 items = 2400 B at r=1; the senders push
+        # 1600 B at r=2 and 800 B at r=4: h = max(2400, 3200, 3200).
+        ledger = predict_gather(params, 1400)
+        assert ledger.name == "gather(k=1, n=1400)"
+        (step,) = ledger.steps
+        assert step.label == "super1: gather into (1, 0)"
+        assert (step.level, step.gh, step.L) == (1, self.G * 3200.0, self.L)
+
+    def test_one_phase_broadcast(self, params):
+        # The root sends 1200 items = 4800 B to each of 2 peers: 9600 B
+        # at r=1; each peer receives 4800 B, at r=2 and at r=4:
+        # h = max(9600, 9600, 19200).
+        ledger = predict_broadcast(params, 1200, phases="one")
+        assert ledger.name == "broadcast(k=1, n=1200, phases='one')"
+        (step,) = ledger.steps
+        assert step.label == "super1: one-phase bcast in (1, 0)"
+        assert (step.level, step.gh, step.L) == (1, self.G * 19200.0, self.L)
+
+    def test_two_phase_broadcast(self, params):
+        # Scatter: shares of 400 items = 1600 B; the root sends two of
+        # them (3200 B at r=1), the peers receive one each:
+        # h_a = max(3200, 3200, 6400).  Exchange: every machine sends its
+        # share twice and receives the other 800 items, 3200 B either
+        # way: h_b = max(3200, 6400, 12800).  Two barriers.
+        ledger = predict_broadcast(params, 1200, phases="two")
+        assert ledger.name == "broadcast(k=1, n=1200, phases='two')"
+        (step,) = ledger.steps
+        assert step.label == "super1: two-phase bcast in (1, 0)"
+        assert step.gh == self.G * (6400.0 + 12800.0)
+        assert (step.level, step.L) == (1, 2 * self.L)

@@ -2,7 +2,11 @@
 
 The contract under test is *bit-identity*: every ledger a kernel grid
 reconstructs — names, labels, levels, and each float component — must
-equal the scalar ``predict_*`` output exactly, not approximately.
+equal the scalar ``predict_*`` output exactly, not approximately.  The
+plan-less ``evaluate`` / ``predict_*`` pair exercised here is the
+plan-aware pair of ``test_plan_kernels.py`` at the paper's hand
+schedule, so this file is the same scalar ↔ kernel two-way through the
+other entry points — and the two must also *reject* the same inputs.
 """
 
 import itertools
@@ -19,7 +23,14 @@ from repro.model.kernels import (
     equal_counts,
 )
 from repro.model.params import calibrate
-from repro.model.predict import default_counts, predict_broadcast, predict_gather
+from repro.model.predict import (
+    default_counts,
+    predict_broadcast,
+    predict_broadcast_plan,
+    predict_gather,
+    predict_gather_plan,
+)
+from repro.tuning import default_plan
 
 NS = [0, 1, 7, 1000, 128_000]
 
@@ -172,6 +183,113 @@ class TestBroadcastKernel:
             BroadcastKernel(params_by_name["testbed"]).evaluate(
                 np.array([10]), fractions=[0.5, 0.5]
             )
+
+
+#: (id, scalar call, kernel call) — each must raise the same CollectiveError.
+#: On the Fig. 1 machine (p = 9, k = 2).
+HOSTILE = [
+    (
+        "negative-count",
+        lambda p: predict_gather(p, 10, counts=[20, -10, 0, 0, 0, 0, 0, 0, 0]),
+        lambda p: GatherKernel(p).evaluate(
+            [10], counts=[[20, -10, 0, 0, 0, 0, 0, 0, 0]]
+        ),
+    ),
+    (
+        "count-sum",
+        lambda p: predict_gather(p, 10, counts=[1] * 9),
+        lambda p: GatherKernel(p).evaluate([10], counts=[[1] * 9]),
+    ),
+    (
+        "negative-n",
+        lambda p: predict_gather(p, -3),
+        lambda p: GatherKernel(p).evaluate([5, -3]),
+    ),
+    (
+        "root-out-of-range",
+        lambda p: predict_broadcast(p, 10, root=9),
+        lambda p: BroadcastKernel(p).evaluate([10], roots=9),
+    ),
+    (
+        "gather-item-bytes",
+        lambda p: predict_gather(p, 10, item_bytes=-4),
+        lambda p: GatherKernel(p, item_bytes=-4),
+    ),
+    (
+        "broadcast-item-bytes",
+        lambda p: predict_broadcast(p, 10, item_bytes=0),
+        lambda p: BroadcastKernel(p, item_bytes=0),
+    ),
+    (
+        "fractions-length-without-a-two-phase-level",
+        lambda p: predict_broadcast(p, 10, phases="one", fractions=[0.5, 0.5]),
+        lambda p: BroadcastKernel(p).evaluate(
+            [10], phases="one", fractions=[0.5, 0.5]
+        ),
+    ),
+    (
+        "unknown-phase-at-n-zero",
+        lambda p: predict_broadcast(p, 0, phases="three"),
+        lambda p: BroadcastKernel(p).evaluate([0], phases="three"),
+    ),
+    (
+        "phases-not-a-spec",
+        lambda p: predict_broadcast(p, 10, phases=None),
+        lambda p: BroadcastKernel(p).evaluate([10], phases=None),
+    ),
+    (
+        "plan-for-the-other-op",
+        lambda p: predict_gather_plan(p, 10, default_plan("broadcast", 2)),
+        lambda p: GatherKernel(p).evaluate_plans(
+            [10], default_plan("broadcast", 2)
+        ),
+    ),
+    (
+        "plan-for-another-k",
+        lambda p: predict_broadcast_plan(p, 10, default_plan("broadcast", 3)),
+        lambda p: BroadcastKernel(p).evaluate_plans(
+            [10], default_plan("broadcast", 3)
+        ),
+    ),
+    (
+        "plan-not-a-plan",
+        lambda p: predict_gather_plan(p, 10, "flat"),
+        lambda p: GatherKernel(p).evaluate_plans([10], ["flat"]),
+    ),
+]
+
+
+class TestHostileInputs:
+    """Both representations reject the same inputs, the same way.
+
+    Before the checks were shared, the kernel priced a negative count
+    (``0.0114034``) and a negative ``item_bytes``, the scalar priced a
+    wrong-length ``fractions`` (``0.0115672``) and an unknown phase at
+    ``n = 0`` (``0.0``), and where both raised it was not always a
+    ``CollectiveError`` naming the argument.
+    """
+
+    @pytest.mark.parametrize(
+        "scalar, kernel",
+        [case[1:] for case in HOSTILE],
+        ids=[case[0] for case in HOSTILE],
+    )
+    def test_scalar_and_kernel_raise_the_same_error(
+        self, params_by_name, scalar, kernel
+    ):
+        params = params_by_name["fig1"]
+        with pytest.raises(CollectiveError) as from_scalar:
+            scalar(params)
+        with pytest.raises(CollectiveError) as from_kernel:
+            kernel(params)
+        assert str(from_kernel.value) == str(from_scalar.value)
+
+    def test_the_error_names_the_argument(self, params_by_name):
+        params = params_by_name["fig1"]
+        with pytest.raises(CollectiveError, match="item_bytes must be >= 1, got -4"):
+            GatherKernel(params, item_bytes=-4)
+        with pytest.raises(CollectiveError, match="counts must be >= 0, got -10"):
+            predict_gather(params, 10, counts=[20, -10, 0, 0, 0, 0, 0, 0, 0])
 
 
 class TestCountHelpers:

@@ -1,17 +1,21 @@
-"""Bit-identity of the plan evaluators: kernels vs scalar vs legacy.
+"""Bit-identity of the plan evaluators: kernels vs the scalar reference.
 
-Three layers price a :class:`~repro.tuning.plan.SchedulePlan` and all
-must agree exactly (every float, label, and level — no tolerances):
+Two layers price a :class:`~repro.tuning.plan.SchedulePlan` and must
+agree exactly (every float, label, and level — no tolerances):
 
 * ``predict_gather_plan`` / ``predict_broadcast_plan`` — the scalar
   reference;
 * ``GatherKernel.evaluate_plans`` / ``BroadcastKernel.evaluate_plans``
-  — the vectorized grids the tuner prices candidate spaces with;
-* on the *default* plan, the plan-less ``predict_gather`` /
-  ``predict_broadcast`` — so a tuned run whose winner is the paper's
-  schedule costs exactly what an untuned run does.
+  — the vectorized grids the tuner prices candidate spaces with.
 
-The hypothesis section drives all three over random k<=3 machines.
+The plan-less ``predict_gather`` / ``predict_broadcast`` /
+``Kernel.evaluate`` are those same functions at ``default_plan`` /
+``plan_from_phases``: ``TestScalarPlanVsLegacy`` holds what such a
+wrapper can get wrong — which plan it resolves to and what it names the
+ledger — while the arithmetic they used to duplicate is pinned float for
+float in ``tests/integration/test_regression_snapshot.py``.
+
+The hypothesis section drives both layers over random k<=3 machines.
 
 ``evaluate_plans`` prices each distinct ``(level, LevelSchedule)`` once
 over the distinct points and assembles plans by gathering columns, so
@@ -39,7 +43,7 @@ from repro.model.predict import (
     predict_gather_plan,
 )
 from repro.model.planner import rank_plans, score_plans
-from repro.tuning import SchedulePlan, default_plan, enumerate_plans
+from repro.tuning import default_plan, enumerate_plans, plan_from_phases
 from repro.tuning.space import level_choices
 
 from tests.model.test_kernels import assert_ledger_identical
@@ -148,37 +152,65 @@ def assert_heterogeneous_grid_identical(params, op, seed, *, segments=(1, 2, 4))
 # ---------------------------------------------------------------------------
 
 
+def assert_same_but_for_the_name(plain, planned, plan):
+    """A plan-less ledger is the explicit-plan one under its own name."""
+    assert planned.name == plain.name[:-1] + f", plan={plan.key})"
+    assert planned.steps == plain.steps
+    assert planned.total == plain.total
+
+
 class TestScalarPlanVsLegacy:
+    """The plan-less entry points are the plan path at the hand schedule."""
+
     @pytest.mark.parametrize("name", ["testbed", "fig1", "grid3"])
     def test_default_gather_plan_is_the_legacy_prediction(
         self, params_by_name, name
     ):
         params = params_by_name[name]
         plan = default_plan("gather", params.k)
-        for n in NS:
-            for root in range(params.p):
-                legacy = predict_gather(params, n, root=root)
-                planned = predict_gather_plan(params, n, plan, root=root)
-                assert planned.total == legacy.total
-                assert [s.label for s in planned.steps] == [
-                    s.label for s in legacy.steps
-                ]
-                for got, want in zip(planned.steps, legacy.steps):
-                    assert (got.gh, got.L) == (want.gh, want.L)
+        root = params.p - 1
+        ns = np.array(NS, dtype=np.int64)
+        kernel = GatherKernel(params)
+        plain_grid = kernel.evaluate(ns, roots=root)
+        planned_grid = kernel.evaluate_plans(ns, plan, roots=root)
+        for i, n in enumerate(NS):
+            plain = predict_gather(params, n, root=root)
+            assert plain.name == f"gather(k={params.k}, n={n})"
+            assert_same_but_for_the_name(
+                plain, predict_gather_plan(params, n, plan, root=root), plan
+            )
+            assert_ledger_identical(plain, plain_grid.ledger(i))
+            assert_same_but_for_the_name(
+                plain_grid.ledger(i), planned_grid.ledger(i), plan
+            )
 
     @pytest.mark.parametrize("name", ["testbed", "fig1", "grid3"])
     def test_default_broadcast_plan_is_the_legacy_two_phase(
         self, params_by_name, name
     ):
         params = params_by_name[name]
-        plan = default_plan("broadcast", params.k)
-        for n in NS:
-            for root in range(params.p):
-                legacy = predict_broadcast(params, n, root=root, phases="two")
-                planned = predict_broadcast_plan(params, n, plan, root=root)
-                assert planned.total == legacy.total
-                for got, want in zip(planned.steps, legacy.steps):
-                    assert (got.gh, got.L) == (want.gh, want.L)
+        n, root = 25_600, params.p - 1
+        # String, partial map (level 2 defaults to "two", level 4 is
+        # past every k here), and the kernel's per-point list of both.
+        specs = ["two", "one", {1: "one", 4: "one"}, {}]
+        plans = [plan_from_phases(spec, params.k) for spec in specs]
+        assert plans[0] == plans[3] == default_plan("broadcast", params.k)
+        ns = np.full(len(specs), n, dtype=np.int64)
+        kernel = BroadcastKernel(params)
+        plain_grid = kernel.evaluate(ns, roots=root, phases=specs)
+        planned_grid = kernel.evaluate_plans(ns, plans, roots=root)
+        for i, (spec, plan) in enumerate(zip(specs, plans)):
+            plain = predict_broadcast(params, n, root=root, phases=spec)
+            assert plain.name == f"broadcast(k={params.k}, n={n}, phases={spec!r})"
+            planned = predict_broadcast_plan(params, n, plan, root=root)
+            assert planned.name == f"broadcast(k={params.k}, n={n}, plan={plan.key})"
+            assert (planned.steps, planned.total) == (plain.steps, plain.total)
+            assert_ledger_identical(plain, plain_grid.ledger(i))
+            assert_ledger_identical(planned, planned_grid.ledger(i))
+        assert (
+            kernel.evaluate(ns[:1], roots=root, phases="one").ledger(0).steps
+            == plain_grid.ledger(1).steps
+        )
 
     def test_wrong_op_plan_rejected(self, params_by_name):
         params = params_by_name["testbed"]
@@ -338,10 +370,6 @@ class TestRandomMachines:
             np.array([n], dtype=np.int64), [plan], roots=root
         )
         assert_ledger_identical(scalar, grid.ledger(0))
-        if plan.is_default:
-            legacy_fn = predict_gather if op == "gather" else predict_broadcast
-            kwargs = {} if op == "gather" else {"phases": "two"}
-            assert scalar.total == legacy_fn(params, n, root=root, **kwargs).total
 
     @given(topology=random_topology(), data=st.data())
     @settings(max_examples=15, deadline=None)

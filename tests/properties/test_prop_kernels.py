@@ -5,6 +5,12 @@ equality — not closeness — against :mod:`repro.model.predict`, on
 *randomized* HBSP^k topologies (k up to 3, arbitrary fan-outs, random
 ``r``/``L``/``c``).  The planner must agree with a brute-force scalar
 enumeration, including tie-breaks.
+
+The calls here go through the plan-less entry points (``evaluate``,
+``predict_gather`` / ``predict_broadcast``), which are the plan
+evaluators at ``default_plan`` / ``plan_from_phases``: a scalar ↔
+kernel two-way, with the ledger *names* those entry points choose
+included in every comparison.
 """
 
 import itertools

@@ -8,6 +8,7 @@ from repro.tuning import (
     SchedulePlan,
     binomial_rounds,
     default_plan,
+    plan_from_phases,
     split_segments,
 )
 
@@ -107,3 +108,33 @@ class TestHelpers:
         assert [binomial_rounds(c) for c in (0, 1, 2, 3, 4, 5, 8, 9)] == [
             0, 0, 1, 2, 2, 3, 3, 4,
         ]
+
+
+class TestPlanFromPhases:
+    """The one parser of ``"one"|"two"|{level: …}`` phase specs."""
+
+    def test_a_string_schedules_every_level(self):
+        assert plan_from_phases("one", 3).key == "broadcast:one|one|one"
+        assert plan_from_phases("two", 2) == default_plan("broadcast", 2)
+        assert plan_from_phases("one", 0).levels == ()
+
+    def test_a_partial_map_defaults_to_two_and_ignores_levels_past_k(self):
+        assert plan_from_phases({2: "one"}, 3).key == "broadcast:two|one|two"
+        assert plan_from_phases({}, 2) == default_plan("broadcast", 2)
+        assert plan_from_phases({1: "one", 3: "one"}, 2).key == "broadcast:one|two"
+        # An entry no level reads is not parsed, as before the fold.
+        assert plan_from_phases({5: "three"}, 2) == default_plan("broadcast", 2)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_an_unknown_scheme_is_rejected_on_any_k(self, k):
+        with pytest.raises(CollectiveError, match="'one' or 'two', got 'three'"):
+            plan_from_phases("three", k)
+
+    def test_an_unknown_scheme_in_a_map_is_rejected(self):
+        with pytest.raises(CollectiveError, match="got 'binomial'"):
+            plan_from_phases({1: "binomial"}, 2)
+
+    @pytest.mark.parametrize("spec", [None, 2, ["one", "two"]])
+    def test_a_spec_of_the_wrong_shape_is_rejected(self, spec):
+        with pytest.raises(CollectiveError, match="phases must be"):
+            plan_from_phases(spec, 2)
