@@ -33,7 +33,7 @@ Emits two machine-readable artifacts next to this file's repo root:
 ``BENCH_scale.json``
     Macro-event superstep engine (``benchmarks/bench_scale.py``):
     10^3- and 10^4-leaf collectives, macro vs object path.  ``--check``
-    gates bit-identical dual-path results, the 10x macro speedup floor
+    gates bit-identical dual-path results, the macro speedup floor
     on the send-heavy 10^3 broadcast, and the 10^4 completion ceiling.
 
 ``BENCH_tuning.json``

@@ -333,7 +333,7 @@ class HbspContext:
             unpack = unpack_time(message.nbytes)
             if unpack > 0:
                 start = task.now
-                yield from host.cpu.occupy(unpack)
+                yield host.cpu.hold(unpack)
                 if trace.enabled:
                     trace.emit(
                         task.now, "unpack", task.name,

@@ -4,7 +4,8 @@ A task runs a user generator on one host.  Its communication methods
 are generators themselves (``yield from task.send(...)``) because they
 consume virtual time on the host's CPU and NIC resources.
 
-The timing of ``send(dst, payload)`` (see DESIGN.md §5):
+The timing of ``send(dst, payload)`` (see DESIGN.md §5) — five steps,
+**one engine event each**:
 
 1. **pack** — hold the sender host's CPU for
    ``machine.pack_time(nbytes)`` (PVM XDR encoding; slower on slower
@@ -18,9 +19,24 @@ The timing of ``send(dst, payload)`` (see DESIGN.md §5):
    targeting one receiver serialise here;
 5. **unpack** — charged to the receiver's CPU inside ``recv``.
 
-``send`` returns after step 2 (asynchronous, like ``pvm_send``); the
-returned event completes at mailbox delivery so BSP-style supersteps
-can wait for communication to finish.
+Steps 1, 2 and 5 are :meth:`Resource.hold <repro.sim.Resource.hold>`
+events the task yields.  ``send`` returns after step 2 (asynchronous,
+like ``pvm_send``); steps 3 and 4 run in the background as a *callback
+chain* — the latency timeout's callback starts the drain hold, whose
+callback does the duplicate check and the mailbox put — not as a
+process, so a message in flight owns no generator.  The returned event
+completes at mailbox delivery so BSP-style supersteps can wait for
+communication to finish.
+
+With an armed :class:`~repro.pvm.DeliveryPolicy` the send also starts
+one ``policy.timeout`` timer.  While the first attempt is in flight the
+returned event completes from that attempt's arrival and the timer,
+when it eventually fires, is a no-op.  Only a timer that expires first
+starts the retransmit process (backoff, re-injection, later attempts,
+``TimeoutError``), which owns the returned event from that instant: an
+original that lands late, during backoff or re-injection, resolves it
+only when the loop next looks — after the re-injection — not at
+landing.
 """
 
 from __future__ import annotations
@@ -32,11 +48,172 @@ from repro.pvm.message import Message, payload_nbytes
 from repro.sim.events import AnyOf, Event
 
 if t.TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.network import NetworkSpec
     from repro.pvm.delivery import DeliveryPolicy
     from repro.pvm.vm import Host, VirtualMachine
 
 __all__ = ["Task"]
+
+
+class _Link:
+    """What a run fixes about sending to one destination.
+
+    Built once per ``(sender, destination)`` and looked up per send;
+    everything the fault injector can change (transfer times, extra
+    latency, message fate) stays a per-send call.  ``network`` is
+    ``None`` when no wire is crossed (loopback, same host).
+    """
+
+    __slots__ = (
+        "target", "network", "level", "latency", "multiplier",
+        "inject_gap", "drain_gap", "labels", "name",
+    )
+
+    def __init__(self, source: "Task", target: "Task") -> None:
+        self.target = target
+        self.name = f"{source.name}->{target.name}"
+        self.network: str | None = None
+        if target.host is source.host:
+            return
+        vm = source.vm
+        network, self.level = vm.route(source.host, target.host)
+        self.network = network.name
+        self.latency = network.latency
+        self.multiplier = vm.topology.pair_multiplier(
+            source.host.machine_id, target.host.machine_id
+        )
+        self.inject_gap = network.effective_gap(source.host.spec.nic_gap)
+        self.drain_gap = network.effective_gap(target.host.spec.nic_gap)
+        self.labels = (("network", network.name),)
+
+
+class _Attempt:
+    """One delivery attempt in flight (steps 3 + 4): a callback chain.
+
+    Not a process: the latency timeout's callback starts the drain hold
+    on the receiver's NIC in-port, and that hold's callback — which
+    runs after the port's own release callback — lands the message and
+    succeeds ``arrival``.
+    """
+
+    __slots__ = (
+        "source", "link", "size", "payload", "tag", "sent_at", "uid",
+        "arrival", "start",
+    )
+
+    def __init__(
+        self,
+        source: "Task",
+        link: _Link,
+        size: int,
+        payload: t.Any,
+        tag: int,
+        sent_at: float,
+        uid: int | None,
+        arrival: Event,
+    ) -> None:
+        self.source = source
+        self.link = link
+        self.size = size
+        self.payload = payload
+        self.tag = tag
+        self.sent_at = sent_at
+        self.uid = uid
+        self.arrival = arrival
+
+    def launch(self, attempt: int) -> None:
+        """Put the message on the wire now (it has just been injected).
+
+        With a fault injector the message may be dropped (the attempt
+        vanishes; ``arrival`` resolves with ``None`` only on the
+        fire-and-forget path, where ``uid`` is None) or delayed.
+        """
+        link = self.link
+        vm = self.source.vm
+        engine = vm.engine
+        injector = vm.injector
+        latency = link.latency
+        if injector is not None:
+            network = link.network
+            dropped, extra_delay = injector.message_fate(network, engine.now)
+            if dropped:
+                if vm.trace.enabled:
+                    vm.trace.emit(
+                        engine.now, "drop", self.source.name, 0.0,
+                        dst=link.target.tid, nbytes=self.size, attempt=attempt,
+                    )
+                if self.uid is None:
+                    self.arrival.succeed(None)
+                return
+            latency += injector.extra_latency(network, engine.now) + extra_delay
+        engine.timeout(latency).add_callback(self._reached)
+
+    def _reached(self, _wire: Event) -> None:
+        link = self.link
+        vm = self.source.vm
+        now = vm.engine.now
+        drain = self.size * link.drain_gap * link.multiplier
+        if vm.injector is not None:
+            drain = vm.injector.transfer_time(link.network, now, drain)
+        self.start = now
+        link.target.host.nic_in.hold(drain).add_callback(self._drained)
+
+    def _drained(self, _hold: Event) -> None:
+        """Land the message; a retransmission (``uid`` set) is suppressed
+        if an earlier attempt already landed."""
+        link = self.link
+        source = self.source
+        target = link.target
+        vm = source.vm
+        now = vm.engine.now
+        if vm.trace.enabled:
+            vm.trace.emit(
+                now, "drain", target.name, now - self.start,
+                nbytes=self.size, src=source.tid, network=link.network,
+            )
+        uid = self.uid
+        if uid is not None:
+            if uid in target._delivered_uids:
+                return  # a prior attempt already delivered this send
+            target._delivered_uids.add(uid)
+        message = Message(
+            source.tid, target.tid, self.tag, self.payload, self.size, self.sent_at, now, uid
+        )
+        target.mailbox.put(message)
+        self.arrival.succeed(message)
+
+
+class _Watch:
+    """The timer side of an armed send while attempt 0 is in flight.
+
+    The first arrival completes ``done`` — unless the timer expired
+    first and handed ``done`` to the retransmit loop, which then sees
+    that arrival like any other when it next waits.
+    """
+
+    __slots__ = ("first", "policy", "done", "retransmitting")
+
+    def __init__(self, first: _Attempt, policy: "DeliveryPolicy", done: Event) -> None:
+        self.first = first
+        self.policy = policy
+        self.done = done
+        self.retransmitting = False
+        first.arrival.add_callback(self._landed)
+        first.source.vm.engine.timeout(policy.timeout).add_callback(self._expired)
+
+    def _landed(self, arrival: Event) -> None:
+        if not self.retransmitting:
+            self.done.succeed(arrival._value)
+
+    def _expired(self, _timer: Event) -> None:
+        first = self.first
+        if first.arrival.triggered:
+            return
+        self.retransmitting = True
+        task = first.source
+        task.vm._fault_processes.append(task.vm.engine.process(
+            task._retransmit(first, self.policy, self.done),
+            name="retry:" + first.link.name,
+        ))
 
 
 class Task:
@@ -48,7 +225,7 @@ class Task:
 
     __slots__ = (
         "vm", "tid", "host", "name", "mailbox", "_delivered_uids",
-        "_link_names", "sent_messages", "sent_bytes",
+        "_links", "sent_messages", "sent_bytes",
         "received_messages", "received_bytes", "process", "macro_now",
     )
 
@@ -62,9 +239,9 @@ class Task:
         self.mailbox = Store(vm.engine, name=f"{name}.mailbox")
         #: Uids already delivered here (suppresses retransmit duplicates).
         self._delivered_uids: set[int] = set()
-        #: Cached per-destination event/process labels (f-strings are
-        #: too expensive to rebuild on every send).
-        self._link_names: dict[int, tuple[str, str]] = {}
+        #: Per-destination records, by destination tid (route, gaps and
+        #: labels are too expensive to rebuild on every send).
+        self._links: dict[int, _Link] = {}
         #: Statistics: (messages, bytes) sent and received.
         self.sent_messages = 0
         self.sent_bytes = 0
@@ -76,15 +253,6 @@ class Task:
         #: engine clock lags the task's virtual progress); ``None`` on
         #: the object path, where engine time is task time.
         self.macro_now: float | None = None
-
-    def _names_for(self, target: "Task") -> tuple[str, str]:
-        """Cached ``(arrival, delivery-process)`` labels for a destination."""
-        names = self._link_names.get(target.tid)
-        if names is None:
-            link = f"{self.name}->{target.name}"
-            names = (link, "deliver:" + link)
-            self._link_names[target.tid] = names
-        return names
 
     # -- communication -------------------------------------------------------
     def send(
@@ -114,7 +282,10 @@ class Task:
         vm = self.vm
         engine = vm.engine
         trace = vm.trace
-        target = vm.task(dst)
+        link = self._links.get(dst)
+        if link is None:
+            link = self._links[dst] = _Link(self, vm.task(dst))
+        target = link.target
         size = payload_nbytes(payload) if nbytes is None else int(nbytes)
         if size < 0:
             raise PvmError(f"nbytes must be >= 0, got {size}")
@@ -131,14 +302,14 @@ class Task:
             return done
 
         host = self.host
-        spec = host.spec
-        if target.host is host:
+        pack = host.spec.pack_time(size)
+        network = link.network
+        if network is None:
             # Same-host IPC between distinct tasks: packed through the
             # daemon on the shared CPU, but never touches the NIC or
             # the wire.
-            pack = spec.pack_time(size)
             start = engine.now
-            yield from host.cpu.occupy(pack)
+            yield host.cpu.hold(pack)
             if trace.enabled:
                 trace.emit(
                     engine.now, "pack", self.name, engine.now - start,
@@ -150,180 +321,99 @@ class Task:
             done.succeed(message)
             return done
 
-        network, level = vm.route(host, target.host)
-        multiplier = vm.topology.pair_multiplier(host.machine_id, target.host.machine_id)
         if policy is None:
             policy = vm.delivery
         metrics = vm.metrics
-        net_labels = (("network", network.name),)
-        metrics.inc("repro_messages_sent_total", 1.0, net_labels)
-        metrics.inc("repro_bytes_sent_total", float(size), net_labels)
+        metrics.inc("repro_messages_sent_total", 1.0, link.labels)
+        metrics.inc("repro_bytes_sent_total", float(size), link.labels)
 
         # 1. pack on the sender CPU
-        pack = spec.pack_time(size)
         start = engine.now
-        yield from host.cpu.occupy(pack)
+        yield host.cpu.hold(pack)
         if trace.enabled:
             trace.emit(engine.now, "pack", self.name, engine.now - start, nbytes=size, dst=dst)
 
         # 2. inject through the sender NIC
-        inject = size * network.effective_gap(spec.nic_gap) * multiplier
-        if vm.injector is not None:
-            inject = vm.injector.transfer_time(network.name, engine.now, inject)
         start = engine.now
-        yield from host.nic_out.occupy(inject)
+        yield host.nic_out.hold(self._inject_time(link, size))
         if trace.enabled:
             trace.emit(
                 engine.now, "inject", self.name, engine.now - start,
-                nbytes=size, dst=dst, network=network.name, level=level,
+                nbytes=size, dst=dst, network=network, level=link.level,
             )
 
         # 3 + 4. wire latency then drain at the receiver, in background.
-        arrival_name, deliver_name = self._names_for(target)
-        done = engine.event(name=arrival_name)
-
+        done = Event(engine, link.name)
         if policy is None or not policy.armed:
             # Fire-and-forget: one attempt; `done` resolves at delivery
             # (or with None at a fault-layer drop).
-            engine.process(
-                self._delivery(target, network, multiplier, size, payload, tag,
-                               sent_at, uid=None, arrival=done, attempt=0),
-                name=deliver_name,
-            )
+            _Attempt(self, link, size, payload, tag, sent_at, None, done).launch(0)
             return done
 
-        # Reliable path: watch a timeout, retransmit with backoff, and
-        # fail `done` with TimeoutError once attempts are exhausted.
-        uid = vm.take_uid()
-        arrival = engine.event(name=f"{self.name}->{target.name}#0")
-        engine.process(
-            self._delivery(target, network, multiplier, size, payload, tag,
-                           sent_at, uid=uid, arrival=arrival, attempt=0),
-            name=f"deliver:{self.name}->{target.name}#0",
+        # Reliable path: attempt 0 under one timer; the retransmit loop
+        # starts only if that timer expires first.
+        first = _Attempt(
+            self, link, size, payload, tag, sent_at, vm.take_uid(),
+            Event(engine, link.name + "#0"),
         )
-        monitor = engine.process(
-            self._retry_monitor(target, network, multiplier, size, payload, tag,
-                                sent_at, uid, policy, arrival, done),
-            name=f"retry:{self.name}->{target.name}",
-        )
-        vm._fault_processes.append(monitor)
+        first.launch(0)
+        _Watch(first, policy, done)
         return done
 
-    def _delivery(
-        self,
-        target: "Task",
-        network: "NetworkSpec",
-        multiplier: float,
-        size: int,
-        payload: t.Any,
-        tag: int,
-        sent_at: float,
-        *,
-        uid: int | None,
-        arrival: Event,
-        attempt: int,
-    ) -> t.Generator[Event, t.Any, None]:
-        """One delivery attempt: wire latency, receiver drain, mailbox put.
+    def _inject_time(self, link: _Link, size: int) -> float:
+        """NIC out-port hold for ``size`` bytes over ``link``, as of now."""
+        inject = size * link.inject_gap * link.multiplier
+        injector = self.vm.injector
+        if injector is not None:
+            inject = injector.transfer_time(link.network, self.vm.engine.now, inject)
+        return inject
 
-        With a fault injector the message may be dropped (the attempt
-        vanishes; ``arrival`` resolves with ``None`` only on the
-        fire-and-forget path, where ``uid`` is None) or delayed.
-        Retransmissions (``uid`` set) are suppressed at the receiver if
-        an earlier attempt already landed.
+    def _retransmit(
+        self, first: _Attempt, policy: "DeliveryPolicy", done: Event
+    ) -> t.Generator[Event, t.Any, None]:
+        """Retransmit loop of one reliable send, started at its first expiry.
+
+        Entered with attempt 0 (``first``) just expired.  Each round
+        books the expiry, re-injects the payload through the sender NIC
+        after a bounded exponential backoff, then waits
+        ``policy.timeout`` for *any* outstanding attempt to land (late
+        originals count, but only here — see the module docstring).
+        Exhaustion fails ``done``.
         """
         vm = self.vm
         engine = vm.engine
-        trace = vm.trace
-        injector = vm.injector
-        latency = network.latency
-        if injector is not None:
-            dropped, extra_delay = injector.message_fate(network.name, engine.now)
-            if dropped:
-                if trace.enabled:
-                    trace.emit(
-                        engine.now, "drop", self.name, 0.0,
-                        dst=target.tid, nbytes=size, attempt=attempt,
-                    )
-                if uid is None:
-                    arrival.succeed(None)
-                return
-            latency += injector.extra_latency(network.name, engine.now) + extra_delay
-        yield engine.timeout(latency)
-        drain = size * network.effective_gap(target.host.spec.nic_gap) * multiplier
-        if injector is not None:
-            drain = injector.transfer_time(network.name, engine.now, drain)
-        start = engine.now
-        yield from target.host.nic_in.occupy(drain)
-        if trace.enabled:
-            trace.emit(
-                engine.now, "drain", target.name, engine.now - start,
-                nbytes=size, src=self.tid, network=network.name,
+        link, size = first.link, first.size
+        target = link.target
+        arrivals = [first.arrival]
+        for attempt in range(1, policy.max_attempts + 1):
+            vm.metrics.inc("repro_send_timeouts_total")
+            vm.trace.emit(
+                engine.now, "timeout", self.name, 0.0,
+                dst=target.tid, nbytes=size, attempt=attempt - 1,
             )
-        if uid is not None:
-            if uid in target._delivered_uids:
-                return  # a prior attempt already delivered this send
-            target._delivered_uids.add(uid)
-        message = Message(self.tid, target.tid, tag, payload, size, sent_at, engine.now, uid)
-        target.mailbox.put(message)
-        arrival.succeed(message)
-
-    def _retry_monitor(
-        self,
-        target: "Task",
-        network: "NetworkSpec",
-        multiplier: float,
-        size: int,
-        payload: t.Any,
-        tag: int,
-        sent_at: float,
-        uid: int,
-        policy: "DeliveryPolicy",
-        first_arrival: Event,
-        done: Event,
-    ) -> t.Generator[Event, t.Any, None]:
-        """Timeout/retransmit loop backing one reliable send.
-
-        Each round waits ``policy.timeout`` for *any* outstanding
-        attempt to land (late originals count); on expiry the payload
-        is re-injected through the sender NIC after a bounded
-        exponential backoff.  Exhaustion fails ``done``.
-        """
-        vm = self.vm
-        engine = vm.engine
-        arrivals = [first_arrival]
-        for attempt in range(policy.max_attempts):
-            if attempt > 0:
-                vm.metrics.inc("repro_send_retries_total")
-                backoff = policy.backoff_for(attempt - 1)
-                if backoff > 0:
-                    yield engine.timeout(backoff)
-                inject = size * network.effective_gap(self.host.spec.nic_gap) * multiplier
-                if vm.injector is not None:
-                    inject = vm.injector.transfer_time(network.name, engine.now, inject)
-                start = engine.now
-                yield from self.host.nic_out.occupy(inject)
-                vm.trace.emit(
-                    engine.now, "inject", self.name, engine.now - start,
-                    nbytes=size, dst=target.tid, network=network.name, retry=attempt,
-                )
-                arrival = engine.event(name=f"{self.name}->{target.name}#{attempt}")
-                engine.process(
-                    self._delivery(target, network, multiplier, size, payload, tag,
-                                   sent_at, uid=uid, arrival=arrival, attempt=attempt),
-                    name=f"deliver:{self.name}->{target.name}#{attempt}",
-                )
-                arrivals.append(arrival)
+            if attempt == policy.max_attempts:
+                break
+            vm.metrics.inc("repro_send_retries_total")
+            backoff = policy.backoff_for(attempt - 1)
+            if backoff > 0:
+                yield engine.timeout(backoff)
+            start = engine.now
+            yield self.host.nic_out.hold(self._inject_time(link, size))
+            vm.trace.emit(
+                engine.now, "inject", self.name, engine.now - start,
+                nbytes=size, dst=target.tid, network=link.network, retry=attempt,
+            )
+            arrival = Event(engine, f"{link.name}#{attempt}")
+            _Attempt(
+                self, link, size, first.payload, first.tag, first.sent_at, first.uid, arrival
+            ).launch(attempt)
+            arrivals.append(arrival)
             timer = engine.timeout(policy.timeout)
             yield AnyOf(engine, (*arrivals, timer), name=f"{self.name}.sendwait")
             delivered = next((a for a in arrivals if a.triggered and a.ok), None)
             if delivered is not None:
                 done.succeed(delivered.value)
                 return
-            vm.metrics.inc("repro_send_timeouts_total")
-            vm.trace.emit(
-                engine.now, "timeout", self.name, 0.0,
-                dst=target.tid, nbytes=size, attempt=attempt,
-            )
         vm.metrics.inc("repro_sends_failed_total")
         done.fail(TimeoutError(
             f"send {self.name} -> {target.name} undelivered after "
@@ -348,7 +438,7 @@ class Task:
         if unpack > 0:
             engine = self.vm.engine
             start = engine.now
-            yield from self.host.cpu.occupy(unpack)
+            yield self.host.cpu.hold(unpack)
             trace = self.vm.trace
             if trace.enabled:
                 trace.emit(
@@ -379,7 +469,7 @@ class Task:
         duration = self.host.spec.compute_time(work)
         engine = self.vm.engine
         start = engine.now
-        yield from self.host.cpu.occupy(duration)
+        yield self.host.cpu.hold(duration)
         trace = self.vm.trace
         if trace.enabled:
             trace.emit(engine.now, "compute", self.name, engine.now - start, work=work)

@@ -93,7 +93,8 @@ class VirtualMachine:
         self.delivery = delivery
         self.injector = injector
         self._next_uid = 0
-        #: Retry monitors spawned by reliable sends; killed at run end.
+        #: Retransmit loops of reliable sends whose timer expired; killed
+        #: at run end.
         self._fault_processes: list[t.Any] = []
         if injector is not None:
             injector.attach(self)

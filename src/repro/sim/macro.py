@@ -122,8 +122,8 @@ class _NicTimeline:
 
     Unconsumed entries, sorted by ``(arrival, inject_end, reg)`` — the
     FIFO grant order of the serialized port.  ``inject_end`` breaks
-    arrival ties: the object path spawns each delivery process the
-    moment the sender's inject completes, so when two arrivals round
+    arrival ties: the object path starts each delivery's latency timer
+    the moment the sender's inject completes, so when two arrivals round
     to the *same* double after ``+ latency`` the event heap's FIFO
     sequence still grants the port in inject-completion order, which
     the arrival floats alone no longer encode.  Equal inject ends fall

@@ -19,7 +19,7 @@ import typing as t
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import Event
+from repro.sim.events import UNSET, Event
 
 __all__ = ["Process", "ProcessKilled"]
 
@@ -66,13 +66,16 @@ class Process(Event):
         self._advance(None, None)
 
     def _resume(self, event: Event) -> None:
+        # The hottest callback of the event-by-event path: reads the
+        # slots directly (``event`` is being processed, so triggered).
         self._waiting_on = None
-        if self.triggered:  # killed while waiting
-            return
-        if event.ok:
-            self._advance(event.value, None)
+        if self._value is not UNSET or self._exception is not None:
+            return  # killed while waiting
+        exception = event._exception
+        if exception is None:
+            self._advance(event._value, None)
         else:
-            self._advance(None, event.exception)
+            self._advance(None, exception)
 
     def _advance(self, value: t.Any, exc: BaseException | None) -> None:
         try:

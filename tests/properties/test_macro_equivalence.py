@@ -127,8 +127,8 @@ def _ulp_collapse_topology():
     Both leaves of ``lan`` gather into the middle machine with inject
     ends one ulp apart; adding the wire latency rounds both arrivals
     to the *same* float.  The object path still drains the
-    earlier-injecting sender first (its delivery process is spawned
-    first, so the event heap's FIFO sequence orders the grants), which
+    earlier-injecting sender first (its latency timer is created
+    first, so the event heap's FIFO sequence orders the drains), which
     the macro timeline can only reproduce by tie-breaking equal
     arrivals on the sender's inject end — without it, the two waiters'
     barrier-wait attribution swaps.

@@ -74,6 +74,79 @@ class TestResourceInvariants:
         assert abs(engine.now - sum(durations)) < 1e-9
 
 
+#: A coarse grid, so that arrivals, hold ends and time-scale breakpoints
+#: land on exactly equal instants all the time.  Strictly positive: see
+#: test_the_one_tie_that_differs.
+_GRID = st.sampled_from([0.25, 0.5, 0.5, 1.0, 1.0, 1.5])
+
+
+class TestHoldMatchesRequestTimeoutRelease:
+    """``hold`` is the grant-then-timeout sequence minus the grant hop:
+    same completion times, same completion order."""
+
+    def test_the_one_tie_that_differs(self):
+        # At hand-over the next hold's end event is scheduled *before*
+        # the releasing process continues; the grant hop used to start
+        # it just after.  That is visible only when a plain timeout the
+        # releaser then creates lands on exactly the next hold's end
+        # (0.25 + 0.25 both ways here) AND someone re-requests with
+        # zero delay at that instant (worker 1's second step).
+        workers = [[(0.0, 0.25), (0.25, 0.25)], [(0.0, 0.25), (0.0, 0.25)]]
+        hold, _ = self._run(1, None, workers, True)
+        reference, _ = self._run(1, None, workers, False)
+        assert hold == [(0, 0, 0.25), (1, 0, 0.5), (1, 1, 0.75), (0, 1, 1.0)]
+        assert reference == [(0, 0, 0.25), (1, 0, 0.5), (0, 1, 0.75), (1, 1, 1.0)]
+
+    @staticmethod
+    def _run(capacity, scale, workers, use_hold):
+        engine = Engine()
+        resource = Resource(engine, capacity=capacity)
+        if scale is not None:
+            breakpoint_, factor = scale
+            resource.time_scale = (
+                lambda start, nominal: nominal * factor if start >= breakpoint_ else nominal
+            )
+        log = []
+
+        def reference(duration):
+            yield resource.request()
+            try:
+                if resource.time_scale is not None:
+                    duration = resource.time_scale(engine.now, duration)
+                yield engine.timeout(duration)
+            finally:
+                resource.release()
+
+        def worker(i, steps):
+            for step, (delay, duration) in enumerate(steps):
+                yield engine.timeout(delay)
+                if use_hold:
+                    yield resource.hold(duration)
+                else:
+                    yield from reference(duration)
+                log.append((i, step, engine.now))
+
+        for i, steps in enumerate(workers):
+            engine.process(worker(i, steps))
+        engine.run()
+        assert resource.in_use == 0 and resource.queue_length == 0
+        return log, resource.utilization()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(min_value=1, max_value=3),
+        scale=st.none() | st.tuples(_GRID, st.sampled_from([0.5, 2.0, 4.0])),
+        workers=st.lists(
+            st.lists(st.tuples(_GRID, _GRID), min_size=1, max_size=3),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_same_times_same_order(self, capacity, scale, workers):
+        assert self._run(capacity, scale, workers, True) == self._run(
+            capacity, scale, workers, False
+        )
+
+
 class TestStoreInvariants:
     @given(items=st.lists(st.integers(), max_size=40))
     def test_fifo_preserved(self, items):
