@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import dataclasses
-import typing as t
-
-from repro.hbsplib.runtime import HbspResult, HbspRuntime
-from repro.model.cost import CostLedger
+from repro.collectives.base import CollectiveOutcome
 
 __all__ = ["AppOutcome", "CPU_OPS"]
 
+#: One application run: the collectives' outcome class (``predicted`` is
+#: ``None`` where the application provides no closed form).
+AppOutcome = CollectiveOutcome
 
 #: CPU work-unit charges for application computation, per element.
 #: One work unit corresponds to one simple machine operation on the
@@ -20,47 +19,3 @@ CPU_OPS = {
     "bucket": 2.0,        # binary-search bucket assignment step
     "count": 1.0,         # one histogram increment
 }
-
-
-@dataclasses.dataclass
-class AppOutcome:
-    """Result of one application run on the simulated machine.
-
-    Attributes
-    ----------
-    name:
-        Application + configuration summary.
-    time:
-        Simulated makespan in virtual seconds.
-    supersteps:
-        Synchronisations performed.
-    values:
-        Per-pid program return values (application-specific
-        verification data).
-    result:
-        The raw :class:`~repro.hbsplib.HbspResult`.
-    runtime:
-        The runtime (topology, params, fractions).
-    predicted:
-        Closed-form cost ledger for the same configuration, where the
-        application provides one (``None`` otherwise).
-    """
-
-    name: str
-    time: float
-    supersteps: int
-    values: dict[int, t.Any]
-    result: HbspResult
-    runtime: HbspRuntime
-    predicted: CostLedger | None = None
-
-    @property
-    def predicted_time(self) -> float | None:
-        """Total of the analytic ledger (``None`` if not predicted)."""
-        return self.predicted.total if self.predicted is not None else None
-
-    def __repr__(self) -> str:
-        return (
-            f"AppOutcome({self.name!r}, time={self.time:.6g}, "
-            f"supersteps={self.supersteps})"
-        )

@@ -19,14 +19,16 @@ import numpy as np
 from repro.apps.base import CPU_OPS, AppOutcome
 from repro.cluster.topology import ClusterTopology
 from repro.collectives.base import make_items, make_runtime
+from repro.collectives.reduce import predict_reduce_cost
 from repro.collectives.schedules import (
     RootPolicy,
     WorkloadPolicy,
-    effective_coordinator,
     resolve_root,
     split_counts,
 )
+from repro.collectives.steps import combine_up
 from repro.hbsplib.context import HbspContext
+from repro.model.cost import CostLedger
 
 __all__ = ["histogram_program", "run_histogram", "predict_histogram_cost"]
 
@@ -35,9 +37,6 @@ def predict_histogram_cost(params, counts, bins, *, cpu_rates, root):
     """Closed-form histogram cost: the map step's ``w`` (slowest
     machine's binning work) plus the hierarchical reduction of the bin
     vectors."""
-    from repro.collectives.reduce import predict_reduce_cost
-    from repro.model.cost import CostLedger
-
     ledger = CostLedger(f"histogram(n={sum(counts)}, bins={bins})")
     w = max(
         CPU_OPS["count"] * counts[j] / cpu_rates[j] for j in range(params.p)
@@ -70,23 +69,9 @@ def histogram_program(
     # bincount returns the int64 bin vector the reduction sums.
     local = np.bincount(mine % bins, minlength=bins)
 
-    # Hierarchical reduction of the bin vectors (cf. collectives.reduce).
-    acc = local
-    k = ctx.runtime.tree.k
-    for level in range(1, k + 1):
-        sender = effective_coordinator(ctx, level - 1, root)
-        receiver = effective_coordinator(ctx, level, root)
-        if ctx.pid == sender and ctx.pid != receiver:
-            yield from ctx.send(receiver, acc, tag=level)
-        yield from ctx.sync(level)
-        if ctx.pid == receiver:
-            for message in ctx.messages(tag=level):
-                yield from ctx.compute(CPU_OPS["count"] * bins)
-                acc = acc + message.payload
-
-    if ctx.pid == effective_coordinator(ctx, k, root):
-        return (int(mine.size), int(acc.sum()))
-    return (int(mine.size), 0)
+    # The hierarchical reduction of the bin vectors (unnamed phases).
+    acc = yield from combine_up(ctx, root, local, CPU_OPS["count"] * bins)
+    return (int(mine.size), int(acc.sum()) if ctx.pid == root else 0)
 
 
 def run_histogram(
@@ -106,15 +91,9 @@ def run_histogram(
     counts = split_counts(runtime, n, workload)
     result = runtime.run(histogram_program, counts, root_pid, bins, seed)
     cpu_rates = [m.cpu_rate for m in runtime.topology.machines]
-    predicted = predict_histogram_cost(
-        runtime.params, counts, bins, cpu_rates=cpu_rates, root=root_pid
-    )
-    return AppOutcome(
-        name=f"histogram(n={n}, bins={bins})",
-        time=result.time,
-        supersteps=result.supersteps,
-        values=result.values,
-        result=result,
-        runtime=runtime,
-        predicted=predicted,
+    return AppOutcome.of(
+        f"histogram(n={n}, bins={bins})", runtime, result,
+        predict_histogram_cost(
+            runtime.params, counts, bins, cpu_rates=cpu_rates, root=root_pid
+        ),
     )

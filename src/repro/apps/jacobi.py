@@ -21,7 +21,7 @@ import typing as t
 
 import numpy as np
 
-from repro.apps.base import CPU_OPS, AppOutcome
+from repro.apps.base import AppOutcome
 from repro.cluster.topology import ClusterTopology
 from repro.collectives.base import make_runtime
 from repro.collectives.schedules import (
@@ -30,6 +30,7 @@ from repro.collectives.schedules import (
     resolve_root,
     split_counts,
 )
+from repro.collectives.steps import everyone_else, exchange
 from repro.errors import CollectiveError
 from repro.hbsplib.context import HbspContext
 
@@ -100,22 +101,16 @@ def jacobi_program(
 
         # Periodic global convergence check (reduce + broadcast).
         if iterations % check_every == 0 or iterations == max_iterations:
-            if ctx.pid != root:
-                yield from ctx.send(root, local_residual, tag=_RESIDUAL)
-            yield from ctx.sync()
-            if ctx.pid == root:
-                worst = max(
-                    [local_residual]
-                    + [m.payload for m in ctx.messages(tag=_RESIDUAL)]
-                )
-                for peer in range(ctx.nprocs):
-                    if peer != ctx.pid:
-                        yield from ctx.send(peer, worst, tag=_VERDICT)
-            yield from ctx.sync()
-            if ctx.pid == root:
-                residual = worst
-            else:
-                residual = ctx.messages(tag=_VERDICT)[0].payload
+            am_root = ctx.pid == root
+            arrived = yield from exchange(
+                ctx, {} if am_root else {root: local_residual}, tag=_RESIDUAL
+            )
+            residual = max([local_residual, *arrived.values()])
+            verdict = yield from exchange(
+                ctx, everyone_else(ctx, residual) if am_root else {}, tag=_VERDICT
+            )
+            if not am_root:
+                residual = verdict[root]
             if residual < tol:
                 break
 
@@ -146,11 +141,4 @@ def run_jacobi(
     result = runtime.run(
         jacobi_program, counts, root_pid, max_iterations, check_every, tol
     )
-    return AppOutcome(
-        name=f"jacobi(n={n}, max_iter={max_iterations})",
-        time=result.time,
-        supersteps=result.supersteps,
-        values=result.values,
-        result=result,
-        runtime=runtime,
-    )
+    return AppOutcome.of(f"jacobi(n={n}, max_iter={max_iterations})", runtime, result)

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.apps.base import CPU_OPS, AppOutcome
 from repro.cluster.topology import ClusterTopology
+from repro.collectives.allgather import direct_volumes
 from repro.collectives.base import make_runtime
 from repro.collectives.schedules import (
     RootPolicy,
@@ -30,7 +31,10 @@ from repro.collectives.schedules import (
     resolve_root,
     split_counts,
 )
+from repro.collectives.steps import everyone_else, exchange
 from repro.hbsplib.context import HbspContext
+from repro.model.cost import CostLedger
+from repro.model.predict import charge_exchange
 from repro.util.rng import RngStream
 
 __all__ = ["matvec_program", "run_matvec", "predict_matvec_cost"]
@@ -44,39 +48,19 @@ def predict_matvec_cost(params, counts, *, cpu_rates, root):
     machine's ``2·rows·n`` flops), and the gather of the ``y`` slices
     onto the root.
     """
-    from repro.apps.base import CPU_OPS
-    from repro.model.cost import CostLedger
-
     n = int(sum(counts))
     ledger = CostLedger(f"matvec(n={n})")
     item_bytes = 8
-    loads = []
-    for j in range(params.p):
-        send = counts[j] * (params.p - 1)
-        recv = n - counts[j]
-        loads.append((params.r_of(0, j), max(send, recv) * item_bytes))
-    ledger.charge_step(
-        "super1: all-gather x",
-        level=1,
-        g=params.g,
-        loads=loads,
-        L=params.L_of(params.k, 0),
+    charge_exchange(
+        ledger, params, "super1: all-gather x", direct_volumes(counts, item_bytes)
     )
     w = max(
         CPU_OPS["flop"] * counts[j] * n / cpu_rates[j] for j in range(params.p)
     )
-    gather_loads = [(params.r_of(0, root), (n - counts[root]) * item_bytes)]
-    for j in range(params.p):
-        if j != root:
-            gather_loads.append((params.r_of(0, j), counts[j] * item_bytes))
-    ledger.charge_step(
-        "super2: multiply + gather y",
-        level=1,
-        g=params.g,
-        loads=gather_loads,
-        w=w,
-        L=params.L_of(params.k, 0),
-    )
+    # The root receives everyone else's slice; the others send their own.
+    volumes = [c * item_bytes for c in counts]
+    volumes[root] = (n - counts[root]) * item_bytes
+    charge_exchange(ledger, params, "super2: multiply + gather y", volumes, w=w)
     return ledger
 
 
@@ -101,30 +85,24 @@ def matvec_program(
     x_slice = x_full[offsets[ctx.pid] : offsets[ctx.pid + 1]]
 
     # Step 1: all-gather x (direct exchange of slices).
-    for peer in range(ctx.nprocs):
-        if peer != ctx.pid and x_slice.size:
-            yield from ctx.send(peer, x_slice, tag=ctx.pid)
-    yield from ctx.sync()
-    pieces: dict[int, np.ndarray] = {ctx.pid: x_slice}
-    for message in ctx.messages():
-        pieces[message.tag] = message.payload
-    x = np.concatenate([pieces[j] for j in sorted(pieces)]) if pieces else x_slice
+    pieces = yield from exchange(
+        ctx, everyone_else(ctx, x_slice) if x_slice.size else {}
+    )
+    pieces[ctx.pid] = x_slice
+    x = np.concatenate([pieces[j] for j in sorted(pieces)])
 
     # Step 2: local block multiply.
     yield from ctx.compute(CPU_OPS["flop"] * rows * n)
     y_slice = block @ x
 
     # Step 3: gather y at the root.
-    if ctx.pid != root and y_slice.size:
-        yield from ctx.send(root, y_slice, tag=1000 + ctx.pid)
-    yield from ctx.sync()
-    if ctx.pid == root:
-        parts = {ctx.pid: y_slice}
-        for message in ctx.messages():
-            parts[message.tag - 1000] = message.payload
-        y = np.concatenate([parts[j] for j in sorted(parts)])
-        return (rows, float(y.sum()))
-    return (rows, float(y_slice.sum()))
+    sending = ctx.pid != root and y_slice.size
+    parts = yield from exchange(
+        ctx, {root: y_slice} if sending else {}, tag=1000 + ctx.pid
+    )
+    parts[ctx.pid] = y_slice
+    y = np.concatenate([parts[j] for j in sorted(parts)])
+    return (rows, float(y.sum()))
 
 
 def run_matvec(
@@ -143,15 +121,7 @@ def run_matvec(
     counts = split_counts(runtime, n, workload)
     result = runtime.run(matvec_program, counts, root_pid, seed)
     cpu_rates = [m.cpu_rate for m in runtime.topology.machines]
-    predicted = predict_matvec_cost(
-        runtime.params, counts, cpu_rates=cpu_rates, root=root_pid
-    )
-    return AppOutcome(
-        name=f"matvec(n={n})",
-        time=result.time,
-        supersteps=result.supersteps,
-        values=result.values,
-        result=result,
-        runtime=runtime,
-        predicted=predicted,
+    return AppOutcome.of(
+        f"matvec(n={n})", runtime, result,
+        predict_matvec_cost(runtime.params, counts, cpu_rates=cpu_rates, root=root_pid),
     )

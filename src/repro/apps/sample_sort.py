@@ -38,6 +38,7 @@ from repro.collectives.schedules import (
     resolve_root,
     split_counts,
 )
+from repro.collectives.steps import everyone_else, exchange
 from repro.hbsplib.context import HbspContext
 
 __all__ = ["sample_sort_program", "run_sample_sort"]
@@ -84,13 +85,14 @@ def sample_sort_program(
         samples = mine[positions]
     else:
         samples = np.empty(0, dtype=mine.dtype)
-    if ctx.pid != root:
-        yield from ctx.send(root, samples, tag=_SAMPLES_TAG)
-    yield from ctx.sync()
+    arrived = yield from exchange(
+        ctx, {} if ctx.pid == root else {root: samples}, tag=_SAMPLES_TAG
+    )
 
     # Step 3: splitter selection and broadcast.
+    outgoing = {}
     if ctx.pid == root:
-        pools = [samples] + [m.payload for m in ctx.messages(tag=_SAMPLES_TAG)]
+        pools = [samples, *arrived.values()]
         pool = np.sort(np.concatenate([s for s in pools if s.size]))
         yield from ctx.compute(_sort_work(pool.size))
         if pool.size >= p - 1 and p > 1:
@@ -108,24 +110,27 @@ def sample_sort_program(
             splitters = pool[positions]
         else:
             splitters = np.empty(0, dtype=mine.dtype)
-        for peer in range(p):
-            if peer != ctx.pid:
-                yield from ctx.send(peer, splitters, tag=_SPLITTERS_TAG)
-    yield from ctx.sync()
+        outgoing = everyone_else(ctx, splitters)
+    arrived = yield from exchange(ctx, outgoing, tag=_SPLITTERS_TAG)
     if ctx.pid != root:
-        splitters = ctx.messages(tag=_SPLITTERS_TAG)[0].payload
+        splitters = arrived[root]
 
     # Step 4: partition into buckets and exchange.
     boundaries = np.searchsorted(mine, splitters, side="right")
     buckets = np.split(mine, boundaries)
     yield from ctx.compute(CPU_OPS["bucket"] * mine.size)
-    for peer, bucket in enumerate(buckets):
-        if peer != ctx.pid and bucket.size:
-            yield from ctx.send(peer, bucket, tag=100 + ctx.pid)
-    yield from ctx.sync()
+    arrived = yield from exchange(
+        ctx,
+        {
+            peer: bucket
+            for peer, bucket in enumerate(buckets)
+            if peer != ctx.pid and bucket.size
+        },
+        tag=100 + ctx.pid,
+    )
 
     # Step 5: merge incoming runs with the local bucket.
-    runs = [buckets[ctx.pid]] + [m.payload for m in ctx.messages()]
+    runs = [buckets[ctx.pid], *arrived.values()]
     held = np.sort(np.concatenate([r for r in runs if r.size])) if any(
         r.size for r in runs
     ) else np.empty(0, dtype=mine.dtype)
@@ -160,11 +165,4 @@ def run_sample_sort(
     result = runtime.run(
         sample_sort_program, counts, root_pid, balanced_buckets, seed
     )
-    return AppOutcome(
-        name=f"sample_sort(n={n})",
-        time=result.time,
-        supersteps=result.supersteps,
-        values=result.values,
-        result=result,
-        runtime=runtime,
-    )
+    return AppOutcome.of(f"sample_sort(n={n})", runtime, result)

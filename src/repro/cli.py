@@ -217,6 +217,7 @@ def _cmd_run(
     schedule: str = "default",
 ) -> int:
     import contextlib
+    import inspect
 
     from repro import collectives as coll
     from repro.collectives import WorkloadPolicy, resolve_plan
@@ -249,9 +250,10 @@ def _cmd_run(
         )
     elif retries > 0:
         raise ReproError("--retries needs --send-timeout to arm the timer")
-    if collective in ("gather", "broadcast", "scatter", "reduce", "allreduce"):
+    accepted = inspect.signature(runner).parameters
+    if "root" in accepted:
         kwargs["root"] = root_spec
-    if collective in ("gather", "scatter", "allgather", "alltoall"):
+    if "workload" in accepted:
         kwargs["workload"] = (
             WorkloadPolicy.EQUAL if workload == "equal" else WorkloadPolicy.BALANCED
         )

@@ -9,6 +9,10 @@ two design rules (Section 4.1):
    the fastest machines unless an experiment overrides them);
 2. faster machines receive more data (balanced workloads via ``c_j``).
 
+All of them are compositions of three communication steps — an ascent,
+a descent and a flat exchange (:mod:`repro.collectives.steps`) — each
+with one program body and one cost body.
+
 Every collective exists in two forms that the benchmarks compare:
 
 * a *runnable HBSP program* executed on the simulated machine

@@ -24,24 +24,33 @@ import typing as t
 import numpy as np
 
 from repro.cluster.topology import ClusterTopology
-from repro.collectives.base import CollectiveOutcome, make_items, make_runtime
-from repro.collectives.reduce import OPS_PER_ITEM, predict_reduce_cost, reduce_program
-from repro.collectives.schedules import (
-    RootPolicy,
-    effective_coordinator,
-    level_participants,
-    resolve_root,
+from repro.collectives.base import CollectiveOutcome, count_and_checksum, make_items, make_runtime
+from repro.collectives.reduce import OPS_PER_ITEM, predict_reduce_cost
+from repro.collectives.schedules import RootPolicy, resolve_root
+from repro.collectives.steps import (
+    combine,
+    combine_up,
+    descend_tree,
+    everyone_else,
+    exchange,
 )
 from repro.errors import CollectiveError
 from repro.hbsplib.context import HbspContext
-from repro.model.cost import CostLedger, h_relation
+from repro.model.cost import CostLedger
 from repro.model.params import HBSPParams
-from repro.model.predict import predict_broadcast
+from repro.model.predict import (
+    charge_exchange,
+    check_inputs,
+    check_item_bytes,
+    predict_broadcast,
+)
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
 
 __all__ = ["allreduce_program", "run_allreduce", "predict_allreduce_cost"]
+
+_BROADCAST_TAG = 1 << 21  #: clear of the reduction's per-level tags
 
 
 def allreduce_program(
@@ -56,47 +65,26 @@ def allreduce_program(
     Returns ``(items, checksum)``; on success every pid reports the
     same checksum: the sum over all processors' vectors.
     """
+    acc: np.ndarray | None = make_items(seed, ctx.pid, width).astype(np.int64)
+    work = width * OPS_PER_ITEM
     if strategy == "direct":
-        mine = make_items(seed, ctx.pid, width).astype(np.int64)
-        with ctx.phase("allreduce direct exchange"):
-            for peer in range(ctx.nprocs):
-                if peer != ctx.pid:
-                    yield from ctx.send(peer, mine, tag=ctx.pid)
-        yield from ctx.sync()
-        acc = mine.copy()
-        with ctx.phase("allreduce combine"):
-            for message in ctx.messages():
-                yield from ctx.compute(width * OPS_PER_ITEM)
-                acc += message.payload
-        return (int(acc.size), int(acc.sum()))
-    if strategy == "tree":
-        # Phase 1: hierarchical reduction onto the root...
-        held, _checksum = yield from reduce_program(ctx, width, root, seed)
-        # ...phase 2: one-phase hierarchical broadcast of the result.
-        k = ctx.runtime.tree.k
-        acc: np.ndarray | None = None
-        if held:
-            # The root rebuilt the total during reduce_program; rebuild
-            # it here deterministically for the broadcast payload.
-            acc = np.zeros(width, dtype=np.int64)
-            for pid in range(ctx.nprocs):
-                acc += make_items(seed, pid, width).astype(np.int64)
-        for level in range(k, 0, -1):
-            participants = level_participants(ctx, level, root)
-            coordinator = effective_coordinator(ctx, level, root)
-            if ctx.pid == coordinator and acc is not None:
-                with ctx.phase(f"allreduce broadcast L{level}", level=level):
-                    for peer in participants:
-                        if peer != ctx.pid:
-                            yield from ctx.send(peer, acc, tag=(1 << 21) + level)
-            yield from ctx.sync(level)
-            arrived = ctx.messages(tag=(1 << 21) + level)
-            if arrived:
-                acc = arrived[0].payload
-        if acc is None:
-            return (0, 0)
-        return (int(acc.size), int(acc.sum()))
-    raise CollectiveError(f"unknown allreduce strategy {strategy!r}")
+        arrived = yield from exchange(
+            ctx, everyone_else(ctx, acc), label="allreduce direct exchange"
+        )
+        acc = yield from combine(
+            ctx, acc, arrived.values(), work, "allreduce combine"
+        )
+    elif strategy == "tree":
+        # Hierarchical reduction onto the root, then a one-phase
+        # hierarchical broadcast of the total it holds.
+        acc = yield from combine_up(ctx, root, acc, work, "reduce")
+        acc = yield from descend_tree(
+            ctx, root, acc if ctx.pid == root else None,
+            tag=_BROADCAST_TAG, label="allreduce broadcast",
+        )
+    else:
+        raise CollectiveError(f"unknown allreduce strategy {strategy!r}")
+    return count_and_checksum(acc)
 
 
 def run_allreduce(
@@ -114,23 +102,18 @@ def run_allreduce(
 ) -> CollectiveOutcome:
     """Run the all-reduce and predict its cost."""
     runtime = make_runtime(
-        topology, scores=scores, trace=trace, faults=faults,
-        fault_seed=seed if fault_seed is None else fault_seed, delivery=delivery,
+        topology, scores=scores, trace=trace, faults=faults, fault_seed=fault_seed,
+        seed=seed, delivery=delivery,
     )
     root_pid = resolve_root(runtime, root)
     result = runtime.run(allreduce_program, width, root_pid, strategy, seed)
     cpu_rates = [m.cpu_rate for m in runtime.topology.machines]
-    predicted = predict_allreduce_cost(
-        runtime.params, width, strategy=strategy, root=root_pid, cpu_rates=cpu_rates
-    )
-    return CollectiveOutcome(
-        name=f"allreduce(width={width}, strategy={strategy})",
-        time=result.time,
-        supersteps=result.supersteps,
-        values=result.values,
-        predicted=predicted,
-        result=result,
-        runtime=runtime,
+    return CollectiveOutcome.of(
+        f"allreduce(width={width}, strategy={strategy})", runtime, result,
+        predict_allreduce_cost(
+            runtime.params, width, strategy=strategy, root=root_pid,
+            cpu_rates=cpu_rates,
+        ),
     )
 
 
@@ -155,25 +138,19 @@ def predict_allreduce_cost(
     reason the paper's algorithms are level-structured — and the
     allreduce tests document it.
     """
+    root = check_inputs(params, width, root, "width")
+    check_item_bytes(item_bytes)
     if strategy == "direct":
         ledger = CostLedger(f"allreduce-direct(width={width})")
-        loads = [
-            (params.r_of(0, j), width * (params.p - 1) * item_bytes)
-            for j in range(params.p)
-        ]
         w = 0.0
         if cpu_rates is not None:
             w = max(
                 (params.p - 1) * width * OPS_PER_ITEM / cpu_rates[j]
                 for j in range(params.p)
             )
-        ledger.charge_step(
-            "super1: direct exchange + combine",
-            level=1,
-            g=params.g,
-            loads=loads,
-            w=w,
-            L=params.L_of(params.k, 0),
+        charge_exchange(
+            ledger, params, "super1: direct exchange + combine",
+            [width * (params.p - 1) * item_bytes] * params.p, w=w,
         )
         return ledger
     if strategy == "tree":

@@ -18,13 +18,15 @@ import typing as t
 
 import numpy as np
 
+from repro.bytemark.ranking import partition_items
 from repro.cluster.topology import ClusterTopology
 from repro.collectives.base import CollectiveOutcome, make_runtime
 from repro.collectives.schedules import WorkloadPolicy, split_counts
+from repro.collectives.steps import exchange
 from repro.hbsplib.context import HbspContext
-from repro.model.cost import CostLedger, h_relation
+from repro.model.cost import CostLedger
 from repro.model.params import HBSPParams
-from repro.model.predict import default_counts
+from repro.model.predict import charge_exchange, check_workload
 from repro.util.rng import RngStream
 from repro.util.units import BYTES_PER_INT
 
@@ -41,8 +43,6 @@ def block_counts(counts: t.Sequence[int], nprocs: int) -> list[list[int]]:
     (largest-remainder), with the diagonal kept — a processor's own
     block simply stays local.
     """
-    from repro.bytemark.ranking import partition_items
-
     n = sum(counts)
     out: list[list[int]] = []
     for i in range(nprocs):
@@ -71,14 +71,16 @@ def alltoall_program(
         stream.uniform_ints(blocks[ctx.pid][j], high=2**31 - 1).astype(np.int32)
         for j in range(ctx.nprocs)
     ]
-    with ctx.phase("alltoall exchange"):
-        for peer in range(ctx.nprocs):
-            if peer != ctx.pid and outgoing[peer].size:
-                yield from ctx.send(peer, outgoing[peer], tag=ctx.pid)
-    yield from ctx.sync()
-    received = {ctx.pid: outgoing[ctx.pid]}
-    for message in ctx.messages():
-        received[message.tag] = message.payload
+    received = yield from exchange(
+        ctx,
+        {
+            peer: block
+            for peer, block in enumerate(outgoing)
+            if peer != ctx.pid and block.size
+        },
+        label="alltoall exchange",
+    )
+    received[ctx.pid] = outgoing[ctx.pid]
     total = int(sum(a.size for a in received.values()))
     checksum = int(
         sum(int(a.astype(np.int64).sum()) for a in received.values() if a.size)
@@ -100,20 +102,14 @@ def run_alltoall(
 ) -> CollectiveOutcome:
     """Run the total exchange and predict its cost."""
     runtime = make_runtime(
-        topology, scores=scores, trace=trace, faults=faults,
-        fault_seed=seed if fault_seed is None else fault_seed, delivery=delivery,
+        topology, scores=scores, trace=trace, faults=faults, fault_seed=fault_seed,
+        seed=seed, delivery=delivery,
     )
     counts = split_counts(runtime, n, workload)
     result = runtime.run(alltoall_program, counts, seed)
-    predicted = predict_alltoall_cost(runtime.params, n, counts=counts)
-    return CollectiveOutcome(
-        name=f"alltoall(n={n})",
-        time=result.time,
-        supersteps=result.supersteps,
-        values=result.values,
-        predicted=predicted,
-        result=result,
-        runtime=runtime,
+    return CollectiveOutcome.of(
+        f"alltoall(n={n})", runtime, result,
+        predict_alltoall_cost(runtime.params, n, counts=counts),
     )
 
 
@@ -129,20 +125,13 @@ def predict_alltoall_cost(
     ``h_{0,j}`` is the larger of pid ``j``'s off-diagonal send and
     receive volumes under the doubly-proportional block layout.
     """
-    if counts is None:
-        counts = default_counts(params, n)
+    _, counts = check_workload(params, n, None, counts, item_bytes)
     blocks = block_counts(list(counts), params.p)
     ledger = CostLedger(f"alltoall(n={n})")
-    loads = []
+    volumes = []
     for j in range(params.p):
         sent = sum(blocks[j]) - blocks[j][j]
         received = sum(blocks[i][j] for i in range(params.p)) - blocks[j][j]
-        loads.append((params.r_of(0, j), max(sent, received) * item_bytes))
-    ledger.charge_step(
-        "super1: total exchange",
-        level=1,
-        g=params.g,
-        loads=loads,
-        L=params.L_of(params.k, 0),
-    )
+        volumes.append(max(sent, received) * item_bytes)
+    charge_exchange(ledger, params, "super1: total exchange", volumes)
     return ledger

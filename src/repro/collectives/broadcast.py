@@ -29,9 +29,15 @@ import typing as t
 
 import numpy as np
 
-from repro.bytemark.ranking import partition_items
 from repro.cluster.topology import ClusterTopology
-from repro.collectives.base import CollectiveOutcome, concat_payloads, make_items, make_runtime
+from repro.collectives.base import (
+    CollectiveOutcome,
+    concat_payloads,
+    count_and_checksum,
+    make_items,
+    make_runtime,
+)
+from repro.collectives.steps import descend
 from repro.collectives.schedules import (
     RootPolicy,
     effective_coordinator,
@@ -39,7 +45,11 @@ from repro.collectives.schedules import (
     resolve_root,
 )
 from repro.hbsplib.context import HbspContext
-from repro.model.predict import predict_broadcast, predict_broadcast_plan
+from repro.model.predict import (
+    first_phase_shares,
+    predict_broadcast,
+    predict_broadcast_plan,
+)
 from repro.sim.macro import macro_safe
 from repro.tuning.plan import (
     PhaseSpec,
@@ -47,9 +57,6 @@ from repro.tuning.plan import (
     binomial_rounds,
     check_plan,
     plan_from_phases,
-    segment_bounds,
-    segment_suffix,
-    split_segments,
 )
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -61,24 +68,6 @@ __all__ = ["broadcast_program", "run_broadcast"]
 #: share index _TAG_FULL.
 _TAG_STRIDE = 1 << 16
 _TAG_FULL = _TAG_STRIDE - 1
-
-
-def _share_counts(
-    ctx: HbspContext, participants: list[int], n: int, balanced: bool, level: int, root: int
-) -> list[int]:
-    """First-phase share sizes across participants (equal or by c)."""
-    m = len(participants)
-    if not balanced:
-        return split_segments(n, m)
-    node = ctx.runtime._ancestor(ctx.pid, level)
-    weights = []
-    for child in node.children:
-        weights.append(
-            sum(ctx.runtime.fraction_of(member) for member in child.members)
-        )
-    total = sum(weights)
-    part = partition_items(n, {str(i): w / total for i, w in enumerate(weights)})
-    return [part[str(i)] for i in range(m)]
 
 
 @macro_safe
@@ -107,35 +96,18 @@ def broadcast_program(
     for level in range(k, 0, -1):
         schedule = plan.level(level)
         mode = schedule.algorithm
+        if mode == "one":
+            pieces = yield from descend(
+                ctx, level, root, data, tag=level * _TAG_STRIDE + _TAG_FULL,
+                label=f"broadcast full L{level}", segments=schedule.segments,
+            )
+            if pieces:
+                data = concat_payloads(pieces)
+            continue
         participants = level_participants(ctx, level, root)
         coordinator = effective_coordinator(ctx, level, root)
         am_participant = ctx.pid in participants
-        if mode == "one":
-            segments = schedule.segments
-            bounds = None
-            if ctx.pid == coordinator and data is not None:
-                bounds = segment_bounds(data.size, segments)
-            pieces: list[np.ndarray] = []
-            for s in range(segments):
-                if bounds is not None:
-                    with ctx.phase(
-                        f"broadcast full L{level}{segment_suffix(s, segments)}",
-                        level=level,
-                    ):
-                        piece = data[bounds[s] : bounds[s + 1]]
-                        for peer in participants:
-                            if peer != ctx.pid:
-                                yield from ctx.send(
-                                    peer, piece,
-                                    tag=level * _TAG_STRIDE + _TAG_FULL,
-                                )
-                yield from ctx.sync(level)
-                arrived = ctx.messages(tag=level * _TAG_STRIDE + _TAG_FULL)
-                if arrived and am_participant:
-                    pieces.append(arrived[0].payload)
-            if pieces:
-                data = concat_payloads(pieces)
-        elif mode == "binomial":
+        if mode == "binomial":
             # Doubling over the child-coordinator positions, rotated so
             # the coordinator holds relative position 0: in round t
             # every holder q < 2^t forwards the payload to q + 2^t.
@@ -171,7 +143,10 @@ def broadcast_program(
             my_share: np.ndarray | None = None
             if ctx.pid == coordinator and data is not None:
                 with ctx.phase(f"broadcast scatter L{level}", level=level):
-                    shares = _share_counts(ctx, participants, n, balanced_shares, level, root)
+                    params = ctx.runtime.params
+                    node = ctx.runtime._ancestor(ctx.pid, level)
+                    children = params.children_of(node.level, node.index)
+                    shares = first_phase_shares(params, children, n, balanced_shares)
                     offsets = np.cumsum([0] + shares)
                     for i, peer in enumerate(participants):
                         piece = data[offsets[i] : offsets[i + 1]]
@@ -204,9 +179,7 @@ def broadcast_program(
                     data = concat_payloads(
                         [by_index[i] for i in sorted(by_index)]
                     )
-    if data is None:
-        return (0, 0)
-    return (int(data.size), int(data.astype(np.int64).sum()))
+    return count_and_checksum(data)
 
 
 def run_broadcast(
@@ -238,9 +211,8 @@ def run_broadcast(
     and ledger names say ``phases=``.
     """
     runtime = make_runtime(
-        topology, scores=scores, trace=trace, faults=faults,
-        fault_seed=seed if fault_seed is None else fault_seed, delivery=delivery,
-        macro=macro,
+        topology, scores=scores, trace=trace, faults=faults, fault_seed=fault_seed,
+        seed=seed, delivery=delivery, macro=macro,
     )
     if plan is None:
         plan, tag = plan_from_phases(phases, runtime.params.k), f"phases={phases!r}"
@@ -257,14 +229,7 @@ def run_broadcast(
         if balanced_shares
         else None
     )
-    return CollectiveOutcome(
-        name=f"broadcast(n={n}, root=pid{root_pid}, {tag})",
-        time=result.time,
-        supersteps=result.supersteps,
-        values=result.values,
-        predicted=predict(
-            runtime.params, n, root=root_pid, fractions=fractions
-        ),
-        result=result,
-        runtime=runtime,
+    return CollectiveOutcome.of(
+        f"broadcast(n={n}, root=pid{root_pid}, {tag})", runtime, result,
+        predict(runtime.params, n, root=root_pid, fractions=fractions),
     )

@@ -27,9 +27,11 @@ from repro.cluster.topology import ClusterTopology
 from repro.collectives.base import (
     CollectiveOutcome,
     concat_payloads,
+    count_and_checksum,
     make_items,
     make_runtime,
 )
+from repro.collectives.steps import ascend
 from repro.collectives.schedules import (
     RootPolicy,
     WorkloadPolicy,
@@ -46,8 +48,6 @@ from repro.tuning.plan import (
     binomial_rounds,
     check_plan,
     default_plan,
-    segment_bounds,
-    segment_suffix,
 )
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -80,26 +80,10 @@ def gather_program(
     for level in range(1, k + 1):
         schedule = plan.level(level)
         if schedule.algorithm == "flat":
-            sender = effective_coordinator(ctx, level - 1, root)
-            receiver = effective_coordinator(ctx, level, root)
-            segments = schedule.segments
-            bounds = None
-            if ctx.pid == sender and ctx.pid != receiver:
-                payload = concat_payloads(buffer)
-                buffer = []
-                bounds = segment_bounds(payload.size, segments)
-            for s in range(segments):
-                if bounds is not None:
-                    with ctx.phase(
-                        f"gather up L{level}{segment_suffix(s, segments)}",
-                        level=level,
-                    ):
-                        yield from ctx.send(
-                            receiver, payload[bounds[s] : bounds[s + 1]], tag=level
-                        )
-                yield from ctx.sync(level)
-                if ctx.pid == receiver:
-                    buffer.extend(m.payload for m in ctx.messages(tag=level))
+            buffer = yield from ascend(
+                ctx, level, root, buffer, tag=level,
+                label=f"gather up L{level}", segments=schedule.segments,
+            )
         else:  # binomial fan-in over the child-coordinator positions
             participants = level_participants(ctx, level, root)
             receiver = effective_coordinator(ctx, level, root)
@@ -123,9 +107,7 @@ def gather_program(
                 yield from ctx.sync(level)
                 if rel is not None:
                     buffer.extend(m.payload for m in ctx.messages(tag=level))
-    held = concat_payloads(buffer)
-    checksum = int(held.astype(np.int64).sum()) if held.size else 0
-    return (int(held.size), checksum)
+    return count_and_checksum(concat_payloads(buffer))
 
 
 def run_gather(
@@ -159,8 +141,7 @@ def run_gather(
     """
     runtime = make_runtime(
         topology, scores=scores, trace=trace, serialize_nic=serialize_nic,
-        faults=faults,
-        fault_seed=seed if fault_seed is None else fault_seed, delivery=delivery,
+        faults=faults, fault_seed=fault_seed, seed=seed, delivery=delivery,
         macro=macro,
     )
     if plan is None:
@@ -172,12 +153,7 @@ def run_gather(
     root_pid = resolve_root(runtime, root)
     counts = split_counts(runtime, n, workload)
     result = runtime.run(gather_program, counts, root_pid, seed, plan)
-    return CollectiveOutcome(
-        name=f"gather(n={n}, root=pid{root_pid}{tag})",
-        time=result.time,
-        supersteps=result.supersteps,
-        values=result.values,
-        predicted=predict(runtime.params, n, root=root_pid, counts=counts),
-        result=result,
-        runtime=runtime,
+    return CollectiveOutcome.of(
+        f"gather(n={n}, root=pid{root_pid}{tag})", runtime, result,
+        predict(runtime.params, n, root=root_pid, counts=counts),
     )

@@ -18,23 +18,20 @@ import typing as t
 import numpy as np
 
 from repro.cluster.topology import ClusterTopology
-from repro.collectives.base import CollectiveOutcome, make_items, make_runtime
-from repro.collectives.schedules import (
-    RootPolicy,
-    effective_coordinator,
-    resolve_root,
-)
+from repro.collectives.base import CollectiveOutcome, count_and_checksum, make_items, make_runtime
+from repro.collectives.schedules import RootPolicy, resolve_root
+from repro.collectives.steps import combine_up
 from repro.hbsplib.context import HbspContext
-from repro.model.cost import CostLedger, h_relation
+from repro.model.cost import CostLedger
 from repro.model.params import HBSPParams
-from repro.util.units import BYTES_PER_INT
+from repro.model.predict import charge_fan, check_inputs, check_item_bytes, clusters
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
 
 __all__ = ["reduce_program", "run_reduce", "predict_reduce_cost"]
 
-#: CPU work units charged per combined item.
+#: CPU work units charged per combined item (reduce, allreduce, scan).
 OPS_PER_ITEM = 1.0
 
 
@@ -50,24 +47,8 @@ def reduce_program(
     over all processors' vectors.
     """
     acc = make_items(seed, ctx.pid, width).astype(np.int64)
-    k = ctx.runtime.tree.k
-    for level in range(1, k + 1):
-        sender = effective_coordinator(ctx, level - 1, root)
-        receiver = effective_coordinator(ctx, level, root)
-        if ctx.pid == sender and ctx.pid != receiver:
-            with ctx.phase(f"reduce up L{level}", level=level):
-                yield from ctx.send(receiver, acc, tag=level)
-        yield from ctx.sync(level)
-        if ctx.pid == receiver:
-            arrived = ctx.messages(tag=level)
-            if arrived:
-                with ctx.phase(f"reduce combine L{level}", level=level):
-                    for message in arrived:
-                        yield from ctx.compute(width * OPS_PER_ITEM)
-                        acc = acc + message.payload
-    if ctx.pid != effective_coordinator(ctx, k, root):
-        return (0, 0)
-    return (int(acc.size), int(acc.sum()))
+    acc = yield from combine_up(ctx, root, acc, width * OPS_PER_ITEM, "reduce")
+    return count_and_checksum(acc if ctx.pid == root else None)
 
 
 def run_reduce(
@@ -84,23 +65,15 @@ def run_reduce(
 ) -> CollectiveOutcome:
     """Run the reduction on the simulated machine and predict its cost."""
     runtime = make_runtime(
-        topology, scores=scores, trace=trace, faults=faults,
-        fault_seed=seed if fault_seed is None else fault_seed, delivery=delivery,
+        topology, scores=scores, trace=trace, faults=faults, fault_seed=fault_seed,
+        seed=seed, delivery=delivery,
     )
     root_pid = resolve_root(runtime, root)
     result = runtime.run(reduce_program, width, root_pid, seed)
     cpu_rates = [m.cpu_rate for m in runtime.topology.machines]
-    predicted = predict_reduce_cost(
-        runtime.params, width, root=root_pid, cpu_rates=cpu_rates
-    )
-    return CollectiveOutcome(
-        name=f"reduce(width={width}, root=pid{root_pid})",
-        time=result.time,
-        supersteps=result.supersteps,
-        values=result.values,
-        predicted=predicted,
-        result=result,
-        runtime=runtime,
+    return CollectiveOutcome.of(
+        f"reduce(width={width}, root=pid{root_pid})", runtime, result,
+        predict_reduce_cost(runtime.params, width, root=root_pid, cpu_rates=cpu_rates),
     )
 
 
@@ -119,38 +92,19 @@ def predict_reduce_cost(
     ``OPS_PER_ITEM`` work per item (``w`` term, needing ``cpu_rates``
     in level-0 order; combination time is 0 when omitted).
     """
-    from repro.model.predict import _check_inputs, _coordinator_leaf
-
-    root = _check_inputs(params, max(width, 0), root)
+    root = check_inputs(params, width, root, "width")
+    check_item_bytes(item_bytes)
     ledger = CostLedger(f"reduce(k={params.k}, width={width})")
-    if params.k == 0 or params.p == 1:
-        return ledger
     for level in range(1, params.k + 1):
-        worst: tuple[float, float, float, float, str] | None = None
-        for j in range(params.m[level]):
-            key = (level, j)
-            children = params.children_of(*key)
-            if len(children) <= 1:
-                continue
-            coord = _coordinator_leaf(params, key, root)
-            arriving = sum(
-                1
-                for child in children
-                if _coordinator_leaf(params, child, root) != coord
-            )
-            loads = [(params.r_of(0, coord), arriving * width * item_bytes)]
-            for child in children:
-                sender = _coordinator_leaf(params, child, root)
-                if sender != coord:
-                    loads.append((params.r_of(0, sender), width * item_bytes))
-            gh = params.g * h_relation(loads)
-            w = 0.0
-            if cpu_rates is not None:
-                w = arriving * width * OPS_PER_ITEM / cpu_rates[coord]
-            L = params.L_of(level, j)
-            total = w + gh + L
-            if worst is None or total > worst[0]:
-                worst = (total, w, gh, L, f"super{level}: reduce into {key}")
-        if worst is not None:
-            ledger.charge(worst[4], level=level, w=worst[1], gh=worst[2], L=worst[3])
+        level_clusters = clusters(params, level, root, singletons=False)
+        volumes = [[width * item_bytes] * len(c[1]) for c in level_clusters]
+        work = None
+        if cpu_rates is not None:
+            work = [
+                (len(children) - 1) * width * OPS_PER_ITEM / cpu_rates[coord]
+                for _, children, *_, coord in level_clusters
+            ]
+        charge_fan(
+            ledger, params.g, level, level_clusters, volumes, "reduce into", work=work
+        )
     return ledger

@@ -20,19 +20,18 @@ import typing as t
 import numpy as np
 
 from repro.cluster.topology import ClusterTopology
-from repro.collectives.base import CollectiveOutcome, make_items, make_runtime
+from repro.collectives.base import CollectiveOutcome, count_and_checksum, make_items, make_runtime
+from repro.collectives.reduce import OPS_PER_ITEM
+from repro.collectives.steps import combine, exchange
 from repro.hbsplib.context import HbspContext
-from repro.model.cost import CostLedger, h_relation
+from repro.model.cost import CostLedger
 from repro.model.params import HBSPParams
-from repro.util.units import BYTES_PER_INT
+from repro.model.predict import charge_exchange, check_inputs, check_item_bytes
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
 
 __all__ = ["scan_program", "run_scan", "predict_scan_cost"]
-
-#: CPU work units charged per combined item.
-OPS_PER_ITEM = 1.0
 
 
 def scan_program(
@@ -45,16 +44,15 @@ def scan_program(
     Returns ``(items, checksum)`` of the local prefix result.
     """
     mine = make_items(seed, ctx.pid, width).astype(np.int64)
-    with ctx.phase("scan exchange"):
-        for peer in range(ctx.pid + 1, ctx.nprocs):
-            yield from ctx.send(peer, mine, tag=ctx.pid)
-    yield from ctx.sync()
-    acc = mine.copy()
-    with ctx.phase("scan combine"):
-        for message in ctx.messages():
-            yield from ctx.compute(width * OPS_PER_ITEM)
-            acc += message.payload
-    return (int(acc.size), int(acc.sum()))
+    lower = yield from exchange(
+        ctx,
+        {peer: mine for peer in range(ctx.pid + 1, ctx.nprocs)},
+        label="scan exchange",
+    )
+    acc = yield from combine(
+        ctx, mine, lower.values(), width * OPS_PER_ITEM, "scan combine"
+    )
+    return count_and_checksum(acc)
 
 
 def run_scan(
@@ -70,20 +68,14 @@ def run_scan(
 ) -> CollectiveOutcome:
     """Run the prefix-sum scan and predict its cost."""
     runtime = make_runtime(
-        topology, scores=scores, trace=trace, faults=faults,
-        fault_seed=seed if fault_seed is None else fault_seed, delivery=delivery,
+        topology, scores=scores, trace=trace, faults=faults, fault_seed=fault_seed,
+        seed=seed, delivery=delivery,
     )
     result = runtime.run(scan_program, width, seed)
     cpu_rates = [m.cpu_rate for m in runtime.topology.machines]
-    predicted = predict_scan_cost(runtime.params, width, cpu_rates=cpu_rates)
-    return CollectiveOutcome(
-        name=f"scan(width={width})",
-        time=result.time,
-        supersteps=result.supersteps,
-        values=result.values,
-        predicted=predicted,
-        result=result,
-        runtime=runtime,
+    return CollectiveOutcome.of(
+        f"scan(width={width})", runtime, result,
+        predict_scan_cost(runtime.params, width, cpu_rates=cpu_rates),
     )
 
 
@@ -101,23 +93,17 @@ def predict_scan_cost(
     ``j · width`` items, so ``w`` is the slowest such combination when
     ``cpu_rates`` are supplied.
     """
+    check_inputs(params, width, None, "width")
+    check_item_bytes(item_bytes)
     ledger = CostLedger(f"scan(width={width})")
     p = params.p
     if p == 1:
         return ledger
-    loads = []
     w = 0.0
-    for j in range(p):
-        volume = width * max(p - 1 - j, j)
-        loads.append((params.r_of(0, j), volume * item_bytes))
-        if cpu_rates is not None:
-            w = max(w, j * width * OPS_PER_ITEM / cpu_rates[j])
-    ledger.charge_step(
-        "super1: scan exchange + combine",
-        level=1,
-        g=params.g,
-        loads=loads,
-        w=w,
-        L=params.L_of(params.k, 0),
+    if cpu_rates is not None:
+        w = max(j * width * OPS_PER_ITEM / cpu_rates[j] for j in range(p))
+    charge_exchange(
+        ledger, params, "super1: scan exchange + combine",
+        [width * max(p - 1 - j, j) * item_bytes for j in range(p)], w=w,
     )
     return ledger

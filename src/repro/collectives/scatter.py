@@ -16,19 +16,18 @@ import typing as t
 import numpy as np
 
 from repro.cluster.topology import ClusterTopology
-from repro.collectives.base import CollectiveOutcome, make_items, make_runtime
+from repro.collectives.base import CollectiveOutcome, count_and_checksum, make_items, make_runtime
 from repro.collectives.schedules import (
     RootPolicy,
     WorkloadPolicy,
-    effective_coordinator,
-    level_participants,
     resolve_root,
     split_counts,
 )
+from repro.collectives.steps import descend
 from repro.hbsplib.context import HbspContext
-from repro.model.cost import CostLedger, h_relation
+from repro.model.cost import CostLedger
 from repro.model.params import HBSPParams
-from repro.model.predict import default_counts
+from repro.model.predict import charge_fan, check_workload, clusters
 from repro.util.units import BYTES_PER_INT
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -59,32 +58,19 @@ def scatter_program(
             for pid in range(ctx.nprocs)
         }
 
-    k = ctx.runtime.tree.k
-    for level in range(k, 0, -1):
-        participants = level_participants(ctx, level, root)
-        coordinator = effective_coordinator(ctx, level, root)
-        if ctx.pid == coordinator and holdings is not None:
-            with ctx.phase(f"scatter down L{level}", level=level):
-                node = ctx.runtime._ancestor(ctx.pid, level)
-                for i, peer in enumerate(participants):
-                    if peer == ctx.pid:
-                        continue
-                    subset = {
-                        member: holdings.pop(member)
-                        for member in node.children[i].members
-                        if member in holdings
-                    }
-                    if subset:
-                        yield from ctx.send(peer, subset, tag=level)
-        yield from ctx.sync(level)
-        arrived = ctx.messages(tag=level)
+    for level in range(ctx.runtime.tree.k, 0, -1):
+        subtrees = ctx.runtime._ancestor(ctx.pid, level).children
+        arrived = yield from descend(
+            ctx, level, root, holdings, tag=level, label=f"scatter down L{level}",
+            # Child subtree i's coordinator gets the chunks of i's members.
+            part=lambda i: (
+                {m: holdings[m] for m in subtrees[i].members if m in holdings} or None
+            ),
+        )
         if arrived:
-            holdings = dict(arrived[0].payload)
+            holdings = dict(arrived[0])
 
-    chunk = holdings.get(ctx.pid) if holdings else None
-    if chunk is None:
-        chunk = np.empty(0, dtype=np.int32)
-    return (int(chunk.size), int(chunk.astype(np.int64).sum()))
+    return count_and_checksum(holdings.get(ctx.pid) if holdings else None)
 
 
 def run_scatter(
@@ -102,21 +88,15 @@ def run_scatter(
 ) -> CollectiveOutcome:
     """Run the scatter on the simulated machine and predict its cost."""
     runtime = make_runtime(
-        topology, scores=scores, trace=trace, faults=faults,
-        fault_seed=seed if fault_seed is None else fault_seed, delivery=delivery,
+        topology, scores=scores, trace=trace, faults=faults, fault_seed=fault_seed,
+        seed=seed, delivery=delivery,
     )
     root_pid = resolve_root(runtime, root)
     counts = split_counts(runtime, n, workload)
     result = runtime.run(scatter_program, counts, root_pid, seed)
-    predicted = predict_scatter_cost(runtime.params, n, root=root_pid, counts=counts)
-    return CollectiveOutcome(
-        name=f"scatter(n={n}, root=pid{root_pid})",
-        time=result.time,
-        supersteps=result.supersteps,
-        values=result.values,
-        predicted=predicted,
-        result=result,
-        runtime=runtime,
+    return CollectiveOutcome.of(
+        f"scatter(n={n}, root=pid{root_pid})", runtime, result,
+        predict_scatter_cost(runtime.params, n, root=root_pid, counts=counts),
     )
 
 
@@ -131,17 +111,11 @@ def predict_scatter_cost(
     """Closed-form scatter cost: the gather's h-relations, reversed.
 
     At each level the coordinator sends each child-subtree coordinator
-    that subtree's total volume; the h-relation mirrors the gather's
-    with the sender/receiver roles exchanged.
+    that subtree's total volume: the gather's fan, top-down, with the
+    sender/receiver roles exchanged.
     """
-    from repro.model.predict import _check_inputs, _coordinator_leaf
-
-    root = _check_inputs(params, n, root)
-    if counts is None:
-        counts = default_counts(params, n)
+    root, counts = check_workload(params, n, root, counts, item_bytes)
     ledger = CostLedger(f"scatter(k={params.k}, n={n})")
-    if params.k == 0 or params.p == 1:
-        return ledger
     subtree_total: dict[tuple[int, int], int] = {
         (0, j): int(counts[j]) for j in range(params.p)
     }
@@ -151,31 +125,10 @@ def predict_scatter_cost(
                 subtree_total[c] for c in params.children_of(level, j)
             )
     for level in range(params.k, 0, -1):
-        worst: tuple[float, float, float, str] | None = None
-        for j in range(params.m[level]):
-            key = (level, j)
-            children = params.children_of(*key)
-            if len(children) <= 1:
-                continue
-            coord = _coordinator_leaf(params, key, root)
-            own = next(
-                (c for c in children if _coordinator_leaf(params, c, root) == coord),
-                None,
-            )
-            sent = subtree_total[key] - (subtree_total[own] if own is not None else 0)
-            loads = [(params.r_of(0, coord), sent * item_bytes)]
-            for child in children:
-                if child == own:
-                    continue
-                receiver = _coordinator_leaf(params, child, root)
-                loads.append(
-                    (params.r_of(0, receiver), subtree_total[child] * item_bytes)
-                )
-            gh = params.g * h_relation(loads)
-            L = params.L_of(level, j)
-            total = gh + L
-            if worst is None or total > worst[0]:
-                worst = (total, gh, L, f"super{level}: scatter from {key}")
-        if worst is not None:
-            ledger.charge(worst[3], level=level, gh=worst[1], L=worst[2])
+        level_clusters = clusters(params, level, root, singletons=False)
+        volumes = [
+            [subtree_total[c] * item_bytes for c in cluster[1]]
+            for cluster in level_clusters
+        ]
+        charge_fan(ledger, params.g, level, level_clusters, volumes, "scatter from")
     return ledger

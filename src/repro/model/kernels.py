@@ -64,7 +64,7 @@ from repro.errors import CollectiveError, ModelError
 from repro.model.cost import CostLedger
 from repro.model.params import HBSPParams
 from repro.model.predict import (
-    _check_inputs,
+    check_inputs,
     check_counts,
     check_fractions,
     check_item_bytes,
@@ -536,7 +536,7 @@ class _CompiledTree:
             bad |= (counts < 0).any(axis=1) | (counts.sum(axis=1) != ns)
         if bad.any():
             i = int(np.argmax(bad))
-            _check_inputs(self.params, int(ns[i]), int(roots_arr[i]))
+            check_inputs(self.params, int(ns[i]), int(roots_arr[i]))
             check_counts(counts[i].tolist(), int(ns[i]), self.p)
         return ns, roots_arr, counts
 

@@ -18,6 +18,12 @@ Two families of functions:
   (e.g. HBSP^1 gather ``= g·n + L_{1,0}``), used by tests and by the
   Section-4 analysis benchmarks to show where the simplifications hold.
 
+The first family and every ``predict_*_cost`` of :mod:`repro.collectives`
+and :mod:`repro.apps` are written with the step-cost bodies defined here
+— :func:`charge_fan` (an ascent or a descent of the machine tree) and
+:func:`charge_exchange` (a flat exchange) — so a new cost column is
+added in this module once for the whole scalar toolkit.
+
 Conventions: ``n`` counts data items, ``item_bytes`` converts items to
 the bytes that ``g`` (seconds/byte) is expressed against.  Volumes
 follow the paper's accounting — a machine's ``h`` is the largest number
@@ -106,9 +112,12 @@ def _coordinator_leaf(params: HBSPParams, key: Key, root: int | None) -> int:
 # the first offending point to these same functions, so both
 # representations reject the same inputs with the same error.
 
-def _check_inputs(params: HBSPParams, n: int, root: int | None) -> int:
+def check_inputs(
+    params: HBSPParams, n: int, root: int | None, what: str = "n"
+) -> int:
+    """Reject a negative size ``what`` or a foreign root; resolve the root."""
     if n < 0:
-        raise CollectiveError(f"n must be >= 0, got {n}")
+        raise CollectiveError(f"{what} must be >= 0, got {n}")
     if root is None:
         root = params.fastest_index(0)
     if not 0 <= root < params.p:
@@ -137,29 +146,55 @@ def check_fractions(fractions: t.Sequence[float] | None, p: int) -> None:
         raise CollectiveError(f"fractions must have p={p} entries")
 
 
+def check_workload(
+    params: HBSPParams,
+    n: int,
+    root: int | None,
+    counts: t.Sequence[int] | None,
+    item_bytes: int,
+) -> tuple[int, t.Sequence[int]]:
+    """Check a counts-driven collective's arguments; resolve root and counts."""
+    root = check_inputs(params, n, root)
+    check_item_bytes(item_bytes)
+    if counts is None:
+        counts = default_counts(params, n)
+    else:
+        check_counts(counts, n, params.p)
+    return root, counts
+
+
 # ---------------------------------------------------------------------------
 # The Section-4 arithmetic, once: per-level clusters, worst-cluster charge
 # ---------------------------------------------------------------------------
 
-#: One cluster of a level: (key, children, r_coord, child_r, own_pos, L)
-#: — ``child_r[i]`` is the slowness of child ``i``'s coordinator and
-#: ``own_pos`` the child whose coordinator is the cluster's own (it
-#: keeps its data local: no self-send).
-_Cluster = tuple[Key, list[Key], float, list[float], t.Optional[int], float]
+#: One cluster of a level:
+#: (key, children, r_coord, child_r, own_pos, L, coord) — ``child_r[i]``
+#: is the slowness of child ``i``'s coordinator, ``own_pos`` the child
+#: whose coordinator is the cluster's own (it keeps its data local: no
+#: self-send) and ``coord`` that coordinator's level-0 index.
+Cluster = tuple[Key, list[Key], float, list[float], t.Optional[int], float, int]
 
 
-def _clusters(params: HBSPParams, level: int, root: int) -> list[_Cluster]:
-    """Per-cluster facts of one level, shared by all its sub-steps."""
-    clusters = []
+def clusters(
+    params: HBSPParams, level: int, root: int, *, singletons: bool = True
+) -> list[Cluster]:
+    """Per-cluster facts of one level, shared by all its sub-steps.
+
+    ``singletons=False`` leaves out one-child wrapper clusters, which
+    have nobody to send to: only the gather charges their barrier.
+    """
+    out = []
     for j in range(params.m[level]):
         key = (level, j)
         children = params.children_of(*key)
+        if not singletons and len(children) <= 1:
+            continue
         coord = _coordinator_leaf(params, key, root)
         child_coords = [_coordinator_leaf(params, c, root) for c in children]
         own_pos = next(
             (i for i, c in enumerate(child_coords) if c == coord), None
         )
-        clusters.append(
+        out.append(
             (
                 key,
                 children,
@@ -167,38 +202,41 @@ def _clusters(params: HBSPParams, level: int, root: int) -> list[_Cluster]:
                 [params.r_of(0, c) for c in child_coords],
                 own_pos,
                 params.L_of(level, j),
+                coord,
             )
         )
-    return clusters
+    return out
 
 
-def _charge_worst(
+def charge_worst(
     ledger: CostLedger,
     level: int,
-    candidates: t.Iterable[tuple[float, float, str]],
+    candidates: t.Iterable[tuple[float, float, float, str]],
 ) -> None:
     """Charge the level's costliest cluster: the super^i-step time.
 
-    ``candidates`` yields each concurrent cluster's ``(gh, L, label)``;
-    the first one with the largest ``gh + L`` is charged (strict ``>``,
-    the kernels' first-max ``argmax``), nothing when no cluster takes
-    part.
+    ``candidates`` yields each concurrent cluster's ``(w, gh, L,
+    label)``; the first one with the largest ``w + gh + L`` is charged
+    (strict ``>``, the kernels' first-max ``argmax``), nothing when no
+    cluster takes part.
     """
-    worst: tuple[float, float, str] | None = None
+    worst: tuple[float, float, float, str] | None = None
     worst_total = 0.0
-    for gh, L, label in candidates:
-        total = gh + L
+    for candidate in candidates:
+        w, gh, L, _ = candidate
+        total = w + gh + L
         if worst is None or total > worst_total:
-            worst, worst_total = (gh, L, label), total
+            worst, worst_total = candidate, total
     if worst is not None:
-        ledger.charge(worst[2], level=level, gh=worst[0], L=worst[1])
+        w, gh, L, label = worst
+        ledger.charge(label, level=level, w=w, gh=gh, L=L)
 
 
 def _charge_binomial(
     ledger: CostLedger,
     level: int,
     g: float,
-    clusters: t.Sequence[_Cluster],
+    level_clusters: t.Sequence[Cluster],
     what: str,
     loads_of: t.Callable[[int, int, int, list[float], int], list[tuple[float, int]]],
 ) -> None:
@@ -208,20 +246,22 @@ def _charge_binomial(
     ``(r, h)`` loads in cluster ``index`` (``C`` children).  Clusters
     run ⌈log₂C⌉ rounds and drop out of the later rounds' scans.
     """
-    rounds = [binomial_rounds(len(cluster[1])) for cluster in clusters]
+    rounds = [binomial_rounds(len(cluster[1])) for cluster in level_clusters]
     for t_round in range(max(rounds, default=0)):
         candidates = []
-        for index, (key, children, _, child_r, own_pos, L) in enumerate(clusters):
+        for index, (key, children, _, child_r, own_pos, L, _) in enumerate(
+            level_clusters
+        ):
             if rounds[index] <= t_round:
                 continue
             assert own_pos is not None
             loads = loads_of(index, len(children), own_pos, child_r, 1 << t_round)
             label = f"super{level}: binomial {what} round {t_round + 1} in {key}"
-            candidates.append((g * h_relation(loads), L, label))
-        _charge_worst(ledger, level, candidates)
+            candidates.append((0.0, g * h_relation(loads), L, label))
+        charge_worst(ledger, level, candidates)
 
 
-def _fan_loads(
+def fan_loads(
     r_coord: float,
     child_r: t.Sequence[float],
     own_pos: int | None,
@@ -236,6 +276,59 @@ def _fan_loads(
     return [(r_coord, sum(v for _, v in peers))] + peers
 
 
+def charge_fan(
+    ledger: CostLedger,
+    g: float,
+    level: int,
+    level_clusters: t.Sequence[Cluster],
+    volumes: t.Sequence[t.Sequence[int]],
+    what: str,
+    *,
+    suffix: str = "",
+    work: t.Sequence[float] | None = None,
+) -> None:
+    """Charge one ascent or descent step of the machine tree.
+
+    In every cluster of the level, concurrently, the child coordinators
+    send their ``volumes[i][c]`` bytes to the cluster's coordinator (an
+    ascent: gather, reduce) or receive them from it (a descent:
+    broadcast, scatter) — the same h-relation either way.  ``work[i]``
+    is the seconds cluster ``i``'s coordinator computes in the step (the
+    reduction's combine); the costliest cluster is charged, labelled
+    ``super<level><suffix>: <what> <key>``.
+    """
+    candidates = []
+    for i, (key, _, r_coord, child_r, own_pos, L, _) in enumerate(level_clusters):
+        gh = g * h_relation(fan_loads(r_coord, child_r, own_pos, volumes[i]))
+        w = 0.0 if work is None else work[i]
+        candidates.append((w, gh, L, f"super{level}{suffix}: {what} {key}"))
+    charge_worst(ledger, level, candidates)
+
+
+def charge_exchange(
+    ledger: CostLedger,
+    params: HBSPParams,
+    label: str,
+    volumes: t.Sequence[int],
+    *,
+    w: float = 0.0,
+) -> None:
+    """Charge a flat exchange: one super-step among all ``p`` processors.
+
+    ``volumes[j]`` is the larger of the bytes processor ``j`` sends and
+    receives; ``w`` the slowest local computation folded into the step.
+    The barrier is the whole machine's.
+    """
+    ledger.charge_step(
+        label,
+        level=1,
+        g=params.g,
+        loads=[(params.r_of(0, j), v) for j, v in enumerate(volumes)],
+        w=w,
+        L=params.L_of(params.k, 0),
+    )
+
+
 def _gather_ledger(
     params: HBSPParams,
     n: int,
@@ -246,12 +339,7 @@ def _gather_ledger(
     name: str,
 ) -> CostLedger:
     """The gather's cost under ``plan``, charged to a ledger ``name``."""
-    root = _check_inputs(params, n, root)
-    check_item_bytes(item_bytes)
-    if counts is None:
-        counts = default_counts(params, n)
-    else:
-        check_counts(counts, n, params.p)
+    root, counts = check_workload(params, n, root, counts, item_bytes)
     ledger = CostLedger(name)
     if params.k == 0 or params.p == 1:
         return ledger  # nothing to communicate
@@ -263,23 +351,21 @@ def _gather_ledger(
 
     for level in range(1, params.k + 1):
         schedule = plan.level(level)
-        clusters = _clusters(params, level, root)
-        held = [[subtree_total[c] for c in cluster[1]] for cluster in clusters]
-        for cluster, totals in zip(clusters, held):
+        level_clusters = clusters(params, level, root)
+        held = [[subtree_total[c] for c in cluster[1]] for cluster in level_clusters]
+        for cluster, totals in zip(level_clusters, held):
             subtree_total[cluster[0]] = sum(totals)
         if schedule.algorithm == "flat":
             S = schedule.segments
             chunked = [[split_segments(c, S) for c in totals] for totals in held]
             for s in range(S):
-                candidates = []
-                for (key, _, r_coord, child_r, own_pos, L), chunks in zip(
-                    clusters, chunked
-                ):
-                    volumes = [chunk[s] * item_bytes for chunk in chunks]
-                    loads = _fan_loads(r_coord, child_r, own_pos, volumes)
-                    label = f"super{level}{segment_suffix(s, S)}: gather into {key}"
-                    candidates.append((g * h_relation(loads), L, label))
-                _charge_worst(ledger, level, candidates)
+                volumes = [
+                    [chunk[s] * item_bytes for chunk in chunks] for chunks in chunked
+                ]
+                charge_fan(
+                    ledger, g, level, level_clusters, volumes, "gather into",
+                    suffix=segment_suffix(s, S),
+                )
         else:  # binomial
 
             def window_loads(index, C, own_pos, child_r, half):
@@ -294,24 +380,23 @@ def _gather_ledger(
                     loads.append((child_r[(own_pos + q - half) % C], volume))
                 return loads
 
-            _charge_binomial(ledger, level, g, clusters, "gather", window_loads)
+            _charge_binomial(
+                ledger, level, g, level_clusters, "gather", window_loads
+            )
     return ledger
 
 
-def _first_phase_shares(
-    params: HBSPParams,
-    children: t.Sequence[Key],
-    n: int,
-    fractions: t.Sequence[float] | None,
+def first_phase_shares(
+    params: HBSPParams, children: t.Sequence[Key], n: int, balanced: bool
 ) -> list[int]:
     """Items each child receives in a two-phase level's scatter.
 
-    Equal split when ``fractions`` is omitted, otherwise proportional
-    to each child subtree's summed ``c`` (Fig. 4(b)'s balanced first
-    phase).
+    An equal split, or with ``balanced`` one proportional to each child
+    subtree's summed ``c`` (Fig. 4(b)'s balanced first phase).  The
+    program and the prediction both split with this function.
     """
     m = len(children)
-    if fractions is None:
+    if not balanced:
         return split_segments(n, m)
     weights = {
         str(i): sum(params.c_of(0, leaf) for leaf in params.leaf_indices(*child))
@@ -332,7 +417,7 @@ def _broadcast_ledger(
     name: str,
 ) -> CostLedger:
     """The broadcast's cost under ``plan``, charged to a ledger ``name``."""
-    root = _check_inputs(params, n, root)
+    root = check_inputs(params, n, root)
     check_item_bytes(item_bytes)
     check_fractions(fractions, params.p)
     ledger = CostLedger(name)
@@ -342,28 +427,25 @@ def _broadcast_ledger(
 
     for level in range(params.k, 0, -1):
         schedule = plan.level(level)
-        # Singleton wrapper clusters have nothing to send.
-        clusters = [c for c in _clusters(params, level, root) if len(c[1]) > 1]
+        level_clusters = clusters(params, level, root, singletons=False)
         if schedule.algorithm == "one":
             S = schedule.segments
             for s, chunk in enumerate(split_segments(n, S)):
-                candidates = []
-                for key, children, r_coord, child_r, own_pos, L in clusters:
-                    volumes = [chunk * item_bytes] * len(children)
-                    loads = _fan_loads(r_coord, child_r, own_pos, volumes)
-                    label = (
-                        f"super{level}{segment_suffix(s, S)}: "
-                        f"one-phase bcast in {key}"
-                    )
-                    candidates.append((g * h_relation(loads), L, label))
-                _charge_worst(ledger, level, candidates)
+                volumes = [
+                    [chunk * item_bytes] * len(cluster[1])
+                    for cluster in level_clusters
+                ]
+                charge_fan(
+                    ledger, g, level, level_clusters, volumes, "one-phase bcast in",
+                    suffix=segment_suffix(s, S),
+                )
         elif schedule.algorithm == "two":
             candidates = []
-            for key, children, r_coord, child_r, own_pos, L in clusters:
+            for key, children, r_coord, child_r, own_pos, L, _ in level_clusters:
                 m = len(children)
-                shares = _first_phase_shares(params, children, n, fractions)
+                shares = first_phase_shares(params, children, n, fractions is not None)
                 # Phase A: coordinator scatters shares.
-                loads_a = _fan_loads(
+                loads_a = fan_loads(
                     r_coord, child_r, own_pos, [x * item_bytes for x in shares]
                 )
                 # Phase B: total exchange of shares among children.
@@ -373,8 +455,8 @@ def _broadcast_ledger(
                 ]
                 gh = g * (h_relation(loads_a) + h_relation(loads_b))
                 label = f"super{level}: two-phase bcast in {key}"
-                candidates.append((gh, 2 * L, label))
-            _charge_worst(ledger, level, candidates)
+                candidates.append((0.0, gh, 2 * L, label))
+            charge_worst(ledger, level, candidates)
         else:  # binomial
             volume = n * item_bytes
 
@@ -385,7 +467,9 @@ def _broadcast_ledger(
                     loads.append((child_r[(own_pos + q + half) % m], volume))
                 return loads
 
-            _charge_binomial(ledger, level, g, clusters, "bcast", doubling_loads)
+            _charge_binomial(
+                ledger, level, g, level_clusters, "bcast", doubling_loads
+            )
     return ledger
 
 

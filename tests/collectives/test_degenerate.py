@@ -5,10 +5,18 @@ corners where off-by-one bugs in partitioning and self-send handling
 live.
 """
 
+import re
+
 import pytest
 
 from repro.cluster import ucf_testbed
 from repro.collectives import (
+    predict_allgather_cost,
+    predict_allreduce_cost,
+    predict_alltoall_cost,
+    predict_reduce_cost,
+    predict_scan_cost,
+    predict_scatter_cost,
     run_allgather,
     run_allreduce,
     run_alltoall,
@@ -18,6 +26,8 @@ from repro.collectives import (
     run_scan,
     run_scatter,
 )
+from repro.errors import CollectiveError
+from repro.model import calibrate
 
 
 @pytest.fixture
@@ -115,3 +125,43 @@ class TestTinyProblems:
         topo = ucf_testbed(8)
         outcome = run_broadcast(topo, 3, phases="two")
         assert {v[0] for v in outcome.values.values()} == {3}
+
+
+HOSTILE = [
+    (predict_scatter_cost, (100,), {"counts": [50, 50]}, "counts must have p=4"),
+    (predict_scatter_cost, (100,), {"counts": [1, 1, 1, 1]}, "counts sum to 4"),
+    (predict_scatter_cost, (100,), {"counts": [150, -50, 0, 0]}, "counts must be >= 0"),
+    (predict_scatter_cost, (100,), {"item_bytes": 0}, "item_bytes must be >= 1"),
+    (predict_scatter_cost, (-1,), {}, "n must be >= 0"),
+    (predict_scatter_cost, (100,), {"root": 4}, "root 4 out of range"),
+    (predict_allgather_cost, (100,), {"strategy": "direct", "counts": [50, 50]}, "counts must have p=4"),
+    (predict_allgather_cost, (100,), {"strategy": "direct", "counts": [1, 1, 1, 1]}, "counts sum to 4"),
+    (predict_allgather_cost, (100,), {"strategy": "direct", "item_bytes": 0}, "item_bytes must be >= 1"),
+    (predict_alltoall_cost, (100,), {"counts": [50, 50]}, "counts must have p=4"),
+    (predict_alltoall_cost, (100,), {"counts": [1, 1, 1, 1]}, "counts sum to 4"),
+    (predict_alltoall_cost, (100,), {"item_bytes": 0}, "item_bytes must be >= 1"),
+    (predict_reduce_cost, (-5,), {}, "width must be >= 0"),
+    (predict_reduce_cost, (8,), {"item_bytes": 0}, "item_bytes must be >= 1"),
+    (predict_allreduce_cost, (-5,), {"strategy": "direct"}, "width must be >= 0"),
+    (predict_allreduce_cost, (-5,), {"strategy": "tree"}, "width must be >= 0"),
+    (predict_scan_cost, (-5,), {}, "width must be >= 0"),
+    (predict_scan_cost, (8,), {"item_bytes": 0}, "item_bytes must be >= 1"),
+]
+
+
+class TestHostilePredictorArguments:
+    """The toolkit predictors reject what ``predict_gather`` rejects:
+    always a ``CollectiveError`` naming the argument, never a traceback
+    from inside the arithmetic or a silently priced nonsense input."""
+
+    @pytest.mark.parametrize(
+        "predict, args, kwargs, names",
+        HOSTILE,
+        ids=[f"{case[0].__name__}-{case[3]}" for case in HOSTILE],
+    )
+    def test_bad_argument_is_a_collective_error_naming_it(
+        self, predict, args, kwargs, names
+    ):
+        params = calibrate(ucf_testbed(4))
+        with pytest.raises(CollectiveError, match=re.escape(names)):
+            predict(params, *args, **kwargs)

@@ -6,21 +6,30 @@ introduced a behaviour change (fix it) or it deliberately recalibrated
 the simulator (update the goldens *and* EXPERIMENTS.md together).
 """
 
+import hashlib
 import json
 import pathlib
 
 import pytest
 
+from repro.apps import run_histogram, run_matvec
 from repro.cluster import grid_three_level, smp_sgi_lan, ucf_testbed
 from repro.collectives import (
     RootPolicy,
     WorkloadPolicy,
+    run_allgather,
+    run_allreduce,
+    run_alltoall,
     run_broadcast,
     run_gather,
+    run_reduce,
+    run_scan,
+    run_scatter,
 )
 from repro.experiments import fig3a_gather_root
 from repro.model.params import HBSPParams, calibrate
 from repro.model.predict import predict_broadcast, predict_gather
+from repro.obs import observe
 
 REL = 1e-6
 
@@ -65,9 +74,10 @@ class TestGoldenValues:
 # at the last commit that still had a separate plan-less body, and (b) one
 # ledger worked out by hand from Sections 4.2 and 4.4.
 
-PINS = json.loads(
+ALL_PINS = json.loads(
     pathlib.Path(__file__).with_name("predicted_ledgers.json").read_text()
 )
+PINS = [pin for pin in ALL_PINS if "scheme" in pin]
 MACHINES = {
     "testbed": lambda: ucf_testbed(10),
     "fig1": smp_sgi_lan,
@@ -162,3 +172,103 @@ class TestHandComputedHbsp1:
         assert step.label == "super1: two-phase bcast in (1, 0)"
         assert step.gh == self.G * (6400.0 + 12800.0)
         assert (step.level, step.L) == (1, 2 * self.L)
+
+
+# ---------------------------------------------------------------------------
+# The toolkit and the applications: exact pins of ledger, run and spans
+# ---------------------------------------------------------------------------
+#
+# Scatter, reduce, allgather, allreduce, alltoall, scan, histogram and
+# matvec are compositions of three step bodies (docs/model.md, "three
+# steps").  What holds a composition to the program it replaced is every
+# number that program produced, captured at the last commit that still
+# inlined the steps: the predicted ledger (label, level, w, g·h, L), the
+# simulated makespan, superstep count and per-pid return values, and the
+# span sequence of the three programs that chain two tree walks.  None of
+# the ten is ``@macro_safe``, so each has one engine path to pin.
+
+TOOLKIT_MACHINES = {
+    "testbed": lambda: ucf_testbed(10),
+    "fig1": smp_sgi_lan,
+    "grid3": grid_three_level,
+}
+ITEMS, WIDTH, ROWS, SEED = 25_600, 4_096, 240, 2
+TOOLKIT = {
+    "scatter": lambda topo, root: run_scatter(topo, ITEMS, root=root, seed=SEED),
+    "reduce": lambda topo, root: run_reduce(topo, WIDTH, root=root, seed=SEED),
+    "allgather-hierarchical": lambda topo, root: run_allgather(
+        topo, ITEMS, strategy="hierarchical", root=root, seed=SEED
+    ),
+    "allgather-direct": lambda topo, root: run_allgather(
+        topo, ITEMS, strategy="direct", root=root, seed=SEED
+    ),
+    "allreduce-tree": lambda topo, root: run_allreduce(
+        topo, WIDTH, strategy="tree", root=root, seed=SEED
+    ),
+    "allreduce-direct": lambda topo, root: run_allreduce(
+        topo, WIDTH, strategy="direct", root=root, seed=SEED
+    ),
+    "alltoall": lambda topo, root: run_alltoall(topo, ITEMS, seed=SEED),
+    "scan": lambda topo, root: run_scan(topo, WIDTH, seed=SEED),
+    "histogram": lambda topo, root: run_histogram(topo, ITEMS, root=root, seed=SEED),
+    "matvec": lambda topo, root: run_matvec(topo, ROWS, root=root, seed=SEED),
+}
+ROOTS = {"fastest": RootPolicy.FASTEST, "slowest": RootPolicy.SLOWEST}
+SPANNED = ("allgather-hierarchical", "allreduce-tree", "histogram")
+
+
+def toolkit_record(machine: str, op: str, root: str) -> dict:
+    """Everything one toolkit run produced, in the pin file's shape."""
+    topology = TOOLKIT_MACHINES[machine]()
+    outcome = TOOLKIT[op](topology, ROOTS[root])
+    assert outcome.runtime.macro is None
+    record = {
+        "machine": machine,
+        "op": op,
+        "root": root,
+        "outcome": outcome.name,
+        "ledger": outcome.predicted.name,
+        "steps": [
+            [s.label, s.level, s.w, s.gh, s.L] for s in outcome.predicted.steps
+        ],
+        "time": outcome.time,
+        "supersteps": outcome.supersteps,
+        "values": [
+            [pid, list(value)] for pid, value in sorted(outcome.values.items())
+        ],
+    }
+    if op in SPANNED and root == "fastest":
+        with observe(spans=True) as observation:
+            TOOLKIT[op](topology, ROOTS[root])
+        spans = observation.tracer.spans
+        record["spans"] = [[s.category, s.name, s.actor] for s in spans]
+        record["span_times"] = hashlib.sha256(
+            repr([(s.start, s.end) for s in spans]).encode()
+        ).hexdigest()
+    return record
+
+
+TOOLKIT_PINS = [pin for pin in ALL_PINS if "op" in pin]
+
+
+class TestToolkitPins:
+    def test_every_machine_op_and_root_is_pinned(self):
+        rootless = ("alltoall", "scan")
+        assert [(pin["machine"], pin["op"], pin["root"]) for pin in TOOLKIT_PINS] == [
+            (machine, op, root)
+            for machine in TOOLKIT_MACHINES
+            for op in TOOLKIT
+            for root in ROOTS
+            if not (op in rootless and root == "slowest")
+        ]
+
+    @pytest.mark.parametrize(
+        "pin",
+        TOOLKIT_PINS,
+        ids=lambda pin: "{machine}-{op}-{root}".format(**pin),
+    )
+    def test_ledger_run_and_spans_are_the_pinned_ones(self, pin):
+        record = toolkit_record(pin["machine"], pin["op"], pin["root"])
+        # Through JSON, as the pin went: tuples become lists, floats
+        # round-trip exactly.  == on floats: no tolerance.
+        assert json.loads(json.dumps(record)) == pin
