@@ -36,6 +36,7 @@ from repro.model.params import HBSPParams, calibrate
 from repro.model.residuals import StepEquation, step_equations
 from repro.model.tree import HBSPTree
 from repro.obs.accounting import RunObs
+from repro.util.codec import read_json, typed_errors
 
 __all__ = ["FitResult", "fit_params", "load_runs"]
 
@@ -79,18 +80,14 @@ class FitResult:
 
 def load_runs(path: str) -> tuple[RunObs, ...]:
     """Load exported runs (``repro run --runs-out``) back into memory."""
-    import json
-
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as error:
-        raise CalibrationError(f"cannot read runs file {path!r}: {error}") from None
-    except ValueError as error:
-        raise CalibrationError(f"runs file {path!r} is not valid JSON: {error}") from None
+    data = read_json(path, error=CalibrationError, what="runs file")
     if not isinstance(data, dict) or "runs" not in data:
         raise CalibrationError(f'runs file {path!r} must be an object with "runs"')
-    return tuple(RunObs.from_jsonable(record) for record in data["runs"])
+    runs = []
+    for i, record in enumerate(data["runs"]):
+        with typed_errors(CalibrationError, f"{path}: runs[{i}]"):
+            runs.append(RunObs.from_jsonable(record))
+    return tuple(runs)
 
 
 def _solve(

@@ -49,51 +49,12 @@ from __future__ import annotations
 import argparse
 import typing as t
 
-from repro.cluster import (
-    ClusterTopology,
-    deep_hierarchy,
-    flat_cluster,
-    grid_three_level,
-    multi_lan,
-    smp_sgi_lan,
-    two_lans,
-    ucf_testbed,
-)
+from repro.cluster import ClusterTopology
+from repro.cluster.presets import PRESETS, build_any, build_preset
 from repro.errors import ReproError
+from repro.util.validation import check_known
 
 __all__ = ["PRESETS", "build_preset", "main"]
-
-#: Preset name -> (factory taking an optional size, description).
-PRESETS: dict[str, tuple[t.Callable[[int | None], ClusterTopology], str]] = {
-    "testbed": (
-        lambda p: ucf_testbed(p if p is not None else 10),
-        "the paper's SUN/SGI testbed (k=1, p<=10; default 10)",
-    ),
-    "flat": (
-        lambda p: flat_cluster(p if p is not None else 8),
-        "parametric heterogeneous Ethernet LAN (k=1; default p=8)",
-    ),
-    "fig1": (
-        lambda p: smp_sgi_lan(),
-        "the paper's Figure-1 machine: SMP + SGI + LAN (k=2, p=9)",
-    ),
-    "two-lans": (
-        lambda p: two_lans(p if p is not None else 4),
-        "two LANs on a campus backbone (k=2; default 4 per LAN)",
-    ),
-    "multi-lan": (
-        lambda p: multi_lan(p if p is not None else 3),
-        "N LANs on a campus backbone (k=2; default 3 LANs)",
-    ),
-    "grid": (
-        lambda p: grid_three_level(),
-        "two-site computational grid over a WAN (k=3, p=12)",
-    ),
-    "deep": (
-        lambda p: deep_hierarchy(p if p is not None else 4),
-        "complete binary hierarchy of depth k (default k=4)",
-    ),
-}
 
 _COLLECTIVES = (
     "gather",
@@ -107,17 +68,7 @@ _COLLECTIVES = (
 )
 
 
-def build_preset(spec: str) -> ClusterTopology:
-    """Build a preset from ``name`` or ``name:size``."""
-    name, _, size_text = spec.partition(":")
-    if name not in PRESETS:
-        known = ", ".join(sorted(PRESETS))
-        raise ReproError(f"unknown preset {name!r}; known: {known}")
-    size = int(size_text) if size_text else None
-    return PRESETS[name][0](size)
-
-
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     from repro.cluster.discover import GENERATORS
     from repro.experiments import EXPERIMENTS
 
@@ -136,46 +87,41 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_describe(preset: str) -> int:
-    print(build_preset(preset).describe())
+def _cmd_describe(args: argparse.Namespace) -> int:
+    print(build_preset(args.preset).describe())
     return 0
 
 
-def _cmd_calibrate(
-    preset: str,
-    fit: str | None = None,
-    out: str | None = None,
-    source: str = "simulated",
-) -> int:
+def _cmd_calibrate(args: argparse.Namespace) -> int:
     from repro.model import calibrate
 
-    topology = build_preset(preset)
-    if fit is None:
+    topology = build_preset(args.preset)
+    if args.fit is None:
         print(calibrate(topology).describe())
         return 0
     from repro.calib import fit_params, load_runs
 
-    result = fit_params(load_runs(fit), topology, source=source)
+    result = fit_params(load_runs(args.fit), topology, source=args.source)
     print(result.describe())
-    if out is not None:
+    if args.out is not None:
         from pathlib import Path
 
         from repro.cluster.serialization import dumps
 
-        Path(out).write_text(dumps(topology, params=result.params))
-        print(f"wrote fitted topology (+params) to {out}")
+        Path(args.out).write_text(dumps(topology, params=result.params))
+        print(f"wrote fitted topology (+params) to {args.out}")
     return 0
 
 
-def _cmd_probe(preset: str) -> int:
+def _cmd_probe(args: argparse.Namespace) -> int:
     from repro.model import calibrate, probe_params
     from repro.util.tables import AsciiTable
 
-    topology = build_preset(preset)
+    topology = build_preset(args.preset)
     params = calibrate(topology)
     report = probe_params(topology)
     table = AsciiTable(
-        f"calibrated vs probed parameters for {preset}",
+        f"calibrated vs probed parameters for {args.preset}",
         ["machine", "r (calibrated)", "r (probed, effective)"],
     )
     for j, machine in enumerate(topology.normalized().machines):
@@ -199,74 +145,50 @@ def _root_spec(root: str) -> t.Any:
         ) from None
 
 
-def _cmd_run(
-    collective: str,
-    preset: str,
-    n: int,
-    root: str,
-    workload: str,
-    gantt: bool,
-    seed: int = 0,
-    faults: str | None = None,
-    retries: int = 0,
-    send_timeout: float | None = None,
-    trace_out: str | None = None,
-    metrics_out: str | None = None,
-    obs_summary: bool = False,
-    runs_out: str | None = None,
-    schedule: str = "default",
-) -> int:
-    import contextlib
+def _cmd_run(args: argparse.Namespace) -> int:
     import inspect
 
     from repro import collectives as coll
     from repro.collectives import WorkloadPolicy, resolve_plan
+    from repro.obs import current_observation
     from repro.util.units import format_time
 
-    if collective not in _COLLECTIVES:
-        raise ReproError(
-            f"unknown collective {collective!r}; known: {', '.join(_COLLECTIVES)}"
-        )
-    topology = build_preset(preset)
-    runner = getattr(coll, f"run_{collective}")
-    kwargs: dict[str, t.Any] = {"trace": gantt, "seed": seed}
-    root_spec = _root_spec(root)
-    if schedule != "default":
-        plan = resolve_plan(topology, collective, n, schedule, root=root_spec)
+    check_known("collective", args.collective, _COLLECTIVES, ReproError)
+    topology = build_preset(args.preset)
+    runner = getattr(coll, f"run_{args.collective}")
+    kwargs: dict[str, t.Any] = {"trace": args.gantt, "seed": args.seed}
+    root_spec = _root_spec(args.root)
+    if args.schedule != "default":
+        plan = resolve_plan(topology, args.collective, args.n, args.schedule, root=root_spec)
         if plan is not None:
             kwargs["plan"] = plan
             print(f"tuned schedule: {plan.key}")
-    if faults is not None:
+    if args.faults is not None:
         from repro.faults import FaultPlan
 
-        kwargs["faults"] = FaultPlan.from_file(faults)
-    if send_timeout is not None:
+        kwargs["faults"] = FaultPlan.from_file(args.faults)
+    if args.send_timeout is not None:
         from repro.faults import DeliveryPolicy
 
         kwargs["delivery"] = (
-            DeliveryPolicy.retry(retries, timeout=send_timeout)
-            if retries > 0
-            else DeliveryPolicy(timeout=send_timeout)
+            DeliveryPolicy.retry(args.retries, timeout=args.send_timeout)
+            if args.retries > 0
+            else DeliveryPolicy(timeout=args.send_timeout)
         )
-    elif retries > 0:
+    elif args.retries > 0:
         raise ReproError("--retries needs --send-timeout to arm the timer")
     accepted = inspect.signature(runner).parameters
     if "root" in accepted:
         kwargs["root"] = root_spec
     if "workload" in accepted:
         kwargs["workload"] = (
-            WorkloadPolicy.EQUAL if workload == "equal" else WorkloadPolicy.BALANCED
+            WorkloadPolicy.EQUAL if args.workload == "equal" else WorkloadPolicy.BALANCED
         )
-    observation = None
-    with contextlib.ExitStack() as stack:
-        if trace_out or metrics_out or obs_summary or runs_out:
-            from repro.obs import observe
-
-            observation = stack.enter_context(observe(spans=trace_out is not None))
-        outcome = runner(topology, n, **kwargs)
+    outcome = runner(topology, args.n, **kwargs)
+    observation = current_observation()
     if observation is not None:
         observation.ingest_outcome(outcome)
-    print(f"{outcome.name} on {preset}")
+    print(f"{outcome.name} on {args.preset}")
     print(f"simulated: {format_time(outcome.time)}   "
           f"predicted: {format_time(outcome.predicted_time)}   "
           f"supersteps: {outcome.supersteps}")
@@ -277,41 +199,26 @@ def _cmd_run(
               f"{injector.delayed_messages} delayed")
     print()
     print(outcome.predicted.describe())
-    if gantt:
+    if args.gantt:
         print()
         print(outcome.result.trace.gantt())
-    if observation is not None:
-        from repro.experiments.runner import _export_observation
-
-        if obs_summary:
-            print()
-        _export_observation(
-            observation, trace_out, metrics_out, obs_summary, runs_out
-        )
     return 0
 
 
-def _cmd_tune(
-    collective: str,
-    preset: str,
-    n: int,
-    root: str,
-    force: bool,
-    shortlist: int,
-) -> int:
+def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.tuning.tuner import tune
     from repro.util.units import format_time
 
-    if collective not in ("gather", "broadcast"):
+    if args.collective not in ("gather", "broadcast"):
         raise ReproError(
-            f"tune supports gather/broadcast, got {collective!r}"
+            f"tune supports gather/broadcast, got {args.collective!r}"
         )
-    topology = _build_any(preset)
+    topology = build_any(args.preset)
     decision = tune(
-        topology, collective, n, root=_root_spec(root), force=force,
-        shortlist=shortlist,
+        topology, args.collective, args.n, root=_root_spec(args.root), force=args.force,
+        shortlist=args.shortlist,
     )
-    print(f"{collective}(n={n}) on {preset} -> {decision.plan.key}")
+    print(f"{args.collective}(n={args.n}) on {args.preset} -> {decision.plan.key}")
     print(f"  topology hash : {decision.topology_hash[:16]}…  root pid{decision.root}")
     print(f"  space         : {decision.candidates} plans priced analytically, "
           f"{decision.validated} DES-validated")
@@ -326,7 +233,7 @@ def _cmd_tune(
     return 0
 
 
-def _cmd_cache(action: str, max_bytes: int | None) -> int:
+def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.perf import DiskCache, default_cache_dir
     from repro.tuning.cache import DecisionCache
     from repro.util.units import format_bytes
@@ -335,7 +242,7 @@ def _cmd_cache(action: str, max_bytes: int | None) -> int:
         ("sweeps", DiskCache(default_cache_dir())),
         ("decisions", DecisionCache()),
     ]
-    if action == "stats":
+    if args.cache_action == "stats":
         per_tier: list[tuple[str, int, int]] = []
         for label, store in stores:
             stats = store.stats()
@@ -353,8 +260,8 @@ def _cmd_cache(action: str, max_bytes: int | None) -> int:
         print(f"total: {sum(n for _, n, _ in per_tier)} entries, "
               f"{format_bytes(sum(b for _, _, b in per_tier))} ({breakdown})")
         return 0
-    if action == "prune":
-        limit = 0 if max_bytes is None else max_bytes
+    if args.cache_action == "prune":
+        limit = 0 if args.max_bytes is None else args.max_bytes
         totals = [0, 0]
         for label, store in stores:
             removed, freed = store.prune(limit)
@@ -375,113 +282,43 @@ def _cmd_cache(action: str, max_bytes: int | None) -> int:
     return 0
 
 
-def _cmd_serve(
-    config_path: str | None,
-    seed: int | None = None,
-    duration: float | None = None,
-    rate: float | None = None,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    dynamics: str | None = None,
-    trace_out: str | None = None,
-    metrics_out: str | None = None,
-    obs_summary: bool = False,
-    runs_out: str | None = None,
-) -> int:
-    import contextlib
+def _cmd_serve(args: argparse.Namespace) -> int:
     import dataclasses
 
     from repro.perf import effective_jobs, sweep
     from repro.serve import ServiceConfig, default_config, run_service
 
-    if config_path is not None:
-        config = ServiceConfig.from_file(config_path)
+    if args.config is not None:
+        config = ServiceConfig.from_file(args.config)
     else:
         config = default_config()
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
-    if duration is not None:
-        config = dataclasses.replace(config, duration=duration)
-    if rate is not None:
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    if args.duration is not None:
+        config = dataclasses.replace(config, duration=args.duration)
+    if args.rate is not None:
         config = dataclasses.replace(
-            config, arrival=dataclasses.replace(config.arrival, rate=rate)
+            config, arrival=dataclasses.replace(config.arrival, rate=args.rate)
         )
     plan = None
-    if dynamics is not None:
+    if args.dynamics is not None:
         from repro.dynamics import DynamicPlan
 
-        plan = DynamicPlan.from_file(dynamics)
-    observation = None
-    with contextlib.ExitStack() as stack:
-        if trace_out or metrics_out or obs_summary or runs_out:
-            from repro.obs import observe
-
-            observation = stack.enter_context(observe(spans=trace_out is not None))
-        stack.enter_context(sweep(jobs=effective_jobs(jobs), cache_dir=cache_dir))
+        plan = DynamicPlan.from_file(args.dynamics)
+    with sweep(jobs=effective_jobs(args.jobs), cache_dir=args.cache_dir):
         report = run_service(config, dynamics=plan)
     print(report.render())
-    if observation is not None:
-        from repro.experiments.runner import _export_observation
-
-        if obs_summary:
-            print()
-        _export_observation(
-            observation, trace_out, metrics_out, obs_summary, runs_out
-        )
     return 0
 
 
-def _cmd_experiment(
-    experiment_id: str,
-    plot: bool = False,
-    seed: int | None = None,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    trace_out: str | None = None,
-    metrics_out: str | None = None,
-    obs_summary: bool = False,
-    runs_out: str | None = None,
-    schedule: str | None = None,
-) -> int:
-    import contextlib
-
+def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import run_experiment
     from repro.perf import effective_jobs, sweep
 
-    observation = None
-    with contextlib.ExitStack() as stack:
-        if trace_out or metrics_out or obs_summary or runs_out:
-            from repro.obs import observe
-
-            observation = stack.enter_context(observe(spans=trace_out is not None))
-        stack.enter_context(sweep(jobs=effective_jobs(jobs), cache_dir=cache_dir))
-        report = run_experiment(experiment_id, seed=seed, schedule=schedule)
-    print(report.render(plot=plot))
-    if observation is not None:
-        from repro.experiments.runner import _export_observation
-
-        if obs_summary:
-            print()
-        _export_observation(
-            observation, trace_out, metrics_out, obs_summary, runs_out
-        )
+    with sweep(jobs=effective_jobs(args.jobs), cache_dir=args.cache_dir):
+        report = run_experiment(args.id, seed=args.seed, schedule=args.schedule)
+    print(report.render(plot=args.plot))
     return 0
-
-
-def _build_any(spec: str) -> ClusterTopology:
-    """Build from a generator spec, falling back to the presets."""
-    from repro.cluster.discover import GENERATORS, build_generated
-
-    family = spec.partition(":")[0]
-    if family in GENERATORS:
-        return build_generated(spec)
-    try:
-        return build_preset(spec)
-    except ReproError:
-        known = ", ".join(sorted(list(PRESETS) + list(GENERATORS)))
-        raise ReproError(
-            f"unknown preset or generator {family!r}; known: {known}"
-        ) from None
 
 
 def _topology_summary(topology: ClusterTopology) -> str:
@@ -498,47 +335,32 @@ def _topology_summary(topology: ClusterTopology) -> str:
     return "\n".join(lines)
 
 
-def _cmd_topology_generate(
-    spec: str,
-    out: str | None,
-    matrix_out: str | None,
-    noise: float,
-    seed: int,
-    with_params: bool,
-) -> int:
+def _cmd_topology_generate(args: argparse.Namespace) -> int:
     from repro.cluster.discover.matrix import synthesize
 
-    topology = _build_any(spec)
-    print(f"generated {spec!r}")
+    topology = build_any(args.spec)
+    print(f"generated {args.spec!r}")
     print(_topology_summary(topology))
-    if out:
+    if args.out:
         from pathlib import Path
 
         from repro.cluster.serialization import dumps
 
         params = None
-        if with_params:
+        if args.params:
             from repro.model import calibrate
 
             params = calibrate(topology)
-        Path(out).write_text(dumps(topology, params=params) + "\n")
-        print(f"wrote topology JSON to {out}")
-    if matrix_out:
-        matrix = synthesize(topology, noise=noise, seed=seed)
-        matrix.save(matrix_out)
-        print(f"wrote probe matrix ({matrix!r}) to {matrix_out}")
+        Path(args.out).write_text(dumps(topology, params=params) + "\n")
+        print(f"wrote topology JSON to {args.out}")
+    if args.matrix_out:
+        matrix = synthesize(topology, noise=args.noise, seed=args.seed)
+        matrix.save(args.matrix_out)
+        print(f"wrote probe matrix ({matrix!r}) to {args.matrix_out}")
     return 0
 
 
-def _cmd_topology_discover(
-    matrix_path: str | None,
-    spec: str | None,
-    method: str,
-    rel_tol: float,
-    noise: float,
-    seed: int,
-    out: str | None,
-) -> int:
+def _cmd_topology_discover(args: argparse.Namespace) -> int:
     from repro.cluster.discover import (
         ProbeMatrix,
         discover,
@@ -548,52 +370,51 @@ def _cmd_topology_discover(
         topology_partitions,
     )
 
-    if (matrix_path is None) == (spec is None):
+    if (args.matrix is None) == (args.spec is None):
         raise ReproError("topology discover needs exactly one of --matrix / --spec")
     truth = None
-    if matrix_path is not None:
-        matrix = ProbeMatrix.load(matrix_path)
+    if args.matrix is not None:
+        matrix = ProbeMatrix.load(args.matrix)
     else:
-        topology = _build_any(t.cast(str, spec))
+        topology = build_any(t.cast(str, args.spec))
         truth = topology_partitions(topology)
-        matrix = synthesize(topology, noise=noise, seed=seed)
-    result = discover(matrix, method=method, rel_tol=rel_tol)
+        matrix = synthesize(topology, noise=args.noise, seed=args.seed)
+    result = discover(matrix, method=args.method, rel_tol=args.rel_tol)
     print(result.describe())
     if truth is not None:
         score = 1.0 - hierarchy_distance(truth, result.partitions)
         exact = exact_recovery(truth, result.partitions)
         print(f"recovery vs truth: score {score:.4f}, exact {exact}")
-    if out:
+    if args.out:
         from pathlib import Path
 
         from repro.cluster.serialization import dumps
 
-        Path(out).write_text(dumps(result.topology, params=result.params) + "\n")
-        print(f"wrote recovered topology JSON to {out}")
+        Path(args.out).write_text(dumps(result.topology, params=result.params) + "\n")
+        print(f"wrote recovered topology JSON to {args.out}")
     return 0
 
 
-def _cmd_topology_inspect(path: str) -> int:
-    import json
-    from pathlib import Path
-
+def _cmd_topology_inspect(args: argparse.Namespace) -> int:
     from repro.cluster.discover import ProbeMatrix
+    from repro.errors import TopologyError
+    from repro.util.codec import read_json
 
-    text = None
-    if not path.endswith(".npz"):
-        text = Path(path).read_text()
-        data = json.loads(text)
-        schema = data.get("schema", "")
-        if schema.startswith("repro.cluster/"):
-            from repro.cluster.serialization import loads_with_params
+    if args.file.endswith(".npz"):
+        matrix = ProbeMatrix.load(args.file)
+    else:
+        data = read_json(args.file, error=TopologyError, what="topology or probe-matrix file")
+        schema = data.get("schema") if isinstance(data, dict) else None
+        if isinstance(schema, str) and schema.startswith("repro.cluster/"):
+            from repro.cluster.serialization import params_from_dict, topology_from_dict
 
-            topology, params = loads_with_params(text)
+            topology = topology_from_dict(data)
             print(f"topology file ({schema})")
             print(_topology_summary(topology))
-            if params is not None:
-                print(params.describe())
+            if "params" in data:
+                print(params_from_dict(data["params"]).describe())
             return 0
-    matrix = ProbeMatrix.load(path)
+        matrix = ProbeMatrix.from_dict(data)
     print(f"probe matrix: {matrix!r}")
     import numpy as np
 
@@ -639,15 +460,18 @@ def main(argv: t.Sequence[str] | None = None) -> int:
         "--version", action="version", version=f"repro {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list presets, collectives, experiments")
-    for name in ("describe", "probe"):
+    list_parser = sub.add_parser("list", help="list presets, collectives, experiments")
+    list_parser.set_defaults(handler=_cmd_list)
+    for name, handler in (("describe", _cmd_describe), ("probe", _cmd_probe)):
         command = sub.add_parser(name, help=f"{name} a preset machine")
         command.add_argument("preset")
+        command.set_defaults(handler=handler)
     calibrate_parser = sub.add_parser(
         "calibrate",
         help="derive HBSP^k parameters from specs, or fit them from traces",
     )
     calibrate_parser.add_argument("preset")
+    calibrate_parser.set_defaults(handler=_cmd_calibrate)
     calibrate_parser.add_argument(
         "--fit", metavar="RUNS.json", default=None,
         help="fit parameters from exported run records "
@@ -666,6 +490,7 @@ def main(argv: t.Sequence[str] | None = None) -> int:
         "(estimator round-trip)",
     )
     run_parser = sub.add_parser("run", help="simulate one collective")
+    run_parser.set_defaults(handler=_cmd_run)
     run_parser.add_argument("collective")
     run_parser.add_argument("preset")
     run_parser.add_argument("--n", type=int, default=25_600,
@@ -694,6 +519,7 @@ def main(argv: t.Sequence[str] | None = None) -> int:
         "tune", help="auto-tune a collective schedule for a machine"
     )
     tune_parser.add_argument("collective", help="gather | broadcast")
+    tune_parser.set_defaults(handler=_cmd_tune)
     tune_parser.add_argument("preset",
                              help="preset name or generator spec "
                              '"family:key=value,..."')
@@ -708,6 +534,7 @@ def main(argv: t.Sequence[str] | None = None) -> int:
     cache_parser = sub.add_parser(
         "cache", help="inspect or reclaim the persistent caches"
     )
+    cache_parser.set_defaults(handler=_cmd_cache)
     cache_parser.add_argument("cache_action",
                               choices=["stats", "prune", "clear"],
                               help="stats: per-tier (sweeps/decisions) entries "
@@ -719,6 +546,7 @@ def main(argv: t.Sequence[str] | None = None) -> int:
                               "decisions each keep at most this many bytes "
                               "(default 0 = keep nothing)")
     experiment_parser = sub.add_parser("experiment", help="regenerate a paper artifact")
+    experiment_parser.set_defaults(handler=_cmd_experiment)
     experiment_parser.add_argument("id")
     experiment_parser.add_argument("--plot", action="store_true",
                                    help="render as an ASCII line plot")
@@ -739,6 +567,7 @@ def main(argv: t.Sequence[str] | None = None) -> int:
     serve_parser = sub.add_parser(
         "serve", help="play one open-loop serving session"
     )
+    serve_parser.set_defaults(handler=_cmd_serve)
     serve_parser.add_argument(
         "--config", metavar="FILE", default=None,
         help="ServiceConfig JSON (see docs/serving.md); defaults to a "
@@ -773,6 +602,7 @@ def main(argv: t.Sequence[str] | None = None) -> int:
     generate_parser = topology_sub.add_parser(
         "generate", help="build a generated (or preset) topology"
     )
+    generate_parser.set_defaults(handler=_cmd_topology_generate)
     generate_parser.add_argument(
         "spec", help='generator spec "family:key=value,..." or preset name'
     )
@@ -791,6 +621,7 @@ def main(argv: t.Sequence[str] | None = None) -> int:
     discover_parser = topology_sub.add_parser(
         "discover", help="recover a hierarchy from a probe matrix"
     )
+    discover_parser.set_defaults(handler=_cmd_topology_discover)
     discover_parser.add_argument("--matrix", metavar="FILE", default=None,
                                  help="probe matrix file (.json or .npz)")
     discover_parser.add_argument("--spec", default=None,
@@ -813,65 +644,18 @@ def main(argv: t.Sequence[str] | None = None) -> int:
         "inspect", help="summarise a topology JSON or probe-matrix file"
     )
     inspect_parser.add_argument("file")
+    inspect_parser.set_defaults(handler=_cmd_topology_inspect)
 
+    # Commands without the observability flags observe nothing.
+    parser.set_defaults(trace_out=None, metrics_out=None, obs_summary=False, runs_out=None)
     args = parser.parse_args(argv)
+    from repro.obs import observe_to
+
     try:
-        if args.command == "list":
-            return _cmd_list()
-        if args.command == "describe":
-            return _cmd_describe(args.preset)
-        if args.command == "calibrate":
-            return _cmd_calibrate(
-                args.preset, fit=args.fit, out=args.out, source=args.source
-            )
-        if args.command == "probe":
-            return _cmd_probe(args.preset)
-        if args.command == "run":
-            return _cmd_run(
-                args.collective, args.preset, args.n, args.root,
-                args.workload, args.gantt, seed=args.seed,
-                faults=args.faults, retries=args.retries,
-                send_timeout=args.send_timeout,
-                trace_out=args.trace_out, metrics_out=args.metrics_out,
-                obs_summary=args.obs_summary, runs_out=args.runs_out,
-                schedule=args.schedule,
-            )
-        if args.command == "tune":
-            return _cmd_tune(
-                args.collective, args.preset, args.n, args.root,
-                args.force, args.shortlist,
-            )
-        if args.command == "cache":
-            return _cmd_cache(args.cache_action, args.max_bytes)
-        if args.command == "serve":
-            return _cmd_serve(
-                args.config, seed=args.seed, duration=args.duration,
-                rate=args.rate, jobs=args.jobs, cache_dir=args.cache_dir,
-                dynamics=args.dynamics,
-                trace_out=args.trace_out, metrics_out=args.metrics_out,
-                obs_summary=args.obs_summary, runs_out=args.runs_out,
-            )
-        if args.command == "topology":
-            if args.topology_command == "generate":
-                return _cmd_topology_generate(
-                    args.spec, args.out, args.matrix_out, args.noise,
-                    args.seed, args.params,
-                )
-            if args.topology_command == "discover":
-                return _cmd_topology_discover(
-                    args.matrix, args.spec, args.method, args.rel_tol,
-                    args.noise, args.seed, args.out,
-                )
-            if args.topology_command == "inspect":
-                return _cmd_topology_inspect(args.file)
-        if args.command == "experiment":
-            return _cmd_experiment(
-                args.id, plot=args.plot, seed=args.seed, jobs=args.jobs,
-                cache_dir=args.cache_dir,
-                trace_out=args.trace_out, metrics_out=args.metrics_out,
-                obs_summary=args.obs_summary, runs_out=args.runs_out,
-                schedule=args.schedule,
-            )
+        with observe_to(args.trace_out, args.metrics_out, args.obs_summary, args.runs_out):
+            code = args.handler(args)
+            if args.obs_summary:
+                print()
+        return code
     except ReproError as error:
         parser.exit(2, f"error: {error}\n")
-    return 0  # pragma: no cover - argparse guarantees a command

@@ -30,6 +30,7 @@ import numpy as np
 from repro.cluster.machine import MachineSpec
 from repro.cluster.topology import Cluster, ClusterTopology
 from repro.errors import DiscoveryError
+from repro.util.codec import read_json, typed_errors
 from repro.util.rng import derive_seed
 
 __all__ = ["ProbeMatrix", "synthesize"]
@@ -164,20 +165,21 @@ class ProbeMatrix:
     @classmethod
     def from_dict(cls, data: dict) -> "ProbeMatrix":
         """Rebuild a matrix serialised by :meth:`to_dict`."""
-        if data.get("schema") != _SCHEMA:
-            raise DiscoveryError(
-                f"unsupported probe-matrix schema {data.get('schema')!r} "
-                f"(expected {_SCHEMA!r})"
+        with typed_errors(DiscoveryError, "probe matrix"):
+            if data.get("schema") != _SCHEMA:
+                raise DiscoveryError(
+                    f"unsupported probe-matrix schema {data.get('schema')!r} "
+                    f"(expected {_SCHEMA!r})"
+                )
+            return cls(
+                names=tuple(data["names"]),
+                latency=np.asarray(data["latency"], dtype=np.float64),
+                gap=(
+                    np.asarray(data["gap"], dtype=np.float64)
+                    if "gap" in data else None
+                ),
+                speeds=tuple(data["speeds"]) if "speeds" in data else None,
             )
-        return cls(
-            names=tuple(data["names"]),
-            latency=np.asarray(data["latency"], dtype=np.float64),
-            gap=(
-                np.asarray(data["gap"], dtype=np.float64)
-                if "gap" in data else None
-            ),
-            speeds=tuple(data["speeds"]) if "speeds" in data else None,
-        )
 
     def save(self, path: str | Path) -> None:
         """Write the matrix to ``path`` (``.npz`` binary or ``.json``)."""
@@ -211,7 +213,7 @@ class ProbeMatrix:
                         if "speeds" in data else None
                     ),
                 )
-        return cls.from_dict(json.loads(path.read_text()))
+        return cls.from_dict(read_json(path, error=DiscoveryError, what="probe matrix"))
 
     def __repr__(self) -> str:
         kind = "latency+gap" if self.gap is not None else "latency-only"

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import typing as t
 
+from repro.cluster.discover.generators import GENERATORS, build_generated
 from repro.cluster.machine import MachineSpec
 from repro.cluster.network import NetworkSpec
 from repro.cluster.topology import Cluster, ClusterTopology
-from repro.errors import ValidationError
-from repro.util.validation import check_positive, check_positive_int
+from repro.errors import ReproError, ValidationError
+from repro.util.validation import check_known, check_positive, check_positive_int
 
 __all__ = [
     "ETHERNET_100",
@@ -36,6 +37,9 @@ __all__ = [
     "multi_lan",
     "grid_three_level",
     "deep_hierarchy",
+    "PRESETS",
+    "build_preset",
+    "build_any",
 ]
 
 #: 100 Mbit/s switched Ethernet (the testbed's interconnect).
@@ -330,3 +334,58 @@ def grid_three_level(
             lan_nodes.append(Cluster(f"site{s}-lan{l}", ETHERNET_100, machines))
         site_nodes.append(Cluster(f"site{s}", CAMPUS_ATM, lan_nodes))
     return ClusterTopology(Cluster("grid", WAN, site_nodes))
+
+
+#: Preset name -> (factory taking an optional size, description).
+PRESETS: dict[str, tuple[t.Callable[[int | None], ClusterTopology], str]] = {
+    "testbed": (
+        lambda p: ucf_testbed(p if p is not None else 10),
+        "the paper's SUN/SGI testbed (k=1, p<=10; default 10)",
+    ),
+    "flat": (
+        lambda p: flat_cluster(p if p is not None else 8),
+        "parametric heterogeneous Ethernet LAN (k=1; default p=8)",
+    ),
+    "fig1": (
+        lambda p: smp_sgi_lan(),
+        "the paper's Figure-1 machine: SMP + SGI + LAN (k=2, p=9)",
+    ),
+    "two-lans": (
+        lambda p: two_lans(p if p is not None else 4),
+        "two LANs on a campus backbone (k=2; default 4 per LAN)",
+    ),
+    "multi-lan": (
+        lambda p: multi_lan(p if p is not None else 3),
+        "N LANs on a campus backbone (k=2; default 3 LANs)",
+    ),
+    "grid": (
+        lambda p: grid_three_level(),
+        "two-site computational grid over a WAN (k=3, p=12)",
+    ),
+    "deep": (
+        lambda p: deep_hierarchy(p if p is not None else 4),
+        "complete binary hierarchy of depth k (default k=4)",
+    ),
+}
+
+
+def build_preset(spec: str) -> ClusterTopology:
+    """Build a preset from ``name`` or ``name:size``."""
+    name, _, size_text = spec.partition(":")
+    check_known("preset", name, sorted(PRESETS), ReproError)
+    try:
+        size = int(size_text) if size_text else None
+    except ValueError:
+        raise ReproError(
+            f"preset size must be an integer, got {size_text!r} in {spec!r}"
+        ) from None
+    return PRESETS[name][0](size)
+
+
+def build_any(spec: str) -> ClusterTopology:
+    """Build from a generator spec (``family:key=value,...``) or a preset."""
+    family = spec.partition(":")[0]
+    if family in GENERATORS:
+        return build_generated(spec)
+    check_known("preset or generator", family, sorted([*PRESETS, *GENERATORS]), ReproError)
+    return build_preset(spec)

@@ -17,7 +17,6 @@ Version-1 documents load unchanged.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import typing as t
@@ -26,6 +25,7 @@ from repro.cluster.machine import MachineSpec
 from repro.cluster.network import NetworkSpec
 from repro.cluster.topology import Cluster, ClusterTopology
 from repro.errors import TopologyError
+from repro.util.codec import decode, encode, parse_json, typed_errors
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.model.params import HBSPParams
@@ -46,21 +46,21 @@ _SCHEMA = "repro.cluster/2"
 _KNOWN_SCHEMAS = (_SCHEMA_V1, _SCHEMA)
 
 
-def _machine_to_dict(spec: MachineSpec) -> dict:
-    return {"kind": "machine", **dataclasses.asdict(spec)}
-
-
-def _network_to_dict(spec: NetworkSpec) -> dict:
-    return dataclasses.asdict(spec)
+def _check_schema(data: t.Mapping[str, t.Any]) -> None:
+    if data.get("schema") not in _KNOWN_SCHEMAS:
+        raise TopologyError(
+            f"unsupported schema {data.get('schema')!r} "
+            f"(expected one of {_KNOWN_SCHEMAS!r})"
+        )
 
 
 def _node_to_dict(node: Cluster | MachineSpec) -> dict:
     if isinstance(node, MachineSpec):
-        return _machine_to_dict(node)
+        return {"kind": "machine", **encode(node)}
     return {
         "kind": "cluster",
         "name": node.name,
-        "network": _network_to_dict(node.network),
+        "network": encode(node.network),
         "children": [_node_to_dict(child) for child in node.children],
     }
 
@@ -118,29 +118,35 @@ def params_from_dict(data: dict) -> "HBSPParams":
             out[(int(i), int(j))] = cast(value)
         return out
 
-    return HBSPParams(
-        k=int(data["k"]),
-        g=float(data["g"]),
-        m=tuple(int(v) for v in data["m"]),
-        r=unkeyed(data["r"], float),
-        L=unkeyed(data["L"], float),
-        c=unkeyed(data["c"], float),
-        fan_out=unkeyed(data["fan_out"], int),
-    )
+    with typed_errors(TopologyError, "params"):
+        return HBSPParams(
+            k=int(data["k"]),
+            g=float(data["g"]),
+            m=tuple(int(v) for v in data["m"]),
+            r=unkeyed(data["r"], float),
+            L=unkeyed(data["L"], float),
+            c=unkeyed(data["c"], float),
+            fan_out=unkeyed(data["fan_out"], int),
+        )
 
 
-def _node_from_dict(data: dict) -> Cluster | MachineSpec:
+def _node_from_dict(data: dict, where: str) -> Cluster | MachineSpec:
     kind = data.get("kind")
     if kind == "machine":
         fields = {k: v for k, v in data.items() if k != "kind"}
-        return MachineSpec(**fields)
+        return decode(MachineSpec, fields, error=TopologyError, where=where)
     if kind == "cluster":
         return Cluster(
             data["name"],
-            NetworkSpec(**data["network"]),
-            [_node_from_dict(child) for child in data["children"]],
+            decode(
+                NetworkSpec, data["network"], error=TopologyError, where=f"{where}.network"
+            ),
+            [
+                _node_from_dict(child, f"{where}.children[{i}]")
+                for i, child in enumerate(data["children"])
+            ],
         )
-    raise TopologyError(f"unknown node kind {kind!r}")
+    raise TopologyError(f"{where}: unknown node kind {kind!r}")
 
 
 def topology_from_dict(data: dict) -> ClusterTopology:
@@ -149,20 +155,16 @@ def topology_from_dict(data: dict) -> ClusterTopology:
     Accepts both schema versions; an embedded ``params`` block is
     ignored here — use :func:`loads_with_params` to recover it.
     """
-    if data.get("schema") not in _KNOWN_SCHEMAS:
-        raise TopologyError(
-            f"unsupported schema {data.get('schema')!r} "
-            f"(expected one of {_KNOWN_SCHEMAS!r})"
-        )
-    root = _node_from_dict(data["root"])
-    topology = ClusterTopology(root)
-    for entry in data.get("pair_multipliers", ()):
-        topology.set_pair_multiplier(
-            topology.machine_id(entry["a"]),
-            topology.machine_id(entry["b"]),
-            entry["factor"],
-        )
-    return topology
+    with typed_errors(TopologyError, "topology document"):
+        _check_schema(data)
+        topology = ClusterTopology(_node_from_dict(data["root"], "root"))
+        for entry in data.get("pair_multipliers", ()):
+            topology.set_pair_multiplier(
+                topology.machine_id(entry["a"]),
+                topology.machine_id(entry["b"]),
+                entry["factor"],
+            )
+        return topology
 
 
 def topology_hash(
@@ -204,11 +206,7 @@ def topology_hash(
                 "params can only be supplied with a ClusterTopology source"
             )
         data = dict(source)
-    if data.get("schema") not in _KNOWN_SCHEMAS:
-        raise TopologyError(
-            f"unsupported schema {data.get('schema')!r} "
-            f"(expected one of {_KNOWN_SCHEMAS!r})"
-        )
+    _check_schema(data)
     canonical = {key: value for key, value in data.items() if key != "schema"}
     if not canonical.get("pair_multipliers"):
         canonical["pair_multipliers"] = []
@@ -235,12 +233,12 @@ def dumps(
 
 def loads(text: str) -> ClusterTopology:
     """Rebuild a topology from :func:`dumps` output."""
-    return topology_from_dict(json.loads(text))
+    return topology_from_dict(parse_json(text, error=TopologyError, what="topology document"))
 
 
 def loads_with_params(text: str) -> "tuple[ClusterTopology, HBSPParams | None]":
     """Rebuild a topology and its embedded params (``None`` if absent)."""
-    data = json.loads(text)
+    data = parse_json(text, error=TopologyError, what="topology document")
     topology = topology_from_dict(data)
     params = params_from_dict(data["params"]) if "params" in data else None
     return topology, params

@@ -25,11 +25,12 @@ fault-free run.
 from __future__ import annotations
 
 import dataclasses
-import json
-import math
 import typing as t
 
 from repro.errors import DynamicsError
+from repro.faults.plan import Windowed, _check_window
+from repro.util.codec import SpecList
+from repro.util.validation import check_known
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import ClusterTopology
@@ -47,17 +48,6 @@ __all__ = [
 _DRIFT_PROCESSES = ("random_walk", "piecewise_linear")
 
 
-def _check_window(start: float, duration: float | None) -> None:
-    if start < 0:
-        raise DynamicsError(f"start must be >= 0, got {start!r}")
-    if duration is not None and duration <= 0:
-        raise DynamicsError(f"duration must be > 0, got {duration!r}")
-
-
-def _end(start: float, duration: float | None) -> float:
-    return math.inf if duration is None else start + duration
-
-
 @dataclasses.dataclass(frozen=True)
 class MachineJoin:
     """``machine`` is absent from the cluster until ``start``.
@@ -73,11 +63,11 @@ class MachineJoin:
     kind: t.ClassVar[str] = "machine_join"
 
     def __post_init__(self) -> None:
-        _check_window(self.start, None)
+        _check_window(self.start, None, error=DynamicsError)
 
 
 @dataclasses.dataclass(frozen=True)
-class MachineLeave:
+class MachineLeave(Windowed):
     """``machine`` leaves the cluster at ``start``.
 
     With a finite ``duration`` it rejoins afterwards (a reboot); with
@@ -92,16 +82,11 @@ class MachineLeave:
     kind: t.ClassVar[str] = "machine_leave"
 
     def __post_init__(self) -> None:
-        _check_window(self.start, self.duration)
-
-    @property
-    def end(self) -> float:
-        """Rejoin time (``inf`` when the machine never returns)."""
-        return _end(self.start, self.duration)
+        _check_window(self.start, self.duration, error=DynamicsError)
 
 
 @dataclasses.dataclass(frozen=True)
-class SpeedDrift:
+class SpeedDrift(Windowed):
     """A seeded drift process on ``machine``'s effective slowness.
 
     Every ``step`` seconds the machine's slowdown multiplier is
@@ -126,12 +111,8 @@ class SpeedDrift:
     kind: t.ClassVar[str] = "speed_drift"
 
     def __post_init__(self) -> None:
-        _check_window(self.start, self.duration)
-        if self.process not in _DRIFT_PROCESSES:
-            raise DynamicsError(
-                f"unknown drift process {self.process!r}; "
-                f"known: {', '.join(_DRIFT_PROCESSES)}"
-            )
+        _check_window(self.start, self.duration, error=DynamicsError)
+        check_known("drift process", self.process, _DRIFT_PROCESSES, DynamicsError)
         if self.magnitude <= 0:
             raise DynamicsError(f"magnitude must be > 0, got {self.magnitude!r}")
         if self.step <= 0:
@@ -143,14 +124,9 @@ class SpeedDrift:
                 f"ceiling must be >= floor, got {self.ceiling!r} < {self.floor!r}"
             )
 
-    @property
-    def end(self) -> float:
-        """Drift window end (``inf`` for a permanent process)."""
-        return _end(self.start, self.duration)
-
 
 @dataclasses.dataclass(frozen=True)
-class DiurnalLoad:
+class DiurnalLoad(Windowed):
     """A diurnal background-load curve on ``machine``.
 
     The stolen-CPU fraction follows the serving layer's rate shape:
@@ -171,7 +147,7 @@ class DiurnalLoad:
     kind: t.ClassVar[str] = "diurnal_load"
 
     def __post_init__(self) -> None:
-        _check_window(self.start, self.duration)
+        _check_window(self.start, self.duration, error=DynamicsError)
         if not 0.0 < self.intensity < 1.0:
             raise DynamicsError(
                 f"intensity must be in (0, 1), got {self.intensity!r}"
@@ -185,67 +161,36 @@ class DiurnalLoad:
         if self.burst_mean <= 0:
             raise DynamicsError(f"burst_mean must be > 0, got {self.burst_mean!r}")
 
-    @property
-    def end(self) -> float:
-        """Curve end (``inf`` when the load persists)."""
-        return _end(self.start, self.duration)
-
 
 #: Every concrete dynamic event type.
 DynamicSpec = t.Union[MachineJoin, MachineLeave, SpeedDrift, DiurnalLoad]
 
-_KINDS: dict[str, type] = {
-    cls.kind: cls for cls in (MachineJoin, MachineLeave, SpeedDrift, DiurnalLoad)
-}
 
-
-@dataclasses.dataclass(frozen=True)
-class DynamicPlan:
+@dataclasses.dataclass(frozen=True, init=False, repr=False)
+class DynamicPlan(SpecList):
     """An ordered collection of dynamic-cluster events.
 
-    Mirrors :class:`~repro.faults.FaultPlan`: build programmatically,
-    from the preset builders (:func:`churn_plan`, :func:`drift_plan`),
-    or from JSON.  The empty plan is a guaranteed no-op — it compiles
-    to ``FaultPlan.empty()`` and a single all-present membership epoch,
-    so runs carrying it stay bit-identical to runs without one.
+    Mirrors :class:`~repro.faults.FaultPlan` (both are a
+    :class:`~repro.util.codec.SpecList`): build programmatically, from
+    the preset builders (:func:`churn_plan`, :func:`drift_plan`), or
+    from JSON (``repro serve --dynamics plan.json``).  The empty plan is
+    a guaranteed no-op — it compiles to ``FaultPlan.empty()`` and a
+    single all-present membership epoch, so runs carrying it stay
+    bit-identical to runs without one.
     """
 
     events: tuple[DynamicSpec, ...] = ()
 
-    def __init__(self, events: "DynamicSpec | t.Iterable[DynamicSpec]" = ()) -> None:
-        if type(events) in _KINDS.values():  # a bare spec: wrap it
-            events = (events,)
-        events = tuple(events)
-        for event in events:
-            if type(event) not in _KINDS.values():
-                raise DynamicsError(f"not a dynamic event specification: {event!r}")
-        object.__setattr__(self, "events", events)
-
-    @classmethod
-    def empty(cls) -> "DynamicPlan":
-        """The no-op plan: runs with it are bit-identical to plain runs."""
-        return cls()
-
-    @property
-    def is_empty(self) -> bool:
-        """True when the plan changes nothing."""
-        return not self.events
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> t.Iterator[DynamicSpec]:
-        return iter(self.events)
-
-    def extended(self, *events: DynamicSpec) -> "DynamicPlan":
-        """A new plan with ``events`` appended."""
-        return DynamicPlan(self.events + tuple(events))
+    _kinds = t.get_args(DynamicSpec)
+    _field = "events"
+    _what = "dynamic plan"
+    _item = "event"
+    _error = DynamicsError
 
     def machines(self) -> tuple[str, ...]:
         """Every machine the plan names, sorted and deduplicated."""
         return tuple(sorted({event.machine for event in self.events}))
 
-    # -- validation -----------------------------------------------------------
     def validate(self, topology: "ClusterTopology") -> None:
         """Check every named machine exists in ``topology``."""
         known = {m.name for m in topology.machines}
@@ -255,63 +200,6 @@ class DynamicPlan:
                     f"{event.kind} names unknown machine {event.machine!r}; "
                     f"known: {', '.join(sorted(known))}"
                 )
-
-    # -- serialisation ---------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-data representation (JSON-compatible)."""
-        out = []
-        for event in self.events:
-            record: dict[str, t.Any] = {"kind": event.kind}
-            record.update(dataclasses.asdict(event))
-            out.append(record)
-        return {"events": out}
-
-    @classmethod
-    def from_dict(cls, data: t.Mapping) -> "DynamicPlan":
-        """Rebuild a plan from :meth:`to_dict` output."""
-        if not isinstance(data, t.Mapping) or "events" not in data:
-            raise DynamicsError('dynamic plan must be an object with an "events" list')
-        events = []
-        for record in data["events"]:
-            record = dict(record)
-            kind = record.pop("kind", None)
-            if kind not in _KINDS:
-                raise DynamicsError(
-                    f"unknown event kind {kind!r}; known: {', '.join(sorted(_KINDS))}"
-                )
-            try:
-                events.append(_KINDS[kind](**record))
-            except TypeError as error:
-                raise DynamicsError(f"bad {kind} specification: {error}") from None
-        return cls(events)
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        """Serialise to a JSON document."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DynamicPlan":
-        """Parse a plan from a JSON document."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise DynamicsError(f"dynamic plan is not valid JSON: {error}") from None
-        return cls.from_dict(data)
-
-    @classmethod
-    def from_file(cls, path: str) -> "DynamicPlan":
-        """Load a plan from a JSON file (``repro serve --dynamics plan.json``)."""
-        try:
-            with open(path, encoding="utf-8") as handle:
-                return cls.from_json(handle.read())
-        except OSError as error:
-            raise DynamicsError(
-                f"cannot read dynamic plan {path!r}: {error}"
-            ) from None
-
-    def __repr__(self) -> str:
-        kinds = ", ".join(e.kind for e in self.events) or "empty"
-        return f"DynamicPlan({kinds})"
 
 
 # -- preset builders -----------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.experiments.fig4_broadcast import (
 from repro.experiments.improvement import ExperimentReport
 from repro.experiments.robustness import robustness_report
 from repro.experiments.serving import serving_curves
+from repro.util.validation import check_known
 
 __all__ = ["EXPERIMENTS", "run_experiment", "main"]
 
@@ -91,13 +92,8 @@ def run_experiment(
     schedule for experiments that support it.
     """
     experiment_id = EXPERIMENT_ALIASES.get(experiment_id, experiment_id)
-    try:
-        factory = EXPERIMENTS[experiment_id]
-    except KeyError:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ExperimentError(
-            f"unknown experiment {experiment_id!r}; known: {known}"
-        ) from None
+    check_known("experiment", experiment_id, sorted(EXPERIMENTS), ExperimentError)
+    factory = EXPERIMENTS[experiment_id]
     if seed is not None and experiment_id not in _ACCEPTS_SEED:
         raise ExperimentError(
             f"experiment {experiment_id!r} does not accept a seed"
@@ -193,57 +189,22 @@ def main(argv: t.Sequence[str] | None = None) -> int:
         wanted = list(EXPERIMENTS)
     # One executor for the whole invocation (even serially): experiments
     # sharing grid points simulate them once.
-    import contextlib
-
+    from repro.obs import observe_to
     from repro.perf import default_cache_dir, effective_jobs, sweep
 
     cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    observation = None
-    with contextlib.ExitStack() as stack:
-        if args.trace_out or args.metrics_out or args.obs_summary or args.runs_out:
-            from repro.obs import observe
-
-            observation = stack.enter_context(
-                observe(spans=args.trace_out is not None)
-            )
-        stack.enter_context(sweep(jobs=effective_jobs(args.jobs), cache_dir=cache_dir))
-        for experiment_id in wanted:
-            if args.profile:
-                report = _profiled(experiment_id, args.seed, args.profile_limit)
-            else:
-                report = run_experiment(
-                    experiment_id, seed=args.seed, schedule=args.schedule
-                )
-            print(report.render())
-            print()
-    if observation is not None:
-        _export_observation(
-            observation, args.trace_out, args.metrics_out, args.obs_summary,
-            args.runs_out,
-        )
+    with observe_to(args.trace_out, args.metrics_out, args.obs_summary, args.runs_out):
+        with sweep(jobs=effective_jobs(args.jobs), cache_dir=cache_dir):
+            for experiment_id in wanted:
+                if args.profile:
+                    report = _profiled(experiment_id, args.seed, args.profile_limit)
+                else:
+                    report = run_experiment(
+                        experiment_id, seed=args.seed, schedule=args.schedule
+                    )
+                print(report.render())
+                print()
     return 0
-
-
-def _export_observation(
-    observation: t.Any,
-    trace_out: str | None,
-    metrics_out: str | None,
-    obs_summary: bool,
-    runs_out: str | None = None,
-) -> None:
-    """Write the requested observability outputs (shared with repro.cli)."""
-    from pathlib import Path
-
-    from repro.obs import chrome_trace, prometheus_text, runs_json, summary
-
-    if trace_out:
-        Path(trace_out).write_text(chrome_trace(observation.tracer))
-    if metrics_out:
-        Path(metrics_out).write_text(prometheus_text(observation.metrics))
-    if runs_out:
-        Path(runs_out).write_text(runs_json(observation))
-    if obs_summary:
-        print(summary(observation))
 
 
 def _profiled(experiment_id: str, seed: int | None, limit: int) -> ExperimentReport:

@@ -15,11 +15,11 @@ background load must end so simulations terminate.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import typing as t
 
 from repro.errors import FaultPlanError
+from repro.util.codec import SpecList
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import ClusterTopology
@@ -37,13 +37,19 @@ __all__ = [
 ]
 
 
-def _check_window(start: float, duration: float | None, *, finite: bool = False) -> None:
+def _check_window(
+    start: float,
+    duration: float | None,
+    *,
+    finite: bool = False,
+    error: type[Exception] = FaultPlanError,
+) -> None:
     if start < 0:
-        raise FaultPlanError(f"start must be >= 0, got {start!r}")
+        raise error(f"start must be >= 0, got {start!r}")
     if duration is not None and duration <= 0:
-        raise FaultPlanError(f"duration must be > 0, got {duration!r}")
+        raise error(f"duration must be > 0, got {duration!r}")
     if finite and duration is None:
-        raise FaultPlanError("this fault kind requires a finite duration")
+        raise error("this fault kind requires a finite duration")
 
 
 def _check_prob(name: str, value: float) -> None:
@@ -55,8 +61,20 @@ def _end(start: float, duration: float | None) -> float:
     return math.inf if duration is None else start + duration
 
 
+class Windowed:
+    """A spec active over ``[start, start + duration)``."""
+
+    start: float
+    duration: float | None
+
+    @property
+    def end(self) -> float:
+        """When the window closes (``inf`` for one that never does)."""
+        return _end(self.start, self.duration)
+
+
 @dataclasses.dataclass(frozen=True)
-class MachineSlowdown:
+class MachineSlowdown(Windowed):
     """CPU contention: work on ``machine`` takes ``factor`` times longer.
 
     Models a non-dedicated workstation picking up interactive load —
@@ -75,14 +93,9 @@ class MachineSlowdown:
         if self.factor <= 0:
             raise FaultPlanError(f"slowdown factor must be > 0, got {self.factor!r}")
 
-    @property
-    def end(self) -> float:
-        """Window end (``inf`` for a permanent slowdown)."""
-        return _end(self.start, self.duration)
-
 
 @dataclasses.dataclass(frozen=True)
-class MachinePause:
+class MachinePause(Windowed):
     """A crash-restart window: ``machine`` makes no progress at all.
 
     CPU and NIC work freezes for the duration; in-flight messages to
@@ -99,14 +112,9 @@ class MachinePause:
     def __post_init__(self) -> None:
         _check_window(self.start, self.duration, finite=True)
 
-    @property
-    def end(self) -> float:
-        """Restart time."""
-        return self.start + self.duration
-
 
 @dataclasses.dataclass(frozen=True)
-class LinkDegradation:
+class LinkDegradation(Windowed):
     """Congestion on one network: less bandwidth, more latency.
 
     Transfers crossing ``network`` inside the window take
@@ -133,14 +141,9 @@ class LinkDegradation:
                 f"extra_latency must be >= 0, got {self.extra_latency!r}"
             )
 
-    @property
-    def end(self) -> float:
-        """Window end (``inf`` for permanent congestion)."""
-        return _end(self.start, self.duration)
-
 
 @dataclasses.dataclass(frozen=True)
-class MessageFaults:
+class MessageFaults(Windowed):
     """Stochastic per-message faults on a network (or everywhere).
 
     Each message crossing ``network`` (``None`` matches every network)
@@ -168,14 +171,9 @@ class MessageFaults:
         if self.delay_prob > 0 and self.delay_mean <= 0:
             raise FaultPlanError("delay_prob > 0 requires delay_mean > 0")
 
-    @property
-    def end(self) -> float:
-        """Window end (``inf`` when the faults persist)."""
-        return _end(self.start, self.duration)
-
 
 @dataclasses.dataclass(frozen=True)
-class BackgroundLoad:
+class BackgroundLoad(Windowed):
     """Stochastic CPU hog on ``machine``: bursts of stolen CPU time.
 
     An on/off process competes for the machine's CPU through the normal
@@ -202,65 +200,34 @@ class BackgroundLoad:
         if self.burst_mean <= 0:
             raise FaultPlanError(f"burst_mean must be > 0, got {self.burst_mean!r}")
 
-    @property
-    def end(self) -> float:
-        """Time the background load stops."""
-        return self.start + self.duration
-
 
 #: Every concrete fault specification type.
 FaultSpec = t.Union[
     MachineSlowdown, MachinePause, LinkDegradation, MessageFaults, BackgroundLoad
 ]
 
-_KINDS: dict[str, type] = {
-    cls.kind: cls
-    for cls in (MachineSlowdown, MachinePause, LinkDegradation, MessageFaults, BackgroundLoad)
-}
 
-
-@dataclasses.dataclass(frozen=True)
-class FaultPlan:
+@dataclasses.dataclass(frozen=True, init=False, repr=False)
+class FaultPlan(SpecList):
     """An ordered collection of fault specifications.
 
     Build programmatically (``FaultPlan([MachineSlowdown(...), ...])``),
     from the preset builders (:func:`straggler_plan`,
     :func:`congestion_plan`, :func:`flaky_network_plan`), or from JSON
-    (:meth:`from_json` / :meth:`from_file`).
+    (:meth:`from_json` / :meth:`from_file`, ``repro run --faults
+    plan.json``).  The container itself — construction, iteration,
+    ``extended``, every serialisation method — is
+    :class:`~repro.util.codec.SpecList`.
     """
 
     faults: tuple[FaultSpec, ...] = ()
 
-    def __init__(self, faults: "FaultSpec | t.Iterable[FaultSpec]" = ()) -> None:
-        if type(faults) in _KINDS.values():  # a bare spec: wrap it
-            faults = (faults,)
-        faults = tuple(faults)
-        for fault in faults:
-            if type(fault) not in _KINDS.values():
-                raise FaultPlanError(f"not a fault specification: {fault!r}")
-        object.__setattr__(self, "faults", faults)
+    _kinds = t.get_args(FaultSpec)
+    _field = "faults"
+    _what = "fault plan"
+    _item = "fault"
+    _error = FaultPlanError
 
-    @classmethod
-    def empty(cls) -> "FaultPlan":
-        """The no-op plan: runs with it are bit-identical to fault-free runs."""
-        return cls()
-
-    @property
-    def is_empty(self) -> bool:
-        """True when the plan injects nothing."""
-        return not self.faults
-
-    def __len__(self) -> int:
-        return len(self.faults)
-
-    def __iter__(self) -> t.Iterator[FaultSpec]:
-        return iter(self.faults)
-
-    def extended(self, *faults: FaultSpec) -> "FaultPlan":
-        """A new plan with ``faults`` appended."""
-        return FaultPlan(self.faults + tuple(faults))
-
-    # -- validation -----------------------------------------------------------
     def validate(self, topology: "ClusterTopology") -> None:
         """Check every named machine/network exists in ``topology``."""
         machine_names = {m.name for m in topology.machines}
@@ -278,61 +245,6 @@ class FaultPlan:
                     f"{fault.kind} names unknown network {network!r}; "
                     f"known: {', '.join(sorted(network_names))}"
                 )
-
-    # -- serialisation ---------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-data representation (JSON-compatible)."""
-        out = []
-        for fault in self.faults:
-            record: dict[str, t.Any] = {"kind": fault.kind}
-            record.update(dataclasses.asdict(fault))
-            out.append(record)
-        return {"faults": out}
-
-    @classmethod
-    def from_dict(cls, data: t.Mapping) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_dict` output."""
-        if not isinstance(data, t.Mapping) or "faults" not in data:
-            raise FaultPlanError('fault plan must be an object with a "faults" list')
-        faults = []
-        for record in data["faults"]:
-            record = dict(record)
-            kind = record.pop("kind", None)
-            if kind not in _KINDS:
-                raise FaultPlanError(
-                    f"unknown fault kind {kind!r}; known: {', '.join(sorted(_KINDS))}"
-                )
-            try:
-                faults.append(_KINDS[kind](**record))
-            except TypeError as error:
-                raise FaultPlanError(f"bad {kind} specification: {error}") from None
-        return cls(faults)
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        """Serialise to a JSON document."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Parse a plan from a JSON document."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise FaultPlanError(f"fault plan is not valid JSON: {error}") from None
-        return cls.from_dict(data)
-
-    @classmethod
-    def from_file(cls, path: str) -> "FaultPlan":
-        """Load a plan from a JSON file (``repro run --faults plan.json``)."""
-        try:
-            with open(path, encoding="utf-8") as handle:
-                return cls.from_json(handle.read())
-        except OSError as error:
-            raise FaultPlanError(f"cannot read fault plan {path!r}: {error}") from None
-
-    def __repr__(self) -> str:
-        kinds = ", ".join(f.kind for f in self.faults) or "empty"
-        return f"FaultPlan({kinds})"
 
 
 # -- preset builders -----------------------------------------------------------

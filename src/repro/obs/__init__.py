@@ -31,7 +31,7 @@ from repro.obs.accounting import (
 )
 from repro.obs.export import chrome_trace, prometheus_text, runs_json, summary
 from repro.obs.metrics import METRIC_HELP, MetricsRegistry
-from repro.obs.observe import Observation, current_observation, observe
+from repro.obs.observe import Observation, current_observation, observe, observe_to
 from repro.obs.spans import NULL_TRACER, Span, Tracer
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "collect_run_obs",
     "Observation",
     "observe",
+    "observe_to",
     "current_observation",
     "chrome_trace",
     "prometheus_text",

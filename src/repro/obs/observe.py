@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import contextlib
 import typing as t
+from pathlib import Path
 
 from repro.obs.accounting import RunObs, SuperstepLedger, collect_run_obs
+from repro.obs.export import chrome_trace, prometheus_text, runs_json, summary
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
 
-__all__ = ["Observation", "observe", "current_observation"]
+__all__ = ["Observation", "observe", "observe_to", "current_observation"]
 
 
 class Observation:
@@ -168,3 +170,32 @@ def observe(*, spans: bool = False) -> t.Iterator[Observation]:
         yield observation
     finally:
         _current = previous
+
+
+@contextlib.contextmanager
+def observe_to(
+    trace_out: str | None = None,
+    metrics_out: str | None = None,
+    obs_summary: bool = False,
+    runs_out: str | None = None,
+) -> t.Iterator[Observation | None]:
+    """The ``--trace-out/--metrics-out/--obs-summary/--runs-out`` block.
+
+    With no output requested nothing is observed and ``None`` is
+    yielded.  Otherwise the body runs under :func:`observe` (spans only
+    when a trace file is wanted) and, if it finishes, each requested
+    file is written and the summary printed last.
+    """
+    if not (trace_out or metrics_out or obs_summary or runs_out):
+        yield None
+        return
+    with observe(spans=trace_out is not None) as observation:
+        yield observation
+    if trace_out:
+        Path(trace_out).write_text(chrome_trace(observation.tracer))
+    if metrics_out:
+        Path(metrics_out).write_text(prometheus_text(observation.metrics))
+    if runs_out:
+        Path(runs_out).write_text(runs_json(observation))
+    if obs_summary:
+        print(summary(observation))

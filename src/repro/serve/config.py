@@ -26,9 +26,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import typing as t
-from pathlib import Path
 
 from repro.errors import ServeError
+from repro.util.codec import Spec
+from repro.util.validation import check_known
 
 __all__ = [
     "STAGE_OPS",
@@ -68,25 +69,42 @@ _PLACEMENTS = ("subtrees", "whole")
 _SCHEDULES = ("default", "tuned")
 
 
+class _ServeSpec(Spec):
+    """Every serving spec decodes to, and fails as, a :class:`ServeError`."""
+
+    _error = ServeError
+    _what = "service config"
+
+
 @dataclasses.dataclass(frozen=True)
-class StageSpec:
-    """One kernel invocation inside a request's stage chain."""
+class StageSpec(_ServeSpec):
+    """One kernel invocation inside a request's stage chain.
+
+    In a document a bare string ``"gather"`` is short for
+    ``{"op": "gather"}``.
+    """
 
     op: str
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.op not in STAGE_OPS:
-            raise ServeError(
-                f"unknown stage op {self.op!r}; known: {', '.join(STAGE_OPS)}"
-            )
+        check_known("stage op", self.op, STAGE_OPS, ServeError)
         if not self.scale > 0:
             raise ServeError(f"stage scale must be > 0, got {self.scale!r}")
 
+    @classmethod
+    def _before_decode(cls, data: t.Any) -> t.Any:
+        return {"op": data} if isinstance(data, str) else data
+
 
 @dataclasses.dataclass(frozen=True)
-class RequestKind:
-    """A named request shape: stages, base problem size, mix weight."""
+class RequestKind(_ServeSpec):
+    """A named request shape: stages, base problem size, mix weight.
+
+    In a document ``{"template": "<name>", ...}`` stands for that
+    :data:`REQUEST_TEMPLATES` entry's stages (and names the kind after
+    the template unless ``name`` is given).
+    """
 
     name: str
     stages: tuple[StageSpec, ...]
@@ -110,53 +128,26 @@ class RequestKind:
         return max(1, round(self.n * stage.scale)) * max(1, int(batch))
 
     @classmethod
-    def from_dict(cls, data: t.Mapping[str, t.Any]) -> "RequestKind":
+    def _before_decode(cls, data: t.Any) -> t.Any:
+        if not isinstance(data, t.Mapping):
+            return data
         if "template" in data:
             template = data["template"]
-            try:
-                shape = REQUEST_TEMPLATES[template]
-            except KeyError:
-                known = ", ".join(sorted(REQUEST_TEMPLATES))
-                raise ServeError(
-                    f"unknown request template {template!r}; known: {known}"
-                ) from None
-            stages = tuple(StageSpec(op, scale) for op, scale in shape)
-            name = str(data.get("name", template))
-        else:
-            try:
-                raw = data["stages"]
-            except KeyError:
-                raise ServeError(
-                    "request kind needs 'template' or 'stages'"
-                ) from None
-            stages = tuple(
-                StageSpec(str(item), 1.0)
-                if isinstance(item, str)
-                else StageSpec(str(item["op"]), float(item.get("scale", 1.0)))
-                for item in raw
+            check_known("request template", template, sorted(REQUEST_TEMPLATES), ServeError)
+            shape = [{"op": op, "scale": scale} for op, scale in REQUEST_TEMPLATES[template]]
+            data = {"name": template, **data, "stages": shape}
+            del data["template"]
+        elif "stages" not in data:
+            raise ServeError("request kind needs 'template' or 'stages'")
+        if "n" not in data:
+            raise ServeError(
+                f"request kind {data.get('name', '')!r} needs a problem size 'n'"
             )
-            name = str(data.get("name", ""))
-        try:
-            n = int(data["n"])
-        except KeyError:
-            raise ServeError(f"request kind {name!r} needs a problem size 'n'") from None
-        return cls(
-            name=name, stages=stages, n=n, weight=float(data.get("weight", 1.0))
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "stages": [
-                {"op": stage.op, "scale": stage.scale} for stage in self.stages
-            ],
-            "n": self.n,
-            "weight": self.weight,
-        }
+        return data
 
 
 @dataclasses.dataclass(frozen=True)
-class ArrivalSpec:
+class ArrivalSpec(_ServeSpec):
     """Open-loop arrival process: requests arrive regardless of progress.
 
     ``poisson`` draws i.i.d. exponential inter-arrivals at ``rate``
@@ -171,11 +162,7 @@ class ArrivalSpec:
     amplitude: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.process not in _ARRIVAL_PROCESSES:
-            raise ServeError(
-                f"unknown arrival process {self.process!r}; "
-                f"known: {', '.join(_ARRIVAL_PROCESSES)}"
-            )
+        check_known("arrival process", self.process, _ARRIVAL_PROCESSES, ServeError)
         if not self.rate > 0:
             raise ServeError(f"arrival rate must be > 0, got {self.rate!r}")
         if self.process == "diurnal":
@@ -193,25 +180,14 @@ class ArrivalSpec:
             return self.rate * (1.0 - self.amplitude)
         return self.rate
 
-    @classmethod
-    def from_dict(cls, data: t.Mapping[str, t.Any]) -> "ArrivalSpec":
-        return cls(
-            process=str(data.get("process", "poisson")),
-            rate=float(data.get("rate", 2.0)),
-            period=float(data.get("period", 60.0)),
-            amplitude=float(data.get("amplitude", 0.5)),
-        )
-
-    def to_dict(self) -> dict:
-        out: dict = {"process": self.process, "rate": self.rate}
-        if self.process == "diurnal":
-            out["period"] = self.period
-            out["amplitude"] = self.amplitude
+    def _after_encode(self, out: dict[str, t.Any]) -> dict[str, t.Any]:
+        if self.process != "diurnal":  # the curve's shape fields mean nothing
+            del out["period"], out["amplitude"]
         return out
 
 
 @dataclasses.dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(_ServeSpec):
     """Service policy knobs: admission, batching, placement, schedule.
 
     ``queue_limit`` bounds the admission queue: ``None`` means
@@ -240,45 +216,14 @@ class PolicySpec:
             raise ServeError(
                 f"max_redispatch must be >= 0, got {self.max_redispatch}"
             )
-        if self.placement not in _PLACEMENTS:
-            raise ServeError(
-                f"unknown placement {self.placement!r}; "
-                f"known: {', '.join(_PLACEMENTS)}"
-            )
-        if self.schedule not in _SCHEDULES:
-            raise ServeError(
-                f"unknown schedule {self.schedule!r}; "
-                f"known: {', '.join(_SCHEDULES)}"
-            )
+        check_known("placement", self.placement, _PLACEMENTS, ServeError)
+        check_known("schedule", self.schedule, _SCHEDULES, ServeError)
         if self.slo is not None and not self.slo > 0:
             raise ServeError(f"slo must be > 0 seconds or null, got {self.slo!r}")
 
-    @classmethod
-    def from_dict(cls, data: t.Mapping[str, t.Any]) -> "PolicySpec":
-        slo = data.get("slo")
-        queue_limit = data.get("queue_limit", 64)
-        return cls(
-            queue_limit=None if queue_limit is None else int(queue_limit),
-            max_batch=int(data.get("max_batch", 4)),
-            placement=str(data.get("placement", "subtrees")),
-            schedule=str(data.get("schedule", "default")),
-            slo=None if slo is None else float(slo),
-            max_redispatch=int(data.get("max_redispatch", 2)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "queue_limit": self.queue_limit,
-            "max_batch": self.max_batch,
-            "placement": self.placement,
-            "schedule": self.schedule,
-            "slo": self.slo,
-            "max_redispatch": self.max_redispatch,
-        }
-
 
 @dataclasses.dataclass(frozen=True)
-class ServiceConfig:
+class ServiceConfig(_ServeSpec):
     """One complete serving session, JSON-round-trippable."""
 
     cluster: str
@@ -311,46 +256,9 @@ class ServiceConfig:
             )
 
     @classmethod
-    def from_dict(cls, data: t.Mapping[str, t.Any]) -> "ServiceConfig":
-        try:
-            cluster = str(data["cluster"])
-        except KeyError:
-            raise ServeError("ServiceConfig needs a 'cluster' spec") from None
-        workload = data.get("workload")
-        if not isinstance(workload, t.Sequence) or isinstance(workload, str):
-            raise ServeError("ServiceConfig needs a 'workload' list of request kinds")
-        return cls(
-            cluster=cluster,
-            arrival=ArrivalSpec.from_dict(data.get("arrival", {})),
-            workload=tuple(RequestKind.from_dict(item) for item in workload),
-            policy=PolicySpec.from_dict(data.get("policy", {})),
-            duration=float(data.get("duration", 60.0)),
-            seed=int(data.get("seed", 0)),
-        )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ServiceConfig":
-        try:
-            text = Path(path).read_text()
-        except OSError as error:
-            raise ServeError(f"cannot read service config {path}: {error}") from None
-        try:
-            data = json.loads(text)
-        except ValueError as error:
-            raise ServeError(f"service config {path} is not valid JSON: {error}") from None
-        if not isinstance(data, dict):
-            raise ServeError(f"service config {path} must be a JSON object")
-        return cls.from_dict(data)
-
-    def to_dict(self) -> dict:
-        return {
-            "cluster": self.cluster,
-            "arrival": self.arrival.to_dict(),
-            "workload": [kind.to_dict() for kind in self.workload],
-            "policy": self.policy.to_dict(),
-            "duration": self.duration,
-            "seed": self.seed,
-        }
+    def _before_decode(cls, data: t.Any) -> t.Any:
+        # A document may omit ``arrival``: the default Poisson process.
+        return {"arrival": {}, **data} if isinstance(data, t.Mapping) else data
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

@@ -43,6 +43,7 @@ import math
 import typing as t
 from collections import deque
 
+from repro.cluster.presets import build_any
 from repro.cluster.topology import ClusterTopology
 from repro.errors import ServeError
 from repro.obs.observe import current_observation
@@ -61,9 +62,7 @@ __all__ = ["run_service", "resolve_cluster", "serve_slices"]
 
 def resolve_cluster(spec: str) -> ClusterTopology:
     """Build the shared cluster from a preset name or generator spec."""
-    from repro.cli import _build_any
-
-    return _build_any(spec)
+    return build_any(spec)
 
 
 def serve_slices(

@@ -22,12 +22,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-import typing as t
 from pathlib import Path
 
 from repro.errors import CollectiveError
 from repro.perf.diskcache import CacheStats, DiskCache
 from repro.tuning.plan import SchedulePlan
+from repro.util.codec import Spec
 
 __all__ = [
     "DecisionCache",
@@ -53,7 +53,7 @@ def default_decision_dir() -> Path:
 
 
 @dataclasses.dataclass(frozen=True)
-class TunedDecision:
+class TunedDecision(Spec):
     """The outcome of one tuning run, JSON-round-trippable.
 
     ``simulated_time`` is the DES-validated makespan of the winning
@@ -75,33 +75,14 @@ class TunedDecision:
     candidates: int
     validated: int
 
+    _error = CollectiveError
+
     @property
     def improvement(self) -> float:
         """Fractional makespan win over the default schedule (>= 0)."""
         if self.default_time <= 0:
             return 0.0
         return 1.0 - self.simulated_time / self.default_time
-
-    def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["plan"] = self.plan.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: t.Mapping[str, t.Any]) -> "TunedDecision":
-        return cls(
-            op=str(data["op"]),
-            topology_hash=str(data["topology_hash"]),
-            n=int(data["n"]),
-            item_bytes=int(data["item_bytes"]),
-            root=int(data["root"]),
-            plan=SchedulePlan.from_dict(data["plan"]),
-            predicted_time=float(data["predicted_time"]),
-            simulated_time=float(data["simulated_time"]),
-            default_time=float(data["default_time"]),
-            candidates=int(data["candidates"]),
-            validated=int(data["validated"]),
-        )
 
 
 def decision_key(
@@ -147,7 +128,7 @@ class DecisionCache:
             return None
         try:
             decision = TunedDecision.from_dict(data)
-        except (CollectiveError, ValueError, KeyError, TypeError):
+        except CollectiveError:  # a malformed record is a miss
             return None
         self._memo[key] = decision
         return decision

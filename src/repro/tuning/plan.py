@@ -33,6 +33,7 @@ import itertools
 import typing as t
 
 from repro.errors import CollectiveError
+from repro.util.codec import Spec
 
 __all__ = [
     "GATHER_ALGORITHMS",
@@ -86,7 +87,7 @@ def segment_suffix(s: int, segments: int) -> str:
 
 
 @dataclasses.dataclass(frozen=True)
-class LevelSchedule:
+class LevelSchedule(Spec):
     """How one hierarchy level communicates.
 
     ``segments`` splits each message into that many chunks, one
@@ -96,6 +97,8 @@ class LevelSchedule:
 
     algorithm: str
     segments: int = 1
+
+    _error = CollectiveError
 
     def validated(self, op: str) -> "LevelSchedule":
         allowed = GATHER_ALGORITHMS if op == "gather" else BROADCAST_ALGORITHMS
@@ -122,19 +125,9 @@ class LevelSchedule:
             return self.algorithm
         return f"{self.algorithm}/{self.segments}"
 
-    def to_dict(self) -> dict[str, t.Any]:
-        return {"algorithm": self.algorithm, "segments": self.segments}
-
-    @classmethod
-    def from_dict(cls, data: t.Mapping[str, t.Any]) -> "LevelSchedule":
-        return cls(
-            algorithm=str(data["algorithm"]),
-            segments=int(data.get("segments", 1)),
-        )
-
 
 @dataclasses.dataclass(frozen=True)
-class SchedulePlan:
+class SchedulePlan(Spec):
     """A complete per-level schedule for one collective.
 
     ``levels[i]`` schedules hierarchy level ``i + 1`` (gather ascends
@@ -144,6 +137,8 @@ class SchedulePlan:
 
     op: str
     levels: tuple[LevelSchedule, ...]
+
+    _error = CollectiveError
 
     def __post_init__(self) -> None:
         if self.op not in ("gather", "broadcast"):
@@ -176,21 +171,6 @@ class SchedulePlan:
     def is_default(self) -> bool:
         """Whether this plan reproduces the paper's hand schedule."""
         return self == default_plan(self.op, self.k)
-
-    def to_dict(self) -> dict[str, t.Any]:
-        return {
-            "op": self.op,
-            "levels": [s.to_dict() for s in self.levels],
-        }
-
-    @classmethod
-    def from_dict(cls, data: t.Mapping[str, t.Any]) -> "SchedulePlan":
-        return cls(
-            op=str(data["op"]),
-            levels=tuple(
-                LevelSchedule.from_dict(entry) for entry in data["levels"]
-            ),
-        )
 
     def __str__(self) -> str:
         return self.key

@@ -10,7 +10,7 @@ they can be used inline::
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.errors import ValidationError
 
@@ -18,6 +18,7 @@ __all__ = [
     "check_finite",
     "check_fraction",
     "check_index",
+    "check_known",
     "check_non_negative",
     "check_positive",
     "check_positive_int",
@@ -96,3 +97,14 @@ def check_probability_vector(
     if abs(total - 1.0) > tol:
         raise ValidationError(f"{name} must sum to 1 (got {total!r}, tol={tol})")
     return out
+
+
+def check_known(
+    what: str,
+    value: object,
+    known: Iterable[str],
+    error: type[Exception] = ValidationError,
+) -> None:
+    """Require ``value`` to be one of ``known``; the message lists them."""
+    if value not in known:
+        raise error(f"unknown {what} {value!r}; known: {', '.join(known)}")

@@ -303,6 +303,93 @@ class TestServeCommand:
         assert "repro_serve_latency_seconds_bucket" in text
 
 
+def _service_doc(**changes):
+    import json
+
+    from repro.serve import default_config
+
+    return json.dumps({**default_config(duration=2.0).to_dict(), **changes})
+
+
+def _runs_without_predicted():
+    import json
+
+    from repro.collectives import run_gather
+    from repro.cluster import ucf_testbed
+    from repro.obs import observe, runs_json
+
+    with observe() as observation:
+        observation.ingest_outcome(run_gather(ucf_testbed(3), 500))
+    document = json.loads(runs_json(observation))
+    del document["runs"][0]["predicted"]
+    return json.dumps(document)
+
+
+#: (id, file content or None, argv with ``{file}`` for the written file,
+#: substrings the one error line must carry).  Eleven of these were a
+#: traceback or a silent acceptance before the spec codec; the last
+#: three already behaved and pin the shape the others were moved to.
+_MALFORMED = [
+    ("faults-not-a-list", '{"faults": 5}',
+     ["run", "gather", "testbed:3", "--faults", "{file}"], ["faults"]),
+    ("fault-not-an-object", '{"faults": ["x"]}',
+     ["run", "gather", "testbed:3", "--faults", "{file}"], ["faults[0]"]),
+    ("arrival-rate-word", lambda: _service_doc(arrival={"rate": "fast"}),
+     ["serve", "--config", "{file}"], ["arrival.rate", "'fast'"]),
+    ("workload-entry-number", lambda: _service_doc(workload=[5]),
+     ["serve", "--config", "{file}"], ["workload[0]"]),
+    ("events-null", '{"events": null}',
+     ["serve", "--duration", "2", "--dynamics", "{file}"], ["events"]),
+    ("inspect-not-json", "{nope",
+     ["topology", "inspect", "{file}"], ["not valid JSON"]),
+    ("inspect-no-root", '{"schema": "repro.cluster/2"}',
+     ["topology", "inspect", "{file}"], ["root"]),
+    ("inspect-missing-file", None,
+     ["topology", "inspect", "{file}"], ["cannot read"]),
+    ("fit-record-without-predicted", _runs_without_predicted,
+     ["calibrate", "testbed:3", "--fit", "{file}"], ["runs[0]", "predicted"]),
+    ("preset-size-word", None,
+     ["describe", "testbed:abc"], ["testbed:abc"]),
+    ("unknown-config-key", lambda: _service_doc(polcy={"max_batch": 1}),
+     ["serve", "--config", "{file}"],
+     ["polcy", "arrival, cluster, duration, policy, seed, workload"]),
+    ("fault-start-word",
+     '{"faults": [{"kind": "machine_slowdown", "machine": "m", '
+     '"factor": 2, "start": "soon"}]}',
+     ["run", "gather", "testbed:3", "--faults", "{file}"],
+     ["machine_slowdown"]),
+    ("foreign-matrix-schema", '{"schema": "acme.matrix/9", "names": []}',
+     ["topology", "discover", "--matrix", "{file}"], ["schema"]),
+    ("root-out-of-range", None,
+     ["run", "gather", "testbed:3", "--root", "99"], ["99"]),
+]
+
+
+class TestMalformedInputMatrix:
+    """Every external input ends in one typed ``error:`` line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "content,argv,needles",
+        [pytest.param(*case[1:], id=case[0]) for case in _MALFORMED],
+    )
+    def test_one_error_line_no_traceback(
+        self, content, argv, needles, tmp_path, capsys
+    ):
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_text(content() if callable(content) else content)
+        argv = [arg.replace("{file}", str(path)) for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert "Traceback" not in captured.err
+        for needle in needles:
+            assert needle in lines[0], lines[0]
+
+
 class TestVersionSingleSource:
     """One version string, asserted everywhere it is declared."""
 
