@@ -35,6 +35,7 @@ from repro.faults.timeline import Timeline, Window
 from repro.util.rng import RngStream
 
 if t.TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.metrics import MetricsRegistry
     from repro.pvm.vm import Host, VirtualMachine
 
 __all__ = ["Injector"]
@@ -55,7 +56,9 @@ class Injector:
     def __init__(self, plan: FaultPlan, seed: int = 0) -> None:
         self.plan = plan
         self.seed = int(seed)
-        self.vm: "VirtualMachine | None" = None
+        #: The attached machine's metrics registry (drop/delay counts
+        #: live there); ``None`` until :meth:`attach`.
+        self.metrics: "MetricsRegistry | None" = None
         self._cpu_timelines: dict[int, Timeline] = {}
         self._nic_timelines: dict[int, Timeline] = {}
         self._link_timelines: dict[str, Timeline] = {}
@@ -70,11 +73,11 @@ class Injector:
         Called by :class:`~repro.pvm.VirtualMachine` during
         construction; an injector is single-use.
         """
-        if self.vm is not None:
+        if self.metrics is not None:
             raise FaultError(
                 "injector already attached; create a fresh Injector per run"
             )
-        self.vm = vm
+        self.metrics = vm.metrics
         self.plan.validate(vm.topology)
         stream = RngStream(self.seed, "faults")
 
@@ -145,16 +148,16 @@ class Injector:
     @property
     def dropped_messages(self) -> int:
         """Messages dropped by this injector so far."""
-        if self.vm is None:
+        if self.metrics is None:
             return 0
-        return int(self.vm.metrics.value("repro_messages_dropped_total"))
+        return int(self.metrics.value("repro_messages_dropped_total"))
 
     @property
     def delayed_messages(self) -> int:
         """Messages delayed by this injector so far."""
-        if self.vm is None:
+        if self.metrics is None:
             return 0
-        return int(self.vm.metrics.value("repro_messages_delayed_total"))
+        return int(self.metrics.value("repro_messages_delayed_total"))
 
     def shutdown(self) -> None:
         """Kill any still-running background processes (end of run)."""
@@ -190,12 +193,12 @@ class Injector:
             if not rule.start <= now < rule.end:
                 continue
             if rule.drop_prob > 0 and stream.uniform() < rule.drop_prob:
-                self.vm.metrics.inc("repro_messages_dropped_total")
+                self.metrics.inc("repro_messages_dropped_total")
                 return True, 0.0
             if rule.delay_prob > 0 and stream.uniform() < rule.delay_prob:
                 delay += stream.exponential(rule.delay_mean)
         if delay > 0:
-            self.vm.metrics.inc("repro_messages_delayed_total")
+            self.metrics.inc("repro_messages_delayed_total")
         return False, delay
 
     # -- background load --------------------------------------------------------
@@ -203,7 +206,7 @@ class Injector:
         self, host: "Host", spec: BackgroundLoad, stream: RngStream
     ) -> t.Generator:
         """On/off CPU hog competing through the host's FIFO CPU resource."""
-        engine = host.vm.engine
+        engine = host.cpu.engine
         if spec.start > 0:
             yield engine.timeout(spec.start)
         while engine.now < spec.end:
@@ -221,5 +224,5 @@ class Injector:
             yield engine.timeout(min(idle, spec.end - engine.now))
 
     def __repr__(self) -> str:
-        state = "attached" if self.vm is not None else "unattached"
+        state = "attached" if self.metrics is not None else "unattached"
         return f"Injector({self.plan!r}, seed={self.seed}, {state})"

@@ -26,6 +26,7 @@ from repro.obs.observe import current_observation
 from repro.pvm.vm import VirtualMachine
 from repro.sim.barrier import Barrier
 from repro.sim.trace import Trace
+from repro.util.lifetime import Released, gc_paused
 
 __all__ = ["HbspResult", "HbspRuntime"]
 
@@ -99,6 +100,7 @@ class HbspRuntime:
     measured program run; :meth:`run` enforces this.
     """
 
+    @gc_paused()
     def __init__(
         self,
         topology: ClusterTopology,
@@ -178,6 +180,9 @@ class HbspRuntime:
         self._contexts: list[HbspContext] = []
         self._ran = False
         self._macro_mode = macro
+        #: ``("macro", "")`` or ``("object", reason)`` once :meth:`run`
+        #: has chosen the execution path; ``None`` before.
+        self.engine_path: tuple[str, str] | None = None
         #: The live MacroEngine while a macro-path run executes
         #: (contexts dispatch on this); ``None`` on the object path.
         self.macro: t.Any | None = None
@@ -263,27 +268,29 @@ class HbspRuntime:
         return node
 
     # -- execution ---------------------------------------------------------------------
-    def _macro_engages(self, program: Program) -> bool:
+    def _choose_path(self, program: Program) -> tuple[str, str]:
         """Decide the execution path for this run (see the ``macro``
-        constructor parameter)."""
-        capable = self.vm.macro_capable and self.obs_tracer is None
-        safe = bool(getattr(program, "_macro_safe", False))
-        if self._macro_mode is None:
-            return capable and safe
-        if not self._macro_mode:
-            return False
-        if not capable:
-            raise HbspError(
-                "macro=True needs a fault-free, untraced machine: no "
-                "injector, delivery policy, tracer, or NIC-serialization "
-                "ablation"
-            )
-        if not safe:
-            raise HbspError(
-                "macro=True needs a @macro_safe program (see repro.sim.macro)"
-            )
-        return True
+        constructor parameter and :attr:`engine_path`)."""
+        if self._macro_mode is False:
+            return ("object", "macro=False")
+        # Span tracing forces the structured trace on, so it is named first.
+        hook = "spans" if self.obs_tracer is not None else self.vm.macro_blocker
+        if hook:
+            if self._macro_mode:
+                raise HbspError(
+                    "macro=True needs a fault-free, untraced machine, and "
+                    f"this one has a live hook: {hook}"
+                )
+            return ("object", hook)
+        if not getattr(program, "_macro_safe", False):
+            if self._macro_mode:
+                raise HbspError(
+                    "macro=True needs a @macro_safe program (see repro.sim.macro)"
+                )
+            return ("object", "program not @macro_safe")
+        return ("macro", "")
 
+    @gc_paused()
     def run(
         self,
         program: Program,
@@ -296,17 +303,21 @@ class HbspRuntime:
         ``program(ctx, *args, **kwargs)`` runs once per pid; with
         ``per_pid_args``, process ``j`` instead receives
         ``program(ctx, *per_pid_args[j], **kwargs)``.
+
+        A run that finishes releases the contexts' and the macro engine's
+        reference to this runtime (docs/simulator.md §4); one that raises
+        leaves the world intact.
         """
+        if per_pid_args is not None and len(per_pid_args) != self.nprocs:
+            raise HbspError(
+                f"per_pid_args must have {self.nprocs} entries, got {len(per_pid_args)}"
+            )
         if self._ran:
             raise HbspError(
                 "this runtime already executed a program; create a fresh "
                 "HbspRuntime per measured run (the virtual clock is not reset)"
             )
         self._ran = True
-        if per_pid_args is not None and len(per_pid_args) != self.nprocs:
-            raise HbspError(
-                f"per_pid_args must have {self.nprocs} entries, got {len(per_pid_args)}"
-            )
 
         def wrapper(task, pid: int):  # generator function for the PVM task
             ctx = self._contexts[pid]
@@ -326,7 +337,8 @@ class HbspRuntime:
             )
             self._contexts.append(HbspContext(self, task, pid))
 
-        if self._macro_engages(program):
+        self.engine_path = self._choose_path(program)
+        if self.engine_path[0] == "macro":
             from repro.sim.macro import MacroEngine
 
             self.macro = MacroEngine(self)
@@ -336,6 +348,11 @@ class HbspRuntime:
             pid: ctx.task.process.value for pid, ctx in enumerate(self._contexts)
         }
         supersteps = max((ctx.superstep for ctx in self._contexts), default=0)
+        released = Released(HbspError, "the runtime of a finished run")
+        for ctx in self._contexts:
+            ctx.runtime = released
+        if self.macro is not None:
+            self.macro.runtime = released
         return HbspResult(
             values=values, time=time, supersteps=supersteps, trace=self.vm.trace
         )

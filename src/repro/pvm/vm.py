@@ -19,6 +19,7 @@ from repro.pvm.task import Task
 from repro.sim.engine import Engine
 from repro.sim.resources import Resource
 from repro.sim.trace import Trace
+from repro.util.lifetime import Released
 
 __all__ = ["Host", "VirtualMachine"]
 
@@ -32,7 +33,6 @@ class Host:
     """
 
     def __init__(self, vm: "VirtualMachine", machine_id: int) -> None:
-        self.vm = vm
         self.machine_id = machine_id
         self.spec = vm.topology.machines[machine_id]
         name = self.spec.name
@@ -42,10 +42,9 @@ class Host:
         self.cpu = Resource(vm.engine, capacity=1, name=f"{name}.cpu")
         self.nic_in = Resource(vm.engine, capacity=port_capacity, name=f"{name}.nic_in")
         self.nic_out = Resource(vm.engine, capacity=port_capacity, name=f"{name}.nic_out")
-        self.tasks: list[Task] = []
 
     def __repr__(self) -> str:
-        return f"<Host {self.spec.name} ({len(self.tasks)} tasks)>"
+        return f"<Host {self.spec.name}>"
 
 
 class VirtualMachine:
@@ -129,7 +128,6 @@ class VirtualMachine:
             )
         task.process = self.engine.process(generator, name=task.name)
         self._tasks[tid] = task
-        host_obj.tasks.append(task)
         return task
 
     def task(self, tid: int) -> Task:
@@ -153,8 +151,9 @@ class VirtualMachine:
 
     # -- execution --------------------------------------------------------------------
     @property
-    def macro_capable(self) -> bool:
-        """True when the macro-event fast path may drive this machine.
+    def macro_blocker(self) -> str:
+        """The live hook that keeps the macro-event fast path off this
+        machine (``""`` when it may drive it).
 
         The macro engine (:mod:`repro.sim.macro`) batch-computes
         fault-free superstep timing arithmetically, so every hook that
@@ -164,12 +163,18 @@ class VirtualMachine:
         trace, and NIC serialization on (the timeline fold models the
         serialized port).
         """
-        return (
-            self.injector is None
-            and self.delivery is None
-            and not self.trace.enabled
-            and self.serialize_nic
-        )
+        if self.injector is not None:
+            return "injector"
+        if self.delivery is not None:
+            return "delivery policy"
+        if self.trace.enabled:
+            return "trace"
+        return "" if self.serialize_nic else "serialize_nic=False"
+
+    @property
+    def macro_capable(self) -> bool:
+        """True when the macro-event fast path may drive this machine."""
+        return not self.macro_blocker
 
     def take_uid(self) -> int:
         """Next unique message id (for receiver-side duplicate suppression)."""
@@ -186,15 +191,26 @@ class VirtualMachine:
         when every task has finished instead of when the queue drains —
         background-load hogs and armed retry timers must not inflate
         the measured makespan — and leftover fault processes are killed.
+
+        A run to completion (no ``until``) releases what points up or
+        sideways in the machine, leaving a tree that reference counting
+        frees (docs/simulator.md §4); one that raises is left intact.
         """
         if self.injector is None and self.delivery is None:
-            return self.engine.run(until=until)
-        targets = [t.process for t in self._tasks.values() if t.process is not None]
-        time = self.engine.run_until(targets, until=until)
-        for process in self._fault_processes:
-            process.kill()
-        if self.injector is not None:
-            self.injector.shutdown()
+            time = self.engine.run(until=until)
+        else:
+            targets = [t.process for t in self._tasks.values() if t.process is not None]
+            time = self.engine.run_until(targets, until=until)
+            for process in self._fault_processes:
+                process.kill()
+            if self.injector is not None:
+                self.injector.shutdown()
+        if until is None:
+            self.engine.discard_pending()  # dead retry and background timers
+            released = Released(PvmError, "the virtual machine of a finished task")
+            for task in self._tasks.values():
+                task.vm = released
+                task._links.clear()
         return time
 
     def results(self) -> dict[int, t.Any]:

@@ -53,6 +53,7 @@ from repro.serve.costs import StageCostModel
 from repro.serve.placement import Slice, carve_slices, pick_slice, slice_variants
 from repro.serve.report import ServiceReport
 from repro.sim.engine import Engine
+from repro.util.lifetime import gc_paused
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.dynamics.plan import DynamicPlan
@@ -112,6 +113,7 @@ def _check_shared_model(
         )
 
 
+@gc_paused()
 def run_service(
     config: ServiceConfig,
     *,

@@ -41,6 +41,7 @@ from heapq import heappop, heappush
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.events import _LANE_FUTURE, _SLOT_BITS, _SLOT_MASK, Event, Timeout
+from repro.util.lifetime import gc_paused
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import Process
@@ -189,6 +190,7 @@ class Engine:
         else:
             obj._process()
 
+    @gc_paused()
     def run(self, until: float | None = None, *, check_deadlock: bool = True) -> float:
         """Run until the queue drains (or until time ``until``).
 
@@ -234,6 +236,7 @@ class Engine:
             )
         return self.now
 
+    @gc_paused()
     def run_until(
         self,
         events: t.Sequence[Event],
@@ -304,6 +307,19 @@ class Engine:
                 blocked=blocked,
             )
         return self.now
+
+    def discard_pending(self) -> None:
+        """Drop every queued entry unprocessed.
+
+        For the owner of a run that :meth:`run_until` stopped for good:
+        what is left are dead timers, and each holds the engine in a
+        reference cycle through its queue slot.
+        """
+        objs = self._objs
+        for _time, key in self._heap:
+            objs[key & _SLOT_MASK] = None
+            self._free.append(key & _SLOT_MASK)
+        self._heap.clear()
 
     def _record_batch(self, start: float, processed: int) -> None:
         """Emit one "engine" span per run call when observation is on."""

@@ -267,5 +267,8 @@ class AnyOf(_Condition):
             return
         if not event.ok:
             self.fail(event.exception)  # type: ignore[arg-type]
-            return
-        self.succeed((self.events.index(event), event.value))
+        else:
+            self.succeed((self.events.index(event), event.value))
+        # A loser may never fire (a retry timer the run's end discards),
+        # and it holds this condition through its callback list: let go.
+        self.events = ()

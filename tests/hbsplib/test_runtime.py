@@ -4,7 +4,10 @@ import pytest
 
 from repro.bytemark import simulate_scores
 from repro.errors import HbspError
+from repro.faults import DeliveryPolicy, FaultPlan, Injector
 from repro.hbsplib import HbspRuntime
+from repro.obs import observe
+from repro.sim.macro import macro_safe
 
 
 def noop(ctx):
@@ -107,6 +110,12 @@ class TestExecution:
         with pytest.raises(HbspError):
             runtime.run(noop, per_pid_args=[()])
 
+    def test_rejected_call_does_not_burn_the_runtime(self, testbed_small):
+        runtime = HbspRuntime(testbed_small)
+        with pytest.raises(HbspError, match="4 entries"):
+            runtime.run(noop, per_pid_args=[()])
+        assert sorted(runtime.run(noop).values) == [0, 1, 2, 3]
+
     def test_supersteps_counted(self, testbed_small):
         def prog(ctx):
             yield from ctx.sync()
@@ -140,3 +149,52 @@ class TestExecution:
 
         result = HbspRuntime(testbed_small, trace=True).run(prog)
         assert len(result.trace) > 0
+
+
+def _unmarked(ctx):
+    yield from ctx.sync()
+
+
+@macro_safe
+def _marked(ctx):
+    yield from ctx.sync()
+
+
+class TestEnginePath:
+    """``engine_path`` says which path a run took and the one reason."""
+
+    def test_unset_before_run_and_macro_when_clean(self, testbed_small):
+        runtime = HbspRuntime(testbed_small)
+        assert runtime.engine_path is None
+        runtime.run(_marked)
+        assert runtime.engine_path == ("macro", "") and runtime.macro is not None
+
+    @pytest.mark.parametrize("hook, reason", [
+        (lambda: {"injector": Injector(FaultPlan.empty())}, "injector"),
+        (lambda: {"delivery": DeliveryPolicy.retry(2, timeout=1.0)}, "delivery policy"),
+        (lambda: {"trace": True}, "trace"),
+        (lambda: {"serialize_nic": False}, "serialize_nic=False"),
+    ])
+    def test_object_path_names_the_one_live_hook(self, testbed_small, hook, reason):
+        runtime = HbspRuntime(testbed_small, **hook())
+        runtime.run(_marked)
+        assert runtime.engine_path == ("object", reason) and runtime.macro is None
+        insisting = HbspRuntime(testbed_small, macro=True, **hook())
+        with pytest.raises(HbspError, match=f"live hook: {reason}$"):
+            insisting.run(_marked)
+
+    def test_macro_false(self, testbed_small):
+        runtime = HbspRuntime(testbed_small, macro=False)
+        runtime.run(_marked)
+        assert runtime.engine_path == ("object", "macro=False")
+
+    def test_spans_are_named_before_the_trace_they_force(self, testbed_small):
+        with observe(spans=True):
+            runtime = HbspRuntime(testbed_small)
+            runtime.run(_marked)
+        assert runtime.engine_path == ("object", "spans")
+
+    def test_unmarked_program(self, testbed_small):
+        runtime = HbspRuntime(testbed_small)
+        runtime.run(_unmarked)
+        assert runtime.engine_path == ("object", "program not @macro_safe")
