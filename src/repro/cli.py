@@ -426,31 +426,10 @@ def _cmd_topology_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    """The shared observability flags (see docs/observability.md)."""
-    parser.add_argument(
-        "--trace-out", metavar="FILE", default=None,
-        help="write a Chrome trace_event JSON timeline of the run "
-        "(open in chrome://tracing or ui.perfetto.dev)",
-    )
-    parser.add_argument(
-        "--metrics-out", metavar="FILE", default=None,
-        help="write aggregated metrics in Prometheus text format",
-    )
-    parser.add_argument(
-        "--obs-summary", action="store_true",
-        help="print the per-superstep predicted-vs-simulated ledger",
-    )
-    parser.add_argument(
-        "--runs-out", metavar="FILE", default=None,
-        help="write the observed run records as JSON — the input "
-        "format of 'repro calibrate --fit' (docs/calibration.md)",
-    )
-
-
 def main(argv: t.Sequence[str] | None = None) -> int:
     """Entry point for ``python -m repro``."""
     from repro import __version__
+    from repro.obs.observe import add_obs_flags, observe_to
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -514,7 +493,7 @@ def main(argv: t.Sequence[str] | None = None) -> int:
                             help="collective schedule: the paper's default or "
                             "the auto-tuned plan (gather/broadcast only; "
                             "tunes cold on first use, then cached)")
-    _add_obs_flags(run_parser)
+    add_obs_flags(run_parser)
     tune_parser = sub.add_parser(
         "tune", help="auto-tune a collective schedule for a machine"
     )
@@ -562,7 +541,7 @@ def main(argv: t.Sequence[str] | None = None) -> int:
                                    choices=["default", "tuned"],
                                    help="collective schedule for experiments "
                                    "that support it (fig3a, fig4a)")
-    _add_obs_flags(experiment_parser)
+    add_obs_flags(experiment_parser)
 
     serve_parser = sub.add_parser(
         "serve", help="play one open-loop serving session"
@@ -591,7 +570,7 @@ def main(argv: t.Sequence[str] | None = None) -> int:
     serve_parser.add_argument("--dynamics", metavar="PLAN.json", default=None,
                               help="play the session against a DynamicPlan "
                               "(churn/drift/diurnal; see docs/faults.md)")
-    _add_obs_flags(serve_parser)
+    add_obs_flags(serve_parser)
 
     topology_parser = sub.add_parser(
         "topology", help="generate, discover, and inspect cluster hierarchies"
@@ -649,8 +628,6 @@ def main(argv: t.Sequence[str] | None = None) -> int:
     # Commands without the observability flags observe nothing.
     parser.set_defaults(trace_out=None, metrics_out=None, obs_summary=False, runs_out=None)
     args = parser.parse_args(argv)
-    from repro.obs import observe_to
-
     try:
         with observe_to(args.trace_out, args.metrics_out, args.obs_summary, args.runs_out):
             code = args.handler(args)

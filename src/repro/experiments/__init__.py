@@ -2,8 +2,8 @@
 
 Each experiment function returns an :class:`ExperimentReport` whose
 ``render()`` prints the same rows/series the paper reports (improvement
-factors per processor count, one series per problem size).  The
-``benchmarks/`` directory wraps these in pytest-benchmark and asserts
+factors per processor count, one series per problem size).
+``tests/integration/test_shapes.py`` and ``tests/experiments/`` assert
 the qualitative shapes; ``python -m repro.experiments <id>`` runs one
 from the command line.
 

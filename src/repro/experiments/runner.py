@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import typing as t
 
@@ -120,6 +121,8 @@ def run_experiment(
 
 def main(argv: t.Sequence[str] | None = None) -> int:
     """CLI: run one or all experiments and print their reports."""
+    from repro.obs.observe import add_obs_flags, observe_to
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's figures and tables.",
@@ -163,42 +166,24 @@ def main(argv: t.Sequence[str] | None = None) -> int:
         "--profile-limit", type=int, default=15,
         help="rows to show per experiment with --profile (default: 15)",
     )
-    parser.add_argument(
-        "--trace-out", metavar="FILE", default=None,
-        help="write a Chrome trace_event JSON timeline of the runs "
-        "(open in chrome://tracing or ui.perfetto.dev); forces serial "
-        "simulation",
-    )
-    parser.add_argument(
-        "--metrics-out", metavar="FILE", default=None,
-        help="write aggregated metrics in Prometheus text format",
-    )
-    parser.add_argument(
-        "--obs-summary", action="store_true",
-        help="print the per-superstep predicted-vs-simulated ledger "
-        "after the reports",
-    )
-    parser.add_argument(
-        "--runs-out", metavar="FILE", default=None,
-        help="write the observed run records as JSON — the input "
-        "format of 'repro calibrate --fit'",
-    )
+    add_obs_flags(parser)
     args = parser.parse_args(argv)
     wanted = list(args.experiment)
     if wanted == ["all"]:
         wanted = list(EXPERIMENTS)
     # One executor for the whole invocation (even serially): experiments
     # sharing grid points simulate them once.
-    from repro.obs import observe_to
     from repro.perf import default_cache_dir, effective_jobs, sweep
 
     cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
     with observe_to(args.trace_out, args.metrics_out, args.obs_summary, args.runs_out):
         with sweep(jobs=effective_jobs(args.jobs), cache_dir=cache_dir):
             for experiment_id in wanted:
-                if args.profile:
-                    report = _profiled(experiment_id, args.seed, args.profile_limit)
-                else:
+                with (
+                    _profiled(experiment_id, args.profile_limit)
+                    if args.profile
+                    else contextlib.nullcontext()
+                ):
                     report = run_experiment(
                         experiment_id, seed=args.seed, schedule=args.schedule
                     )
@@ -207,8 +192,9 @@ def main(argv: t.Sequence[str] | None = None) -> int:
     return 0
 
 
-def _profiled(experiment_id: str, seed: int | None, limit: int) -> ExperimentReport:
-    """Run one experiment under cProfile, dumping top-N to stderr."""
+@contextlib.contextmanager
+def _profiled(experiment_id: str, limit: int) -> t.Iterator[None]:
+    """cProfile the block, dumping top-N to stderr."""
     import cProfile
     import io
     import pstats
@@ -217,7 +203,7 @@ def _profiled(experiment_id: str, seed: int | None, limit: int) -> ExperimentRep
     profile = cProfile.Profile()
     profile.enable()
     try:
-        report = run_experiment(experiment_id, seed=seed)
+        yield
     finally:
         profile.disable()
         buffer = io.StringIO()
@@ -226,4 +212,3 @@ def _profiled(experiment_id: str, seed: int | None, limit: int) -> ExperimentRep
         print(f"--- profile: {experiment_id} (top {limit} by cumulative) ---",
               file=sys.stderr)
         print(buffer.getvalue(), file=sys.stderr)
-    return report

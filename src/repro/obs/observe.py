@@ -16,6 +16,7 @@ forces simulations inline into the observing process.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import typing as t
 from pathlib import Path
@@ -25,7 +26,13 @@ from repro.obs.export import chrome_trace, prometheus_text, runs_json, summary
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
 
-__all__ = ["Observation", "observe", "observe_to", "current_observation"]
+__all__ = [
+    "Observation",
+    "observe",
+    "observe_to",
+    "add_obs_flags",
+    "current_observation",
+]
 
 
 class Observation:
@@ -170,6 +177,30 @@ def observe(*, spans: bool = False) -> t.Iterator[Observation]:
         yield observation
     finally:
         _current = previous
+
+
+def add_obs_flags(parser: argparse.ArgumentParser) -> None:
+    """Declare the four flags :func:`observe_to` consumes (docs/observability.md)."""
+    parser.add_argument(
+        "--trace-out", metavar="FILE", default=None,
+        help="write a Chrome trace_event JSON timeline of the runs "
+        "(open in chrome://tracing or ui.perfetto.dev); forces serial "
+        "simulation",
+    )
+    parser.add_argument(
+        "--metrics-out", metavar="FILE", default=None,
+        help="write aggregated metrics in Prometheus text format",
+    )
+    parser.add_argument(
+        "--obs-summary", action="store_true",
+        help="print the per-superstep predicted-vs-simulated ledger "
+        "after the command's own output",
+    )
+    parser.add_argument(
+        "--runs-out", metavar="FILE", default=None,
+        help="write the observed run records as JSON — the input "
+        "format of 'repro calibrate --fit' (docs/calibration.md)",
+    )
 
 
 @contextlib.contextmanager

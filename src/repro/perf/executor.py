@@ -61,7 +61,7 @@ def effective_jobs(requested: int) -> int:
     """Clamp a ``--jobs`` request to what the host can actually use.
 
     On a 1-CPU host the pool is a pure pessimisation (fork + pickling
-    overhead with no cores to fan over — see BENCH_sweep.json), and
+    overhead with no cores to fan over — bench/README.md, "Load shape"), and
     more workers than cores just thrash; either way the request is
     clamped with a one-line warning.  Library callers constructing
     :class:`SweepExecutor` directly are untouched.

@@ -1,9 +1,9 @@
 """ASCII table rendering for the experiment harness.
 
-The benchmark harness prints the same rows/series the paper reports
+The experiment harness prints the same rows/series the paper reports
 (improvement factors per processor count and problem size).  This module
-provides a dependency-free table renderer used by ``repro.experiments``
-and by the ``benchmarks/`` scripts.
+provides the dependency-free table renderer behind those reports, the
+model's cost ledgers, the ``repro.obs`` summaries and the CLI.
 """
 
 from __future__ import annotations

@@ -85,3 +85,13 @@ class TestHierarchy:
         )
         assert small_bytes == large_bytes
         assert large.time > small.time  # compute grew
+
+
+class TestBalanceBenefit:
+    def test_balanced_wins_when_compute_dominates(self, testbed):
+        """Binning 4 M items is local work behind one barrier, so the
+        slowest machine's share decides the superstep (unlike the pure
+        broadcast of Fig. 4(b), where balancing buys nothing)."""
+        equal = run_histogram(testbed, 4_000_000, workload=WorkloadPolicy.EQUAL)
+        balanced = run_histogram(testbed, 4_000_000, workload=WorkloadPolicy.BALANCED)
+        assert equal.time / balanced.time > 1.4

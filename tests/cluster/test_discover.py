@@ -32,6 +32,16 @@ SMALL_SPECS = {
     },
 }
 
+#: What noiseless recovery is asserted on: every small family, plus the
+#: 1 024-leaf fat tree — the full float64 matrix with gap columns, the
+#: size the calibration-grade linkage path is meant for (~0.2 s a case).
+RECOVERY_SPECS = {
+    **{family: (family, spec) for family, spec in SMALL_SPECS.items()},
+    "fat_tree_1k": (
+        "fat_tree", {"pods": 4, "racks_per_pod": 16, "hosts_per_rack": 16},
+    ),
+}
+
 
 class TestLevelBands:
     def test_order_of_magnitude_levels_separate(self):
@@ -51,10 +61,11 @@ class TestLevelBands:
 
 
 class TestExactRecovery:
-    @pytest.mark.parametrize("family", sorted(SMALL_SPECS))
+    @pytest.mark.parametrize("case", sorted(RECOVERY_SPECS))
     @pytest.mark.parametrize("method", ["linkage", "bands"])
-    def test_noiseless_families_recover_exactly(self, family, method):
-        topology = GENERATORS[family](seed=11, **SMALL_SPECS[family])
+    def test_noiseless_families_recover_exactly(self, case, method):
+        family, spec = RECOVERY_SPECS[case]
+        topology = GENERATORS[family](seed=11, **spec)
         result = discover(synthesize(topology), method=method)
         truth = topology_partitions(topology)
         assert exact_recovery(truth, result.partitions)

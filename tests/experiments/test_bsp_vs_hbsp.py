@@ -31,3 +31,5 @@ class TestBspVsHbsp:
         factors = report.series["T_bsp/T_hbsp"]
         assert factors["gather"] > 1.2
         assert factors["scatter"] > 1.2
+        big_wins = [name for name, factor in factors.items() if factor >= 1.4]
+        assert len(big_wins) >= len(factors) // 2

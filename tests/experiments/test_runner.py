@@ -71,6 +71,18 @@ class TestCli:
         assert "--- profile: table1 (top 5 by cumulative) ---" in captured.err
         assert "cumulative" in captured.err  # pstats column header
 
+    def test_profile_flag_keeps_the_schedule(self, monkeypatch, tmp_path, capsys):
+        from repro.experiments.runner import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))  # tuning decisions
+        assert main(["fig4a", "--no-cache"]) == 0
+        default = capsys.readouterr().out
+        assert main(["fig4a", "--no-cache", "--schedule", "tuned"]) == 0
+        tuned = capsys.readouterr().out
+        assert tuned != default  # or the next line compares nothing
+        assert main(["fig4a", "--no-cache", "--schedule", "tuned", "--profile"]) == 0
+        assert capsys.readouterr().out == tuned
+
     def test_cache_dir_flag_populates_cache(self, tmp_path, capsys):
         from repro.experiments.runner import main
 

@@ -21,6 +21,14 @@ class TestAppScaling:
         report = app_scaling(processor_counts=(1, 6), apps=("jacobi",))
         assert report.series["jacobi"][6] > 1.0
 
+    def test_speedup_grows_past_p2_below_the_capacity_bound(self):
+        report = app_scaling(processor_counts=(1, 2, 10))
+        for app, series in report.series.items():
+            assert series[2] < series[10] < 5.2, app
+        # Compute-heavy applications outscale the communication-bound ones.
+        assert report.series["histogram"][10] > report.series["sample_sort"][10]
+        assert report.series["jacobi"][10] > report.series["matvec"][10]
+
     def test_efficiency_metric(self):
         report = app_scaling(
             processor_counts=(1, 6), apps=("histogram",), metric="efficiency"

@@ -21,6 +21,8 @@ class TestSensitivity:
         """gather exploits heterogeneity more than broadcast, always."""
         for label, findings in report.series.items():
             assert findings["gather@p"] > findings["bcast@p"], label
+            assert findings["gather@p"] > 1.1, label
+            assert 0.9 < findings["bcast@p"] < 1.45, label
 
     def test_inversion_tied_to_pack_asymmetry(self, report):
         assert report.series["baseline"]["gather@2"] < 1.0

@@ -119,19 +119,22 @@ class TestFig4Shape:
 
 class TestSec4Shapes:
     def test_two_phase_crossover_moves_with_rs(self):
-        report = sec4_broadcast_phases(processor_counts=(2, 4, 8), size_kb=250)
+        report = sec4_broadcast_phases(processor_counts=(2, 4, 8, 10), size_kb=250)
         mild = report.series["sim r_s=1.25"]
+        mid = report.series["sim r_s=4"]
         harsh = report.series["sim r_s=12"]
-        # Mild heterogeneity: two-phase wins from small p.
+        # Mild heterogeneity: two-phase wins from small p, and ever more.
         assert mild[4] > 1.2
-        # Harsh heterogeneity: crossover arrives later.
-        assert harsh[4] < mild[4]
+        assert mild[10] > 2.5
+        # Harsher heterogeneity: crossover arrives later.
+        assert harsh[4] < mid[4] < mild[4]
         assert harsh[8] > 1.0  # but two-phase still wins eventually
 
     def test_hierarchy_penalty_amortises(self):
         report = sec4_gather_hierarchy(sizes_kb=(10, 100, 1000))
         series = report.series["hier/flat"]
         assert series[10] > series[100] > series[1000]
+        assert series[10] > 2 * series[1000]
         assert series[1000] < 2.5
 
     def test_oversized_share_pathology(self):

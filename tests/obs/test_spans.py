@@ -135,3 +135,15 @@ class TestRunSpans:
         assert len(observation.tracer) == 0
         assert outcome.runtime.obs_tracer is None
         assert len(observation.ledgers) == 1  # metrics still flow
+
+    def test_observing_never_changes_what_an_experiment_renders(self):
+        from repro.experiments import run_experiment
+
+        unobserved = run_experiment("fig3a").render()
+        with observe() as metered:
+            with_metrics = run_experiment("fig3a").render()
+        with observe(spans=True) as traced:
+            with_spans = run_experiment("fig3a").render()
+        assert metered.ledgers and len(traced.tracer) > 0  # both really observed
+        assert with_metrics == unobserved
+        assert with_spans == unobserved

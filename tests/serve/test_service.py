@@ -237,3 +237,16 @@ class TestServeExperiment:
         goodput = report.series["goodput (req/s)"]
         assert set(goodput) == {2.0, 8.0}
         assert goodput[8.0] > goodput[2.0]
+
+    def test_default_curve_climbs_to_its_knee_and_holds_reference_p99(self):
+        """Open-loop serving that loses goodput *before* saturating means
+        admission control or placement regressed; both numbers are
+        simulated, so the same on any host."""
+        from repro.experiments.serving import serving_curves
+
+        report = serving_curves()
+        goodput = list(report.series["goodput (req/s)"].values())
+        to_knee = goodput[: goodput.index(max(goodput)) + 1]
+        assert to_knee == sorted(to_knee)
+        assert len(to_knee) > 1  # the sweep reaches past rates[0]
+        assert report.series["p99 latency (s)"][8.0] <= 0.6  # 0.29 today

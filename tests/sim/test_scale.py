@@ -3,8 +3,9 @@
 One macro-engine run per collective on the 10^4-leaf fat tree — the
 ISSUE's headline scale.  These take seconds each, so the default test
 run skips them; the CI bench job runs ``pytest -m scale`` explicitly.
-Numerical equivalence at this scale is pinned by ``BENCH_scale.json``
-(the 10^3 dual-path entries) and the macro-equivalence properties.
+Numerical equivalence is held at 10^3 leaves by ``bench/``'s
+``macro_equals_*`` checks (``des_object_1k``) and on random machines by
+``tests/properties/test_macro_equivalence.py``.
 """
 
 import pytest
