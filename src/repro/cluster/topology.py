@@ -98,6 +98,7 @@ class ClusterTopology:
         self._cluster_depth: list[int] = []
         self._cluster_members: list[list[int]] = []
         self._cluster_parent: list[int | None] = []
+        self._cluster_children: list[list[int]] = []
         self._pair_multipliers: dict[tuple[int, int], float] = {}
         #: Memo of ``serialization.topology_hash(self)``; the tree is
         #: immutable, so only :meth:`set_pair_multiplier` invalidates it.
@@ -121,6 +122,9 @@ class ClusterTopology:
         self._cluster_depth.append(depth)
         self._cluster_members.append([])
         self._cluster_parent.append(parent_chain[-1] if parent_chain else None)
+        self._cluster_children.append([])
+        if parent_chain:
+            self._cluster_children[parent_chain[-1]].append(cid)
         chain = parent_chain + (cid,)
         for child in node.children:
             if isinstance(child, MachineSpec):
@@ -177,9 +181,7 @@ class ClusterTopology:
     def child_clusters(self, cluster: int | str) -> tuple[int, ...]:
         """Ids of the direct child clusters of ``cluster``."""
         cid = cluster if isinstance(cluster, int) else self.cluster_id(cluster)
-        return tuple(
-            i for i, parent in enumerate(self._cluster_parent) if parent == cid
-        )
+        return tuple(self._cluster_children[cid])
 
     def machine_cluster(self, machine: int) -> int:
         """Id of the innermost cluster containing ``machine``."""

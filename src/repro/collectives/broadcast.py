@@ -163,11 +163,10 @@ def broadcast_program(
             # Phase two: total exchange of shares among participants.
             if am_participant and my_share is not None:
                 with ctx.phase(f"broadcast exchange L{level}", level=level):
-                    for peer in participants:
-                        if peer != ctx.pid:
-                            yield from ctx.send(
-                                peer, my_share, tag=level * _TAG_STRIDE + my_index
-                            )
+                    yield from ctx.send_each(
+                        [peer for peer in participants if peer != ctx.pid],
+                        my_share, tag=level * _TAG_STRIDE + my_index,
+                    )
             yield from ctx.sync(level)
             if am_participant:
                 by_index: dict[int, np.ndarray] = {}

@@ -114,17 +114,18 @@ def descend(
     sending = held is not None and ctx.pid == effective_coordinator(ctx, level, root)
     if sending and part is None:
         bounds = segment_bounds(held.size, segments)
+        others = [peer for peer in participants if peer != ctx.pid]
     arrived: list = []
     for s in range(segments):
         if sending:
-            piece = held[bounds[s] : bounds[s + 1]] if part is None else None
             with ctx.phase(f"{label}{segment_suffix(s, segments)}", level=level):
-                for i, peer in enumerate(participants):
-                    if peer == ctx.pid:
-                        continue
-                    payload = piece if part is None else part(i)
-                    if payload is not None:
-                        yield from ctx.send(peer, payload, tag=tag)
+                if part is None:
+                    yield from ctx.send_each(others, held[bounds[s] : bounds[s + 1]], tag=tag)
+                else:
+                    for i, peer in enumerate(participants):
+                        payload = None if peer == ctx.pid else part(i)
+                        if payload is not None:
+                            yield from ctx.send(peer, payload, tag=tag)
         yield from ctx.sync(level)
         arrived.extend(m.payload for m in ctx.messages(tag=tag))
     return arrived

@@ -205,19 +205,32 @@ class HbspContext:
         A generator: charges pack + injection time on this machine.
         """
         self._check_live()
-        if not 0 <= pid < self.nprocs:
-            raise SuperstepError(
-                f"send to pid {pid} outside process group [0, {self.nprocs})"
-            )
         macro = self.runtime.macro
         if macro is not None:
             # Macro-event path: pure arithmetic, no simulated events.
-            macro.send(self, pid, payload, tag, nbytes)
+            macro.send_each(self, (pid,), payload, tag, nbytes)
             return
+        self._check_peer(pid)
         delivery = yield from self.task.send(
             self.runtime.tid_of(pid), payload, tag=tag, nbytes=nbytes
         )
         self._pending.append(delivery)
+
+    def send_each(
+        self, peers: t.Iterable[int], payload: t.Any, *, tag: int = 0
+    ) -> t.Generator[Event, t.Any, None]:
+        """The same ``payload`` to every pid of ``peers``, in order: by
+        definition ``for pid in peers: yield from self.send(pid, payload,
+        tag=tag)`` (a peer may be this process, or repeat).  The macro
+        path sizes and routes the fan-out in one engine call.
+        """
+        self._check_live()
+        macro = self.runtime.macro
+        if macro is not None:
+            macro.send_each(self, peers, payload, tag, None)
+            return
+        for pid in peers:
+            yield from self.send(pid, payload, tag=tag)
 
     def sync(
         self, level: int | None = None, *, drma: bool = False
@@ -488,6 +501,12 @@ class HbspContext:
         if self._finished:
             raise SuperstepError(
                 f"pid {self.pid} used its context after the program finished"
+            )
+
+    def _check_peer(self, pid: int) -> None:
+        if not 0 <= pid < self.nprocs:
+            raise SuperstepError(
+                f"send to pid {pid} outside process group [0, {self.nprocs})"
             )
 
     def __repr__(self) -> str:

@@ -178,6 +178,7 @@ class HbspRuntime:
                     self._barrier_of[(pid, node.level)] = barrier
 
         self._contexts: list[HbspContext] = []
+        self._pid_of_tid: dict[int, int] = {}
         self._ran = False
         self._macro_mode = macro
         #: ``("macro", "")`` or ``("object", reason)`` once :meth:`run`
@@ -218,10 +219,10 @@ class HbspRuntime:
 
     def pid_of(self, tid: int) -> int:
         """Process id of PVM task ``tid``."""
-        for ctx in self._contexts:
-            if ctx.task.tid == tid:
-                return ctx.pid
-        raise HbspError(f"no process with tid {tid}")
+        try:
+            return self._pid_of_tid[tid]
+        except KeyError:
+            raise HbspError(f"no process with tid {tid}") from None
 
     def barrier_for(self, pid: int, level: int | None) -> Barrier:
         """The barrier of ``pid``'s ancestor cluster at ``level``.
@@ -336,6 +337,7 @@ class HbspRuntime:
                 wrapper, pid, pid, name=f"pid{pid}@{self.topology.machines[pid].name}"
             )
             self._contexts.append(HbspContext(self, task, pid))
+            self._pid_of_tid[task.tid] = pid
 
         self.engine_path = self._choose_path(program)
         if self.engine_path[0] == "macro":

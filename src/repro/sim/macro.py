@@ -25,14 +25,19 @@ operations of :mod:`repro.pvm.task` / :mod:`repro.hbsplib.context`:
   *selection*, exact in floats — and ends one addition later;
 * a barrier releases at ``max(arrival times) + L``: the object path
   creates the cost timeout at the last arrival, so the release is the
-  same single addition.
+  same single addition;
+* a fan-out (:meth:`MacroEngine.send_each`) hoists *lookups* out of the
+  per-peer loop — payload size, ``pack_time``, the route's latency and
+  ``size * gap``: pure functions, so the same floats — never float
+  operations: each message still advances the sender clock by
+  ``(t + pack) + size * gap``, one peer after the other.
 
 Engagement is gated twice: :attr:`repro.pvm.vm.VirtualMachine.
 macro_capable` (no injector, no delivery policy, no structured trace,
 serialized NIC) and a per-program :func:`macro_safe` opt-in asserting
-the program only uses the batched surface (``ctx.send`` / ``ctx.sync``
-/ ``ctx.compute`` / message taking — no ad-hoc ``task`` access).  Any
-live hook falls back to the object path; see
+the program only uses the batched surface (``ctx.send`` /
+``ctx.send_each`` / ``ctx.sync`` / ``ctx.compute`` / message taking — no
+ad-hoc ``task`` access).  Any live hook falls back to the object path; see
 :meth:`repro.hbsplib.runtime.HbspRuntime.run`.
 
 Boundary staleness
@@ -67,7 +72,9 @@ from __future__ import annotations
 
 import typing as t
 from bisect import bisect_right
+from operator import attrgetter
 
+from repro.errors import PvmError
 from repro.pvm.message import Message, payload_nbytes
 from repro.sim.events import Event
 
@@ -83,7 +90,7 @@ def macro_safe(program: t.Callable) -> t.Callable:
     """Mark an HBSP program as eligible for the macro-event fast path.
 
     Safe programs interact with the machine only through the batched
-    context surface — ``ctx.send`` / ``ctx.sync`` / ``ctx.compute`` /
+    context surface — ``ctx.send(_each)`` / ``ctx.sync`` / ``ctx.compute`` /
     ``ctx.messages`` and the pure enquiry helpers.  Programs that
     reach into ``ctx.task`` (sleep, raw recv, ad-hoc events) must stay
     on the object path and should not carry this marker.
@@ -92,29 +99,38 @@ def macro_safe(program: t.Callable) -> t.Callable:
     return program
 
 
-class _SendEntry:
-    """One in-flight remote send, shared between the sender's flush
-    list and the receiver's NIC-in timeline."""
+class _InFlight(Message):
+    """One remote send: the :class:`Message` the receiver will take,
+    plus the four NIC-timeline fields, shared between the sender's flush
+    list and the receiver's timeline.  The engine owns (and writes) it
+    until delivery; the two dunders put back the C-level slot setter
+    that ``frozen=True`` replaced."""
 
-    __slots__ = (
-        "arrival", "inject_end", "drain", "drain_end", "reg",
-        "src_tid", "dst_tid", "tag", "payload", "size", "sent_at",
-    )
+    __slots__ = ("arrival", "inject_end", "drain", "reg")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
-    def __init__(self, arrival: float, inject_end: float, drain: float,
-                 reg: int, src_tid: int, dst_tid: int, tag: int,
-                 payload: t.Any, size: int, sent_at: float) -> None:
+    def __init__(self, src: int, dst: int, tag: int, payload: t.Any, nbytes: int,
+                 sent_at: float, arrival: float, inject_end: float, drain: float,
+                 reg: int) -> None:
+        self.src = src
+        self.dst = dst
+        self.tag = tag
+        self.payload = payload
+        self.nbytes = nbytes
+        self.sent_at = sent_at
+        self.uid = None
         self.arrival = arrival
         self.inject_end = inject_end
         self.drain = drain
-        self.drain_end = 0.0  # set by _NicTimeline.insert
-        self.reg = reg
-        self.src_tid = src_tid
-        self.dst_tid = dst_tid
-        self.tag = tag
-        self.payload = payload
-        self.size = size
-        self.sent_at = sent_at
+        self.reg = reg  # delivered_at (the drain end) is set by refold()
+
+
+class _Delivered(Message):
+    """What an :class:`_InFlight` becomes at delivery (``__class__``
+    assignment: same layout, :class:`Message`'s frozen setters)."""
+
+    __slots__ = _InFlight.__slots__
 
 
 class _NicTimeline:
@@ -136,23 +152,23 @@ class _NicTimeline:
     the suffix dirty; drain ends are recomputed in one left-to-right
     pass by :meth:`refold` before anyone reads them (m inserts into a
     k-entry schedule cost O(m log k + k) instead of O(m k)).  Callers
-    must :meth:`refold` before reading ``drain_end``.
+    must :meth:`refold` before reading ``delivered_at`` (the drain end).
     """
 
     __slots__ = ("entries", "keys", "prev_end", "dirty", "queued")
 
     def __init__(self) -> None:
-        self.entries: list[_SendEntry] = []
+        self.entries: list[_InFlight] = []
         #: Parallel (arrival, inject_end, reg) sort keys.
         self.keys: list[tuple[float, float, int]] = []
         self.prev_end = 0.0
-        #: First index whose drain_end may be stale (= len(entries)
+        #: First index whose delivered_at may be stale (= len(entries)
         #: when the whole schedule is folded).
         self.dirty = 0
         #: True while sitting on the engine's dirty-timeline list.
         self.queued = False
 
-    def insert(self, entry: _SendEntry) -> None:
+    def insert(self, entry: _InFlight) -> None:
         keys = self.keys
         key = (entry.arrival, entry.inject_end, entry.reg)
         index = len(keys)
@@ -169,19 +185,18 @@ class _NicTimeline:
         index = self.dirty
         if index >= len(entries):
             return
-        prev = entries[index - 1].drain_end if index else self.prev_end
+        prev = entries[index - 1].delivered_at if index else self.prev_end
         for folded in entries[index:]:
             arrival = folded.arrival
-            end = (prev if prev > arrival else arrival) + folded.drain
-            folded.drain_end = end
-            prev = end
+            prev = (prev if prev > arrival else arrival) + folded.drain
+            folded.delivered_at = prev
         self.dirty = len(entries)
 
     def discard(self, count: int) -> None:
         """Drop the consumed prefix (``count`` > 0), carrying its busy
         horizon into ``prev_end`` for future folds."""
         entries = self.entries
-        self.prev_end = entries[count - 1].drain_end
+        self.prev_end = entries[count - 1].delivered_at
         del entries[:count]
         del self.keys[:count]
         self.dirty = len(entries)
@@ -199,10 +214,10 @@ class _PidState:
         self.task = ctx.task
         self.spec = ctx.task.host.spec
         self.local_t = 0.0
-        self.pending: list[_SendEntry] = []
-        #: Self-sends: (put_time, reg, Message) — merged with drained
-        #: messages by mailbox put order at collect time.
-        self.loopback: list[tuple[float, int, Message]] = []
+        self.pending: list[_InFlight] = []
+        #: Self-sends (``delivered_at`` = put time) — merged with
+        #: drained messages by mailbox put order at collect time.
+        self.loopback: list[Message] = []
 
 
 class _Cycle:
@@ -213,7 +228,7 @@ class _Cycle:
 
     def __init__(self, barrier: "Barrier") -> None:
         self.barrier = barrier
-        self.arrivals: list[tuple[_PidState, float, list[_SendEntry], Event]] = []
+        self.arrivals: list[tuple[_PidState, float, list[_InFlight], Event]] = []
 
 
 class MacroEngine:
@@ -221,7 +236,7 @@ class MacroEngine:
 
     Created by :meth:`HbspRuntime.run` when the capability check and
     the program's :func:`macro_safe` marker both hold; the context's
-    ``send`` / ``compute`` / ``_barrier_round`` dispatch here instead
+    ``send(_each)`` / ``compute`` / ``_barrier_round`` dispatch here instead
     of driving the PVM object path.
     """
 
@@ -231,9 +246,6 @@ class MacroEngine:
         self.vm = runtime.vm
         self._states = [_PidState(ctx.pid, ctx) for ctx in runtime._contexts]
         self._timelines = [_NicTimeline() for _ in self._states]
-        self._tid_to_pid = {
-            state.task.tid: state.pid for state in self._states
-        }
         self._cycles: dict[int, _Cycle] = {}  # id(barrier) -> open cycle
         self._reg = 0
         # Routing is pure in the pid pair: the crossed network is the
@@ -245,8 +257,9 @@ class MacroEngine:
         topo = self.vm.topology
         self._mids = [state.task.host.machine_id for state in self._states]
         self._chains = [topo._machine_ancestors[mid] for mid in self._mids]
-        self._lca_net: dict[int, tuple] = {}  # lca -> (latency, labels, network)
-        self._gaps: dict[tuple[int, int], float] = {}  # (lca, pid) -> gap
+        self._tids = [state.task.tid for state in self._states]
+        #: lca -> (latency, labels, network, {pid: effective NIC gap})
+        self._lca_net: dict[int, tuple] = {}
         # Multiplying by a 1.0 pair multiplier is a bitwise no-op, so
         # the multiply is skipped entirely when no multipliers are set.
         self._has_pair_mult = bool(topo._pair_multipliers)
@@ -270,88 +283,89 @@ class MacroEngine:
         state.local_t = state.local_t + duration
         state.task.macro_now = state.local_t
 
-    def send(self, ctx: "HbspContext", pid: int, payload: t.Any, tag: int,
-             nbytes: int | None) -> None:
-        """``ctx.send``: advance the sender clock by pack + inject and
-        register the drain on the receiver's NIC timeline."""
-        state = self._states[ctx.pid]
-        task = state.task
+    def send_each(self, ctx: "HbspContext", peers: t.Iterable[int], payload: t.Any,
+                  tag: int, nbytes: int | None) -> None:
+        """``ctx.send_each`` — ``ctx.send`` is its one-peer case: per
+        peer, advance the sender clock by pack + inject and register the
+        drain on the receiver's NIC timeline.  What every peer shares
+        (size, pack time) is looked up once, the route once per
+        destination leaf cluster; the float operations per message and
+        their order are those of one send after another."""
         size = payload_nbytes(payload) if nbytes is None else int(nbytes)
         if size < 0:
-            from repro.errors import PvmError
-
             raise PvmError(f"nbytes must be >= 0, got {size}")
-        sent_at = state.local_t
-        task.sent_messages += 1
-        task.sent_bytes += size
-        self._reg += 1
+        me = ctx.pid
+        states, timelines, tids, chains = self._states, self._timelines, self._tids, self._chains
+        state = states[me]
+        task = state.task
+        tid = task.tid
+        pending = state.pending
+        has_mult = self._has_pair_mult
+        nprocs = len(states)
+        own_chain = chains[me]
+        chain = None  # the destination leaf cluster the route below is for
         reg = self._reg
-
-        if pid == ctx.pid:
-            # Loopback: no wire, zero charged bytes, immediate mailbox
-            # put (available after the next sync, like every send).
-            message = Message(task.tid, task.tid, tag, payload, 0, sent_at, sent_at)
-            state.loopback.append((sent_at, reg, message))
-            return
-
-        target = self._states[pid]
-        ca = self._chains[ctx.pid]
-        cb = self._chains[pid]
-        i = 1
-        lim = min(len(ca), len(cb))
-        while i < lim and ca[i] == cb[i]:
-            i += 1
-        lca = ca[i - 1]
-        net = self._lca_net.get(lca)
-        if net is None:
-            network = self.vm.topology.clusters[lca].network
-            net = (network.latency, (("network", network.name),), network)
-            self._lca_net[lca] = net
-        latency, net_labels, network = net
-        send_gap = self._gaps.get((lca, ctx.pid))
-        if send_gap is None:
-            send_gap = network.effective_gap(state.spec.nic_gap)
-            self._gaps[(lca, ctx.pid)] = send_gap
-        drain_gap = self._gaps.get((lca, pid))
-        if drain_gap is None:
-            drain_gap = network.effective_gap(target.spec.nic_gap)
-            self._gaps[(lca, pid)] = drain_gap
-        counts = self._net_counts.get(net_labels)
-        if counts is None:
-            self._net_counts[net_labels] = [1, size]
-        else:
-            counts[0] += 1
-            counts[1] += size
-
+        sent = 0
         # pack on the sender CPU, inject through the sender NIC —
         # uncontended (one task per host), so both are serial adds.
-        t_local = sent_at + state.spec.pack_time(size)
-        if self._has_pair_mult:
-            multiplier = self.vm.topology.pair_multiplier(
-                self._mids[ctx.pid], self._mids[pid]
-            )
-            t_local = t_local + size * send_gap * multiplier
-            drain = size * drain_gap * multiplier
-        else:
-            t_local = t_local + size * send_gap
-            drain = size * drain_gap
-        state.local_t = t_local
-        task.macro_now = t_local
-
-        # wire latency, then the contended receiver drain (folded on
-        # the timeline; drain_end is filled in by insert()).
-        entry = _SendEntry(
-            t_local + latency,
-            t_local,
-            drain,
-            reg, task.tid, target.task.tid, tag, payload, size, sent_at,
-        )
-        timeline = self._timelines[pid]
-        timeline.insert(entry)
-        if not timeline.queued:
-            timeline.queued = True
-            self._dirty.append(timeline)
-        state.pending.append(entry)
+        pack = state.spec.pack_time(size)
+        t_local = state.local_t
+        pid = me  # stays a valid pid unless the loop breaks on a bad one
+        for pid in peers:
+            if not 0 <= pid < nprocs:
+                break
+            sent += 1
+            if pid == me:
+                # Loopback: no wire, zero charged bytes, immediate mailbox
+                # put (available after the next sync, like every send).
+                state.loopback.append(Message(tid, tid, tag, payload, 0, t_local, t_local))
+                continue
+            if chains[pid] is not chain:
+                # Another destination leaf cluster: resolve the route.
+                chain = chains[pid]
+                i = 1
+                lim = min(len(own_chain), len(chain))
+                while i < lim and own_chain[i] == chain[i]:
+                    i += 1
+                lca = own_chain[i - 1]
+                if lca not in self._lca_net:
+                    network = self.vm.topology.clusters[lca].network
+                    self._lca_net[lca] = (network.latency, (("network", network.name),), network, {})
+                latency, net_labels, network, gaps = self._lca_net[lca]
+                if me not in gaps:
+                    gaps[me] = network.effective_gap(state.spec.nic_gap)
+                inject = size * gaps[me]
+                counts = self._net_counts.setdefault(net_labels, [0, 0])
+            drain_gap = gaps.get(pid)
+            if drain_gap is None:
+                drain_gap = gaps[pid] = network.effective_gap(states[pid].spec.nic_gap)
+            counts[0] += 1
+            counts[1] += size
+            sent_at = t_local
+            t_local = t_local + pack
+            if has_mult:
+                multiplier = self.vm.topology.pair_multiplier(self._mids[me], self._mids[pid])
+                t_local = t_local + inject * multiplier
+                drain = size * drain_gap * multiplier
+            else:
+                t_local = t_local + inject
+                drain = size * drain_gap
+            # wire latency, then the contended receiver drain (folded on
+            # the timeline; delivered_at is filled in by refold()).
+            reg += 1
+            entry = _InFlight(tid, tids[pid], tag, payload, size, sent_at,
+                              t_local + latency, t_local, drain, reg)
+            timeline = timelines[pid]
+            timeline.insert(entry)
+            if not timeline.queued:
+                timeline.queued = True
+                self._dirty.append(timeline)
+            pending.append(entry)
+        self._reg = reg
+        state.local_t = task.macro_now = t_local
+        task.sent_messages += sent
+        task.sent_bytes += sent * size
+        ctx._check_peer(pid)  # raises iff the loop broke
 
     def barrier_round(
         self, ctx: "HbspContext", level: int | None
@@ -391,8 +405,8 @@ class MacroEngine:
             self._refold_all()
             target = state.local_t
             for entry in state.pending:
-                if entry.drain_end > target:
-                    target = entry.drain_end
+                if entry.delivered_at > target:
+                    target = entry.delivered_at
             if target <= engine.now:
                 return
             gate = Event(engine, f"pid{state.pid}.finish")
@@ -417,7 +431,7 @@ class MacroEngine:
     def _refold_all(self) -> None:
         """Bring every dirty NIC timeline's drain ends up to date
         (pending entries live on *other* pids' receive timelines, so
-        reads of drain_end must be preceded by a global refold)."""
+        reads of delivered_at must be preceded by a global refold)."""
         dirty = self._dirty
         if not dirty:
             return
@@ -435,8 +449,8 @@ class MacroEngine:
         for _state, local_t, pending, _waiter in cycle.arrivals:
             resume = local_t
             for entry in pending:
-                if entry.drain_end > resume:
-                    resume = entry.drain_end
+                if entry.delivered_at > resume:
+                    resume = entry.delivered_at
             if resume > last:
                 last = resume
         cost = cycle.barrier.cost
@@ -457,8 +471,8 @@ class MacroEngine:
         for _state, local_t, pending, _waiter in arrivals:
             resume = local_t
             for entry in pending:
-                if entry.drain_end > resume:
-                    resume = entry.drain_end
+                if entry.delivered_at > resume:
+                    resume = entry.delivered_at
             resumes.append(resume)
         # Waiters resume in arrival order (ties: registration order),
         # exactly like Barrier.release over its FIFO waiting list.
@@ -487,22 +501,24 @@ class MacroEngine:
         li = 0
         n_entries = len(entries)
         n_loop = len(loopback)
+        size = None
         while True:
             entry = entries[taken] if taken < n_entries else None
-            if entry is not None and entry.drain_end > local_t:
+            if entry is not None and entry.delivered_at > local_t:
                 entry = None  # still draining: blocks all later entries
             put = loopback[li] if li < n_loop else None
-            if entry is not None and (put is None or entry.drain_end <= put[0]):
+            if entry is not None and (put is None or entry.delivered_at <= put.delivered_at):
                 taken += 1
-                size = entry.size
             elif put is not None:
                 # Loopback puts happen mid-superstep, so their put
                 # times are <= the release and never block.
                 li += 1
-                size = put[2].nbytes
+                entry = put
             else:
                 break
-            unpack = unpack_time(size)
+            if entry.nbytes != size:  # unpack_time is pure in the size
+                size = entry.nbytes
+                unpack = unpack_time(size)
             if unpack > 0:
                 local_t = local_t + unpack
         return taken, li, local_t
@@ -520,7 +536,7 @@ class MacroEngine:
         on the timeline; the walk is monotone in the entry set, so
         re-arming until the horizon stops growing is a fixpoint.
         """
-        self._refold_all()
+        self._timelines[state.pid].refold()  # the walk reads no other
         taken, li, local_t = self._walk_collect(state, release)
         engine = self.engine
         if local_t > engine.now:
@@ -528,38 +544,29 @@ class MacroEngine:
                 local_t, lambda: self._finalize(state, release, waiter, index)
             )
             return
-        self._collect(state, release, taken, li, local_t)
+        self._collect(state, taken, li, local_t)
         waiter.succeed(index)
 
-    def _collect(self, state: _PidState, release: float, taken: int, li: int,
-                 local_t: float) -> None:
-        """BSP delivery at the release: move the walked timeline prefix
-        + loopback puts into the context in mailbox put order
-        (``HbspContext._collect`` without the object plumbing)."""
+    def _collect(self, state: _PidState, taken: int, li: int, local_t: float) -> None:
+        """BSP delivery at the release: the walked timeline prefix +
+        loopback puts go to the context in mailbox put order
+        (``HbspContext._collect`` without the object plumbing).  The
+        drained records *are* the delivered messages: the engine lets
+        go of them here and they are frozen from now on."""
         timeline = self._timelines[state.pid]
-        entries = timeline.entries
-        loopback = state.loopback
         task = state.task
-        available = state.ctx._available
-        ei = 0
-        pi = 0
-        while ei < taken or pi < li:
-            entry = entries[ei] if ei < taken else None
-            put = loopback[pi] if pi < li else None
-            if entry is not None and (put is None or entry.drain_end <= put[0]):
-                ei += 1
-                message = Message(entry.src_tid, entry.dst_tid, entry.tag,
-                                  entry.payload, entry.size, entry.sent_at,
-                                  entry.drain_end)
-            else:
-                pi += 1
-                message = put[2]
-            task.received_messages += 1
-            task.received_bytes += message.nbytes
-            available.append(message)
+        batch = timeline.entries[:taken]
+        for entry in batch:
+            entry.__class__ = _Delivered
+            task.received_bytes += entry.nbytes  # loopback puts carry 0
         if taken:
             timeline.discard(taken)
         if li:
-            del loopback[:li]
-        state.local_t = local_t
-        task.macro_now = local_t
+            # Stable sort = merge: drained entries keep the timeline's
+            # grant order and precede loopback puts with equal put times.
+            batch += state.loopback[:li]
+            batch.sort(key=attrgetter("delivered_at"))
+            del state.loopback[:li]
+        task.received_messages += taken + li
+        state.ctx._available.extend(batch)
+        state.local_t = task.macro_now = local_t

@@ -5,6 +5,9 @@ import pytest
 
 from repro.errors import SuperstepError
 from repro.hbsplib import HbspRuntime
+from repro.obs import observe
+from repro.pvm import Message
+from repro.sim.macro import macro_safe
 
 
 class TestBspDeliverySemantics:
@@ -214,3 +217,87 @@ class TestEnquiry:
         HbspRuntime(testbed_small).run(prog)
         with pytest.raises(SuperstepError, match="finished"):
             list(contexts[0].compute(1))
+
+
+def _fan_out(use_send_each):
+    """A fan-out superstep written with ``send_each`` or as the loop of
+    ``send`` it is defined to be: every process sends one array to the
+    next pid twice, itself, and the pids two and three ahead."""
+
+    @macro_safe
+    def prog(ctx):
+        payload = np.arange(8 + ctx.pid, dtype=np.int32)
+        peers = [(ctx.pid + d) % ctx.nprocs for d in (1, 1, 0, 2, 3)]
+        with ctx.phase("fan-out"):
+            if use_send_each:
+                yield from ctx.send_each(peers, payload, tag=5)
+                yield from ctx.send_each([], payload, tag=6)
+            else:
+                for peer in peers:
+                    yield from ctx.send(peer, payload, tag=5)
+        yield from ctx.sync()
+        return payload, ctx.messages()
+
+    return prog
+
+
+class TestSendEach:
+    def test_object_path_emits_the_trace_of_the_loop(self, fig1_machine):
+        records = []
+        for use_send_each in (True, False):
+            runtime = HbspRuntime(fig1_machine, trace=True)
+            runtime.run(_fan_out(use_send_each))
+            assert runtime.engine_path[0] == "object"
+            records.append(runtime.vm.trace.records)
+        assert records[0] == records[1] and records[0]
+
+    def test_object_path_records_the_spans_of_the_loop(self, fig1_machine):
+        spans = []
+        for use_send_each in (True, False):
+            with observe(spans=True) as observation:
+                HbspRuntime(fig1_machine).run(_fan_out(use_send_each))
+            spans.append([
+                (s.category, s.name, s.actor, s.start, s.end, s.args)
+                for s in observation.tracer.spans
+            ])
+        assert spans[0] == spans[1] and spans[0]
+
+    @pytest.mark.parametrize("use_send_each", [True, False])
+    def test_delivered_messages_are_the_same_on_both_engine_paths(
+        self, fig1_machine, use_send_each
+    ):
+        runs = {}
+        for macro in (True, False):
+            runtime = HbspRuntime(fig1_machine, macro=macro)
+            result = runtime.run(_fan_out(use_send_each))
+            assert (runtime.engine_path[0] == "macro") == macro
+            assert result.values[0][1]  # something was delivered
+            sent = {runtime.tid_of(pid): value[0] for pid, value in result.values.items()}
+            for _, messages in result.values.values():
+                for message in messages:
+                    assert isinstance(message, Message)
+                    assert message.payload is sent[message.src]  # never copied
+                    with pytest.raises(Exception):
+                        message.tag = 9
+                    assert message.tag == 5
+            runs[macro] = (result.time, [
+                [(m.src, m.dst, m.tag, m.nbytes, m.sent_at, m.delivered_at, m.uid)
+                 for m in messages]
+                for _, messages in result.values.values()
+            ])
+        assert runs[True] == runs[False]
+
+    @pytest.mark.parametrize("macro", [True, False])
+    def test_peer_outside_group_raises_like_send(self, testbed_small, macro):
+        def send_prog(ctx):
+            yield from ctx.send(99, "x")
+
+        def send_each_prog(ctx):
+            yield from ctx.send_each([1, 99, 2], "x")
+
+        errors = []
+        for prog in (send_prog, send_each_prog):
+            with pytest.raises(SuperstepError, match="outside") as caught:
+                HbspRuntime(testbed_small, macro=macro).run(macro_safe(prog))
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]

@@ -88,6 +88,14 @@ class TestClusterNavigation:
         with pytest.raises(HbspError):
             runtime.barrier_for(0, 0)
 
+    def test_pid_of_inverts_tid_of(self, grid):
+        runtime = HbspRuntime(grid)  # three levels
+        runtime.run(noop)
+        tids = [runtime.tid_of(pid) for pid in range(runtime.nprocs)]
+        assert [runtime.pid_of(tid) for tid in tids] == list(range(runtime.nprocs))
+        with pytest.raises(HbspError, match="no process with tid"):
+            runtime.pid_of(max(tids) + 1)
+
 
 class TestExecution:
     def test_single_use(self, testbed_small):

@@ -117,6 +117,56 @@ class TestBitIdenticalOnRandomMachines:
 
 
 # ---------------------------------------------------------------------------
+# send_each: the fan-out is one engine call on the macro path, a loop of
+# send on the object path
+# ---------------------------------------------------------------------------
+
+@macro_safe
+def _fan_out_program(ctx, peer_lists):
+    """Two supersteps of fan-outs; returns every delivered field."""
+    seen = []
+    for step in range(2):
+        payload = np.arange(16 * (ctx.pid + 1) + step, dtype=np.int32)
+        peers = [peer % ctx.nprocs for peer in peer_lists[(ctx.pid + step) % len(peer_lists)]]
+        yield from ctx.send_each(peers, payload, tag=step)
+        yield from ctx.send_each([], payload, tag=7)
+        yield from ctx.sync()
+        # (A fast peer's next-step send can land during this collect's
+        # unpacks, so a message's tag need not be this ``step``.)
+        seen += [
+            (m.src, m.dst, m.tag, m.nbytes, m.sent_at, m.delivered_at, m.payload.size)
+            for m in ctx.messages()
+        ]
+    return seen
+
+
+class TestSendEachFanOut:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        topology=deep_topology(),
+        # Per process a peer list (taken modulo p): empty, with repeats,
+        # itself and peers behind every lowest common ancestor.
+        peer_lists=st.lists(
+            st.lists(st.integers(min_value=0, max_value=30), max_size=8),
+            min_size=1, max_size=6,
+        ),
+        pair=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+        factor=st.floats(min_value=0.5, max_value=4.0),
+    )
+    def test_fan_out_with_a_pair_multiplier(self, topology, peer_lists, pair, factor):
+        a, b = (pid % topology.num_machines for pid in pair)
+        if a != b:
+            topology.set_pair_multiplier(a, b, factor)
+        runs = []
+        for macro in (True, False):
+            runtime = HbspRuntime(topology, macro=macro)
+            result = runtime.run(_fan_out_program, peer_lists)
+            assert (runtime.macro is not None) == macro
+            runs.append((result.time, result.values, runtime.superstep_marks()))
+        assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
 # Regression: arrival-tie drain order on a shared receiver NIC
 # ---------------------------------------------------------------------------
 
