@@ -104,17 +104,27 @@ def effective_coordinator(ctx: HbspContext, level: int, root: int) -> int:
     on the requested processor); every other cluster keeps its default
     (fastest-member) coordinator, per Section 3.1.
 
-    ``root`` is a member of the cluster exactly when the two pids share
-    their level-``level`` ancestor, so membership is one table lookup —
-    not a scan of the member list, which is ``p`` long at the top level.
+    Every pid asks this every superstep, so the answer for all pids is
+    one table per ``(level, root)``, built on first use.
     """
     if level == 0:
         return ctx.pid
     runtime = ctx.runtime
-    # ``.get``: a root outside the machine is a member of no cluster.
-    if runtime._ancestor_of.get((root, level)) is runtime._ancestor(ctx.pid, level):
-        return root
-    return ctx.coordinator_pid(level)
+    cache = runtime._schedule_cache
+    key = ("coordinators", level, root)
+    table = cache.get(key)
+    if table is None:
+        runtime._ancestor(ctx.pid, level)  # raises for a level the tree lacks
+        table = [0] * runtime.nprocs
+        for node in runtime.tree.level_nodes(level):
+            # ``.get``: a root outside the machine is a member of no cluster.
+            coordinator = (
+                root if runtime._ancestor_of.get((root, level)) is node else node.coordinator
+            )
+            for pid in node.members:
+                table[pid] = coordinator
+        cache[key] = table
+    return table[ctx.pid]
 
 
 def level_participants(ctx: HbspContext, level: int, root: int) -> list[int]:

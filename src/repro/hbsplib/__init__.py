@@ -8,9 +8,9 @@ of the heterogeneity of the underlying system" (Section 5.1).
 
 This package is that library on the simulated substrate:
 
-* :class:`HbspRuntime` — spawns one process per level-0 machine and
-  executes superstep programs, charging the model's ``L`` costs at
-  every (cluster-scoped) barrier;
+* :class:`HbspRuntime` — runs a superstep program once per level-0
+  machine, charging the model's ``L`` costs at every (cluster-scoped)
+  barrier;
 * :class:`HbspContext` — the per-process API: buffered ``send``,
   ``sync`` (BSP message-availability semantics), ``messages``,
   ``compute``, enquiry (pid / nprocs / time), and heterogeneity
@@ -19,12 +19,11 @@ This package is that library on the simulated substrate:
 * :mod:`repro.hbsplib.hetero` — standalone workload-partition helpers.
 """
 
-from repro.hbsplib.context import GetHandle, HbspContext
+from repro.hbsplib.context import HbspContext
 from repro.hbsplib.runtime import HbspResult, HbspRuntime
 from repro.hbsplib.hetero import equal_partition, proportional_partition
 
 __all__ = [
-    "GetHandle",
     "HbspContext",
     "HbspResult",
     "HbspRuntime",

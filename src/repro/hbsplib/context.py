@@ -22,48 +22,8 @@ from __future__ import annotations
 import typing as t
 
 from repro.errors import SuperstepError
-from repro.hbsplib.drma import GetRequest, PutRecord, apply_put, read_register
 from repro.pvm.message import Message
 from repro.sim.events import AllOf, Event
-
-#: Reserved tag namespace for one-sided (DRMA) traffic; user tags must
-#: stay below this.
-_DRMA_BASE = 1 << 30
-_TAG_PUT = _DRMA_BASE
-_TAG_GET_REQUEST = _DRMA_BASE + 1
-_TAG_GET_REPLY = _DRMA_BASE + 2
-
-
-class GetHandle:
-    """The pending result of a one-sided :meth:`HbspContext.get`.
-
-    ``handle.value`` becomes available after the synchronisation that
-    serviced the get (``ctx.sync(drma=True)``).
-    """
-
-    __slots__ = ("_value", "_ready")
-
-    def __init__(self) -> None:
-        self._value = None
-        self._ready = False
-
-    def _fulfill(self, value) -> None:
-        self._value = value
-        self._ready = True
-
-    @property
-    def ready(self) -> bool:
-        """True once the servicing sync has completed."""
-        return self._ready
-
-    @property
-    def value(self):
-        """The fetched value (raises until the servicing sync ran)."""
-        if not self._ready:
-            raise SuperstepError(
-                "get result read before the servicing sync(drma=True)"
-            )
-        return self._value
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.hbsplib.runtime import HbspRuntime
@@ -141,9 +101,6 @@ class HbspContext:
         self._step_span: t.Any | None = None
         self._wait = 0.0
         self._finished = False
-        self._registers: dict[str, t.Any] = {}
-        self._get_handles: dict[int, GetHandle] = {}
-        self._next_get_id = 0
 
     # -- enquiry (BSPlib: bsp_pid / bsp_nprocs / bsp_time) ---------------------
     @property
@@ -232,9 +189,7 @@ class HbspContext:
         for pid in peers:
             yield from self.send(pid, payload, tag=tag)
 
-    def sync(
-        self, level: int | None = None, *, drma: bool = False
-    ) -> t.Generator[Event, t.Any, None]:
+    def sync(self, level: int | None = None) -> t.Generator[Event, t.Any, None]:
         """Barrier synchronisation ending the current superstep.
 
         ``level=None`` (or ``k``) synchronises the whole machine,
@@ -244,59 +199,35 @@ class HbspContext:
 
         On return, every message sent to this process before its
         sender entered the same barrier is available via
-        :meth:`messages`, and one-sided puts have been applied to the
-        destination registers.
-
-        ``drma=True`` additionally services outstanding :meth:`get`
-        requests: an internal reply round runs inside the sync, which
-        charges one extra barrier ``L`` — every process of the barrier
-        group must pass the same flag (the usual uniform-schedule
-        rule).
+        :meth:`messages`.
         """
         self._check_live()
-        self._ensure_step_span()
-        yield from self._barrier_round(level)
-        if drma:
-            # Serve get requests captured by the first round: read the
-            # end-of-superstep register values and reply.
-            for message in self._take_drma(_TAG_GET_REQUEST):
-                get_id, request = message.payload
-                value = read_register(self._registers, request)
-                yield from self.send(
-                    request.requester, (get_id, value), tag=_TAG_GET_REPLY
-                )
+        macro = self.runtime.macro
+        if macro is not None:
+            # Macro-event path: register the arrival and suspend; the
+            # macro engine does the flush / release / collect
+            # bookkeeping arithmetically and resumes this generator.
+            macro.barrier_round(self, level)
+            yield
+        else:
+            self._ensure_step_span()
             yield from self._barrier_round(level)
-            for message in self._take_drma(_TAG_GET_REPLY):
-                get_id, value = message.payload
-                self._get_handles.pop(get_id)._fulfill(value)
         task = self.task
-        marks = self._step_marks
         now = task.now
-        marks.append((
+        self._step_marks.append((
             now, self._wait, task.sent_messages, task.sent_bytes,
             task.received_messages, task.received_bytes,
         ))
         self._wait = 0.0
-        tracer = self.runtime.obs_tracer
-        if tracer is not None and self._step_span is not None:
-            self._step_span.args["level"] = (
-                self.runtime.tree.k if level is None else level
-            )
-            tracer.finish(self._step_span, now)
+        span = self._step_span
+        if span is not None:  # only ever opened under span tracing
+            span.args["level"] = self.runtime.tree.k if level is None else level
+            self.runtime.obs_tracer.finish(span, now)
             self._step_span = None
         self.superstep += 1
 
     def _barrier_round(self, level: int | None) -> t.Generator[Event, t.Any, None]:
-        """One flush + barrier + collect round (internal)."""
-        macro = self.runtime.macro
-        if macro is not None:
-            # Macro-event path: one boundary event per cycle does the
-            # flush / release / collect bookkeeping arithmetically;
-            # only the DRMA put application below is shared.
-            yield from macro.barrier_round(self, level)
-            for message in self._take_drma(_TAG_PUT):
-                apply_put(self._registers, message.payload)
-            return
+        """One flush + barrier + collect round on the object path."""
         # 1. Superstep communication must complete before the barrier
         #    can release: wait for our own sends to be delivered.
         if self._pending:
@@ -321,17 +252,8 @@ class HbspContext:
                 actor=self.machine_name, start=start, end=now,
                 superstep=self.superstep,
             )
-        # 3. BSP delivery: everything in the mailbox becomes available;
-        #    one-sided puts are applied instead of queued.
+        # 3. BSP delivery: everything in the mailbox becomes available.
         yield from self._collect()
-        for message in self._take_drma(_TAG_PUT):
-            apply_put(self._registers, message.payload)
-
-    def _take_drma(self, tag: int) -> list[Message]:
-        """Remove and return collected DRMA messages with ``tag``."""
-        taken = [m for m in self._available if m.tag == tag]
-        self._available = [m for m in self._available if m.tag != tag]
-        return taken
 
     def _collect(self) -> t.Generator[Event, t.Any, None]:
         task = self.task
@@ -379,78 +301,6 @@ class HbspContext:
     def pid_of_message(self, message: Message) -> int:
         """Sender pid of a delivered message."""
         return self.runtime.pid_of(message.src)
-
-    # -- one-sided operations (BSPlib DRMA: bsp_push_reg / bsp_put / bsp_get)
-    def register(self, name: str, value: t.Any) -> None:
-        """Register a variable for one-sided access (``bsp_push_reg``).
-
-        All processes that will be targeted must register the same
-        name; registration is local and free.
-        """
-        self._check_live()
-        self._registers[name] = value
-
-    def deregister(self, name: str) -> None:
-        """Remove a registered variable (``bsp_pop_reg``)."""
-        if name not in self._registers:
-            raise SuperstepError(f"{name!r} is not registered on pid {self.pid}")
-        del self._registers[name]
-
-    def register_value(self, name: str) -> t.Any:
-        """Read the local copy of a registered variable."""
-        if name not in self._registers:
-            raise SuperstepError(f"{name!r} is not registered on pid {self.pid}")
-        return self._registers[name]
-
-    def put(
-        self,
-        pid: int,
-        name: str,
-        value: t.Any,
-        *,
-        offset: int | None = None,
-    ) -> t.Generator[Event, t.Any, None]:
-        """One-sided write (``bsp_put``): after the next sync, ``pid``'s
-        register ``name`` holds ``value`` (or, with ``offset``, has the
-        array slice starting there overwritten).
-
-        Buffered-on-source semantics: the value is captured now; the
-        destination observes it only after the barrier.
-        """
-        self._check_live()
-        import numpy as np
-
-        captured = value.copy() if isinstance(value, np.ndarray) else value
-        record = PutRecord(src_pid=self.pid, name=name, value=captured, offset=offset)
-        # PutRecord is opaque to the payload sizer; charge the value's
-        # wire size (plus a small header) explicitly.
-        from repro.pvm.message import payload_nbytes
-
-        yield from self.send(
-            pid, record, tag=_TAG_PUT, nbytes=payload_nbytes(captured) + 16
-        )
-
-    def get(
-        self,
-        pid: int,
-        name: str,
-        *,
-        offset: int | None = None,
-        length: int | None = None,
-    ) -> t.Generator[Event, t.Any, GetHandle]:
-        """One-sided read (``bsp_get``): returns a :class:`GetHandle`
-        whose ``.value`` is ``pid``'s register ``name`` as of the end
-        of this superstep.  The handle is fulfilled by the next
-        ``sync(drma=True)``.
-        """
-        self._check_live()
-        get_id = self._next_get_id
-        self._next_get_id += 1
-        handle = GetHandle()
-        self._get_handles[get_id] = handle
-        request = (get_id, GetRequest(self.pid, name, offset, length))
-        yield from self.send(pid, request, tag=_TAG_GET_REQUEST)
-        return handle
 
     # -- computation -------------------------------------------------------------------
     def compute(self, work: float) -> t.Generator[Event, t.Any, None]:

@@ -4,8 +4,9 @@
 :class:`~repro.pvm.VirtualMachine` over the cluster topology), one
 barrier per cluster node of the HBSP tree (charging that cluster's
 ``L_{i,j}``), and the speed/fraction tables derived from benchmark
-scores.  :meth:`HbspRuntime.run` spawns one process per level-0
-machine and returns an :class:`HbspResult` with per-pid return values
+scores.  :meth:`HbspRuntime.run` runs the program once per level-0
+machine (a DES process each, or a party the macro engine drives) and
+returns an :class:`HbspResult` with per-pid return values
 and the simulated makespan.
 """
 
@@ -148,6 +149,9 @@ class HbspRuntime:
             self.topology.machine_id(name): rank
             for rank, name in enumerate(name_ranking)
         }
+        #: ``P_f`` and ``P_s``: the rank table is static, so once here.
+        self.fastest_pid = min(self._rank, key=self._rank.__getitem__)
+        self.slowest_pid = max(self._rank, key=self._rank.__getitem__)
         fractions = fractions_from_scores(self.scores)
         self._fractions = [
             fractions[m.name] for m in self.topology.machines
@@ -189,16 +193,6 @@ class HbspRuntime:
         self.macro: t.Any | None = None
 
     # -- lookup tables used by contexts -------------------------------------------
-    @property
-    def fastest_pid(self) -> int:
-        """Pid with speed rank 0 (``P_f``)."""
-        return min(self._rank, key=lambda pid: self._rank[pid])
-
-    @property
-    def slowest_pid(self) -> int:
-        """Pid with the worst speed rank (``P_s``)."""
-        return max(self._rank, key=lambda pid: self._rank[pid])
-
     def rank_of(self, pid: int) -> int:
         """Speed rank of ``pid`` (0 = fastest)."""
         return self._rank[pid]
@@ -319,36 +313,44 @@ class HbspRuntime:
                 "HbspRuntime per measured run (the virtual clock is not reset)"
             )
         self._ran = True
+        self.engine_path = self._choose_path(program)
+        on_macro = self.engine_path[0] == "macro"
+        argv = per_pid_args if per_pid_args is not None else [args] * self.nprocs
 
-        def wrapper(task, pid: int):  # generator function for the PVM task
+        def wrapper(task, pid: int):  # the object path's process body
             ctx = self._contexts[pid]
-            call_args = per_pid_args[pid] if per_pid_args is not None else args
-            value = yield from program(ctx, *call_args, **kwargs)
-            if self.macro is not None:
-                # Stretch the shared clock to this task's trailing
-                # local time before the process completion lands.
-                yield from self.macro.finish(ctx)
+            value = yield from program(ctx, *argv[pid], **kwargs)
             ctx._finished = True
             return value
 
         # Create contexts first (tid_of needs them all before any send).
+        # The object path starts one DES process per pid; the macro
+        # engine drives the program generators itself.
+        machines = self.topology.machines
         for pid in range(self.nprocs):
-            task = self.vm.spawn(
-                wrapper, pid, pid, name=f"pid{pid}@{self.topology.machines[pid].name}"
-            )
+            name = f"pid{pid}@{machines[pid].name}"
+            if on_macro:
+                task = self.vm._new_task(pid, name)
+            else:
+                task = self.vm.spawn(wrapper, pid, pid, name=name)
             self._contexts.append(HbspContext(self, task, pid))
             self._pid_of_tid[task.tid] = pid
 
-        self.engine_path = self._choose_path(program)
-        if self.engine_path[0] == "macro":
+        if on_macro:
             from repro.sim.macro import MacroEngine
 
-            self.macro = MacroEngine(self)
+            self.macro = MacroEngine(self, [
+                program(ctx, *argv[pid], **kwargs)
+                for pid, ctx in enumerate(self._contexts)
+            ])
 
         time = self.vm.run()
-        values = {
-            pid: ctx.task.process.value for pid, ctx in enumerate(self._contexts)
-        }
+        if self.macro is not None:
+            values = self.macro.values
+        else:
+            values = {
+                pid: ctx.task.process.value for pid, ctx in enumerate(self._contexts)
+            }
         supersteps = max((ctx.superstep for ctx in self._contexts), default=0)
         released = Released(HbspError, "the runtime of a finished run")
         for ctx in self._contexts:

@@ -113,21 +113,29 @@ class VirtualMachine:
         :class:`Task` as its first argument.  Returns the task; its
         ``process`` attribute is the joinable process event.
         """
+        task = self._new_task(host, name)
+        generator = func(task, *args, **kwargs)
+        if not hasattr(generator, "send"):
+            del self._tasks[task.tid]
+            raise PvmError(
+                f"spawned function {func!r} must be a generator function "
+                "(use 'yield from task.send(...)' etc.)"
+            )
+        task.process = self.engine.process(generator, name=task.name)
+        return task
+
+    def _new_task(self, host: int | str, name: str = "") -> Task:
+        """Create and enrol a task on ``host`` without starting a
+        process for it (the macro engine drives its programs itself)."""
         machine_id = host if isinstance(host, int) else self.topology.machine_id(host)
         if not 0 <= machine_id < len(self.hosts):
             raise PvmError(f"no host with machine id {machine_id}")
         host_obj = self.hosts[machine_id]
         tid = self._next_tid
         self._next_tid += 1
-        task = Task(self, tid, host_obj, name or f"task{tid}@{host_obj.spec.name}")
-        generator = func(task, *args, **kwargs)
-        if not hasattr(generator, "send"):
-            raise PvmError(
-                f"spawned function {func!r} must be a generator function "
-                "(use 'yield from task.send(...)' etc.)"
-            )
-        task.process = self.engine.process(generator, name=task.name)
-        self._tasks[tid] = task
+        task = self._tasks[tid] = Task(
+            self, tid, host_obj, name or f"task{tid}@{host_obj.spec.name}"
+        )
         return task
 
     def task(self, tid: int) -> Task:

@@ -80,8 +80,8 @@ class Barrier:
         """Claim the next cycle index without the per-waiter plumbing.
 
         The macro-event path (:mod:`repro.sim.macro`) computes arrival
-        and release times arithmetically and releases its own waiter
-        events; it still reuses this barrier object for ``parties`` /
+        and release times arithmetically and resumes its parties
+        itself; it still reuses this barrier object for ``parties`` /
         ``cost`` validation and advances the shared cycle counter here
         so mixed introspection stays consistent.
         """

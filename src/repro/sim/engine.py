@@ -85,8 +85,9 @@ class Engine:
         self._free: list[int] = list(range(_INITIAL_SLOTS - 1, -1, -1))
         self._heap: list[tuple[float, int]] = []
         self._seq = 0
-        #: Live (started, unfinished) processes, for deadlock reporting.
-        self._live_processes: set["Process"] = set()
+        #: Live (started, unfinished) processes, and the macro engine's
+        #: unfinished parties, for deadlock reporting (by ``repr``).
+        self._live_processes: set[t.Any] = set()
         self._events_processed = 0
         #: Optional observability hook (a repro.obs Tracer), set per run
         #: by the runtime when span tracing is active; each run()/

@@ -5,9 +5,9 @@ object-event engine simulates message by message is data-parallel:
 each task's pack/inject/compute charges advance a private local clock,
 receiver NIC drains fold left-to-right over a per-port timeline, and a
 barrier releases at ``max(arrivals) + L``.  :class:`MacroEngine`
-computes all of that arithmetically and injects exactly **one**
-"superstep boundary" event per barrier cycle into the DES heap,
-instead of the O(messages) events of the object path.
+computes all of that arithmetically and puts **one** "superstep
+boundary" event plus **one** resume batch per barrier cycle on the DES
+heap, instead of the O(messages) events of the object path.
 
 Bit-exactness contract
 ----------------------
@@ -40,6 +40,32 @@ the program only uses the batched surface (``ctx.send`` /
 ad-hoc ``task`` access).  Any live hook falls back to the object path; see
 :meth:`repro.hbsplib.runtime.HbspRuntime.run`.
 
+Who drives a party
+------------------
+
+A party is a coroutine, not a DES process: the engine owns each pid's
+program generator and resumes it with ``gen.send`` — no
+:class:`~repro.sim.process.Process`, no waiter :class:`~repro.sim.events.Event`.
+One ``call_soon`` at t = 0 starts every party in pid order (the object
+path's spawn order).  ``ctx.sync`` registers the arrival
+(:meth:`MacroEngine.barrier_round`) and suspends on a bare ``yield``.
+A boundary collects the parties it finalizes into one ready list and
+posts one ``call_soon`` that resumes them in finalize order, where the
+object path would have triggered one waiter event each.  The two
+orders are the same: during a boundary callback nothing else enqueues
+a current-instant (lane-0) entry — every re-arm lands in the future
+lane — so the waiters' entries would have been contiguous in the
+engine's FIFO, and one batched entry at the first one's position runs
+the same generator sends, in the same order, against the same heap.
+(Resuming them inline inside the boundary instead would let one
+cluster's parties send before a same-instant boundary of another
+cluster finalizes.)  A party whose collect re-arms resumes alone,
+through its own ``call_soon``.  Parties count as live processes for
+:meth:`repro.sim.engine.Engine.run`'s deadlock check until their
+program returns, so a run that strands one raises
+:class:`~repro.errors.DeadlockError` naming it; an exception a
+program raises propagates out of ``Engine.run`` as it is.
+
 Boundary staleness
 ------------------
 
@@ -65,18 +91,18 @@ send the object path would deliver in this same superstep, each
 party's collect is *finalized* separately: the boundary computes the
 cascade horizon and re-arms until the engine clock reaches it (sends
 register at engine time ≤ their arrival, so by then every candidate
-entry is on the timeline), then commits and resumes the waiter.
+entry is on the timeline), then commits and resumes the party.
 """
 
 from __future__ import annotations
 
 import typing as t
 from bisect import bisect_right
+from functools import partial
 from operator import attrgetter
 
-from repro.errors import PvmError
+from repro.errors import PvmError, SimulationError
 from repro.pvm.message import Message, payload_nbytes
-from repro.sim.events import Event
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.hbsplib.context import HbspContext
@@ -203,13 +229,17 @@ class _NicTimeline:
 
 
 class _PidState:
-    """Macro-side per-process state: the private local clock plus the
-    flush (pending sends) and loopback lists of the current superstep."""
+    """One party: its program generator and return value, the private
+    local clock, and the flush (pending sends) and loopback lists of the
+    current superstep."""
 
-    __slots__ = ("pid", "ctx", "task", "spec", "local_t", "pending", "loopback")
+    __slots__ = (
+        "pid", "ctx", "task", "spec", "local_t", "pending", "loopback",
+        "gen", "value", "waiting_on",
+    )
 
-    def __init__(self, pid: int, ctx: "HbspContext") -> None:
-        self.pid = pid
+    def __init__(self, ctx: "HbspContext", gen: t.Generator) -> None:
+        self.pid = ctx.pid
         self.ctx = ctx
         self.task = ctx.task
         self.spec = ctx.task.host.spec
@@ -218,33 +248,41 @@ class _PidState:
         #: Self-sends (``delivered_at`` = put time) — merged with
         #: drained messages by mailbox put order at collect time.
         self.loopback: list[Message] = []
+        self.gen: t.Generator | None = gen
+        self.value: t.Any = None
+        self.waiting_on: "Barrier | None" = None
+
+    def __repr__(self) -> str:  # names the party in a DeadlockError
+        where = f" waiting_on={self.waiting_on.name}" if self.waiting_on else ""
+        return f"<macro party {self.task.name}{where}>"
 
 
 class _Cycle:
     """One barrier cycle being assembled: (state, local arrival time,
-    flushed sends, waiter event) per arrived party."""
+    flushed sends) per arrived party."""
 
     __slots__ = ("barrier", "arrivals")
 
     def __init__(self, barrier: "Barrier") -> None:
         self.barrier = barrier
-        self.arrivals: list[tuple[_PidState, float, list[_InFlight], Event]] = []
+        self.arrivals: list[tuple[_PidState, float, list[_InFlight]]] = []
 
 
 class MacroEngine:
     """Batched superstep execution bound to one :class:`HbspRuntime`.
 
     Created by :meth:`HbspRuntime.run` when the capability check and
-    the program's :func:`macro_safe` marker both hold; the context's
-    ``send(_each)`` / ``compute`` / ``_barrier_round`` dispatch here instead
-    of driving the PVM object path.
+    the program's :func:`macro_safe` marker both hold, with one program
+    generator per pid, which it drives; the context's ``send(_each)`` /
+    ``compute`` / ``sync`` dispatch here instead of driving the PVM
+    object path.
     """
 
-    def __init__(self, runtime: "HbspRuntime") -> None:
+    def __init__(self, runtime: "HbspRuntime", programs: t.Sequence[t.Generator]) -> None:
         self.runtime = runtime
         self.engine = runtime.engine
         self.vm = runtime.vm
-        self._states = [_PidState(ctx.pid, ctx) for ctx in runtime._contexts]
+        self._states = [_PidState(ctx, gen) for ctx, gen in zip(runtime._contexts, programs)]
         self._timelines = [_NicTimeline() for _ in self._states]
         self._cycles: dict[int, _Cycle] = {}  # id(barrier) -> open cycle
         self._reg = 0
@@ -274,6 +312,15 @@ class MacroEngine:
         self._dirty: list[_NicTimeline] = []
         for state in self._states:
             state.task.macro_now = 0.0
+        # Parties are live until their program returns (the engine's
+        # deadlock check), and one entry starts them all in pid order.
+        self.engine._live_processes.update(self._states)
+        self.engine.call_soon(partial(self._resume, self._states))
+
+    @property
+    def values(self) -> dict[int, t.Any]:
+        """Per-pid return values of the programs, in pid order."""
+        return {state.pid: state.value for state in self._states}
 
     # -- program-side operations (called from HbspContext) -------------------
     def compute(self, ctx: "HbspContext", work: float) -> None:
@@ -367,53 +414,67 @@ class MacroEngine:
         task.sent_bytes += sent * size
         ctx._check_peer(pid)  # raises iff the loop broke
 
-    def barrier_round(
-        self, ctx: "HbspContext", level: int | None
-    ) -> t.Generator[Event, t.Any, None]:
-        """``HbspContext._barrier_round`` macro branch: register the
-        arrival and suspend on the cycle's waiter event; all flush /
-        release / collect bookkeeping happens in the boundary event."""
+    def barrier_round(self, ctx: "HbspContext", level: int | None) -> None:
+        """``ctx.sync`` on the macro path: register the arrival (the
+        caller then suspends on a bare ``yield``); all flush / release /
+        collect bookkeeping happens in the boundary event."""
         barrier = self._barriers.get((ctx.pid, level))
         if barrier is None:
             barrier = self.runtime.barrier_for(ctx.pid, level)
             self._barriers[(ctx.pid, level)] = barrier
         state = self._states[ctx.pid]
+        state.waiting_on = barrier
         pending, state.pending = state.pending, []
-        waiter = Event(self.engine, f"{barrier.name}.wait")
         cycle = self._cycles.get(id(barrier))
         if cycle is None:
             cycle = _Cycle(barrier)
             self._cycles[id(barrier)] = cycle
-        cycle.arrivals.append((state, state.local_t, pending, waiter))
+        cycle.arrivals.append((state, state.local_t, pending))
         if len(cycle.arrivals) == barrier.parties:
             # Parties block until release, so at most one open cycle
-            # exists per barrier; the closure owns it from here.
+            # exists per barrier; the boundary owns it from here.
             del self._cycles[id(barrier)]
             release = self._release_of(cycle)
-            self.engine.call_at(release, lambda: self._boundary(cycle, release))
-        yield waiter
+            self.engine.call_at(release, partial(self._boundary, cycle, release))
 
-    def finish(self, ctx: "HbspContext") -> t.Generator[Event, t.Any, None]:
+    # -- party driving ----------------------------------------------------------
+    def _resume(self, parties: t.Sequence[_PidState]) -> None:
+        """Run each party's program, in order, until it next syncs or
+        returns (see "Who drives a party" in the module docstring)."""
+        for state in parties:
+            try:
+                parked = state.gen.send(None)
+            except StopIteration as stop:
+                state.value = stop.value
+                self._flush_metrics()
+                self._stretch(state)
+                continue
+            if parked is not None:
+                raise SimulationError(
+                    f"{state.task.name} yielded {parked!r} on the macro path; "
+                    "a @macro_safe program suspends only in ctx.sync"
+                )
+
+    def _stretch(self, state: _PidState) -> None:
         """Post-program clock stretch: the object engine keeps running
         until trailing local work and unflushed background drains are
         processed, so the macro path must advance the shared clock to
-        the same final instant before the process finishes."""
-        self._flush_metrics()
-        state = self._states[ctx.pid]
+        the same final instant before the party finishes."""
+        self._refold_all()
+        target = state.local_t
+        for entry in state.pending:
+            if entry.delivered_at > target:
+                target = entry.delivered_at
         engine = self.engine
-        while True:
-            self._refold_all()
-            target = state.local_t
-            for entry in state.pending:
-                if entry.delivered_at > target:
-                    target = entry.delivered_at
-            if target <= engine.now:
-                return
-            gate = Event(engine, f"pid{state.pid}.finish")
-            engine.call_at(target, gate.succeed)
-            # Re-check after the wait: a concurrent insert may have
-            # folded an unflushed drain end later still.
-            yield gate
+        if target > engine.now:
+            # Two queue entries, like an event triggered at ``target``:
+            # the re-check runs after a same-instant insert that may
+            # have folded an unflushed drain end later still.
+            engine.call_at(target, partial(engine.call_soon, partial(self._stretch, state)))
+            return
+        state.ctx._finished = True
+        state.gen = None
+        engine._live_processes.discard(state)
 
     # -- boundary machinery ---------------------------------------------------
     def _flush_metrics(self) -> None:
@@ -446,7 +507,7 @@ class MacroEngine:
         the exact float the object path's cost timeout lands on."""
         self._refold_all()
         last = 0.0
-        for _state, local_t, pending, _waiter in cycle.arrivals:
+        for _state, local_t, pending in cycle.arrivals:
             resume = local_t
             for entry in pending:
                 if entry.delivered_at > resume:
@@ -458,28 +519,32 @@ class MacroEngine:
 
     def _boundary(self, cycle: _Cycle, scheduled: float) -> None:
         release = self._release_of(cycle)
+        engine = self.engine
         if release != scheduled:
             # An insert folded a flush drain later; re-arm (releases
             # only ever grow — see the module docstring).
-            self.engine.call_at(release, lambda: self._boundary(cycle, release))
+            engine.call_at(release, partial(self._boundary, cycle, release))
             return
         self._flush_metrics()
-        barrier = cycle.barrier
-        index = barrier.macro_cycle()
+        cycle.barrier.macro_cycle()
         arrivals = cycle.arrivals
         resumes = []
-        for _state, local_t, pending, _waiter in arrivals:
+        for _state, local_t, pending in arrivals:
             resume = local_t
             for entry in pending:
                 if entry.delivered_at > resume:
                     resume = entry.delivered_at
             resumes.append(resume)
-        # Waiters resume in arrival order (ties: registration order),
-        # exactly like Barrier.release over its FIFO waiting list.
+        # Parties finalize in arrival order (ties: registration order),
+        # exactly like Barrier.release over its FIFO waiting list, and
+        # those whose collect is complete resume in one batch.
+        ready: list[_PidState] = []
         for i in sorted(range(len(arrivals)), key=resumes.__getitem__):
-            state, _local_t, _pending, waiter = arrivals[i]
+            state = arrivals[i][0]
             state.ctx._wait += release - resumes[i]
-            self._finalize(state, release, waiter, index)
+            self._finalize(state, release, ready)
+        if ready:
+            engine.call_soon(partial(self._resume, ready))
 
     def _walk_collect(self, state: _PidState, release: float) -> tuple[int, int, float]:
         """Replay the object path's collect loop arithmetically.
@@ -523,9 +588,11 @@ class MacroEngine:
                 local_t = local_t + unpack
         return taken, li, local_t
 
-    def _finalize(self, state: _PidState, release: float, waiter: Event,
-                  index: int) -> None:
-        """Commit one party's collect once its cascade is complete.
+    def _finalize(self, state: _PidState, release: float,
+                  ready: list[_PidState] | None) -> None:
+        """Commit one party's collect once its cascade is complete, then
+        queue it on the boundary's ``ready`` batch (``None`` when
+        re-armed: the party then resumes through its own entry).
 
         The cascade horizon (the receiver clock after all unpacks) can
         exceed the release, and a *different* cycle releasing inside
@@ -540,12 +607,13 @@ class MacroEngine:
         taken, li, local_t = self._walk_collect(state, release)
         engine = self.engine
         if local_t > engine.now:
-            engine.call_at(
-                local_t, lambda: self._finalize(state, release, waiter, index)
-            )
+            engine.call_at(local_t, partial(self._finalize, state, release, None))
             return
         self._collect(state, taken, li, local_t)
-        waiter.succeed(index)
+        if ready is None:
+            engine.call_soon(partial(self._resume, (state,)))
+        else:
+            ready.append(state)
 
     def _collect(self, state: _PidState, taken: int, li: int, local_t: float) -> None:
         """BSP delivery at the release: the walked timeline prefix +

@@ -1,9 +1,11 @@
 """Unit tests for repro.hbsplib.runtime."""
 
+import re
+
 import pytest
 
 from repro.bytemark import simulate_scores
-from repro.errors import HbspError
+from repro.errors import DeadlockError, HbspError
 from repro.faults import DeliveryPolicy, FaultPlan, Injector
 from repro.hbsplib import HbspRuntime
 from repro.obs import observe
@@ -37,6 +39,12 @@ class TestConstruction:
         }
         runtime = HbspRuntime(testbed_small, scores=inverted)
         assert runtime.topology.machines[runtime.fastest_pid].name == "sun-classic"
+
+    def test_fastest_slowest_are_the_rank_extremes(self, grid):
+        runtime = HbspRuntime(grid)  # three levels
+        pids = range(runtime.nprocs)
+        assert runtime.fastest_pid == min(pids, key=runtime.rank_of)
+        assert runtime.slowest_pid == max(pids, key=runtime.rank_of)
 
     def test_missing_scores_rejected(self, testbed_small):
         with pytest.raises(HbspError, match="missing"):
@@ -206,3 +214,52 @@ class TestEnginePath:
         runtime = HbspRuntime(testbed_small)
         runtime.run(_unmarked)
         assert runtime.engine_path == ("object", "program not @macro_safe")
+
+
+@macro_safe
+def _returns_some_nones(ctx):
+    yield from ctx.sync()
+    return None if ctx.pid % 2 else (ctx.pid, ctx.superstep)
+
+
+@macro_safe
+def _mismatched_levels(ctx):
+    # pid 0 waits at the root while its level-1 cluster mates wait for
+    # it at level 1; every other level-1 cluster completes and returns.
+    yield from ctx.sync(None if ctx.pid == 0 else 1)
+    return ctx.pid
+
+
+class TestMacroParties:
+    """On the macro path the engine drives each program generator
+    itself: no DES process per pid, same results and failures."""
+
+    def test_values_identical_on_both_paths_including_none(self, grid):
+        runs = {}
+        for macro in (True, False):
+            runtime = HbspRuntime(grid, macro=macro)
+            runs[macro] = (runtime, runtime.run(_returns_some_nones).values)
+        macro_runtime, macro_values = runs[True]
+        assert macro_values == runs[False][1] == macro_runtime.macro.values
+        assert list(macro_values) == list(range(macro_runtime.nprocs))
+        assert macro_values[1] is None and macro_values[2] == (2, 1)
+
+    def test_no_process_per_party(self, grid):
+        runtime = HbspRuntime(grid)
+        runtime.run(_returns_some_nones)
+        assert runtime.macro is not None
+        assert all(ctx.task.process is None for ctx in runtime._contexts)
+
+    def test_mismatched_levels_deadlock_names_the_stuck_parties(self, grid):
+        runtime = HbspRuntime(grid)
+        with pytest.raises(DeadlockError) as info:
+            runtime.run(_mismatched_levels)
+        assert runtime.engine_path == ("macro", "")
+        stuck = {int(re.search(r"pid(\d+)@", entry).group(1)) for entry in info.value.blocked}
+        assert stuck == set(runtime.cluster_members(0, 1))
+        assert len(info.value.blocked) == len(stuck)
+        # The world is left intact for inspection, and no party was a
+        # DES process.
+        ctx = runtime._contexts[1]
+        assert ctx.runtime is runtime and ctx.task.vm is runtime.vm
+        assert all(ctx.task.process is None for ctx in runtime._contexts)

@@ -12,6 +12,8 @@ ablation) silently reverts to the object path, and ``macro=True``
 refuses instead of silently degrading.
 """
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,17 +50,21 @@ def machine(draw):
 
 
 @st.composite
-def network(draw):
+def network(draw, free_sync=False):
+    if free_sync:  # zero-cost barriers: a release lands on the last arrival
+        sync = dict(sync_base=0.0, sync_per_member=0.0)
+    else:
+        sync = dict(sync_base=draw(st.floats(min_value=0, max_value=1e-3)))
     return NetworkSpec(
         _name("net"),
         gap=draw(st.floats(min_value=0, max_value=2e-7)),
         latency=draw(st.floats(min_value=0, max_value=1e-3)),
-        sync_base=draw(st.floats(min_value=0, max_value=1e-3)),
+        **sync,
     )
 
 
 @st.composite
-def deep_topology(draw):
+def deep_topology(draw, free_sync=False):
     """A random HBSP machine of depth 1, 2, or 3 (k <= 3)."""
     depth = draw(st.integers(min_value=1, max_value=3))
 
@@ -67,7 +73,7 @@ def deep_topology(draw):
             return draw(machine())
         width = draw(st.integers(min_value=1, max_value=3 if level > 1 else 4))
         children = [subtree(level - 1) for _ in range(width)]
-        return Cluster(_name("c"), draw(network()), children)
+        return Cluster(_name("c"), draw(network(free_sync)), children)
 
     top = subtree(depth)
     topology = ClusterTopology(top)
@@ -75,7 +81,7 @@ def deep_topology(draw):
     # a 2-machine LAN instead of filtering (keeps shrinking simple).
     if topology.num_machines < 2:
         topology = ClusterTopology(
-            Cluster(_name("c"), draw(network()), [draw(machine()), draw(machine())])
+            Cluster(_name("c"), draw(network(free_sync)), [draw(machine()), draw(machine())])
         )
     return topology
 
@@ -164,6 +170,107 @@ class TestSendEachFanOut:
             assert (runtime.macro is not None) == macro
             runs.append((result.time, result.values, runtime.superstep_marks()))
         assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# Zero-cost barriers: several boundaries release at the same instant, so
+# the order the engine resumes their parties in is what is under test
+# ---------------------------------------------------------------------------
+
+@macro_safe
+def _cluster_steps_program(ctx, schedule):
+    """Supersteps synced at drawn levels; the drawn senders fan out
+    inside the synced cluster.  Returns every delivered field."""
+    seen = []
+    k = ctx.runtime.tree.k
+    for step, (level, stride, nbytes) in enumerate(schedule):
+        level = 1 + level % k
+        if ctx.pid % stride == stride - 1:
+            payload = np.zeros(nbytes, dtype=np.uint8)
+            yield from ctx.send_each(ctx.cluster_members(level), payload, tag=step)
+        yield from ctx.sync(level)
+        seen += [(m.src, m.tag, m.nbytes, m.sent_at, m.delivered_at) for m in ctx.messages()]
+    return seen
+
+
+class TestSameInstantBoundaries:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        topology=deep_topology(free_sync=True),
+        schedule=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(1, 4), st.integers(0, 64)),
+            min_size=1, max_size=5,
+        ),
+    )
+    def test_cluster_syncs_with_free_barriers(self, topology, schedule):
+        runs = []
+        for macro in (True, False):
+            runtime = HbspRuntime(topology, macro=macro)
+            result = runtime.run(_cluster_steps_program, schedule)
+            assert (runtime.macro is not None) == macro
+            runs.append((result.time, result.values, runtime.superstep_marks()))
+        assert runs[0] == runs[1]
+
+    def test_a_resumed_party_cannot_reach_a_same_instant_boundary(self):
+        # Free machines, wires and barriers: every superstep of three
+        # racks ends at t = 0, so the three level-1 boundaries of a
+        # superstep fire at the same instant.  A rack's parties must
+        # resume only after all three finalized: resumed any earlier,
+        # rack 0 would send into rack 1's first collect, a superstep
+        # before the object path delivers it.
+        free = dict(gap=0.0, latency=0.0, sync_base=0.0, sync_per_member=0.0)
+        costless = dict(msg_overhead=0.0, pack_cost=0.0, unpack_cost=0.0)
+        racks = [
+            Cluster(f"rack{r}", NetworkSpec(f"lan{r}", **free), [
+                MachineSpec(f"r{r}m{i}", cpu_rate=1e7 * (1 + i), nic_gap=1e-7, **costless)
+                for i in range(3)
+            ])
+            for r in range(3)
+        ]
+        topology = ClusterTopology(Cluster("top", NetworkSpec("wan", **free), racks))
+        runs = []
+        for macro in (True, False):
+            runtime = HbspRuntime(topology, macro=macro)
+            result = runtime.run(_next_rack_program)
+            runs.append((result.time, result.values, runtime.superstep_marks()))
+        assert runs[0] == runs[1]
+        marks = runs[0][2]
+        assert {step[0] for pid_marks in marks for step in pid_marks} == {0.0}
+        assert [pid_marks[0][4] for pid_marks in marks] == [0] * 9  # not sent yet
+        assert [pid_marks[1][4] for pid_marks in marks] == [1] * 9
+
+
+@macro_safe
+def _next_rack_program(ctx):
+    """Free zero-byte sends to the next rack, fenced by rack syncs."""
+    yield from ctx.sync(1)
+    yield from ctx.send((ctx.pid + 3) % ctx.nprocs, b"")
+    yield from ctx.sync(1)
+    yield from ctx.sync()
+    return [(m.src, m.delivered_at) for m in ctx.messages()]
+
+
+# ---------------------------------------------------------------------------
+# A program that raises fails the same way on both paths
+# ---------------------------------------------------------------------------
+
+@macro_safe
+def _raises_after_sync(ctx):
+    yield from ctx.sync()
+    if ctx.pid == 2:
+        raise ValueError(f"boom from pid {ctx.pid}")
+    yield from ctx.sync()
+
+
+class TestRaisingProgram:
+    @pytest.mark.parametrize("macro", [True, False])
+    def test_same_exception_and_the_collector_back_on(self, macro):
+        runtime = HbspRuntime(build_preset("testbed:4"), macro=macro)
+        with pytest.raises(ValueError, match="boom from pid 2"):
+            runtime.run(_raises_after_sync)
+        assert runtime.engine_path[0] == ("macro" if macro else "object")
+        assert gc.isenabled()
+        assert runtime._contexts[0].runtime is runtime  # left intact
 
 
 # ---------------------------------------------------------------------------
