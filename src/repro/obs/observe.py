@@ -179,6 +179,24 @@ def observe(*, spans: bool = False) -> t.Iterator[Observation]:
         _current = previous
 
 
+@contextlib.contextmanager
+def _unobserved() -> t.Iterator[None]:
+    """Hide the current observation for the dynamic extent.
+
+    For simulations the library runs on its own account, not the
+    caller's (the tuner's shortlist validations): they feed no metrics,
+    ledgers or spans, and a span tracer cannot push them off the macro
+    path.
+    """
+    global _current
+    previous = _current
+    _current = None
+    try:
+        yield
+    finally:
+        _current = previous
+
+
 def add_obs_flags(parser: argparse.ArgumentParser) -> None:
     """Declare the four flags :func:`observe_to` consumes (docs/observability.md)."""
     parser.add_argument(

@@ -94,6 +94,13 @@ def decision_key(
     (well distributed over the disk cache's two-character fan-out and
     trivially filename-safe); the readable fields live inside the
     stored payload.
+
+    The tuning ``seed`` stays out of the key: it only draws the item
+    values, and a gather's or broadcast's simulated time depends on
+    item counts, never values, so every seed validates to the same
+    decision.  The space searched (``segments``, ``shortlist``) is not
+    in the key either, which is why :func:`~repro.tuning.tuner.tune`
+    serves and stores only the default space.
     """
     if op not in ("gather", "broadcast"):
         raise CollectiveError(f"op must be 'gather' or 'broadcast', got {op!r}")

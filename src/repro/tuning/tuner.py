@@ -13,7 +13,13 @@ Cold path (:func:`tune` on an unseen ``(op, machine, n)``):
 3. **Validate** the analytic top-``shortlist`` — the default plan is
    always re-included — by actually running each candidate through the
    macro-event DES engine, which prices contention and overlap the
-   closed form cannot see.
+   closed form cannot see.  The shortlist is one
+   :func:`repro.perf.evaluate` batch of :class:`~repro.perf.SimJob`
+   values, run unobserved (the validations are the tuner's runs, not
+   the caller's): inside a :func:`~repro.perf.sweep` it shares the
+   executor's memo, disk cache and pool like any grid point, so a warm
+   sweep simulates nothing; outside one it runs inline and nothing
+   outlives the call.
 4. **Pick** the plan with the lowest *simulated* makespan (analytic
    rank breaks ties), and **memoize** the decision in the persistent
    :class:`~repro.tuning.cache.DecisionCache`.
@@ -25,6 +31,12 @@ than the default schedule on the tuning workload.
 Warm path: one :meth:`DecisionCache.get` — O(1), no enumeration, no
 simulation — returning the exact plan the cold run chose, so cold and
 warm tuned runs are byte-identical.
+
+:func:`tune` must not be reached from inside a :meth:`SimJob.run
+<repro.perf.SimJob.run>`: in a pool worker, its nested ``evaluate``
+would reach the parent's executor, pool included.  No path does today
+— the serving cost table and the ``--schedule tuned`` grids resolve
+their plans before they build jobs.
 """
 
 from __future__ import annotations
@@ -33,9 +45,13 @@ import typing as t
 
 from repro.cluster.serialization import topology_hash
 from repro.cluster.topology import ClusterTopology
-from repro.collectives.schedules import RootPolicy, resolve_root
+from repro.collectives.schedules import RootPolicy
 from repro.errors import CollectiveError
+from repro.model.params import calibrate
 from repro.model.planner import rank_plans
+from repro.obs.observe import _unobserved
+from repro.perf.executor import evaluate
+from repro.perf.job import SimJob
 from repro.tuning.cache import DecisionCache, TunedDecision
 from repro.tuning.plan import SchedulePlan, default_plan
 from repro.tuning.space import DEFAULT_SEGMENTS, enumerate_plans
@@ -64,26 +80,26 @@ def _resolve_root_fast(
 
     The warm path must be a cache lookup, not a simulator construction
     — this mirrors :func:`~repro.collectives.schedules.resolve_root`
-    (normalised topology, noise-free BYTEmark ranking) on plain
-    topology data, so both spell the same pid.
+    (noise-free BYTEmark ranking) on plain topology data, so both spell
+    the same pid.  Normalisation keeps machine order and specs, so the
+    names and ids are read off ``topology`` itself.
     """
-    normalized = topology.normalized()
     if root is not None and not isinstance(root, RootPolicy):
         if isinstance(root, bool) or not isinstance(root, int):
             raise CollectiveError(
                 f"root must be a pid or RootPolicy, got {root!r}"
             )
-        if not 0 <= root < normalized.num_machines:
+        if not 0 <= root < topology.num_machines:
             raise CollectiveError(
-                f"root pid {root} out of range [0, {normalized.num_machines})"
+                f"root pid {root} out of range [0, {topology.num_machines})"
             )
         return root
     from repro.bytemark.ranking import ranking_from_scores
     from repro.bytemark.suite import true_scores
 
-    ranking = ranking_from_scores(true_scores(normalized))
+    ranking = ranking_from_scores(true_scores(topology))
     name = ranking[-1] if root is RootPolicy.SLOWEST else ranking[0]
-    return normalized.machine_id(name)
+    return topology.machine_id(name)
 
 
 def _simulate(
@@ -91,21 +107,18 @@ def _simulate(
     topology: ClusterTopology,
     n: int,
     root: int,
-    plan: SchedulePlan,
+    plans: t.Sequence[SchedulePlan],
     seed: int,
-) -> float:
-    from repro.collectives.broadcast import run_broadcast
-    from repro.collectives.gather import run_gather
-
-    if op == "gather":
-        outcome = run_gather(
-            topology, n, root=root, seed=seed, macro=True, plan=plan
+) -> list[float]:
+    """The simulated makespan of each plan: one executor batch, unobserved."""
+    jobs = [
+        SimJob.collective(
+            op, topology, n, root=root, seed=seed, macro=True, plan=plan
         )
-    else:
-        outcome = run_broadcast(
-            topology, n, root=root, seed=seed, macro=True, plan=plan
-        )
-    return outcome.time
+        for plan in plans
+    ]
+    with _unobserved():
+        return [result.time for result in evaluate(jobs)]
 
 
 def tune(
@@ -128,7 +141,10 @@ def tune(
     re-tunes even on a cache hit (and overwrites the stored decision).
     The decision key is ``(op, topology-hash, n, item_bytes, root)``
     with the root resolved to a concrete pid first, so policy spellings
-    of the same pid share one entry.
+    of the same pid share one entry.  The key does not name the space
+    searched, so only the default ``segments`` and ``shortlist`` are
+    served from or stored in the cache; any other space is tuned afresh
+    on every call.
     """
     if op not in ("gather", "broadcast"):
         raise CollectiveError(f"op must be 'gather' or 'broadcast', got {op!r}")
@@ -140,16 +156,12 @@ def tune(
         cache = _default_cache()
     root_pid = _resolve_root_fast(topology, root)
     topo_hash = topology_hash(topology)
-    if not force:
+    default_space = tuple(segments) == DEFAULT_SEGMENTS and shortlist == DEFAULT_SHORTLIST
+    if default_space and not force:
         hit = cache.get(op, topo_hash, n, item_bytes, root_pid)
         if hit is not None:
             return hit
-    from repro.collectives.base import make_runtime
-
-    runtime = make_runtime(topology)
-    if resolve_root(runtime, root) != root_pid:  # pragma: no cover
-        raise CollectiveError("root resolution diverged from the runtime's")
-    params = runtime.params
+    params = calibrate(topology)
     plans = enumerate_plans(op, params.k, segments=segments)
     everything = rank_plans(params, n, plans, root=root_pid)
     ranked = everything[:shortlist]
@@ -162,8 +174,10 @@ def tune(
     best_predicted = 0.0
     best_time = float("inf")
     default_time = float("inf")
-    for plan, predicted in ranked:
-        simulated = _simulate(op, topology, n, root_pid, plan, seed)
+    simulated_times = _simulate(
+        op, topology, n, root_pid, [plan for plan, _ in ranked], seed
+    )
+    for (plan, predicted), simulated in zip(ranked, simulated_times):
         if plan == base:
             default_time = simulated
         if simulated < best_time:
@@ -185,7 +199,8 @@ def tune(
         candidates=len(plans),
         validated=len(ranked),
     )
-    cache.put(decision)
+    if default_space:
+        cache.put(decision)
     return decision
 
 

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command line."""
 
+import json
+
 import pytest
 
 from repro.cli import PRESETS, build_preset, main
@@ -208,6 +210,35 @@ class TestTuningCommands:
         out = capsys.readouterr().out
         assert "tuned schedule:" in out
         assert "simulated:" in out
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "broadcast", "testbed", "--n", "1000", "--schedule", "tuned"],
+            ["experiment", "tuning"],
+        ],
+        ids=["run", "experiment"],
+    )
+    def test_tuned_schedule_under_span_tracing(self, command, tmp_path, capsys):
+        """The tuner's validations run unobserved, so a span tracer
+        cannot push them off the macro path they ask for."""
+        trace = tmp_path / "t.json"
+        assert main([*command, "--trace-out", str(trace)]) == 0
+        assert "traceEvents" in json.loads(trace.read_text())
+
+    def test_tuned_run_metrics_never_count_the_validations(self, tmp_path, capsys):
+        """Cold (tunes) and warm (recalls) decision caches export the
+        same metrics: one run, the one the command asked for."""
+        exports = []
+        for label in ("cold", "warm"):
+            metrics = tmp_path / f"{label}.prom"
+            assert main([
+                "run", "broadcast", "testbed", "--n", "1000",
+                "--schedule", "tuned", "--metrics-out", str(metrics),
+            ]) == 0
+            exports.append(metrics.read_bytes())
+        assert exports[0] == exports[1]
+        assert b"\nrepro_runs_total 1.0\n" in exports[0]
 
     def test_experiment_schedule_flag(self, capsys):
         assert main(["experiment", "fig3a", "--schedule", "tuned"]) == 0

@@ -13,6 +13,7 @@ import pytest
 from repro.collectives.base import make_items
 from repro.experiments.fig3_gather import fig3a_gather_root
 from repro.experiments.robustness import robustness_report
+from repro.experiments.tuning import tuning_improvement
 from repro.perf import sweep
 
 
@@ -47,6 +48,15 @@ def test_seeded_robustness_report_is_byte_identical_under_parallelism(jobs):
         return robustness_report(processor_counts=(2,), seed=3)
 
     assert _render(factory, jobs) == _render(factory, 1)
+
+
+def test_tuning_report_is_byte_identical_under_parallelism():
+    """The tuner's shortlist validations fan over the sweep's pool."""
+
+    def factory():
+        return tuning_improvement(ns=(64, 1_000), families=("fat_tree", "multi_rack"))
+
+    assert _render(factory, 2) == _render(factory, 1)
 
 
 def test_repeated_serial_renders_are_stable():

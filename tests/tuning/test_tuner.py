@@ -3,10 +3,12 @@
 import pytest
 
 from repro.cluster import topology_hash
-from repro.cluster.discover.generators import multi_rack
-from repro.cluster.presets import deep_hierarchy, two_lans
+from repro.cluster.discover.generators import GENERATORS, multi_rack
+from repro.cluster.presets import PRESETS, build_preset, deep_hierarchy, two_lans
 from repro.collectives import RootPolicy, run_broadcast, run_gather
 from repro.errors import CollectiveError
+from repro.hbsplib.runtime import HbspRuntime
+from repro.perf import sweep
 from repro.tuning.cache import DecisionCache
 from repro.tuning.tuner import _resolve_root_fast, tune, tuned_plan
 
@@ -19,6 +21,20 @@ def cache(tmp_path):
 @pytest.fixture
 def topology():
     return deep_hierarchy(2, 4)
+
+
+@pytest.fixture
+def runtime_runs(monkeypatch):
+    """One entry per ``HbspRuntime.run`` call: one per simulated program."""
+    calls: list[None] = []
+    original = HbspRuntime.run
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(HbspRuntime, "run", counting)
+    return calls
 
 
 class TestTune:
@@ -146,19 +162,88 @@ class TestTune:
         ) == decision.plan
 
 
+class TestDecisionKey:
+    def test_a_narrowed_space_is_neither_served_nor_stored(self, cache, tmp_path_factory):
+        """The key does not name the space searched: a decision tuned
+        over one segment and a one-plan shortlist must not answer a
+        plain tune of the same machine."""
+        narrow = tune(two_lans(3), "broadcast", 64, segments=(1,), shortlist=1, cache=cache)
+        assert (narrow.candidates, narrow.validated) == (9, 2)
+        plain = tune(two_lans(3), "broadcast", 64, cache=cache)
+        assert (plain.candidates, plain.validated) == (25, 5)
+        fresh = DecisionCache(tmp_path_factory.mktemp("fresh"))
+        assert tune(two_lans(3), "broadcast", 64, cache=fresh) == plain
+        assert len(cache) == 1
+
+    @pytest.mark.parametrize("op", ["gather", "broadcast"])
+    def test_the_seed_cannot_move_a_decision(self, op, cache):
+        """Why the seed stays out of the key: it draws item values, and
+        a gather's or broadcast's time depends on item counts only."""
+        decisions = [
+            tune(two_lans(3), op, 4000, seed=seed, cache=cache, force=True)
+            for seed in (0, 7)
+        ]
+        assert decisions[0] == decisions[1]
+
+
+class TestValidationBatch:
+    """The shortlist is one executor batch: cached like any grid point."""
+
+    def test_a_warm_sweep_replays_the_tuning_experiment(self, tmp_path, runtime_runs):
+        from repro.experiments import run_experiment
+
+        with sweep(cache_dir=tmp_path):
+            cold = run_experiment("tuning").render()
+            assert runtime_runs
+            runtime_runs.clear()
+            warm = run_experiment("tuning").render()
+        assert runtime_runs == []
+        assert warm == cold
+
+    def test_force_outside_a_sweep_simulates_every_shortlisted_plan(
+        self, topology, cache, runtime_runs
+    ):
+        for _ in range(2):
+            runtime_runs.clear()
+            decision = tune(topology, "broadcast", 4000, cache=cache, force=True)
+            assert len(runtime_runs) == decision.validated
+
+    def test_a_pair_multiplier_between_tunes_re_simulates(self, cache, runtime_runs):
+        """The job key covers pair multipliers, so the sweep memo cannot
+        serve the unmultiplied machine's validations."""
+        topology = two_lans(3)
+        with sweep():
+            first = tune(topology, "broadcast", 4000, cache=cache)
+            runtime_runs.clear()
+            topology.set_pair_multiplier(0, topology.num_machines - 1, 4.0)
+            second = tune(topology, "broadcast", 4000, cache=cache)
+        assert second.topology_hash != first.topology_hash
+        assert len(runtime_runs) == second.validated
+
+
 class TestResolveRootFast:
     """The warm path resolves roots without building a runtime; it must
     agree with the runtime's own resolution on every spelling."""
 
-    def test_matches_runtime_resolution(self, topology):
+    def test_matches_runtime_resolution(self):
+        """On every preset (``fig1`` has a machine above the deepest
+        level) and every generator family; the parameters the cold path
+        calibrates without a runtime are the runtime's own, too."""
         from repro.collectives.base import make_runtime
         from repro.collectives.schedules import resolve_root
+        from repro.experiments.tuning import TUNING_SCENARIOS
+        from repro.model.params import calibrate
 
-        runtime = make_runtime(topology)
-        for spec in (None, RootPolicy.FASTEST, RootPolicy.SLOWEST, 0, 5):
-            assert _resolve_root_fast(topology, spec) == resolve_root(
-                runtime, spec
-            )
+        machines = [build_preset(name) for name in sorted(PRESETS)] + [
+            GENERATORS[name](seed=0, **TUNING_SCENARIOS[name][1])
+            for name in sorted(GENERATORS)
+        ]
+        for topology in machines:
+            runtime = make_runtime(topology)
+            last = topology.num_machines - 1
+            for spec in (None, RootPolicy.FASTEST, RootPolicy.SLOWEST, 0, last):
+                assert _resolve_root_fast(topology, spec) == resolve_root(runtime, spec)
+            assert calibrate(topology) == runtime.params
 
     def test_rejects_bad_roots(self, topology):
         for bad in (True, -1, 10**6, "fastest"):
