@@ -32,14 +32,14 @@ def calibration_campaign(
     *,
     sizes: t.Sequence[int] = DEFAULT_SIZES,
     seed: int = 0,
-    macro: bool = True,
     roots: t.Sequence[int] | None = None,
 ) -> tuple[RunObs, ...]:
     """Gather root sweep: one run per ``(size, root)``, as run records.
 
-    ``roots`` restricts the sweep (default: every machine).  ``macro``
-    uses the macro-event engine — bit-identical marks at a fraction of
-    the event count, which is what makes sweeping a big machine cheap.
+    ``roots`` restricts the sweep (default: every machine).  The runs
+    are fault-free, so they take the macro-event engine unless span
+    tracing is on — bit-identical marks at a fraction of the event
+    count, which is what makes sweeping a big machine cheap.
     """
     from repro.collectives import run_gather
 
@@ -48,8 +48,6 @@ def calibration_campaign(
     runs: list[RunObs] = []
     for n in sizes:
         for root in roots:
-            outcome = run_gather(
-                topology, int(n), root=int(root), seed=seed, macro=macro
-            )
+            outcome = run_gather(topology, int(n), root=int(root), seed=seed)
             runs.append(collect_run_obs(outcome))
     return tuple(runs)

@@ -50,7 +50,6 @@ from repro.model.predict import (
     predict_broadcast,
     predict_broadcast_plan,
 )
-from repro.sim.macro import macro_safe
 from repro.tuning.plan import (
     PhaseSpec,
     SchedulePlan,
@@ -70,7 +69,6 @@ _TAG_STRIDE = 1 << 16
 _TAG_FULL = _TAG_STRIDE - 1
 
 
-@macro_safe
 def broadcast_program(
     ctx: HbspContext,
     n: int,

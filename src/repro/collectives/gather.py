@@ -42,7 +42,6 @@ from repro.collectives.schedules import (
 )
 from repro.hbsplib.context import HbspContext
 from repro.model.predict import predict_gather, predict_gather_plan
-from repro.sim.macro import macro_safe
 from repro.tuning.plan import (
     SchedulePlan,
     binomial_rounds,
@@ -56,7 +55,6 @@ if t.TYPE_CHECKING:  # pragma: no cover
 __all__ = ["gather_program", "run_gather"]
 
 
-@macro_safe
 def gather_program(
     ctx: HbspContext,
     counts: t.Sequence[int],

@@ -92,10 +92,11 @@ class HbspRuntime:
     macro:
         Macro-event fast path selection (:mod:`repro.sim.macro`).
         ``None`` (default) auto-engages it for fault-free, untraced
-        runs of :func:`~repro.sim.macro.macro_safe` programs — the
-        result is bit-identical, only faster.  ``False`` forces the
-        object-event path; ``True`` insists on the macro path and
-        raises if the machine or program cannot take it.
+        runs of any program — the result is bit-identical, only
+        faster.  ``False`` forces the object-event path, which a
+        program that parks on raw ``ctx.task`` events needs; ``True``
+        insists on the macro path and raises if the machine cannot
+        take it.
 
     A fresh runtime (with a fresh virtual clock) should be used per
     measured program run; :meth:`run` enforces this.
@@ -263,7 +264,7 @@ class HbspRuntime:
         return node
 
     # -- execution ---------------------------------------------------------------------
-    def _choose_path(self, program: Program) -> tuple[str, str]:
+    def _choose_path(self) -> tuple[str, str]:
         """Decide the execution path for this run (see the ``macro``
         constructor parameter and :attr:`engine_path`)."""
         if self._macro_mode is False:
@@ -277,12 +278,6 @@ class HbspRuntime:
                     f"this one has a live hook: {hook}"
                 )
             return ("object", hook)
-        if not getattr(program, "_macro_safe", False):
-            if self._macro_mode:
-                raise HbspError(
-                    "macro=True needs a @macro_safe program (see repro.sim.macro)"
-                )
-            return ("object", "program not @macro_safe")
         return ("macro", "")
 
     @gc_paused()
@@ -313,7 +308,7 @@ class HbspRuntime:
                 "HbspRuntime per measured run (the virtual clock is not reset)"
             )
         self._ran = True
-        self.engine_path = self._choose_path(program)
+        self.engine_path = self._choose_path()
         on_macro = self.engine_path[0] == "macro"
         argv = per_pid_args if per_pid_args is not None else [args] * self.nprocs
 

@@ -3,7 +3,7 @@
 Every request stage executed on a slice is an ordinary
 :class:`~repro.perf.job.SimJob` — a pure, content-hashed description
 of one kernel run — so its makespan comes from the same DES (macro
-path where the program is ``@macro_safe``) that the experiments use,
+path on a fault-free, untraced slice) that the experiments use,
 flows through :func:`repro.perf.evaluate`'s deterministic merge, and
 lands in every cache layer the executor already has.
 

@@ -32,13 +32,15 @@ operations of :mod:`repro.pvm.task` / :mod:`repro.hbsplib.context`:
   operations: each message still advances the sender clock by
   ``(t + pack) + size * gap``, one peer after the other.
 
-Engagement is gated twice: :attr:`repro.pvm.vm.VirtualMachine.
-macro_capable` (no injector, no delivery policy, no structured trace,
-serialized NIC) and a per-program :func:`macro_safe` opt-in asserting
-the program only uses the batched surface (``ctx.send`` /
-``ctx.send_each`` / ``ctx.sync`` / ``ctx.compute`` / message taking — no
-ad-hoc ``task`` access).  Any live hook falls back to the object path; see
-:meth:`repro.hbsplib.runtime.HbspRuntime.run`.
+Engagement depends on the machine only: :attr:`repro.pvm.vm.VirtualMachine.
+macro_blocker` names the one live hook (injector, delivery policy,
+structured trace, unserialized NIC) that falls back to the object path;
+see :meth:`repro.hbsplib.runtime.HbspRuntime.run`.  Any program qualifies,
+because a program reaches the machine only through super^i-steps
+(``ctx.send`` / ``ctx.send_each`` / ``ctx.compute`` / ``ctx.sync`` and
+message taking).  One that parks on a raw task event instead
+(``yield from ctx.task.compute(...)``, say) is stopped with an
+:class:`~repro.errors.HbspError` that asks for ``macro=False``.
 
 Who drives a party
 ------------------
@@ -77,6 +79,18 @@ fold is work-conserving FIFO).  The boundary callback re-derives the
 release when it fires and re-arms itself at the later time if it
 grew.
 
+Equal-time order
+----------------
+
+The object engine pops equal-time future entries in the order they
+were scheduled, so when two messages reach one receiver NIC at the same
+double, the port goes first to the one whose arrival was scheduled
+first — which, on identical machines, can be decided several events
+back.  Each party therefore keeps a *trail*: the times of its events
+since it last resumed (resume, unpacks, computes, packs, injects), and
+:class:`_NicTimeline` breaks an arrival tie by walking the two senders'
+trails back (:func:`_earlier`).  Only a tie pays for the walk.
+
 The unpack cascade
 ------------------
 
@@ -101,7 +115,7 @@ from bisect import bisect_right
 from functools import partial
 from operator import attrgetter
 
-from repro.errors import PvmError, SimulationError
+from repro.errors import HbspError, PvmError
 from repro.pvm.message import Message, payload_nbytes
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -109,36 +123,63 @@ if t.TYPE_CHECKING:  # pragma: no cover
     from repro.hbsplib.runtime import HbspRuntime
     from repro.sim.barrier import Barrier
 
-__all__ = ["MacroEngine", "macro_safe"]
+__all__ = ["MacroEngine"]
 
 
-def macro_safe(program: t.Callable) -> t.Callable:
-    """Mark an HBSP program as eligible for the macro-event fast path.
+def _history(trail: list, i: int) -> list[float]:
+    """Times of event ``trail[i]`` and of the chain of events that
+    scheduled it, newest first, back to the party's resume (the unpacks
+    of its collect are expanded from the root ``trail[0]`` only here)."""
+    _, _, now, sizes, unpack_time = trail[0]
+    chain = [now]
+    for size in sizes:  # the unpack loop of HbspContext._collect
+        unpack = unpack_time(size)
+        if unpack > 0 and now + unpack > now:
+            now = now + unpack
+            chain.append(now)
+    return trail[i:1:-1] + chain[::-1]
 
-    Safe programs interact with the machine only through the batched
-    context surface — ``ctx.send(_each)`` / ``ctx.sync`` / ``ctx.compute`` /
-    ``ctx.messages`` and the pure enquiry helpers.  Programs that
-    reach into ``ctx.task`` (sleep, raw recv, ad-hoc events) must stay
-    on the object path and should not carry this marker.
+
+def _earlier(a: list, i: int, b: list, k: int) -> bool:
+    """Whether the object path processes event ``a[i]`` before the
+    equal-time event ``b[k]`` (two party trails, see :class:`_PidState`).
+
+    The engine pops equal-time future entries in scheduling order: the
+    order of the events that scheduled them, by time, then by *their*
+    schedulers, back to the resumes, which compare by ``(last barrier
+    arrival, resume stamp)``.  A resume that ties with an ordinary
+    event, or schedules a send itself, is taken to come first.
     """
-    program._macro_safe = True
-    return program
+    if a is b:
+        return i < k
+    if not i or not k:
+        return a[0][:2] < b[0][:2]
+    ha, hb = _history(a, i), _history(b, k)
+    for x, y in zip(ha[1:], hb[1:]):
+        if x != y:
+            return x < y
+    if len(ha) == len(hb):
+        return a[0][:2] < b[0][:2]
+    if len(ha) < len(hb):  # a's next scheduler is its barrier's cost timeout
+        return a[0][0] <= hb[len(ha)]
+    return ha[len(hb)] < b[0][0]
 
 
 class _InFlight(Message):
     """One remote send: the :class:`Message` the receiver will take,
-    plus the four NIC-timeline fields, shared between the sender's flush
-    list and the receiver's timeline.  The engine owns (and writes) it
-    until delivery; the two dunders put back the C-level slot setter
+    plus the NIC-timeline fields, shared between the sender's flush
+    list and the receiver's timeline; ``trail[sched]`` is the sender
+    event that scheduled the wire arrival.  The engine owns (and writes)
+    it until delivery; the two dunders put back the C-level slot setter
     that ``frozen=True`` replaced."""
 
-    __slots__ = ("arrival", "inject_end", "drain", "reg")
+    __slots__ = ("arrival", "drain", "reg", "trail", "sched")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
 
     def __init__(self, src: int, dst: int, tag: int, payload: t.Any, nbytes: int,
-                 sent_at: float, arrival: float, inject_end: float, drain: float,
-                 reg: int) -> None:
+                 sent_at: float, arrival: float, drain: float, reg: int,
+                 trail: list, sched: int) -> None:
         self.src = src
         self.dst = dst
         self.tag = tag
@@ -147,9 +188,10 @@ class _InFlight(Message):
         self.sent_at = sent_at
         self.uid = None
         self.arrival = arrival
-        self.inject_end = inject_end
         self.drain = drain
         self.reg = reg  # delivered_at (the drain end) is set by refold()
+        self.trail = trail
+        self.sched = sched
 
 
 class _Delivered(Message):
@@ -162,14 +204,12 @@ class _Delivered(Message):
 class _NicTimeline:
     """Drain schedule of one receiver NIC-in port.
 
-    Unconsumed entries, sorted by ``(arrival, inject_end, reg)`` — the
-    FIFO grant order of the serialized port.  ``inject_end`` breaks
-    arrival ties: the object path starts each delivery's latency timer
-    the moment the sender's inject completes, so when two arrivals round
-    to the *same* double after ``+ latency`` the event heap's FIFO
-    sequence still grants the port in inject-completion order, which
-    the arrival floats alone no longer encode.  Equal inject ends fall
-    back to registration order.  Drain ends fold left to right:
+    Unconsumed entries in the FIFO grant order of the serialized port:
+    the order in which the object path's wire-arrival events request it.
+    Equal arrivals are ordered as the event heap orders them — by the
+    time of the sender event that scheduled the arrival (the inject end;
+    with zero latency the inject start), then by :func:`_earlier`; what
+    that cannot tell apart keeps registration order.  Drain ends fold left to right:
     ``end = max(prev_end, arrival) + drain``, the exact float chain of
     ``Resource.occupy`` under contention.  ``prev_end`` carries the
     busy horizon of the already-consumed prefix across supersteps.
@@ -185,7 +225,7 @@ class _NicTimeline:
 
     def __init__(self) -> None:
         self.entries: list[_InFlight] = []
-        #: Parallel (arrival, inject_end, reg) sort keys.
+        #: Parallel (arrival, scheduler time, reg) sort keys.
         self.keys: list[tuple[float, float, int]] = []
         self.prev_end = 0.0
         #: First index whose delivered_at may be stale (= len(entries)
@@ -194,14 +234,24 @@ class _NicTimeline:
         #: True while sitting on the engine's dirty-timeline list.
         self.queued = False
 
-    def insert(self, entry: _InFlight) -> None:
+    def insert(self, entry: _InFlight, when: float) -> None:
+        """Place ``entry``, whose arrival was scheduled at ``when``."""
         keys = self.keys
-        key = (entry.arrival, entry.inject_end, entry.reg)
+        arrival = entry.arrival
+        key = (arrival, when, entry.reg)
         index = len(keys)
         if index and key < keys[-1]:
             index = bisect_right(keys, key)
+        entries = self.entries
+        # reg grows: the entry lands behind every (arrival, when) tie,
+        # then moves in front of those the object path grants later.
+        while index and keys[index - 1][0] == arrival and keys[index - 1][1] == when:
+            other = entries[index - 1]
+            if not _earlier(entry.trail, entry.sched, other.trail, other.sched):
+                break
+            index -= 1
         keys.insert(index, key)
-        self.entries.insert(index, entry)
+        entries.insert(index, entry)
         if index < self.dirty:
             self.dirty = index
 
@@ -231,11 +281,19 @@ class _NicTimeline:
 class _PidState:
     """One party: its program generator and return value, the private
     local clock, and the flush (pending sends) and loopback lists of the
-    current superstep."""
+    current superstep.
+
+    ``trail`` holds what the object path's equal-time order depends
+    on: ``trail[0]`` is the last resume — ``(last barrier arrival,
+    stamp, release, delivered sizes, unpack_time)``, see
+    :func:`_history` — ``trail[1]`` the end of that collect, then one
+    time per hold that moved the clock since (compute, pack, inject).
+    ``order`` is the next resume's ``(last barrier arrival, stamp)``.
+    """
 
     __slots__ = (
         "pid", "ctx", "task", "spec", "local_t", "pending", "loopback",
-        "gen", "value", "waiting_on",
+        "gen", "value", "waiting_on", "trail", "order",
     )
 
     def __init__(self, ctx: "HbspContext", gen: t.Generator) -> None:
@@ -251,6 +309,7 @@ class _PidState:
         self.gen: t.Generator | None = gen
         self.value: t.Any = None
         self.waiting_on: "Barrier | None" = None
+        self.trail: list = [(0.0, self.pid, 0.0, (), None), 0.0]  # started in pid order
 
     def __repr__(self) -> str:  # names the party in a DeadlockError
         where = f" waiting_on={self.waiting_on.name}" if self.waiting_on else ""
@@ -271,11 +330,10 @@ class _Cycle:
 class MacroEngine:
     """Batched superstep execution bound to one :class:`HbspRuntime`.
 
-    Created by :meth:`HbspRuntime.run` when the capability check and
-    the program's :func:`macro_safe` marker both hold, with one program
-    generator per pid, which it drives; the context's ``send(_each)`` /
-    ``compute`` / ``sync`` dispatch here instead of driving the PVM
-    object path.
+    Created by :meth:`HbspRuntime.run` when the machine has no live
+    hook, with one program generator per pid, which it drives; the
+    context's ``send(_each)`` / ``compute`` / ``sync`` dispatch here
+    instead of driving the PVM object path.
     """
 
     def __init__(self, runtime: "HbspRuntime", programs: t.Sequence[t.Generator]) -> None:
@@ -286,6 +344,7 @@ class MacroEngine:
         self._timelines = [_NicTimeline() for _ in self._states]
         self._cycles: dict[int, _Cycle] = {}  # id(barrier) -> open cycle
         self._reg = 0
+        self._stamp = len(self._states)  # resume order, after the start stamps
         # Routing is pure in the pid pair: the crossed network is the
         # one of the machines' lowest common ancestor cluster, so we
         # keep the per-pid root-first ancestor id chains and find the
@@ -327,8 +386,10 @@ class MacroEngine:
         """``ctx.compute``: one serial local-clock addition."""
         state = self._states[ctx.pid]
         duration = state.spec.compute_time(work)
-        state.local_t = state.local_t + duration
-        state.task.macro_now = state.local_t
+        start = state.local_t
+        state.local_t = state.task.macro_now = start + duration
+        if state.local_t > start:
+            state.trail.append(state.local_t)
 
     def send_each(self, ctx: "HbspContext", peers: t.Iterable[int], payload: t.Any,
                   tag: int, nbytes: int | None) -> None:
@@ -357,6 +418,8 @@ class MacroEngine:
         # uncontended (one task per host), so both are serial adds.
         pack = state.spec.pack_time(size)
         t_local = state.local_t
+        trail = state.trail
+        append = trail.append
         pid = me  # stays a valid pid unless the loop breaks on a bad one
         for pid in peers:
             if not 0 <= pid < nprocs:
@@ -390,6 +453,9 @@ class MacroEngine:
             counts[1] += size
             sent_at = t_local
             t_local = t_local + pack
+            if t_local > sent_at:  # a hold that moves the clock is an event
+                append(t_local)
+            packed = t_local
             if has_mult:
                 multiplier = self.vm.topology.pair_multiplier(self._mids[me], self._mids[pid])
                 t_local = t_local + inject * multiplier
@@ -397,13 +463,20 @@ class MacroEngine:
             else:
                 t_local = t_local + inject
                 drain = size * drain_gap
+            if t_local > packed:
+                append(t_local)
             # wire latency, then the contended receiver drain (folded on
-            # the timeline; delivered_at is filled in by refold()).
+            # the timeline; delivered_at is filled in by refold()).  The
+            # inject end schedules the arrival; a zero latency runs
+            # inside it, so the inject's own scheduler orders it.
+            arrival = t_local + latency
             reg += 1
-            entry = _InFlight(tid, tids[pid], tag, payload, size, sent_at,
-                              t_local + latency, t_local, drain, reg)
+            sched = len(trail) - (1 if arrival > t_local else 2)
+            when = trail[sched] if sched else trail[0][0]
+            entry = _InFlight(tid, tids[pid], tag, payload, size, sent_at, arrival, drain,
+                              reg, trail, sched)
             timeline = timelines[pid]
-            timeline.insert(entry)
+            timeline.insert(entry, when)
             if not timeline.queued:
                 timeline.queued = True
                 self._dirty.append(timeline)
@@ -450,9 +523,11 @@ class MacroEngine:
                 self._stretch(state)
                 continue
             if parked is not None:
-                raise SimulationError(
-                    f"{state.task.name} yielded {parked!r} on the macro path; "
-                    "a @macro_safe program suspends only in ctx.sync"
+                raise HbspError(
+                    f"{state.gen.__qualname__} (pid {state.pid} on "
+                    f"{state.spec.name}) yielded {parked!r} outside ctx.sync, "
+                    "which the macro path cannot resume; run it with "
+                    "HbspRuntime(macro=False)"
                 )
 
     def _stretch(self, state: _PidState) -> None:
@@ -539,9 +614,12 @@ class MacroEngine:
         # exactly like Barrier.release over its FIFO waiting list, and
         # those whose collect is complete resume in one batch.
         ready: list[_PidState] = []
+        last = max(resumes)  # when the cost timeout was scheduled
         for i in sorted(range(len(arrivals)), key=resumes.__getitem__):
             state = arrivals[i][0]
             state.ctx._wait += release - resumes[i]
+            state.order = (last, self._stamp)
+            self._stamp += 1
             self._finalize(state, release, ready)
         if ready:
             engine.call_soon(partial(self._resume, ready))
@@ -609,22 +687,25 @@ class MacroEngine:
         if local_t > engine.now:
             engine.call_at(local_t, partial(self._finalize, state, release, None))
             return
-        self._collect(state, taken, li, local_t)
+        self._collect(state, taken, li, release, local_t)
         if ready is None:
             engine.call_soon(partial(self._resume, (state,)))
         else:
             ready.append(state)
 
-    def _collect(self, state: _PidState, taken: int, li: int, local_t: float) -> None:
+    def _collect(self, state: _PidState, taken: int, li: int, release: float,
+                 local_t: float) -> None:
         """BSP delivery at the release: the walked timeline prefix +
         loopback puts go to the context in mailbox put order
-        (``HbspContext._collect`` without the object plumbing).  The
-        drained records *are* the delivered messages: the engine lets
-        go of them here and they are frozen from now on."""
+        (``HbspContext._collect`` without the object plumbing), and the
+        party's trail restarts at this resume.  The drained records *are*
+        the delivered messages: the engine lets go of them here (and of
+        their senders' trails) and they are frozen from now on."""
         timeline = self._timelines[state.pid]
         task = state.task
         batch = timeline.entries[:taken]
         for entry in batch:
+            entry.trail = None
             entry.__class__ = _Delivered
             task.received_bytes += entry.nbytes  # loopback puts carry 0
         if taken:
@@ -638,3 +719,6 @@ class MacroEngine:
         task.received_messages += taken + li
         state.ctx._available.extend(batch)
         state.local_t = task.macro_now = local_t
+        # The sizes, not the messages, which are the program's now.
+        sizes = tuple(map(attrgetter("nbytes"), batch))
+        state.trail = [(*state.order, release, sizes, state.spec.unpack_time), local_t]

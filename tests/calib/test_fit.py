@@ -16,6 +16,7 @@ from repro.cluster import two_lans
 from repro.collectives import run_broadcast, run_gather
 from repro.errors import CalibrationError
 from repro.model import calibrate
+from repro.obs import observe
 from repro.obs.accounting import collect_run_obs
 
 TOPOLOGY = two_lans()
@@ -64,6 +65,12 @@ class TestCampaign:
         a = calibration_campaign(TOPOLOGY, sizes=(4096,), roots=(0, 1))
         b = calibration_campaign(TOPOLOGY, sizes=(4096,), roots=(0, 1))
         assert a == b
+
+    def test_traced_campaign_takes_the_object_path_to_the_same_runs(self):
+        with observe(spans=True) as observation:
+            traced = calibration_campaign(TOPOLOGY, sizes=(4096,), roots=(0, 1))
+        assert observation.tracer.spans  # recorded, not refused
+        assert traced == calibration_campaign(TOPOLOGY, sizes=(4096,), roots=(0, 1))
 
     def test_default_sizes_span_an_order_of_magnitude(self):
         assert max(DEFAULT_SIZES) / min(DEFAULT_SIZES) >= 10

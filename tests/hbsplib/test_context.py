@@ -7,10 +7,11 @@ from repro.errors import SuperstepError
 from repro.hbsplib import HbspRuntime
 from repro.obs import observe
 from repro.pvm import Message
-from repro.sim.macro import macro_safe
 
 
 class TestBspDeliverySemantics:
+    macro = None  # the automatic choice: the macro path on these machines
+
     def test_message_not_visible_before_sync(self, testbed_small):
         def prog(ctx):
             if ctx.pid == 1:
@@ -20,7 +21,7 @@ class TestBspDeliverySemantics:
             after = len(ctx.messages())
             return (before, after)
 
-        result = HbspRuntime(testbed_small).run(prog)
+        result = HbspRuntime(testbed_small, macro=self.macro).run(prog)
         assert result.values[0] == (0, 1)
 
     def test_all_sends_arrive_after_one_sync(self, testbed_small):
@@ -32,7 +33,7 @@ class TestBspDeliverySemantics:
                 return sorted(m.payload for m in ctx.messages())
             return None
 
-        result = HbspRuntime(testbed_small).run(prog)
+        result = HbspRuntime(testbed_small, macro=self.macro).run(prog)
         assert result.values[0] == [1, 2, 3]
 
     def test_superstep_isolation(self, testbed_small):
@@ -49,7 +50,7 @@ class TestBspDeliverySemantics:
             got_second = [m.payload for m in ctx.messages()] if ctx.pid == 0 else []
             return (got_first, got_second)
 
-        result = HbspRuntime(testbed_small).run(prog)
+        result = HbspRuntime(testbed_small, macro=self.macro).run(prog)
         assert result.values[0] == (["step1"], ["step2"])
 
     def test_messages_filter_by_source_pid(self, testbed_small):
@@ -63,7 +64,7 @@ class TestBspDeliverySemantics:
                 return (only_1, rest)
             return None
 
-        result = HbspRuntime(testbed_small).run(prog)
+        result = HbspRuntime(testbed_small, macro=self.macro).run(prog)
         assert result.values[0] == (["from1"], ["from2"])
 
     def test_messages_filter_by_tag(self, testbed_small):
@@ -76,7 +77,7 @@ class TestBspDeliverySemantics:
                 return [m.payload for m in ctx.messages(tag=20)]
             return None
 
-        result = HbspRuntime(testbed_small).run(prog)
+        result = HbspRuntime(testbed_small, macro=self.macro).run(prog)
         assert result.values[0] == ["b"]
 
     def test_untaken_messages_stay_queued(self, testbed_small):
@@ -89,7 +90,7 @@ class TestBspDeliverySemantics:
                 return [m.payload for m in ctx.peek_messages()]
             return None
 
-        result = HbspRuntime(testbed_small).run(prog)
+        result = HbspRuntime(testbed_small, macro=self.macro).run(prog)
         assert result.values[0] == ["keep"]
 
     def test_send_outside_group_rejected(self, testbed_small):
@@ -99,7 +100,7 @@ class TestBspDeliverySemantics:
             yield from ctx.sync()
 
         with pytest.raises(SuperstepError, match="outside"):
-            HbspRuntime(testbed_small).run(prog)
+            HbspRuntime(testbed_small, macro=self.macro).run(prog)
 
     def test_pid_of_message(self, testbed_small):
         def prog(ctx):
@@ -111,11 +112,19 @@ class TestBspDeliverySemantics:
                 return ctx.pid_of_message(message)
             return None
 
-        result = HbspRuntime(testbed_small).run(prog)
+        result = HbspRuntime(testbed_small, macro=self.macro).run(prog)
         assert result.values[0] == 2
 
 
+class TestBspDeliverySemanticsOnObjectPath(TestBspDeliverySemantics):
+    """The same tests, with every run forced onto the object path."""
+
+    macro = False
+
+
 class TestClusterScopedSync:
+    macro = None  # the automatic choice: the macro path on these machines
+
     def test_level1_sync_is_cluster_local(self, fig1_machine):
         """A level-1 sync only involves the proc's own cluster, so
         messages inside one cluster are exchanged without the campus
@@ -130,7 +139,7 @@ class TestClusterScopedSync:
             yield from ctx.sync()  # global, so everyone finishes together
             return count
 
-        runtime = HbspRuntime(fig1_machine)
+        runtime = HbspRuntime(fig1_machine, macro=self.macro)
         result = runtime.run(prog)
         # SMP coordinator got 3, LAN coordinator got 3, SGI got 0.
         counts = sorted(result.values.values())
@@ -140,7 +149,7 @@ class TestClusterScopedSync:
         def just_sync(ctx):
             yield from ctx.sync()
 
-        runtime = HbspRuntime(fig1_machine)
+        runtime = HbspRuntime(fig1_machine, macro=self.macro)
         L_root = runtime.params.L_of(2, 0)
         result = runtime.run(just_sync)
         assert result.time >= L_root
@@ -152,18 +161,26 @@ class TestClusterScopedSync:
         def sync_global(ctx):
             yield from ctx.sync()
 
-        t1 = HbspRuntime(fig1_machine).run(sync_level1).time
-        t2 = HbspRuntime(fig1_machine).run(sync_global).time
+        t1 = HbspRuntime(fig1_machine, macro=self.macro).run(sync_level1).time
+        t2 = HbspRuntime(fig1_machine, macro=self.macro).run(sync_global).time
         assert t1 < t2
 
 
+class TestClusterScopedSyncOnObjectPath(TestClusterScopedSync):
+    """The same tests, with every run forced onto the object path."""
+
+    macro = False
+
+
 class TestEnquiry:
+    macro = None  # the automatic choice: the macro path on these machines
+
     def test_pid_nprocs_machine(self, testbed_small):
         def prog(ctx):
             yield from ctx.sync()
             return (ctx.pid, ctx.nprocs, ctx.machine_name)
 
-        result = HbspRuntime(testbed_small).run(prog)
+        result = HbspRuntime(testbed_small, macro=self.macro).run(prog)
         for pid, (got_pid, nprocs, name) in result.values.items():
             assert got_pid == pid
             assert nprocs == 4
@@ -175,7 +192,7 @@ class TestEnquiry:
             yield from ctx.compute(10_000)
             return ctx.time - start
 
-        result = HbspRuntime(testbed_small).run(prog)
+        result = HbspRuntime(testbed_small, macro=self.macro).run(prog)
         assert all(delta > 0 for delta in result.values.values())
 
     def test_hetero_enquiry(self, testbed_small):
@@ -189,7 +206,7 @@ class TestEnquiry:
                 sum(ctx.partition(100)),
             )
 
-        runtime = HbspRuntime(testbed_small)
+        runtime = HbspRuntime(testbed_small, macro=self.macro)
         result = runtime.run(prog)
         for pid, (fast, slow, rank, fraction, total) in result.values.items():
             assert fast == runtime.fastest_pid
@@ -203,7 +220,7 @@ class TestEnquiry:
             yield from ctx.sync()
             return ctx.is_coordinator(1)
 
-        runtime = HbspRuntime(fig1_machine)
+        runtime = HbspRuntime(fig1_machine, macro=self.macro)
         result = runtime.run(prog)
         assert sum(result.values.values()) == 3  # one coordinator per level-1 node
 
@@ -214,9 +231,15 @@ class TestEnquiry:
             contexts.append(ctx)
             yield from ctx.sync()
 
-        HbspRuntime(testbed_small).run(prog)
+        HbspRuntime(testbed_small, macro=self.macro).run(prog)
         with pytest.raises(SuperstepError, match="finished"):
             list(contexts[0].compute(1))
+
+
+class TestEnquiryOnObjectPath(TestEnquiry):
+    """The same tests, with every run forced onto the object path."""
+
+    macro = False
 
 
 def _fan_out(use_send_each):
@@ -224,7 +247,6 @@ def _fan_out(use_send_each):
     ``send`` it is defined to be: every process sends one array to the
     next pid twice, itself, and the pids two and three ahead."""
 
-    @macro_safe
     def prog(ctx):
         payload = np.arange(8 + ctx.pid, dtype=np.int32)
         peers = [(ctx.pid + d) % ctx.nprocs for d in (1, 1, 0, 2, 3)]
@@ -298,6 +320,6 @@ class TestSendEach:
         errors = []
         for prog in (send_prog, send_each_prog):
             with pytest.raises(SuperstepError, match="outside") as caught:
-                HbspRuntime(testbed_small, macro=macro).run(macro_safe(prog))
+                HbspRuntime(testbed_small, macro=macro).run(prog)
             errors.append(str(caught.value))
         assert errors[0] == errors[1]

@@ -9,7 +9,6 @@ from repro.errors import DeadlockError, HbspError
 from repro.faults import DeliveryPolicy, FaultPlan, Injector
 from repro.hbsplib import HbspRuntime
 from repro.obs import observe
-from repro.sim.macro import macro_safe
 
 
 def noop(ctx):
@@ -106,8 +105,10 @@ class TestClusterNavigation:
 
 
 class TestExecution:
+    macro = None  # the automatic choice: the macro path on these machines
+
     def test_single_use(self, testbed_small):
-        runtime = HbspRuntime(testbed_small)
+        runtime = HbspRuntime(testbed_small, macro=self.macro)
         runtime.run(noop)
         with pytest.raises(HbspError, match="fresh"):
             runtime.run(noop)
@@ -117,17 +118,17 @@ class TestExecution:
             yield from ctx.sync()
             return value
 
-        runtime = HbspRuntime(testbed_small)
+        runtime = HbspRuntime(testbed_small, macro=self.macro)
         result = runtime.run(prog, per_pid_args=[(i * 10,) for i in range(4)])
         assert result.values == {0: 0, 1: 10, 2: 20, 3: 30}
 
     def test_per_pid_args_length_checked(self, testbed_small):
-        runtime = HbspRuntime(testbed_small)
+        runtime = HbspRuntime(testbed_small, macro=self.macro)
         with pytest.raises(HbspError):
             runtime.run(noop, per_pid_args=[()])
 
     def test_rejected_call_does_not_burn_the_runtime(self, testbed_small):
-        runtime = HbspRuntime(testbed_small)
+        runtime = HbspRuntime(testbed_small, macro=self.macro)
         with pytest.raises(HbspError, match="4 entries"):
             runtime.run(noop, per_pid_args=[()])
         assert sorted(runtime.run(noop).values) == [0, 1, 2, 3]
@@ -138,14 +139,14 @@ class TestExecution:
             yield from ctx.sync()
             yield from ctx.sync()
 
-        result = HbspRuntime(testbed_small).run(prog)
+        result = HbspRuntime(testbed_small, macro=self.macro).run(prog)
         assert result.supersteps == 3
 
     def test_sync_charges_L(self, testbed_small):
         def prog(ctx):
             yield from ctx.sync()
 
-        result = HbspRuntime(testbed_small).run(prog)
+        result = HbspRuntime(testbed_small, macro=self.macro).run(prog)
         runtime_params = HbspRuntime(testbed_small).params
         assert result.time >= runtime_params.L_of(1, 0)
 
@@ -155,7 +156,7 @@ class TestExecution:
                 yield from ctx.compute(ctx.task.host.spec.cpu_rate)  # 1 s
             yield from ctx.sync()
 
-        result = HbspRuntime(testbed_small).run(prog)
+        result = HbspRuntime(testbed_small, macro=self.macro).run(prog)
         assert result.time >= 1.0
 
     def test_trace_enabled(self, testbed_small):
@@ -163,17 +164,25 @@ class TestExecution:
             yield from ctx.compute(1000)
             yield from ctx.sync()
 
-        result = HbspRuntime(testbed_small, trace=True).run(prog)
+        result = HbspRuntime(testbed_small, trace=True, macro=self.macro).run(prog)
         assert len(result.trace) > 0
 
 
-def _unmarked(ctx):
+class TestExecutionOnObjectPath(TestExecution):
+    """The same tests, with every run forced onto the object path."""
+
+    macro = False
+
+
+def _syncs(ctx):
     yield from ctx.sync()
 
 
-@macro_safe
-def _marked(ctx):
+def _raw_compute(ctx):
     yield from ctx.sync()
+    yield from ctx.task.compute(1_000.0)  # a raw task event, not a superstep
+    yield from ctx.sync()
+    return ctx.pid
 
 
 class TestEnginePath:
@@ -182,7 +191,7 @@ class TestEnginePath:
     def test_unset_before_run_and_macro_when_clean(self, testbed_small):
         runtime = HbspRuntime(testbed_small)
         assert runtime.engine_path is None
-        runtime.run(_marked)
+        runtime.run(_syncs)
         assert runtime.engine_path == ("macro", "") and runtime.macro is not None
 
     @pytest.mark.parametrize("hook, reason", [
@@ -193,36 +202,40 @@ class TestEnginePath:
     ])
     def test_object_path_names_the_one_live_hook(self, testbed_small, hook, reason):
         runtime = HbspRuntime(testbed_small, **hook())
-        runtime.run(_marked)
+        runtime.run(_syncs)
         assert runtime.engine_path == ("object", reason) and runtime.macro is None
         insisting = HbspRuntime(testbed_small, macro=True, **hook())
         with pytest.raises(HbspError, match=f"live hook: {reason}$"):
-            insisting.run(_marked)
+            insisting.run(_syncs)
 
     def test_macro_false(self, testbed_small):
         runtime = HbspRuntime(testbed_small, macro=False)
-        runtime.run(_marked)
+        runtime.run(_syncs)
         assert runtime.engine_path == ("object", "macro=False")
 
     def test_spans_are_named_before_the_trace_they_force(self, testbed_small):
         with observe(spans=True):
             runtime = HbspRuntime(testbed_small)
-            runtime.run(_marked)
+            runtime.run(_syncs)
         assert runtime.engine_path == ("object", "spans")
 
-    def test_unmarked_program(self, testbed_small):
+    def test_raw_task_event_names_the_program_and_macro_false(self, testbed_small):
         runtime = HbspRuntime(testbed_small)
-        runtime.run(_unmarked)
-        assert runtime.engine_path == ("object", "program not @macro_safe")
+        with pytest.raises(HbspError) as info:
+            runtime.run(_raw_compute)
+        assert runtime.engine_path == ("macro", "")
+        message = str(info.value)
+        assert message.startswith("_raw_compute (pid 0 on sgi-octane) yielded")
+        assert message.endswith("run it with HbspRuntime(macro=False)")
+        result = HbspRuntime(testbed_small, macro=False).run(_raw_compute)
+        assert result.values == {0: 0, 1: 1, 2: 2, 3: 3}
 
 
-@macro_safe
 def _returns_some_nones(ctx):
     yield from ctx.sync()
     return None if ctx.pid % 2 else (ctx.pid, ctx.superstep)
 
 
-@macro_safe
 def _mismatched_levels(ctx):
     # pid 0 waits at the root while its level-1 cluster mates wait for
     # it at level 1; every other level-1 cluster completes and returns.

@@ -27,6 +27,7 @@ from repro.collectives import (
     run_scatter,
 )
 from repro.experiments import fig3a_gather_root
+from repro.faults import FaultPlan
 from repro.model.params import HBSPParams, calibrate
 from repro.model.predict import predict_broadcast, predict_gather
 from repro.obs import observe
@@ -184,8 +185,11 @@ class TestHandComputedHbsp1:
 # number that program produced, captured at the last commit that still
 # inlined the steps: the predicted ledger (label, level, w, g·h, L), the
 # simulated makespan, superstep count and per-pid return values, and the
-# span sequence of the three programs that chain two tree walks.  None of
-# the ten is ``@macro_safe``, so each has one engine path to pin.
+# span sequence of the three programs that chain two tree walks.  Each
+# case runs twice against the same pin: by default, on the macro path,
+# and once more with a live hook that forces the object path — an empty
+# fault plan, or for the two apps (which take no plan) the structured
+# trace.
 
 TOOLKIT_MACHINES = {
     "testbed": lambda: ucf_testbed(10),
@@ -194,34 +198,53 @@ TOOLKIT_MACHINES = {
 }
 ITEMS, WIDTH, ROWS, SEED = 25_600, 4_096, 240, 2
 TOOLKIT = {
-    "scatter": lambda topo, root: run_scatter(topo, ITEMS, root=root, seed=SEED),
-    "reduce": lambda topo, root: run_reduce(topo, WIDTH, root=root, seed=SEED),
-    "allgather-hierarchical": lambda topo, root: run_allgather(
-        topo, ITEMS, strategy="hierarchical", root=root, seed=SEED
+    "scatter": lambda topo, root, **hook: run_scatter(
+        topo, ITEMS, root=root, seed=SEED, **hook
     ),
-    "allgather-direct": lambda topo, root: run_allgather(
-        topo, ITEMS, strategy="direct", root=root, seed=SEED
+    "reduce": lambda topo, root, **hook: run_reduce(
+        topo, WIDTH, root=root, seed=SEED, **hook
     ),
-    "allreduce-tree": lambda topo, root: run_allreduce(
-        topo, WIDTH, strategy="tree", root=root, seed=SEED
+    "allgather-hierarchical": lambda topo, root, **hook: run_allgather(
+        topo, ITEMS, strategy="hierarchical", root=root, seed=SEED, **hook
     ),
-    "allreduce-direct": lambda topo, root: run_allreduce(
-        topo, WIDTH, strategy="direct", root=root, seed=SEED
+    "allgather-direct": lambda topo, root, **hook: run_allgather(
+        topo, ITEMS, strategy="direct", root=root, seed=SEED, **hook
     ),
-    "alltoall": lambda topo, root: run_alltoall(topo, ITEMS, seed=SEED),
-    "scan": lambda topo, root: run_scan(topo, WIDTH, seed=SEED),
-    "histogram": lambda topo, root: run_histogram(topo, ITEMS, root=root, seed=SEED),
-    "matvec": lambda topo, root: run_matvec(topo, ROWS, root=root, seed=SEED),
+    "allreduce-tree": lambda topo, root, **hook: run_allreduce(
+        topo, WIDTH, strategy="tree", root=root, seed=SEED, **hook
+    ),
+    "allreduce-direct": lambda topo, root, **hook: run_allreduce(
+        topo, WIDTH, strategy="direct", root=root, seed=SEED, **hook
+    ),
+    "alltoall": lambda topo, root, **hook: run_alltoall(topo, ITEMS, seed=SEED, **hook),
+    "scan": lambda topo, root, **hook: run_scan(topo, WIDTH, seed=SEED, **hook),
+    "histogram": lambda topo, root, **hook: run_histogram(
+        topo, ITEMS, root=root, seed=SEED, **hook
+    ),
+    "matvec": lambda topo, root, **hook: run_matvec(
+        topo, ROWS, root=root, seed=SEED, **hook
+    ),
 }
+APPS = ("histogram", "matvec")
 ROOTS = {"fastest": RootPolicy.FASTEST, "slowest": RootPolicy.SLOWEST}
 SPANNED = ("allgather-hierarchical", "allreduce-tree", "histogram")
 
 
-def toolkit_record(machine: str, op: str, root: str) -> dict:
-    """Everything one toolkit run produced, in the pin file's shape."""
+def toolkit_record(machine: str, op: str, root: str, *, object_path: bool = False) -> dict:
+    """Everything one toolkit run produced, in the pin file's shape, from
+    the default (macro) path or, with ``object_path``, the object path."""
     topology = TOOLKIT_MACHINES[machine]()
-    outcome = TOOLKIT[op](topology, ROOTS[root])
-    assert outcome.runtime.macro is None
+    if not object_path:
+        hook = {}
+    elif op in APPS:
+        hook = {"trace": True}
+    else:
+        hook = {"faults": FaultPlan.empty()}
+    outcome = TOOLKIT[op](topology, ROOTS[root], **hook)
+    if object_path:
+        assert outcome.runtime.engine_path[0] == "object"
+    else:
+        assert outcome.runtime.engine_path == ("macro", "")
     record = {
         "machine": machine,
         "op": op,
@@ -268,7 +291,10 @@ class TestToolkitPins:
         ids=lambda pin: "{machine}-{op}-{root}".format(**pin),
     )
     def test_ledger_run_and_spans_are_the_pinned_ones(self, pin):
-        record = toolkit_record(pin["machine"], pin["op"], pin["root"])
-        # Through JSON, as the pin went: tuples become lists, floats
-        # round-trip exactly.  == on floats: no tolerance.
-        assert json.loads(json.dumps(record)) == pin
+        for object_path in (False, True):
+            record = toolkit_record(
+                pin["machine"], pin["op"], pin["root"], object_path=object_path
+            )
+            # Through JSON, as the pin went: tuples become lists, floats
+            # round-trip exactly.  == on floats: no tolerance.
+            assert json.loads(json.dumps(record)) == pin

@@ -4,12 +4,12 @@ The macro-event fast path (:mod:`repro.sim.macro`) replays the HBSP
 cost arithmetic directly instead of simulating every pack/inject/
 drain/deliver event.  Its contract is **bit-identical** results — the
 same simulated makespan, per-pid values, superstep counts, and
-per-superstep accounting marks — on any fault-free, untraced run of a
-``@macro_safe`` program.  These properties pin that contract on random
-k<=3 machines, and pin the *fallback* contract: any live hook (trace,
-injector — even an empty plan, delivery policy, NIC-serialization
-ablation) silently reverts to the object path, and ``macro=True``
-refuses instead of silently degrading.
+per-superstep accounting marks — on any fault-free, untraced run of
+any program.  These properties pin that contract on random k<=3
+machines for every toolkit program, and pin the *fallback* contract:
+any live hook (trace, injector — even an empty plan, delivery policy,
+NIC-serialization ablation) silently reverts to the object path, and
+``macro=True`` refuses instead of silently degrading.
 """
 
 import gc
@@ -19,13 +19,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import (
+    histogram_program,
+    jacobi_program,
+    matvec_program,
+    run_histogram,
+    run_jacobi,
+    run_matvec,
+    run_sample_sort,
+    sample_sort_program,
+)
 from repro.cli import build_preset
 from repro.cluster import Cluster, ClusterTopology, MachineSpec, NetworkSpec
-from repro.collectives import run_broadcast, run_gather
+from repro.collectives import (
+    allgather_program,
+    allreduce_program,
+    alltoall_program,
+    reduce_program,
+    run_allgather,
+    run_allreduce,
+    run_alltoall,
+    run_broadcast,
+    run_gather,
+    run_reduce,
+    run_scan,
+    run_scatter,
+    scan_program,
+    scatter_program,
+)
 from repro.errors import HbspError
 from repro.faults import DeliveryPolicy, FaultPlan
 from repro.hbsplib.runtime import HbspRuntime
-from repro.sim.macro import macro_safe
 
 # ---------------------------------------------------------------------------
 # Random k<=3 topology strategy (small, so paired runs stay fast)
@@ -99,6 +123,32 @@ def _assert_bit_identical(macro, obj):
     assert macro.runtime.superstep_marks() == obj.runtime.superstep_marks()
 
 
+WIDTH, ROWS = 512, 96
+
+#: The toolkit's other ten programs as ``(program, *args)``, the way
+#: their runners call them on a runtime and a root pid; ``counts`` are
+#: the runtime's balanced split.  jacobi and sample_sort have no toolkit
+#: pin, so this property is their only check on both engines.
+TOOLKIT_PROGRAMS = {
+    "scatter": lambda rt, root: (scatter_program, rt.partition(N), root, 1),
+    "reduce": lambda rt, root: (reduce_program, WIDTH, root, 1),
+    "allgather-hierarchical": lambda rt, root: (
+        allgather_program, rt.partition(N), root, "hierarchical", 1
+    ),
+    "allgather-direct": lambda rt, root: (
+        allgather_program, rt.partition(N), root, "direct", 1
+    ),
+    "allreduce-tree": lambda rt, root: (allreduce_program, WIDTH, root, "tree", 1),
+    "allreduce-direct": lambda rt, root: (allreduce_program, WIDTH, root, "direct", 1),
+    "alltoall": lambda rt, root: (alltoall_program, rt.partition(N), 1),
+    "scan": lambda rt, root: (scan_program, WIDTH, 1),
+    "histogram": lambda rt, root: (histogram_program, rt.partition(N), root, 16, 1),
+    "matvec": lambda rt, root: (matvec_program, rt.partition(ROWS), root, 1),
+    "sample_sort": lambda rt, root: (sample_sort_program, rt.partition(N), root, True, 1),
+    "jacobi": lambda rt, root: (jacobi_program, rt.partition(N), root, 6, 3, 1e-2),
+}
+
+
 class TestBitIdenticalOnRandomMachines:
     @settings(max_examples=20, deadline=None)
     @given(topology=deep_topology(), root=st.integers(min_value=0, max_value=10))
@@ -116,6 +166,22 @@ class TestBitIdenticalOnRandomMachines:
         obj = run_gather(topology, N, root=root, seed=1, macro=False)
         _assert_bit_identical(macro, obj)
 
+    @pytest.mark.parametrize("case", TOOLKIT_PROGRAMS)
+    @settings(max_examples=20, deadline=None)
+    @given(topology=deep_topology(), root=st.integers(min_value=0, max_value=10))
+    def test_toolkit_program(self, case, topology, root):
+        runs = []
+        for macro in (True, False):
+            runtime = HbspRuntime(topology, macro=macro)
+            program, *args = TOOLKIT_PROGRAMS[case](runtime, root % runtime.nprocs)
+            result = runtime.run(program, *args)
+            assert runtime.engine_path[0] == ("macro" if macro else "object")
+            runs.append((
+                result.time, result.values, result.supersteps,
+                runtime.superstep_marks(),
+            ))
+        assert runs[0] == runs[1]
+
     def test_macro_run_is_deterministic(self):
         topology = build_preset("testbed:4")
         times = {run_gather(topology, N, seed=1, macro=True).time for _ in range(3)}
@@ -127,7 +193,6 @@ class TestBitIdenticalOnRandomMachines:
 # send on the object path
 # ---------------------------------------------------------------------------
 
-@macro_safe
 def _fan_out_program(ctx, peer_lists):
     """Two supersteps of fan-outs; returns every delivered field."""
     seen = []
@@ -177,7 +242,6 @@ class TestSendEachFanOut:
 # the order the engine resumes their parties in is what is under test
 # ---------------------------------------------------------------------------
 
-@macro_safe
 def _cluster_steps_program(ctx, schedule):
     """Supersteps synced at drawn levels; the drawn senders fan out
     inside the synced cluster.  Returns every delivered field."""
@@ -240,7 +304,6 @@ class TestSameInstantBoundaries:
         assert [pid_marks[1][4] for pid_marks in marks] == [1] * 9
 
 
-@macro_safe
 def _next_rack_program(ctx):
     """Free zero-byte sends to the next rack, fenced by rack syncs."""
     yield from ctx.sync(1)
@@ -254,7 +317,6 @@ def _next_rack_program(ctx):
 # A program that raises fails the same way on both paths
 # ---------------------------------------------------------------------------
 
-@macro_safe
 def _raises_after_sync(ctx):
     yield from ctx.sync()
     if ctx.pid == 2:
@@ -338,10 +400,50 @@ class TestArrivalTieDrainOrder:
 
 
 # ---------------------------------------------------------------------------
+# Regression: identical senders whose arrival tie is decided events back
+# ---------------------------------------------------------------------------
+
+def _lan(*machines):
+    """A free LAN of machines with the given ``(cpu_rate, nic_gap)``."""
+    lan = NetworkSpec("lan", gap=0.0, latency=0.0, sync_base=0.0)
+    return ClusterTopology(Cluster("top", lan, [
+        MachineSpec(f"m{i}", cpu_rate=rate, nic_gap=gap)
+        for i, (rate, gap) in enumerate(machines)
+    ]))
+
+
+class TestTwinSendersTie:
+    """Hypothesis-found: two identical machines' messages reach one NIC
+    at the same double with equal inject (and pack) ends, and the object
+    path grants the port to the twin whose *earlier* event was scheduled
+    first — a swapped send order (alltoall) or unpack order (matvec)
+    several events back.  Registration order swapped the twins' waits."""
+
+    def _assert_same(self, topology, twins, program, *args):
+        runs = []
+        for macro in (True, False):
+            runtime = HbspRuntime(topology, macro=macro)
+            result = runtime.run(program, runtime.partition(args[0]), *args[1:])
+            runs.append((result.time, result.values, runtime.superstep_marks()))
+        assert runs[0] == runs[1]
+        marks = runs[1][2]
+        assert marks[twins[0]][-1][1] != marks[twins[1]][-1][1]  # not symmetric
+
+    def test_alltoall(self):
+        twin = (11902169.0, 1.8018836822066922e-07)
+        topology = _lan(twin, (13026100.0, 1.192092896e-07), twin, (1e7, 8e-08))
+        self._assert_same(topology, (0, 2), alltoall_program, N, 1)
+
+    def test_matvec(self):
+        twin = (22134494.0, 1.0762278027442506e-07)
+        topology = _lan((1e7, 8e-08), twin, twin, (36283287.0, 1.5005657678015528e-07))
+        self._assert_same(topology, (1, 2), matvec_program, ROWS, 0, 1)
+
+
+# ---------------------------------------------------------------------------
 # Fallback: any live hook reverts to the object path
 # ---------------------------------------------------------------------------
 
-@macro_safe
 def _ping_program(ctx):
     peer = (ctx.pid + 1) % ctx.nprocs
     yield from ctx.send(peer, np.arange(4, dtype=np.int32), tag=3)
@@ -352,12 +454,29 @@ def _ping_program(ctx):
     return len(got)
 
 
-def _plain_program(ctx):  # identical, but not @macro_safe
-    yield from ctx.sync()
-    return ctx.pid
+
+RUNNERS = {
+    "gather": lambda topo: run_gather(topo, N),
+    "broadcast": lambda topo: run_broadcast(topo, N),
+    "scatter": lambda topo: run_scatter(topo, N),
+    "reduce": lambda topo: run_reduce(topo, WIDTH),
+    "allgather": lambda topo: run_allgather(topo, N),
+    "allreduce": lambda topo: run_allreduce(topo, WIDTH),
+    "alltoall": lambda topo: run_alltoall(topo, N),
+    "scan": lambda topo: run_scan(topo, WIDTH),
+    "histogram": lambda topo: run_histogram(topo, N),
+    "matvec": lambda topo: run_matvec(topo, ROWS),
+    "sample_sort": lambda topo: run_sample_sort(topo, N),
+    "jacobi": lambda topo: run_jacobi(topo, 64, max_iterations=4),
+}
 
 
 class TestFallbackToObjectPath:
+    @pytest.mark.parametrize("op", RUNNERS)
+    def test_every_runner_takes_the_macro_path_by_default(self, op):
+        outcome = RUNNERS[op](build_preset("testbed:4"))
+        assert outcome.runtime.engine_path == ("macro", "")
+
     def test_trace_forces_object_path(self):
         outcome = run_gather(build_preset("testbed:4"), N, seed=1, trace=True)
         assert outcome.runtime.macro is None
@@ -382,11 +501,6 @@ class TestFallbackToObjectPath:
         assert runtime.macro is None
         assert set(result.values.values()) == {1}
 
-    def test_unmarked_program_stays_on_object_path(self):
-        runtime = HbspRuntime(build_preset("testbed:4"))
-        runtime.run(_plain_program)
-        assert runtime.macro is None
-
     def test_auto_engages_when_clean(self):
         runtime = HbspRuntime(build_preset("testbed:4"))
         result = runtime.run(_ping_program)
@@ -405,8 +519,3 @@ class TestMacroInsistRaises:
                 build_preset("testbed:4"), N, seed=1,
                 faults=FaultPlan.empty(), macro=True,
             )
-
-    def test_unmarked_program_refused(self):
-        runtime = HbspRuntime(build_preset("testbed:4"), macro=True)
-        with pytest.raises(HbspError, match="macro_safe"):
-            runtime.run(_plain_program)

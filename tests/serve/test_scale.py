@@ -1,8 +1,7 @@
 """Serving at 10^3 leaves (CI bench job: ``pytest -m scale``).
 
-Requests here are gather/broadcast-only (the ``fanout`` template) so
-every stage simulation takes the macro-event fast path; the apps are
-not ``@macro_safe`` and would thrash at this machine size.
+Every stage simulation, app stages included, takes the macro-event
+fast path.
 """
 
 import time
@@ -33,6 +32,8 @@ def _big_config(seed: int = 0) -> ServiceConfig:
             RequestKind.from_dict(
                 {"template": "fanout", "name": "smallfan", "n": 20_000}
             ),
+            RequestKind.from_dict({"template": "analytics", "n": 20_000}),
+            RequestKind.from_dict({"template": "sort", "n": 20_000}),
         ),
         policy=PolicySpec(queue_limit=64, max_batch=2),
         duration=10.0,
