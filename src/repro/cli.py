@@ -568,8 +568,9 @@ def main(argv: t.Sequence[str] | None = None) -> int:
                               help="persist kernel-cost results under this "
                               "directory and reuse them across sessions")
     serve_parser.add_argument("--dynamics", metavar="PLAN.json", default=None,
-                              help="play the session against a DynamicPlan "
-                              "(churn/drift/diurnal; see docs/faults.md)")
+                              help="play the session against a churn plan: "
+                              "machine_join / machine_leave events (see "
+                              "docs/faults.md)")
     add_obs_flags(serve_parser)
 
     topology_parser = sub.add_parser(

@@ -308,31 +308,6 @@ class ClusterTopology:
         out._pair_multipliers = dict(self._pair_multipliers)
         return out
 
-    def to_networkx(self):
-        """Export the tree as a :class:`networkx.DiGraph` (for analysis).
-
-        Nodes carry ``kind`` (``"cluster"``/``"machine"``), ``level``,
-        and the underlying spec object.
-        """
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for cid, cluster in enumerate(self.clusters):
-            graph.add_node(
-                f"cluster:{cluster.name}",
-                kind="cluster",
-                level=self.cluster_level(cid),
-                spec=cluster.network,
-            )
-            parent = self._cluster_parent[cid]
-            if parent is not None:
-                graph.add_edge(f"cluster:{self.clusters[parent].name}", f"cluster:{cluster.name}")
-        for mid, machine in enumerate(self.machines):
-            graph.add_node(f"machine:{machine.name}", kind="machine", level=0, spec=machine)
-            owner = self.machine_cluster(mid)
-            graph.add_edge(f"cluster:{self.clusters[owner].name}", f"machine:{machine.name}")
-        return graph
-
     def describe(self) -> str:
         """A human-readable multi-line summary of the tree."""
         lines = [f"ClusterTopology: k={self.height}, p={self.num_machines}"]

@@ -1,41 +1,24 @@
-"""Dynamic clusters: churn, drift, and diurnal load as declarative plans.
+"""Dynamic clusters: membership churn as a declarative plan.
 
-The static :class:`~repro.faults.FaultPlan` describes *windows*; a
-:class:`DynamicPlan` describes *behaviour* — membership churn
-(:class:`MachineJoin` / :class:`MachineLeave`), seeded speed-drift
-processes (:class:`SpeedDrift`), and diurnal background-load curves
-(:class:`DiurnalLoad`).  :func:`compile_plan` lowers a plan onto the
-existing fault injector plus a deterministic membership-epoch sequence
-(:func:`membership_epochs`) that the serving layer re-plans against.
+A :class:`DynamicPlan` is a list of :class:`MachineJoin` /
+:class:`MachineLeave` events.  Its one consumer is the serving layer:
+:func:`membership_epochs` turns the plan into a deterministic sequence
+of constant-membership epochs that :func:`repro.serve.run_service`
+re-plans placement against.  :func:`churn_plan` is the seeded preset
+generator.
 
 Everything is seeded and pure data: plans JSON-round-trip, equal plans
-compile identically, and the empty plan is a guaranteed bit-for-bit
-no-op.
+yield equal epochs, and the empty plan is one all-present epoch.
 """
 
-from repro.dynamics.compile import CompiledDynamics, compile_plan
-from repro.dynamics.epochs import Epoch, epoch_at, membership_epochs
-from repro.dynamics.plan import (
-    DiurnalLoad,
-    DynamicPlan,
-    MachineJoin,
-    MachineLeave,
-    SpeedDrift,
-    churn_plan,
-    drift_plan,
-)
+from repro.dynamics.epochs import Epoch, membership_epochs
+from repro.dynamics.plan import DynamicPlan, MachineJoin, MachineLeave, churn_plan
 
 __all__ = [
     "DynamicPlan",
     "MachineJoin",
     "MachineLeave",
-    "SpeedDrift",
-    "DiurnalLoad",
     "churn_plan",
-    "drift_plan",
     "Epoch",
     "membership_epochs",
-    "epoch_at",
-    "CompiledDynamics",
-    "compile_plan",
 ]

@@ -12,17 +12,16 @@ simulation — so equal plans always yield equal epoch sequences.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 import typing as t
 
-from repro.dynamics.plan import DynamicPlan, MachineJoin, MachineLeave
+from repro.dynamics.plan import DynamicPlan, MachineJoin
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import ClusterTopology
 
-__all__ = ["Epoch", "membership_epochs", "epoch_at"]
+__all__ = ["Epoch", "membership_epochs"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,10 +33,6 @@ class Epoch:
     end: float  # math.inf on the final epoch
     present: frozenset[str]
 
-    def covers(self, t_now: float) -> bool:
-        """True when ``t_now`` falls inside this epoch."""
-        return self.start <= t_now < self.end
-
 
 def membership_epochs(
     plan: DynamicPlan, topology: "ClusterTopology"
@@ -45,10 +40,10 @@ def membership_epochs(
     """Compile ``plan``'s join/leave events into an epoch sequence.
 
     The first epoch starts at 0 and the last extends to ``inf``; an
-    empty plan (or one with no membership events) yields exactly one
-    all-present epoch.  A machine named by a :class:`MachineJoin` is
-    absent before its join time; leaves with finite duration rejoin at
-    their end.  Overlapping absences on one machine union together.
+    empty plan yields exactly one all-present epoch.  A machine named
+    by a :class:`MachineJoin` is absent before its join time; leaves
+    with finite duration rejoin at their end.  Overlapping absences on
+    one machine union together.
     """
     plan.validate(topology)
     all_machines = frozenset(m.name for m in topology.machines)
@@ -59,7 +54,7 @@ def membership_epochs(
         if isinstance(event, MachineJoin):
             if event.start > 0:
                 absences.setdefault(event.machine, []).append((0.0, event.start))
-        elif isinstance(event, MachineLeave):
+        else:
             absences.setdefault(event.machine, []).append((event.start, event.end))
 
     # Delta events: +1 = machine appears, -1 = machine disappears.
@@ -99,10 +94,3 @@ def membership_epochs(
             Epoch(index=i, start=start, end=end, present=frozenset(present))
         )
     return tuple(epochs)
-
-
-def epoch_at(epochs: t.Sequence[Epoch], t_now: float) -> Epoch:
-    """The epoch covering ``t_now`` (binary search; last epoch is open)."""
-    starts = [e.start for e in epochs]
-    i = bisect.bisect_right(starts, t_now) - 1
-    return epochs[max(i, 0)]

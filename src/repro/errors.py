@@ -168,6 +168,6 @@ class DynamicsError(ReproError, ValueError):
     """A dynamic-cluster plan is malformed or names unknown entities.
 
     Raised by :mod:`repro.dynamics` for invalid :class:`DynamicPlan`
-    documents (unknown event kinds, bad windows or drift processes) and
-    for plans that reference machines absent from the target topology.
+    documents (unknown event kinds, bad windows) and for plans that
+    reference machines absent from the target topology.
     """

@@ -137,11 +137,6 @@ class Injector:
             kind=fault.kind,
         )
 
-    @property
-    def has_background(self) -> bool:
-        """True when the plan spawned background (hog) processes."""
-        return bool(self._processes)
-
     # Drop/delay statistics live in the attached machine's metrics
     # registry (single bookkeeping; exported via repro.obs); these
     # properties keep the original integer-attribute API.

@@ -72,11 +72,6 @@ class HBSPNode:
         """The paper's ``m_{i,j}``: number of children."""
         return len(self.children)
 
-    @property
-    def is_processor(self) -> bool:
-        """True for level-0 nodes (HBSP^0 machines)."""
-        return self.level == 0
-
     def __repr__(self) -> str:
         return f"<{self.label} {self.name!r} coord=m{self.coordinator} fan_out={self.fan_out}>"
 

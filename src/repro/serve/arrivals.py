@@ -37,9 +37,7 @@ def diurnal_rate(
 ) -> float:
     """The diurnal curve ``base * (1 + amplitude * sin(2*pi*t/period))``.
 
-    The single source of truth for the sinusoid: arrival thinning uses
-    it for request rates and :mod:`repro.dynamics` reuses it for
-    background-load intensities, so both layers modulate identically.
+    Arrival thinning evaluates it for the request rate at ``t_now``.
     """
     return base * (1.0 + amplitude * math.sin(2.0 * math.pi * t_now / period))
 

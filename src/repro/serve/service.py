@@ -26,8 +26,10 @@ from the machines still present, batches in flight when their slice
 loses a machine are interrupted and re-queued (bounded by
 ``policy.max_redispatch``, then shed as degraded), and the report and
 ``repro_serve_degraded_*`` metrics record how gracefully the session
-absorbed the churn.  A ``None`` or empty plan takes the exact static
-code path, so those sessions stay bit-identical to pre-dynamics runs.
+absorbed the churn.  A ``None`` or empty plan is the one-epoch case —
+a single all-present epoch whose live map is the identity — so a
+static session runs the same loop and is bit-identical by
+construction.
 
 When a :func:`repro.obs.observe` observation is active the session
 emits ``repro_serve_*`` metrics (arrival/shed/batch counters, latency
@@ -45,6 +47,8 @@ from collections import deque
 
 from repro.cluster.presets import build_any
 from repro.cluster.topology import ClusterTopology
+from repro.dynamics.epochs import Epoch, membership_epochs
+from repro.dynamics.plan import DynamicPlan
 from repro.errors import ServeError
 from repro.obs.observe import current_observation
 from repro.serve.arrivals import Arrival, generate_arrivals, offered_rate
@@ -55,9 +59,6 @@ from repro.serve.report import ServiceReport
 from repro.sim.engine import Engine
 from repro.util.lifetime import gc_paused
 
-if t.TYPE_CHECKING:  # pragma: no cover
-    from repro.dynamics.plan import DynamicPlan
-
 __all__ = ["run_service", "resolve_cluster", "serve_slices"]
 
 
@@ -67,24 +68,21 @@ def resolve_cluster(spec: str) -> ClusterTopology:
 
 
 def serve_slices(
-    config: ServiceConfig, dynamics: "DynamicPlan | None" = None
-) -> tuple[tuple[Slice, ...], t.Any]:
-    """The slice table a session serves on, plus its epoch live-map.
+    config: ServiceConfig, dynamics: DynamicPlan | None = None
+) -> tuple[tuple[Slice, ...], tuple[tuple[Epoch, ...], dict, int]]:
+    """The slice table a session serves on, plus its membership timeline.
 
-    Static sessions get ``(base slices, None)``.  Dynamic sessions get
-    the expanded table (base slices followed by every distinct degraded
-    variant any epoch induces) and the ``live[(slice, epoch)]`` map —
-    the same expansion :func:`run_service` uses, exposed so a shared
-    :class:`StageCostModel` can be prewarmed against it.
+    Returns ``(expanded, (epochs, live, n_base))``: the base slices
+    followed by every distinct degraded variant any epoch induces, the
+    membership epochs, the ``live[(slice, epoch)]`` map and the number
+    of base slices — the same expansion :func:`run_service` uses,
+    exposed so a shared :class:`StageCostModel` can be prewarmed
+    against it.  ``None`` and the empty plan give one all-present epoch
+    whose live map is the identity, so ``expanded`` is the base table.
     """
     topology = resolve_cluster(config.cluster)
     base = carve_slices(topology, config.policy.placement)
-    if dynamics is None or dynamics.is_empty:
-        return base, None
-    from repro.dynamics.epochs import membership_epochs
-
-    dynamics.validate(topology)
-    epochs = membership_epochs(dynamics, topology)
+    epochs = membership_epochs(dynamics or DynamicPlan.empty(), topology)
     expanded, live = slice_variants(base, epochs)
     return expanded, (epochs, live, len(base))
 
@@ -117,27 +115,19 @@ def _check_shared_model(
 def run_service(
     config: ServiceConfig,
     *,
-    dynamics: "DynamicPlan | None" = None,
+    dynamics: DynamicPlan | None = None,
     costs: StageCostModel | None = None,
 ) -> ServiceReport:
     """Simulate one serving session and return its report.
 
     ``dynamics`` subjects the session to membership churn (see the
-    module docstring); ``None`` and the empty plan are bit-identical
-    no-ops.  ``costs`` shares a prewarmed :class:`StageCostModel`
+    module docstring); ``None`` and the empty plan are the one-epoch
+    session.  ``costs`` shares a prewarmed :class:`StageCostModel`
     across sessions that differ only in arrival process/duration (the
     goodput-vs-offered-load sweeps); by default the session builds and
     prewarms its own.
     """
-    slices, dynamic_state = serve_slices(config, dynamics)
-    if dynamic_state is None:
-        epochs: tuple = ()
-        live: dict = {}
-        n_base = len(slices)
-        dynamic = False
-    else:
-        epochs, live, n_base = dynamic_state
-        dynamic = True
+    slices, (epochs, live, n_base) = serve_slices(config, dynamics)
     if costs is None:
         model = StageCostModel(config, slices)
     else:
@@ -188,7 +178,7 @@ def run_service(
     # with one float comparison.
     epoch_cursor = [0, epoch_starts[1] if n_epochs > 1 else math.inf]
     # Epochs whose live map is the identity (every base slice hosts
-    # itself) dispatch exactly like a static session.
+    # itself) skip the live-row lookup in dispatch.
     identity_rows = [
         all(row[j] == j for j in range(n_base)) for row in live_rows
     ]
@@ -231,13 +221,9 @@ def run_service(
             idle_slices = [j for j in range(n_base) if idle[j]]
             if not idle_slices:
                 return
-            if dynamic:
-                if engine.now >= epoch_cursor[1]:
-                    _epoch_index(engine.now)
-                degraded_epoch = not identity_rows[epoch_cursor[0]]
-            else:
-                degraded_epoch = False
-            if degraded_epoch:
+            if engine.now >= epoch_cursor[1]:
+                _epoch_index(engine.now)
+            if not identity_rows[epoch_cursor[0]]:
                 row = live_rows[epoch_cursor[0]]
                 placeable = [
                     (j, row[j]) for j in idle_slices if row[j] is not None
@@ -257,8 +243,8 @@ def run_service(
                         engine.call_at(boundary, _retry)
                     return
             else:
-                # Static sessions and fully-live epochs place every
-                # idle base slice on itself.
+                # A fully-live epoch places every idle base slice on
+                # itself.
                 placeable = [(j, j) for j in idle_slices]
             kind = queue[0].kind
             size = 1
@@ -287,7 +273,7 @@ def run_service(
             start = engine.now
             cut = (
                 _interrupt_time(variant, start, cost)
-                if dynamic and start + cost > epoch_cursor[1]
+                if start + cost > epoch_cursor[1]
                 else None
             )
             if cut is None:
@@ -398,7 +384,7 @@ def run_service(
     if metrics is not None:
         metrics.set_gauge("repro_serve_goodput", goodput)
         metrics.set_gauge("repro_serve_queue_depth_max", float(state["depth_max"]))
-    if dynamic:
+    if dynamics:
         if metrics is not None:
             metrics.set_gauge("repro_serve_epochs", float(len(epochs)))
         if tracer is not None:
@@ -435,7 +421,7 @@ def run_service(
             (kind.name, kind_completed[i])
             for i, kind in enumerate(config.workload)
         ),
-        epochs=len(epochs) if dynamic else 1,
+        epochs=len(epochs),
         redispatched=state["redispatched"],
         degraded=state["degraded"],
         degraded_shed=state["degraded_shed"],

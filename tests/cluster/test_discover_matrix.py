@@ -130,6 +130,7 @@ class TestSynthesize:
 
     def test_gap_is_inject_plus_drain(self):
         topology = ucf_testbed(4)
+        topology.set_pair_multiplier(0, 1, 3.0)
         m = synthesize(topology)
         machines = topology.machines
         for a in range(4):
@@ -137,11 +138,14 @@ class TestSynthesize:
                 if a == b:
                     continue
                 net, _ = topology.route(a, b)
-                expected = (
+                # A multiplied pair scales its gap by f, never its latency.
+                factor = 3.0 if {a, b} == {0, 1} else 1.0
+                expected = factor * (
                     max(net.gap, machines[a].nic_gap)
                     + max(net.gap, machines[b].nic_gap)
                 )
                 assert m.gap[a, b] == pytest.approx(expected)
+                assert m.latency[a, b] == net.latency
 
     def test_speeds_are_true_cpu_rates(self):
         topology = multi_rack(racks=2, hosts_per_rack=3, seed=5)

@@ -224,16 +224,6 @@ class TestNormalized:
 
 
 class TestExports:
-    def test_to_networkx_is_tree(self, nested):
-        import networkx as nx
-
-        graph = nested.to_networkx()
-        assert nx.is_tree(graph.to_undirected())
-        machines_count = sum(
-            1 for _n, d in graph.nodes(data=True) if d["kind"] == "machine"
-        )
-        assert machines_count == nested.num_machines
-
     def test_describe_mentions_everything(self, nested):
         text = nested.describe()
         for machine in nested.machines:

@@ -3,14 +3,7 @@
 import math
 
 from repro.cluster import two_lans
-from repro.dynamics import (
-    DynamicPlan,
-    MachineJoin,
-    MachineLeave,
-    SpeedDrift,
-    epoch_at,
-    membership_epochs,
-)
+from repro.dynamics import DynamicPlan, MachineJoin, MachineLeave, membership_epochs
 
 TOPOLOGY = two_lans()
 ALL = frozenset(m.name for m in TOPOLOGY.machines)
@@ -23,10 +16,6 @@ class TestMembershipEpochs:
         assert epochs[0].start == 0.0
         assert epochs[0].end == math.inf
         assert epochs[0].present == ALL
-
-    def test_non_membership_events_do_not_split(self):
-        plan = DynamicPlan(SpeedDrift("lan0-m0", duration=5.0))
-        assert len(membership_epochs(plan, TOPOLOGY)) == 1
 
     def test_leave_and_rejoin(self):
         plan = DynamicPlan(MachineLeave("lan0-m0", start=1.0, duration=2.0))
@@ -85,23 +74,3 @@ class TestMembershipEpochs:
         assert membership_epochs(plan, TOPOLOGY) == membership_epochs(
             plan, TOPOLOGY
         )
-
-
-class TestEpochAt:
-    def test_lookup(self):
-        plan = DynamicPlan(MachineLeave("lan0-m0", start=1.0, duration=2.0))
-        epochs = membership_epochs(plan, TOPOLOGY)
-        assert epoch_at(epochs, 0.0) is epochs[0]
-        assert epoch_at(epochs, 0.999) is epochs[0]
-        assert epoch_at(epochs, 1.0) is epochs[1]
-        assert epoch_at(epochs, 2.999) is epochs[1]
-        assert epoch_at(epochs, 3.0) is epochs[2]
-        assert epoch_at(epochs, 1e9) is epochs[2]
-
-    def test_covers(self):
-        plan = DynamicPlan(MachineLeave("lan0-m0", start=1.0, duration=2.0))
-        epochs = membership_epochs(plan, TOPOLOGY)
-        for e in epochs:
-            assert e.covers(e.start)
-            if math.isfinite(e.end):
-                assert not e.covers(e.end)

@@ -6,23 +6,12 @@ import pytest
 
 from repro.cluster import two_lans
 from repro.errors import DynamicsError
-from repro.dynamics import (
-    DiurnalLoad,
-    DynamicPlan,
-    MachineJoin,
-    MachineLeave,
-    SpeedDrift,
-    churn_plan,
-    drift_plan,
-)
+from repro.dynamics import DynamicPlan, MachineJoin, MachineLeave, churn_plan
 
 ALL_KINDS = [
     MachineJoin("lan0-m0", start=2.0),
     MachineLeave("lan0-m1", start=1.0, duration=0.5),
     MachineLeave("lan1-m0", start=3.0),  # never returns
-    SpeedDrift("lan0-m2", process="random_walk", magnitude=0.3, step=0.5),
-    SpeedDrift("lan1-m1", process="piecewise_linear", ceiling=3.0),
-    DiurnalLoad("lan0-m3", intensity=0.4, period=10.0, amplitude=0.8),
 ]
 
 
@@ -38,37 +27,12 @@ class TestSpecs:
         with pytest.raises(DynamicsError):
             MachineLeave("m", start=0.0, duration=0.0)
 
-    def test_drift_validation(self):
-        with pytest.raises(DynamicsError):
-            SpeedDrift("m", process="brownian")
-        with pytest.raises(DynamicsError):
-            SpeedDrift("m", magnitude=0.0)
-        with pytest.raises(DynamicsError):
-            SpeedDrift("m", step=0.0)
-        with pytest.raises(DynamicsError):
-            SpeedDrift("m", floor=0.5)
-        with pytest.raises(DynamicsError):
-            SpeedDrift("m", floor=2.0, ceiling=1.5)
-
-    def test_diurnal_validation(self):
-        with pytest.raises(DynamicsError):
-            DiurnalLoad("m", intensity=0.0)
-        with pytest.raises(DynamicsError):
-            DiurnalLoad("m", intensity=1.0)
-        with pytest.raises(DynamicsError):
-            DiurnalLoad("m", amplitude=1.5)
-        with pytest.raises(DynamicsError):
-            DiurnalLoad("m", period=0.0)
-        with pytest.raises(DynamicsError):
-            DiurnalLoad("m", burst_mean=0.0)
-
 
 class TestPlan:
     def test_empty_plan(self):
         plan = DynamicPlan.empty()
         assert plan.is_empty
         assert len(plan) == 0
-        assert plan.machines() == ()
         assert "empty" in repr(plan)
 
     def test_wraps_bare_spec(self):
@@ -79,12 +43,9 @@ class TestPlan:
         with pytest.raises(DynamicsError):
             DynamicPlan(["not a spec"])
 
-    def test_extended_and_machines(self):
+    def test_extended(self):
         plan = DynamicPlan(ALL_KINDS[:2]).extended(*ALL_KINDS[2:])
         assert len(plan) == len(ALL_KINDS)
-        assert plan.machines() == tuple(
-            sorted({e.machine for e in ALL_KINDS})
-        )
 
     def test_validate_names(self):
         topology = two_lans()
@@ -146,8 +107,3 @@ class TestPresets:
             churn_plan(["m"], rate=1.0, duration=0.0)
         with pytest.raises(DynamicsError):
             churn_plan(["m"], rate=1.0, duration=10.0, outage_mean=0.0)
-
-    def test_drift_plan_covers_all_machines(self):
-        plan = drift_plan(["a", "b"], magnitude=0.1, step=2.0, ceiling=3.0)
-        assert plan.machines() == ("a", "b")
-        assert all(isinstance(e, SpeedDrift) for e in plan)

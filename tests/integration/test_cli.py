@@ -371,6 +371,10 @@ _MALFORMED = [
      ["serve", "--config", "{file}"], ["workload[0]"]),
     ("events-null", '{"events": null}',
      ["serve", "--duration", "2", "--dynamics", "{file}"], ["events"]),
+    ("serve-drift-kind",
+     '{"events": [{"kind": "speed_drift", "machine": "lan0-m0"}]}',
+     ["serve", "--duration", "2", "--dynamics", "{file}"],
+     ["events[0]", "speed_drift", "machine_join, machine_leave"]),
     ("inspect-not-json", "{nope",
      ["topology", "inspect", "{file}"], ["not valid JSON"]),
     ("inspect-no-root", '{"schema": "repro.cluster/2"}',

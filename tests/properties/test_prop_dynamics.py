@@ -1,7 +1,7 @@
 """Acceptance property: empty/absent dynamic plans are exact no-ops.
 
 The tentpole guarantee of ``repro.dynamics`` is that *carrying* the
-machinery costs nothing: a session or run handed ``dynamics=None``,
+machinery costs nothing: a session handed ``dynamics=None``,
 ``DynamicPlan.empty()``, or a zero-rate ``churn_plan`` must be
 bit-identical — every float in the report, not approximately equal —
 to one that never heard of dynamics.  Hypothesis drives seeds and
@@ -14,12 +14,8 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import two_lans
-from repro.collectives import run_gather
-from repro.dynamics import DynamicPlan, churn_plan, compile_plan
+from repro.dynamics import DynamicPlan, churn_plan
 from repro.serve import default_config, run_service
-
-TOPOLOGY = two_lans()
 
 
 def _session(seed: int, rate: float):
@@ -52,16 +48,3 @@ class TestServeNoOpPlans:
         assert report.redispatched == 0
         assert report.degraded == 0
         assert report.degraded_shed == 0
-
-
-class TestCollectiveNoOpPlans:
-    @given(seed=st.integers(0, 2**16), n=st.sampled_from([2000, 20_000]))
-    @settings(max_examples=8, deadline=None)
-    def test_empty_compile_is_bit_identical(self, seed, n):
-        baseline = run_gather(TOPOLOGY, n, seed=seed)
-        compiled = compile_plan(DynamicPlan.empty(), TOPOLOGY, horizon=10.0)
-        assert compiled.is_static
-        carried = run_gather(TOPOLOGY, n, seed=seed, faults=compiled.fault_plan)
-        assert carried.time == baseline.time
-        assert carried.predicted_time == baseline.predicted_time
-        assert carried.supersteps == baseline.supersteps

@@ -15,15 +15,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import MachineSpec, NetworkSpec, dumps, loads, two_lans
 from repro.cluster.discover import ProbeMatrix
-from repro.dynamics import (
-    DiurnalLoad,
-    DynamicPlan,
-    MachineJoin,
-    MachineLeave,
-    SpeedDrift,
-    churn_plan,
-    drift_plan,
-)
+from repro.dynamics import DynamicPlan, MachineJoin, MachineLeave, churn_plan
 from repro.errors import (
     CollectiveError,
     DiscoveryError,
@@ -73,11 +65,6 @@ _fault_specs = st.one_of(
 _dynamic_specs = st.one_of(
     st.builds(MachineJoin, _names, _start),
     st.builds(MachineLeave, _names, _start, _window),
-    st.builds(SpeedDrift, _names, st.sampled_from(["random_walk", "piecewise_linear"]),
-              _positive, _positive, st.floats(1.0, 2.0), st.floats(2.0, 8.0),
-              _start, _window),
-    st.builds(DiurnalLoad, _names, st.floats(0.01, 0.99), _positive, _prob,
-              _positive, _start, _window),
 )
 _stages = st.builds(StageSpec, st.sampled_from(STAGE_OPS), _positive)
 _kinds = st.builds(
@@ -160,7 +147,6 @@ _GOLDEN_SOURCES = {
     "congestion_plan": lambda: congestion_plan("ethernet-100", duration=1.5).to_json(),
     "flaky_network_plan": lambda: flaky_network_plan().to_json(),
     "churn_plan": lambda: churn_plan(_MACHINES, rate=0.25, duration=20.0, seed=0).to_json(),
-    "drift_plan": lambda: drift_plan(_MACHINES).to_json(),
     "default_config": lambda: default_config().to_json(),
     "serving_config": lambda: serving_config(8.0, seed=3, process="diurnal").to_json(),
     "tuned_decision": lambda: json.dumps(_DECISION.to_dict(), indent=2),
@@ -182,8 +168,8 @@ class TestGoldens:
     @pytest.mark.parametrize("name,cls", [
         ("straggler_plan", FaultPlan), ("congestion_plan", FaultPlan),
         ("flaky_network_plan", FaultPlan), ("churn_plan", DynamicPlan),
-        ("drift_plan", DynamicPlan), ("default_config", ServiceConfig),
-        ("serving_config", ServiceConfig), ("tuned_decision", TunedDecision),
+        ("default_config", ServiceConfig), ("serving_config", ServiceConfig),
+        ("tuned_decision", TunedDecision),
     ])
     def test_goldens_decode_and_re_encode_unchanged(self, name, cls):
         document = json.loads(_GOLDENS[name])
