@@ -167,16 +167,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.faults import FaultPlan
 
         kwargs["faults"] = FaultPlan.from_file(args.faults)
-    if args.send_timeout is not None:
+    if args.send_timeout is not None or args.retries:
         from repro.faults import DeliveryPolicy
 
-        kwargs["delivery"] = (
-            DeliveryPolicy.retry(args.retries, timeout=args.send_timeout)
-            if args.retries > 0
-            else DeliveryPolicy(timeout=args.send_timeout)
-        )
-    elif args.retries > 0:
-        raise ReproError("--retries needs --send-timeout to arm the timer")
+        if args.send_timeout is None and args.retries > 0:
+            raise ReproError("--retries needs --send-timeout to arm the timer")
+        kwargs["delivery"] = DeliveryPolicy(timeout=args.send_timeout, retries=args.retries)
     accepted = inspect.signature(runner).parameters
     if "root" in accepted:
         kwargs["root"] = root_spec

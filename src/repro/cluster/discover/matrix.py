@@ -234,14 +234,10 @@ def synthesize(
     network ``net``:
 
     * ``latency[i, j] = net.latency`` (the wire's one-way message cost);
-    * ``gap[i, j] = f_ij * (net.effective_gap(nic_i) +
-      net.effective_gap(nic_j))`` (inject + drain, each capped below by
-      the wire's own gap, scaled by the pair's
-      :meth:`~repro.cluster.topology.ClusterTopology.pair_multiplier`
-      ``f_ij``, 1 unless set) — matching what a two-size ping fit
-      measures on the simulator up to CPU pack/unpack costs.  The
-      engines scale a pair's per-byte cost, never its latency, so
-      ``f_ij`` leaves ``latency`` alone.
+    * ``gap[i, j] = net.effective_gap(nic_i) + net.effective_gap(nic_j)``
+      (inject + drain, each capped below by the wire's own gap) —
+      matching what a two-size ping fit measures on the simulator up
+      to CPU pack/unpack costs.
 
     ``speeds`` carries each machine's true ``cpu_rate``.  Pass
     ``noise > 0`` for seeded multiplicative measurement noise and
@@ -281,10 +277,6 @@ def synthesize(
         return ranges[0][0], ranges[-1][1]
 
     walk(topology.root)
-    if gap is not None:
-        for (a, b), factor in topology._pair_multipliers.items():
-            gap[a, b] *= factor
-            gap[b, a] *= factor
     matrix = ProbeMatrix(
         names=tuple(m.name for m in topology.machines),
         latency=latency,

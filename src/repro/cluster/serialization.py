@@ -5,7 +5,9 @@ paper's experiments are only meaningful relative to a fixed testbed).
 This module round-trips :class:`~repro.cluster.ClusterTopology` through
 JSON-compatible dictionaries, preserving machine/network parameters
 (including the per-machine speed vector — every :class:`MachineSpec`
-field is kept) and the pair-multiplier extension.
+field is kept).  Between two machines the tree alone sets the cost, so
+a document carrying per-pair multipliers (a field earlier writers
+emitted, always empty) is refused unless the list is empty.
 
 Schema ``repro.cluster/2`` additionally carries an optional calibrated
 :class:`~repro.model.HBSPParams` tree (``dumps(topology, params=...)``
@@ -52,6 +54,11 @@ def _check_schema(data: t.Mapping[str, t.Any]) -> None:
             f"unsupported schema {data.get('schema')!r} "
             f"(expected one of {_KNOWN_SCHEMAS!r})"
         )
+    if data.get("pair_multipliers"):
+        raise TopologyError(
+            "pair_multipliers: per-pair costs are not supported (a message pays "
+            "its machines' lowest common ancestor network); only [] loads"
+        )
 
 
 def _node_to_dict(node: Cluster | MachineSpec) -> dict:
@@ -68,7 +75,7 @@ def _node_to_dict(node: Cluster | MachineSpec) -> dict:
 def topology_to_dict(
     topology: ClusterTopology, *, params: "HBSPParams | None" = None
 ) -> dict:
-    """Serialise a topology (structure, specs, pair multipliers).
+    """Serialise a topology (structure and specs).
 
     Pass ``params`` (a calibrated :class:`~repro.model.HBSPParams`) to
     embed the per-level model parameters alongside the structure.
@@ -76,10 +83,6 @@ def topology_to_dict(
     data = {
         "schema": _SCHEMA,
         "root": _node_to_dict(topology.root),
-        "pair_multipliers": [
-            {"a": topology.machines[a].name, "b": topology.machines[b].name, "factor": f}
-            for (a, b), f in sorted(topology._pair_multipliers.items())
-        ],
     }
     if params is not None:
         data["params"] = params_to_dict(params)
@@ -157,14 +160,7 @@ def topology_from_dict(data: dict) -> ClusterTopology:
     """
     with typed_errors(TopologyError, "topology document"):
         _check_schema(data)
-        topology = ClusterTopology(_node_from_dict(data["root"], "root"))
-        for entry in data.get("pair_multipliers", ()):
-            topology.set_pair_multiplier(
-                topology.machine_id(entry["a"]),
-                topology.machine_id(entry["b"]),
-                entry["factor"],
-            )
-        return topology
+        return ClusterTopology(_node_from_dict(data["root"], "root"))
 
 
 def topology_hash(
@@ -181,8 +177,9 @@ def topology_hash(
     * JSON dict/key ordering never matters (canonical ``sort_keys``
       serialisation with fixed separators);
     * the ``schema`` marker is excluded, so a v1 document and its v2
-      re-serialisation hash identically (absent ``pair_multipliers``
-      normalises to empty, absent ``params`` to omitted);
+      re-serialisation hash identically (an empty ``pair_multipliers``
+      list, which earlier writers emitted, is dropped, absent
+      ``params`` omitted);
     * embedded calibrated params *do* contribute — the same structure
       calibrated differently tunes differently, so it must hash
       differently.
@@ -191,7 +188,7 @@ def topology_hash(
     with ``params`` to embed), an already-serialised dictionary, or a
     JSON string.  The ``params``-less hash of a live topology is
     memoised on the instance (the tuner's warm lookup is otherwise all
-    hashing) and dropped by ``set_pair_multiplier``.
+    hashing); the topology is immutable, so the memo never goes stale.
     """
     memo = isinstance(source, ClusterTopology) and params is None
     if memo and source._content_hash is not None:
@@ -207,9 +204,10 @@ def topology_hash(
             )
         data = dict(source)
     _check_schema(data)
-    canonical = {key: value for key, value in data.items() if key != "schema"}
-    if not canonical.get("pair_multipliers"):
-        canonical["pair_multipliers"] = []
+    canonical = {
+        key: value for key, value in data.items()
+        if key not in ("schema", "pair_multipliers")
+    }
     if canonical.get("params") is None:
         canonical.pop("params", None)
     payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"))

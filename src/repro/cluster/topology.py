@@ -78,7 +78,9 @@ class ClusterTopology:
     """An indexed, validated view over a cluster tree.
 
     Machines are numbered 0..p-1 in left-to-right (DFS) order; clusters
-    are numbered in DFS pre-order with the root cluster first.
+    are numbered in DFS pre-order with the root cluster first.  The
+    tree is immutable, so ``topology_hash`` is one content identity
+    that every cache may key on.
     """
 
     def __init__(self, root: Cluster | MachineSpec) -> None:
@@ -99,13 +101,9 @@ class ClusterTopology:
         self._cluster_members: list[list[int]] = []
         self._cluster_parent: list[int | None] = []
         self._cluster_children: list[list[int]] = []
-        self._pair_multipliers: dict[tuple[int, int], float] = {}
-        #: Memo of ``serialization.topology_hash(self)``; the tree is
-        #: immutable, so only :meth:`set_pair_multiplier` invalidates it.
+        #: Memo of ``serialization.topology_hash(self)``; the topology
+        #: is immutable, so it never goes stale.
         self._content_hash: str | None = None
-        #: Memo of this topology's ``perf.job.content_tokens`` encoding
-        #: (tree + pair multipliers); same invalidation.
-        self._content_tokens: bytes | None = None
 
         self._walk(root, parent_chain=(), depth=0)
         self._height = max(len(chain) for chain in self._machine_ancestors)
@@ -259,24 +257,6 @@ class ClusterTopology:
         lca = self.lca_cluster(a, b)
         return self.clusters[lca].network, self.cluster_level(lca)
 
-    def pair_multiplier(self, a: int, b: int) -> float:
-        """Optional per-destination cost multiplier (paper §6 extension)."""
-        return self._pair_multipliers.get((min(a, b), max(a, b)), 1.0)
-
-    def set_pair_multiplier(self, a: int, b: int, factor: float) -> None:
-        """Scale all traffic between machines ``a`` and ``b`` by ``factor``.
-
-        Implements the paper's future-work extension of ``r_{i,j}`` to
-        per-destination communication costs.
-        """
-        if factor <= 0:
-            raise TopologyError(f"pair multiplier must be > 0, got {factor!r}")
-        if a == b:
-            raise TopologyError("pair multiplier needs two distinct machines")
-        self._pair_multipliers[(min(a, b), max(a, b))] = float(factor)
-        self._content_hash = None
-        self._content_tokens = None
-
     # -- transformations --------------------------------------------------------------
     def normalized(self) -> "ClusterTopology":
         """Return a topology where every machine sits at depth ``k``.
@@ -304,9 +284,7 @@ class ClusterTopology:
                 [rebuild(child, depth + 1) for child in node.children],
             )
 
-        out = ClusterTopology(t.cast(Cluster, rebuild(self.root, 0)))
-        out._pair_multipliers = dict(self._pair_multipliers)
-        return out
+        return ClusterTopology(t.cast(Cluster, rebuild(self.root, 0)))
 
     def describe(self) -> str:
         """A human-readable multi-line summary of the tree."""

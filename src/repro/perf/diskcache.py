@@ -48,6 +48,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+from repro.errors import ValidationError
 from repro.obs.accounting import RunObs
 from repro.perf.job import SimResult
 
@@ -57,8 +58,9 @@ __all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "DiskCache", "default_cache_dir
 #: v2: entries carry the compact RunObs observability record, so
 #: warm-cache runs reconstruct identical metrics and superstep ledgers.
 #: v3: job keys encode a topology's pair multipliers (v2 keys collided
-#: for machines differing only in ``set_pair_multiplier``).
-CACHE_SCHEMA_VERSION = 3
+#: for machines differing only in a pair multiplier, since removed).
+#: v4: job keys encode a topology as its ``topology_hash``.
+CACHE_SCHEMA_VERSION = 4
 
 
 def default_cache_dir() -> Path:
@@ -251,7 +253,7 @@ class DiskCache:
         nested decision cache) are never touched.
         """
         if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
+            raise ValidationError(f"max_bytes must be >= 0, got {max_bytes}")
         removed = 0
         freed = 0
         for stale in self._stale_dirs():

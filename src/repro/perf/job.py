@@ -29,6 +29,7 @@ import typing as t
 
 import numpy as np
 
+from repro.cluster.serialization import topology_hash
 from repro.cluster.topology import ClusterTopology
 from repro.errors import ReproError
 from repro.obs.accounting import RunObs, collect_run_obs
@@ -111,16 +112,9 @@ def content_tokens(value: t.Any, out: list[bytes]) -> None:
     elif isinstance(value, np.generic):
         content_tokens(value.item(), out)
     elif isinstance(value, ClusterTopology):
-        # Memoised on the instance (a sweep hashes ~5 jobs per
-        # topology); dropped by set_pair_multiplier.  A fixed-size
-        # digest rather than the raw tokens, so the memo adds 33 bytes,
-        # not a second copy of the tree, to every pickled job.
-        if value._content_tokens is None:
-            tokens: list[bytes] = []
-            content_tokens(value.root, tokens)
-            content_tokens(sorted(value._pair_multipliers.items()), tokens)
-            value._content_tokens = b"Y" + hashlib.sha256(b"".join(tokens)).digest()
-        out.append(value._content_tokens)
+        # The topology's one content identity, memoised on the
+        # (immutable) instance: a sweep hashes ~5 jobs per topology.
+        out.append(b"Y" + topology_hash(value).encode())
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):
         out.append(f"D{type(value).__qualname__}(".encode())
         for field in dataclasses.fields(value):

@@ -64,7 +64,7 @@ class _Link:
     """
 
     __slots__ = (
-        "target", "network", "level", "latency", "multiplier",
+        "target", "network", "level", "latency",
         "inject_gap", "drain_gap", "labels", "name",
     )
 
@@ -78,9 +78,6 @@ class _Link:
         network, self.level = vm.route(source.host, target.host)
         self.network = network.name
         self.latency = network.latency
-        self.multiplier = vm.topology.pair_multiplier(
-            source.host.machine_id, target.host.machine_id
-        )
         self.inject_gap = network.effective_gap(source.host.spec.nic_gap)
         self.drain_gap = network.effective_gap(target.host.spec.nic_gap)
         self.labels = (("network", network.name),)
@@ -151,7 +148,7 @@ class _Attempt:
         link = self.link
         vm = self.source.vm
         now = vm.engine.now
-        drain = self.size * link.drain_gap * link.multiplier
+        drain = self.size * link.drain_gap
         if vm.injector is not None:
             drain = vm.injector.transfer_time(link.network, now, drain)
         self.start = now
@@ -362,7 +359,7 @@ class Task:
 
     def _inject_time(self, link: _Link, size: int) -> float:
         """NIC out-port hold for ``size`` bytes over ``link``, as of now."""
-        inject = size * link.inject_gap * link.multiplier
+        inject = size * link.inject_gap
         injector = self.vm.injector
         if injector is not None:
             inject = injector.transfer_time(link.network, self.vm.engine.now, inject)

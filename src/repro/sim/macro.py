@@ -352,14 +352,11 @@ class MacroEngine:
         # per LCA.  effective_gap is pure, so the cached floats feed
         # the exact same per-send expressions bit for bit.
         topo = self.vm.topology
-        self._mids = [state.task.host.machine_id for state in self._states]
-        self._chains = [topo._machine_ancestors[mid] for mid in self._mids]
+        self._chains = [topo._machine_ancestors[state.task.host.machine_id]
+                        for state in self._states]
         self._tids = [state.task.tid for state in self._states]
         #: lca -> (latency, labels, network, {pid: effective NIC gap})
         self._lca_net: dict[int, tuple] = {}
-        # Multiplying by a 1.0 pair multiplier is a bitwise no-op, so
-        # the multiply is skipped entirely when no multipliers are set.
-        self._has_pair_mult = bool(topo._pair_multipliers)
         #: Per-network sent counters, flushed to the metrics registry
         #: at superstep boundaries (sums of integer-valued floats are
         #: exact, so totals match the object path's per-send incs).
@@ -408,7 +405,6 @@ class MacroEngine:
         task = state.task
         tid = task.tid
         pending = state.pending
-        has_mult = self._has_pair_mult
         nprocs = len(states)
         own_chain = chains[me]
         chain = None  # the destination leaf cluster the route below is for
@@ -456,13 +452,8 @@ class MacroEngine:
             if t_local > sent_at:  # a hold that moves the clock is an event
                 append(t_local)
             packed = t_local
-            if has_mult:
-                multiplier = self.vm.topology.pair_multiplier(self._mids[me], self._mids[pid])
-                t_local = t_local + inject * multiplier
-                drain = size * drain_gap * multiplier
-            else:
-                t_local = t_local + inject
-                drain = size * drain_gap
+            t_local = t_local + inject
+            drain = size * drain_gap
             if t_local > packed:
                 append(t_local)
             # wire latency, then the contended receiver drain (folded on

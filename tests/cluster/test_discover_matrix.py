@@ -130,7 +130,6 @@ class TestSynthesize:
 
     def test_gap_is_inject_plus_drain(self):
         topology = ucf_testbed(4)
-        topology.set_pair_multiplier(0, 1, 3.0)
         m = synthesize(topology)
         machines = topology.machines
         for a in range(4):
@@ -138,9 +137,7 @@ class TestSynthesize:
                 if a == b:
                     continue
                 net, _ = topology.route(a, b)
-                # A multiplied pair scales its gap by f, never its latency.
-                factor = 3.0 if {a, b} == {0, 1} else 1.0
-                expected = factor * (
+                expected = (
                     max(net.gap, machines[a].nic_gap)
                     + max(net.gap, machines[b].nic_gap)
                 )

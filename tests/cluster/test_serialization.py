@@ -68,11 +68,27 @@ class TestRoundTrip:
 
 
 class TestDetails:
-    def test_pair_multipliers_roundtrip(self):
+    def test_pair_multipliers_rejected(self):
+        # Between two machines the tree alone sets the cost; a document
+        # asking for more is refused, naming the field.
+        data = topology_to_dict(ucf_testbed(4))
+        data["pair_multipliers"] = [
+            {"a": data["root"]["children"][0]["name"],
+             "b": data["root"]["children"][3]["name"], "factor": 2}
+        ]
+        with pytest.raises(TopologyError, match="pair_multipliers"):
+            topology_from_dict(data)
+        with pytest.raises(TopologyError, match="pair_multipliers"):
+            topology_hash(data)
+
+    def test_empty_pair_multipliers_still_load(self):
+        # Every earlier writer emitted an empty list.
         topology = ucf_testbed(4)
-        topology.set_pair_multiplier(0, 3, 7.5)
-        restored = loads(dumps(topology))
-        assert restored.pair_multiplier(0, 3) == 7.5
+        data = topology_to_dict(topology)
+        assert "pair_multipliers" not in data
+        data["pair_multipliers"] = []
+        assert dumps(topology_from_dict(data)) == dumps(topology)
+        assert topology_hash(data) == topology_hash(dumps(topology))
 
     def test_json_is_valid_and_stable(self):
         text = dumps(ucf_testbed(3))
@@ -125,11 +141,10 @@ class TestTopologyHash:
         assert topology_hash(data) == topology_hash(reversed_order)
 
     def test_schema_version_never_matters(self):
-        # A v1 document (no pair_multipliers key) and its v2
-        # re-serialisation describe the same machine.
+        # A v1 document and its v2 re-serialisation describe the same
+        # machine.
         data = topology_to_dict(ucf_testbed(3))
-        v1 = {k: v for k, v in data.items() if k not in ("pair_multipliers",)}
-        v1["schema"] = "repro.cluster/1"
+        v1 = dict(data, schema="repro.cluster/1")
         assert topology_hash(v1) == topology_hash(data)
 
     def test_structure_discriminates(self):
@@ -140,22 +155,6 @@ class TestTopologyHash:
             topology_hash(grid_three_level()),
         }
         assert len(hashes) == 4
-
-    def test_pair_multipliers_discriminate(self):
-        plain = ucf_testbed(4)
-        degraded = ucf_testbed(4)
-        degraded.set_pair_multiplier(0, 3, 7.5)
-        assert topology_hash(plain) != topology_hash(degraded)
-
-    def test_multiplier_set_after_hashing_still_discriminates(self):
-        # The hash is memoised on the instance; mutation must drop it.
-        topology = ucf_testbed(4)
-        before = topology_hash(topology)
-        assert topology_hash(topology) == before
-        topology.set_pair_multiplier(0, 3, 7.5)
-        after = topology_hash(topology)
-        assert after != before
-        assert after == topology_hash(topology_to_dict(topology))
 
     def test_embedded_params_discriminate(self):
         topology = ucf_testbed(4)

@@ -164,20 +164,6 @@ class TestRouting:
         with pytest.raises(RoutingError):
             nested.lca_cluster(0, 99)
 
-    def test_pair_multiplier_default_one(self, nested):
-        assert nested.pair_multiplier(0, 3) == 1.0
-
-    def test_pair_multiplier_symmetric(self, nested):
-        nested.set_pair_multiplier(0, 3, 2.5)
-        assert nested.pair_multiplier(0, 3) == 2.5
-        assert nested.pair_multiplier(3, 0) == 2.5
-
-    def test_pair_multiplier_validation(self, nested):
-        with pytest.raises(TopologyError):
-            nested.set_pair_multiplier(0, 0, 2.0)
-        with pytest.raises(TopologyError):
-            nested.set_pair_multiplier(0, 1, 0.0)
-
 
 class TestNormalized:
     def test_flat_is_unchanged_in_shape(self, flat):
@@ -216,11 +202,6 @@ class TestNormalized:
         net, level = norm.route(a, b)
         assert net.name == "campus-atm"
         assert level == 2
-
-    def test_pair_multipliers_carried_over(self, nested):
-        nested.set_pair_multiplier(0, 4, 3.0)
-        norm = nested.normalized()
-        assert norm.pair_multiplier(0, 4) == 3.0
 
 
 class TestExports:

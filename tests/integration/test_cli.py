@@ -357,9 +357,8 @@ def _runs_without_predicted():
 
 
 #: (id, file content or None, argv with ``{file}`` for the written file,
-#: substrings the one error line must carry).  Eleven of these were a
-#: traceback or a silent acceptance before the spec codec; the last
-#: three already behaved and pin the shape the others were moved to.
+#: substrings the one error line must carry).  Most of these were once
+#: a traceback, a silent acceptance or a silently ignored value.
 _MALFORMED = [
     ("faults-not-a-list", '{"faults": 5}',
      ["run", "gather", "testbed:3", "--faults", "{file}"], ["faults"]),
@@ -397,6 +396,17 @@ _MALFORMED = [
      ["topology", "discover", "--matrix", "{file}"], ["schema"]),
     ("root-out-of-range", None,
      ["run", "gather", "testbed:3", "--root", "99"], ["99"]),
+    ("inspect-pair-multipliers",
+     '{"schema": "repro.cluster/2", "root": {"kind": "machine", "name": "m"}, '
+     '"pair_multipliers": [{"a": "m", "b": "n", "factor": 2}]}',
+     ["topology", "inspect", "{file}"], ["pair_multipliers"]),
+    ("prune-negative-max-bytes", None,
+     ["cache", "prune", "--max-bytes", "-5"], ["max_bytes", "-5"]),
+    ("run-negative-retries", None,
+     ["run", "gather", "testbed:3", "--retries", "-2"], ["retries", "-2"]),
+    ("run-negative-retries-with-timeout", None,
+     ["run", "gather", "testbed:3", "--retries", "-2", "--send-timeout", "0.5"],
+     ["retries", "-2"]),
 ]
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import Cluster, ClusterTopology
 from repro.cluster.presets import ucf_testbed
 from repro.collectives import RootPolicy
 from repro.perf import SimJob, SweepExecutor, current_executor, evaluate, sweep
@@ -55,12 +58,16 @@ class TestEvaluate:
 
 
 class TestPairMultiplierCollision:
-    """Machines differing only in ``set_pair_multiplier`` once shared a key."""
+    """Machines differing only in a (since removed) per-pair multiplier
+    once shared a key; two differing in one NIC gap must never."""
 
     @staticmethod
     def _jobs() -> tuple[SimJob, SimJob]:
-        plain, slow_link = ucf_testbed(4), ucf_testbed(4)
-        slow_link.set_pair_multiplier(0, 1, 50.0)
+        plain = ucf_testbed(4)
+        lan = plain.root
+        machines = list(lan.children)
+        machines[1] = dataclasses.replace(machines[1], nic_gap=50 * machines[1].nic_gap)
+        slow_link = ClusterTopology(Cluster(lan.name, lan.network, machines))
         return (
             SimJob.collective("gather", plain, 100_000),
             SimJob.collective("gather", slow_link, 100_000),

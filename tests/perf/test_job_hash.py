@@ -8,6 +8,7 @@ configuration change must change it) and process-independent (no
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.cluster import Cluster, ClusterTopology, MachineSpec, NetworkSpec, topology_hash
 from repro.cluster.presets import flat_cluster, ucf_testbed
 from repro.collectives import RootPolicy, WorkloadPolicy
 from repro.errors import ReproError
@@ -87,31 +89,34 @@ class TestDiscriminating:
         digests = {_hash(base), *(_hash(v) for v in variants)}
         assert len(digests) == len(variants) + 1
 
-    def test_pair_multipliers_feed_the_hash(self):
-        plain, scaled, rescaled = ucf_testbed(4), ucf_testbed(4), ucf_testbed(4)
-        scaled.set_pair_multiplier(0, 1, 50.0)
-        rescaled.set_pair_multiplier(1, 0, 50.0)  # same pair, other spelling
-        rescaled.set_pair_multiplier(2, 3, 1.5)
-        digests = [
-            _hash(SimJob.collective("gather", topology, 1000, seed=0))
-            for topology in (plain, scaled, rescaled)
-        ]
-        assert len(set(digests)) == 3
-        rescaled_twin = ucf_testbed(4)
-        rescaled_twin.set_pair_multiplier(2, 3, 1.5)  # other insertion order
-        rescaled_twin.set_pair_multiplier(0, 1, 50.0)
-        assert _hash(
-            SimJob.collective("gather", rescaled_twin, 1000, seed=0)
-        ) == digests[2]
+    @pytest.mark.parametrize(
+        "part,field",
+        [("machine", f.name) for f in dataclasses.fields(MachineSpec)]
+        + [("network", f.name) for f in dataclasses.fields(NetworkSpec)]
+        + [("cluster", "name")],
+    )
+    def test_every_topology_value_feeds_the_hash(self, part, field):
+        """The topology's one content identity covers every value in
+        the tree: change any single one and both keys move."""
+        lan = ucf_testbed(4).root
+        name, network, machines = lan.name, lan.network, list(lan.children)
 
-    def test_set_pair_multiplier_drops_the_memoised_encoding(self):
-        topology = ucf_testbed(4)
-        before = _hash(SimJob.collective("gather", topology, 1000, seed=0))
-        assert topology._content_tokens is not None
-        topology.set_pair_multiplier(0, 1, 50.0)
-        assert topology._content_tokens is None
-        after = _hash(SimJob.collective("gather", topology, 1000, seed=0))
-        assert after != before
+        def changed(value):
+            return value + "-x" if isinstance(value, str) else value * 1.5 + 1e-6
+
+        if part == "machine":
+            machines[1] = dataclasses.replace(
+                machines[1], **{field: changed(getattr(machines[1], field))}
+            )
+        elif part == "network":
+            network = dataclasses.replace(network, **{field: changed(getattr(network, field))})
+        else:
+            name = changed(name)
+        other = ClusterTopology(Cluster(name, network, machines))
+        assert topology_hash(other) != topology_hash(ucf_testbed(4))
+        assert _hash(SimJob.collective("gather", other, 1000, seed=0)) != _hash(
+            SimJob.collective("gather", ucf_testbed(4), 1000, seed=0)
+        )
 
     def test_enum_members_are_distinguished(self):
         topology = ucf_testbed(4)

@@ -221,13 +221,8 @@ class TestSendEachFanOut:
             st.lists(st.integers(min_value=0, max_value=30), max_size=8),
             min_size=1, max_size=6,
         ),
-        pair=st.tuples(st.integers(0, 30), st.integers(0, 30)),
-        factor=st.floats(min_value=0.5, max_value=4.0),
     )
-    def test_fan_out_with_a_pair_multiplier(self, topology, peer_lists, pair, factor):
-        a, b = (pid % topology.num_machines for pid in pair)
-        if a != b:
-            topology.set_pair_multiplier(a, b, factor)
+    def test_fan_out(self, topology, peer_lists):
         runs = []
         for macro in (True, False):
             runtime = HbspRuntime(topology, macro=macro)

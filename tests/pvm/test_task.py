@@ -122,26 +122,6 @@ class TestSendTiming:
         # Each drain takes 1 ms; they serialise: total >= 2 ms.
         assert recv_task.process.value >= 2e-3 - 1e-12
 
-    def test_pair_multiplier_scales_transfer(self):
-        vm_plain = make_vm()
-        vm_scaled = make_vm()
-        vm_scaled.topology.set_pair_multiplier(0, 1, 3.0)
-
-        def run(vm):
-            def sender(task, dst):
-                yield from task.send(dst, np.zeros(1000, dtype=np.uint8))
-
-            def receiver(task):
-                yield from task.recv()
-                return task.now
-
-            recv_task = vm.spawn(receiver, 1)
-            vm.spawn(sender, 0, recv_task.tid)
-            vm.run()
-            return recv_task.process.value
-
-        assert run(vm_scaled) > run(vm_plain)
-
 
 class TestRecv:
     def test_matching_by_source_and_tag(self):

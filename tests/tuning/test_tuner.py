@@ -1,8 +1,10 @@
 """Tests for the tuning pipeline: enumerate, price, validate, memoize."""
 
+import dataclasses
+
 import pytest
 
-from repro.cluster import topology_hash
+from repro.cluster import Cluster, ClusterTopology, topology_hash
 from repro.cluster.discover.generators import GENERATORS, multi_rack
 from repro.cluster.presets import PRESETS, build_preset, deep_hierarchy, two_lans
 from repro.collectives import RootPolicy, run_broadcast, run_gather
@@ -208,15 +210,20 @@ class TestValidationBatch:
             decision = tune(topology, "broadcast", 4000, cache=cache, force=True)
             assert len(runtime_runs) == decision.validated
 
-    def test_a_pair_multiplier_between_tunes_re_simulates(self, cache, runtime_runs):
-        """The job key covers pair multipliers, so the sweep memo cannot
-        serve the unmultiplied machine's validations."""
+    def test_one_nic_gap_apart_re_simulates(self, cache, runtime_runs):
+        """The job key covers every machine spec, so the sweep memo
+        cannot serve one machine's validations to a machine whose last
+        NIC is slower."""
         topology = two_lans(3)
+        lan0, lan1 = topology.root.children
+        last = dataclasses.replace(lan1.children[-1], nic_gap=4 * lan1.children[-1].nic_gap)
+        slower = ClusterTopology(Cluster(topology.root.name, topology.root.network, [
+            lan0, Cluster(lan1.name, lan1.network, [*lan1.children[:-1], last]),
+        ]))
         with sweep():
             first = tune(topology, "broadcast", 4000, cache=cache)
             runtime_runs.clear()
-            topology.set_pair_multiplier(0, topology.num_machines - 1, 4.0)
-            second = tune(topology, "broadcast", 4000, cache=cache)
+            second = tune(slower, "broadcast", 4000, cache=cache)
         assert second.topology_hash != first.topology_hash
         assert len(runtime_runs) == second.validated
 

@@ -3,7 +3,8 @@
 ``codec_goldens.json`` holds ``to_json()`` / ``dumps`` output captured
 at the commit *before* the hand-written ``to_dict``/``from_dict`` bodies
 were replaced by :mod:`repro.util.codec`; the codec must reproduce every
-byte of it.
+byte of it.  One edit since: ``topology_v2`` lost its always-empty
+``pair_multipliers`` key when per-pair multipliers were removed.
 """
 
 import json
