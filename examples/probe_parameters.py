@@ -17,6 +17,7 @@ Run:  python examples/probe_parameters.py
 
 from repro import ucf_testbed, run_gather
 from repro.model import calibrate, probe_params
+from repro.obs import gantt, observe
 from repro.util.tables import AsciiTable
 
 
@@ -38,9 +39,11 @@ def main() -> None:
           f"probed {report.L[(1, 0)]:.6f} s")
     print()
 
-    outcome = run_gather(topology, 100_000, trace=True)
-    print("where a gather's time goes (g=gather root at the top):")
-    print(outcome.result.trace.gantt(width=64))
+    with observe(spans=True) as observation:
+        run_gather(topology, 100_000)
+    print("where a gather's time goes (the gather root at the top):")
+    machines = [machine.name for machine in topology.machines]
+    print(gantt(observation.tracer, width=64, actors=machines))
 
 
 if __name__ == "__main__":

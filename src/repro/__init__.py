@@ -42,7 +42,6 @@ Robustness (see ``docs/faults.md``)::
 
 from repro.errors import FaultError, TimeoutError  # noqa: A004
 from repro.faults import DeliveryPolicy, FaultPlan, Injector
-from repro.sim.trace import Trace, TraceRecord
 from repro.cluster import (
     Cluster,
     ClusterTopology,
@@ -145,8 +144,6 @@ __all__ = [
     "DeliveryPolicy",
     "FaultError",
     "TimeoutError",
-    "Trace",
-    "TraceRecord",
     "MetricsRegistry",
     "Observation",
     "RunObs",

@@ -83,10 +83,9 @@ def run_histogram(
     workload: WorkloadPolicy | t.Sequence[int] = WorkloadPolicy.BALANCED,
     scores: t.Mapping[str, float] | None = None,
     seed: int = 0,
-    trace: bool = False,
 ) -> AppOutcome:
     """Histogram ``n`` items into ``bins`` buckets at the root."""
-    runtime = make_runtime(topology, scores=scores, trace=trace)
+    runtime = make_runtime(topology, scores=scores)
     root_pid = resolve_root(runtime, root)
     counts = split_counts(runtime, n, workload)
     result = runtime.run(histogram_program, counts, root_pid, bins, seed)

@@ -128,10 +128,9 @@ def run_jacobi(
     root: int | RootPolicy | None = None,
     workload: WorkloadPolicy | t.Sequence[int] = WorkloadPolicy.BALANCED,
     scores: t.Mapping[str, float] | None = None,
-    trace: bool = False,
 ) -> AppOutcome:
     """Solve the n-point 1-D Poisson problem by distributed Jacobi."""
-    runtime = make_runtime(topology, scores=scores, trace=trace)
+    runtime = make_runtime(topology, scores=scores)
     if n < 4 * runtime.nprocs:
         raise CollectiveError(
             f"need n >= 4p grid points (n={n}, p={runtime.nprocs})"

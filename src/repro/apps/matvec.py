@@ -113,10 +113,9 @@ def run_matvec(
     workload: WorkloadPolicy | t.Sequence[int] = WorkloadPolicy.BALANCED,
     scores: t.Mapping[str, float] | None = None,
     seed: int = 0,
-    trace: bool = False,
 ) -> AppOutcome:
     """One distributed ``y = A @ x`` iteration with ``A`` of size n × n."""
-    runtime = make_runtime(topology, scores=scores, trace=trace)
+    runtime = make_runtime(topology, scores=scores)
     root_pid = resolve_root(runtime, root)
     counts = split_counts(runtime, n, workload)
     result = runtime.run(matvec_program, counts, root_pid, seed)

@@ -151,10 +151,9 @@ def run_sample_sort(
     workload: WorkloadPolicy | t.Sequence[int] = WorkloadPolicy.BALANCED,
     scores: t.Mapping[str, float] | None = None,
     seed: int = 0,
-    trace: bool = False,
 ) -> AppOutcome:
     """Sort ``n`` uniformly distributed integers on the machine."""
-    runtime = make_runtime(topology, scores=scores, trace=trace)
+    runtime = make_runtime(topology, scores=scores)
     root_pid = resolve_root(runtime, root)
     counts = split_counts(runtime, n, workload)
     balanced_buckets = (

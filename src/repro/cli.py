@@ -150,13 +150,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     from repro import collectives as coll
     from repro.collectives import WorkloadPolicy, resolve_plan
-    from repro.obs import current_observation
+    from repro.obs import collect_run_obs, current_observation, gantt, observe
     from repro.util.units import format_time
 
     check_known("collective", args.collective, _COLLECTIVES, ReproError)
     topology = build_preset(args.preset)
     runner = getattr(coll, f"run_{args.collective}")
-    kwargs: dict[str, t.Any] = {"trace": args.gantt, "seed": args.seed}
+    kwargs: dict[str, t.Any] = {"seed": args.seed}
     root_spec = _root_spec(args.root)
     if args.schedule != "default":
         plan = resolve_plan(topology, args.collective, args.n, args.schedule, root=root_spec)
@@ -180,10 +180,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         kwargs["workload"] = (
             WorkloadPolicy.EQUAL if args.workload == "equal" else WorkloadPolicy.BALANCED
         )
-    outcome = runner(topology, args.n, **kwargs)
     observation = current_observation()
+    if args.gantt and (observation is None or not observation.tracer.enabled):
+        with observe(spans=True):  # private: the chart needs the spans
+            outcome = runner(topology, args.n, **kwargs)
+    else:
+        outcome = runner(topology, args.n, **kwargs)
     if observation is not None:
-        observation.ingest_outcome(outcome)
+        observation.record_run(collect_run_obs(outcome))
     print(f"{outcome.name} on {args.preset}")
     print(f"simulated: {format_time(outcome.time)}   "
           f"predicted: {format_time(outcome.predicted_time)}   "
@@ -197,7 +201,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(outcome.predicted.describe())
     if args.gantt:
         print()
-        print(outcome.result.trace.gantt())
+        runtime = outcome.runtime
+        spans = runtime.obs_tracer.filter(group=runtime.obs_group)
+        print(gantt(spans, actors=[m.name for m in runtime.topology.machines]))
     return 0
 
 

@@ -46,8 +46,8 @@ class CollectiveOutcome:
     result:
         The raw :class:`~repro.hbsplib.HbspResult`.
     runtime:
-        The runtime the program executed on (holds params, tree,
-        trace).
+        The runtime the program executed on (holds params, tree and
+        the virtual machine).
     predicted:
         The closed-form cost ledger for the same configuration
         (``None`` for an application that provides none).
@@ -67,6 +67,8 @@ class CollectiveOutcome:
         predicted: CostLedger | None = None,
     ) -> "CollectiveOutcome":
         """The outcome of ``result``, what ``runtime.run`` returned."""
+        if runtime.obs_tracer is not None:  # name the run's Chrome process
+            runtime.obs_tracer.group_labels[runtime.obs_group] = name
         return cls(
             name, result.time, result.supersteps, result.values, result, runtime, predicted
         )
@@ -90,7 +92,6 @@ def make_runtime(
     topology: ClusterTopology,
     *,
     scores: t.Mapping[str, float] | None = None,
-    trace: bool = False,
     serialize_nic: bool = True,
     faults: "FaultPlan | None" = None,
     fault_seed: int | None = None,
@@ -116,7 +117,7 @@ def make_runtime(
 
         injector = Injector(faults, seed=seed if fault_seed is None else fault_seed)
     return HbspRuntime(
-        topology, scores=scores, trace=trace, serialize_nic=serialize_nic,
+        topology, scores=scores, serialize_nic=serialize_nic,
         injector=injector, delivery=delivery, macro=macro,
     )
 

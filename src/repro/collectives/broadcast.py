@@ -188,7 +188,6 @@ def run_broadcast(
     balanced_shares: bool = False,
     scores: t.Mapping[str, float] | None = None,
     seed: int = 0,
-    trace: bool = False,
     faults: "FaultPlan | None" = None,
     fault_seed: int | None = None,
     delivery: t.Any | None = None,
@@ -208,7 +207,7 @@ def run_broadcast(
     and ledger names say ``phases=``.
     """
     runtime = make_runtime(
-        topology, scores=scores, trace=trace, faults=faults, fault_seed=fault_seed,
+        topology, scores=scores, faults=faults, fault_seed=fault_seed,
         seed=seed, delivery=delivery, macro=macro,
     )
     if plan is None:

@@ -116,7 +116,6 @@ def run_gather(
     workload: WorkloadPolicy | t.Sequence[int] = WorkloadPolicy.BALANCED,
     scores: t.Mapping[str, float] | None = None,
     seed: int = 0,
-    trace: bool = False,
     serialize_nic: bool = True,
     faults: "FaultPlan | None" = None,
     fault_seed: int | None = None,
@@ -138,7 +137,7 @@ def run_gather(
     default plan's and only the outcome and ledger names differ.
     """
     runtime = make_runtime(
-        topology, scores=scores, trace=trace, serialize_nic=serialize_nic,
+        topology, scores=scores, serialize_nic=serialize_nic,
         faults=faults, fault_seed=fault_seed, seed=seed, delivery=delivery,
         macro=macro,
     )

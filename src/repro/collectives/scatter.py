@@ -81,14 +81,13 @@ def run_scatter(
     workload: WorkloadPolicy | t.Sequence[int] = WorkloadPolicy.BALANCED,
     scores: t.Mapping[str, float] | None = None,
     seed: int = 0,
-    trace: bool = False,
     faults: "FaultPlan | None" = None,
     fault_seed: int | None = None,
     delivery: t.Any | None = None,
 ) -> CollectiveOutcome:
     """Run the scatter on the simulated machine and predict its cost."""
     runtime = make_runtime(
-        topology, scores=scores, trace=trace, faults=faults, fault_seed=fault_seed,
+        topology, scores=scores, faults=faults, fault_seed=fault_seed,
         seed=seed, delivery=delivery,
     )
     root_pid = resolve_root(runtime, root)

@@ -127,13 +127,17 @@ class Injector:
 
     @staticmethod
     def _emit_fault_mark(vm: "VirtualMachine", fault) -> None:
-        """Trace the fault window (category ``"fault"``) for Gantt overlays."""
+        """Span the fault window (category ``"fault"``) on the track of
+        the machine or network it hits; an open-ended fault is a
+        zero-length mark at its start."""
+        tracer = vm.engine.obs_tracer
+        if tracer is None:
+            return
         end = getattr(fault, "end", math.inf)
-        vm.trace.emit(
-            fault.start,
-            "fault",
-            getattr(fault, "machine", None) or getattr(fault, "network", None) or "*",
-            0.0 if math.isinf(end) else end - fault.start,
+        tracer.add(
+            "fault", "fault", group=vm.engine.obs_group,
+            actor=getattr(fault, "machine", None) or getattr(fault, "network", None) or "*",
+            start=fault.start, end=fault.start if math.isinf(end) else end,
             kind=fault.kind,
         )
 

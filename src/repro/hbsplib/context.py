@@ -239,12 +239,6 @@ class HbspContext:
         yield barrier.wait()
         now = self.task.now
         self._wait += now - start
-        trace = self.runtime.vm.trace
-        if trace.enabled:
-            trace.emit(
-                now, "sync", f"pid{self.pid}",
-                now - start, level=level, superstep=self.superstep,
-            )
         tracer = self.runtime.obs_tracer
         if tracer is not None:
             tracer.add(
@@ -259,7 +253,7 @@ class HbspContext:
         task = self.task
         host = task.host
         unpack_time = host.spec.unpack_time
-        trace = self.runtime.vm.trace
+        tracer = self.runtime.obs_tracer
         available = self._available
         while True:
             message = task.try_recv()
@@ -269,10 +263,11 @@ class HbspContext:
             if unpack > 0:
                 start = task.now
                 yield host.cpu.hold(unpack)
-                if trace.enabled:
-                    trace.emit(
-                        task.now, "unpack", task.name,
-                        task.now - start, nbytes=message.nbytes, src=message.src,
+                if tracer is not None:
+                    tracer.add(
+                        "unpack", "unpack", group=self.runtime.obs_group,
+                        actor=self.machine_name, start=start, end=task.now,
+                        nbytes=message.nbytes, src=message.src,
                     )
             available.append(message)
 

@@ -23,10 +23,8 @@ from repro.hbsplib.context import HbspContext
 from repro.hbsplib.hetero import equal_partition, proportional_partition
 from repro.model.params import HBSPParams, calibrate
 from repro.model.tree import HBSPNode, HBSPTree
-from repro.obs.observe import current_observation
 from repro.pvm.vm import VirtualMachine
 from repro.sim.barrier import Barrier
-from repro.sim.trace import Trace
 from repro.util.lifetime import Released, gc_paused
 
 __all__ = ["HbspResult", "HbspRuntime"]
@@ -48,14 +46,11 @@ class HbspResult:
         the paper's ``T_A``/``T_B``).
     supersteps:
         Largest number of synchronisations performed by any process.
-    trace:
-        Structured trace (enabled via ``HbspRuntime(trace=True)``).
     """
 
     values: dict[int, t.Any]
     time: float
     supersteps: int
-    trace: Trace
 
     def __repr__(self) -> str:
         return (
@@ -78,8 +73,6 @@ class HbspRuntime:
         ``c_j`` fractions.  Defaults to the machines' true speeds;
         pass :func:`repro.bytemark.simulate_scores` output for the
         paper's noisy-measurement setting.
-    trace:
-        Enable structured tracing (costs simulation speed).
     injector:
         Optional fresh :class:`~repro.faults.Injector` attaching a
         fault plan (slowdowns, pauses, link degradation, message
@@ -91,8 +84,8 @@ class HbspRuntime:
         fire-and-forget fast path.
     macro:
         Macro-event fast path selection (:mod:`repro.sim.macro`).
-        ``None`` (default) auto-engages it for fault-free, untraced
-        runs of any program — the result is bit-identical, only
+        ``None`` (default) auto-engages it for fault-free runs of any
+        program outside span tracing — the result is bit-identical, only
         faster.  ``False`` forces the object-event path, which a
         program that parks on raw ``ctx.task`` events needs; ``True``
         insists on the macro path and raises if the machine cannot
@@ -108,7 +101,6 @@ class HbspRuntime:
         topology: ClusterTopology,
         *,
         scores: t.Mapping[str, float] | None = None,
-        trace: bool = False,
         serialize_nic: bool = True,
         injector: t.Any | None = None,
         delivery: t.Any | None = None,
@@ -116,26 +108,15 @@ class HbspRuntime:
     ) -> None:
         self.tree = HBSPTree(topology)
         self.topology = self.tree.topology  # normalised
-        # Pick up an active observation (repro.obs.observe): span
-        # tracing forces the structured trace on so message timing can
-        # be converted to spans after the run.  Pure recording — the
-        # simulated times are unaffected.
-        observation = current_observation()
-        if observation is not None and observation.tracer.enabled:
-            self.obs_tracer: t.Any | None = observation.tracer
-            self.obs_group = observation.take_group()
-            trace = True
-        else:
-            self.obs_tracer = None
-            self.obs_group = ""
         self.vm = VirtualMachine(
-            self.topology, trace=trace, serialize_nic=serialize_nic,
+            self.topology, serialize_nic=serialize_nic,
             injector=injector, delivery=delivery,
         )
         self.engine = self.vm.engine
-        if self.obs_tracer is not None:
-            self.engine.obs_tracer = self.obs_tracer
-            self.engine.obs_group = self.obs_group
+        #: The span tracer and group the machine picked up from an
+        #: active ``observe(spans=True)`` (``None``/``""`` otherwise).
+        self.obs_tracer: t.Any | None = self.engine.obs_tracer
+        self.obs_group = self.engine.obs_group
         self.scores = dict(scores) if scores is not None else true_scores(self.topology)
         missing = [m.name for m in self.topology.machines if m.name not in self.scores]
         if missing:
@@ -269,8 +250,7 @@ class HbspRuntime:
         constructor parameter and :attr:`engine_path`)."""
         if self._macro_mode is False:
             return ("object", "macro=False")
-        # Span tracing forces the structured trace on, so it is named first.
-        hook = "spans" if self.obs_tracer is not None else self.vm.macro_blocker
+        hook = self.vm.macro_blocker
         if hook:
             if self._macro_mode:
                 raise HbspError(
@@ -352,6 +332,4 @@ class HbspRuntime:
             ctx.runtime = released
         if self.macro is not None:
             self.macro.runtime = released
-        return HbspResult(
-            values=values, time=time, supersteps=supersteps, trace=self.vm.trace
-        )
+        return HbspResult(values=values, time=time, supersteps=supersteps)

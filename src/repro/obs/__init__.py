@@ -9,7 +9,7 @@ Three coordinated pieces (see ``docs/observability.md``):
 * :mod:`repro.obs.accounting` — per-superstep simulated-vs-predicted
   cost ledgers joining the DES against the analytic HBSP^k model;
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON, Prometheus
-  text format and a plain-text summary.
+  text format, a plain-text summary and an ASCII Gantt chart.
 
 Typical use::
 
@@ -29,7 +29,7 @@ from repro.obs.accounting import (
     SuperstepLedger,
     collect_run_obs,
 )
-from repro.obs.export import chrome_trace, prometheus_text, runs_json, summary
+from repro.obs.export import chrome_trace, gantt, prometheus_text, runs_json, summary
 from repro.obs.metrics import METRIC_HELP, MetricsRegistry
 from repro.obs.observe import Observation, current_observation, observe, observe_to
 from repro.obs.spans import NULL_TRACER, Span, Tracer
@@ -50,6 +50,7 @@ __all__ = [
     "observe_to",
     "current_observation",
     "chrome_trace",
+    "gantt",
     "prometheus_text",
     "runs_json",
     "summary",

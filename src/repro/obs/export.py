@@ -9,8 +9,10 @@
   ``_bucket``/``_sum``/``_count`` series).
 * :func:`summary` — a plain-text roll-up: headline counters plus the
   per-superstep predicted-vs-simulated ledger across observed runs.
+* :func:`gantt` — an ASCII Gantt chart of message-timing spans, one
+  row per machine (``repro run --gantt``).
 
-All three are pure functions of the observation state and emit
+All four are pure functions of their input and emit
 deterministic output (sorted metric families, first-seen span order),
 so cold- and warm-cache runs export byte-identical text.
 """
@@ -22,12 +24,12 @@ import math
 import typing as t
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import Tracer
+from repro.obs.spans import Span, Tracer
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.obs.observe import Observation
 
-__all__ = ["chrome_trace", "prometheus_text", "runs_json", "summary"]
+__all__ = ["chrome_trace", "gantt", "prometheus_text", "runs_json", "summary"]
 
 
 # -- Chrome trace_event -------------------------------------------------------
@@ -211,3 +213,50 @@ def summary(observation: "Observation", *, max_rows: int = 40) -> str:
 
 def _truncate(text: str, limit: int) -> str:
     return text if len(text) <= limit else text[: limit - 1] + "…"
+
+
+# -- ASCII Gantt chart --------------------------------------------------------
+def gantt(
+    spans: t.Iterable[Span],
+    *,
+    width: int = 72,
+    categories: t.Sequence[str] = ("compute", "pack", "inject", "drain", "unpack"),
+    actors: t.Sequence[str] | None = None,
+) -> str:
+    """Render an ASCII Gantt chart of closed spans per actor.
+
+    Each actor gets one row of ``width`` character cells spanning
+    [0, makespan]; a cell shows the first letter of the category
+    that occupied most of its time slice (``.`` for idle).  Useful
+    for eyeballing where a collective's time goes — e.g. the root's
+    solid run of ``d``/``u`` cells during a gather.  ``actors`` fixes
+    the rows and their order (default: every actor seen, sorted).
+    """
+    intervals = [
+        s for s in spans
+        if s.end is not None and s.end > s.start and s.category in categories
+    ]
+    horizon = max((s.end for s in intervals), default=0.0)
+    if horizon <= 0:
+        return "(no traced intervals)"
+    if actors is None:
+        actors = sorted({s.actor for s in intervals})
+    rows = [f"gantt [0 .. {horizon:.6g}s], cell = {horizon / width:.3g}s"]
+    for actor in actors:
+        cells: list[dict[str, float]] = [{} for _ in range(width)]
+        for span in intervals:
+            if span.actor != actor:
+                continue
+            lo = int(span.start / horizon * width)
+            hi = int(span.end / horizon * width)
+            for cell in range(max(0, lo), min(width, hi + 1)):
+                overlap = (
+                    min(span.end, (cell + 1) * horizon / width)
+                    - max(span.start, cell * horizon / width)
+                )
+                if overlap > 0:
+                    cells[cell][span.category] = cells[cell].get(span.category, 0.0) + overlap
+        line = "".join(max(cell, key=cell.get)[0] if cell else "." for cell in cells)
+        rows.append(f"{actor:>24s} |{line}|")
+    rows.append("legend: " + ", ".join(f"{c[0]}={c}" for c in categories) + ", .=idle")
+    return "\n".join(rows)

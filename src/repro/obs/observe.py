@@ -21,7 +21,7 @@ import contextlib
 import typing as t
 from pathlib import Path
 
-from repro.obs.accounting import RunObs, SuperstepLedger, collect_run_obs
+from repro.obs.accounting import RunObs, SuperstepLedger
 from repro.obs.export import chrome_trace, prometheus_text, runs_json, summary
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
@@ -89,66 +89,11 @@ class Observation:
         self.ledgers.append(ledger)
         return ledger
 
-    def ingest_outcome(self, outcome: t.Any, *, spans_only: bool = False) -> None:
-        """Observe a finished outcome directly (the non-sweep path).
-
-        ``spans_only=True`` skips metrics/ledgers — used by the sweep
-        path, where those flow through the executor's deterministic
-        merge instead.
-        """
-        if not spans_only:
-            self.record_run(collect_run_obs(outcome))
-        if self.tracer.enabled:
-            self.ingest_spans(outcome)
-
-    def ingest_spans(self, outcome: t.Any) -> None:
-        """Convert a finished run's raw DES trace records into spans.
-
-        Superstep/barrier/phase spans were already recorded live by the
-        runtime (it saw this observation's tracer); this adds the
-        message-timing records (pack/inject/drain/unpack/compute/...)
-        under the same group, one track per machine.
-        """
-        if not self.tracer.enabled:
-            return
-        runtime = outcome.runtime
-        group = getattr(runtime, "obs_group", "") or self.take_group()
-        self.tracer.group_labels[group] = outcome.name
-        machines = [m.name for m in runtime.topology.machines]
-        for record in outcome.result.trace.records:
-            if record.category == "sync":
-                continue  # barrier spans are recorded live at sync time
-            self.tracer.add(
-                record.category,
-                record.category,
-                group=group,
-                actor=_actor_track(record.actor, machines),
-                start=record.time - record.duration,
-                end=record.time,
-                **dict(record.detail),
-            )
-
     def __repr__(self) -> str:
         return (
             f"Observation({len(self.ledgers)} runs, {len(self.tracer)} spans, "
             f"{len(self.metrics)} metrics)"
         )
-
-
-def _actor_track(actor: str, machines: t.Sequence[str]) -> str:
-    """Map a raw trace actor to its machine track.
-
-    Task names are ``pid<j>@<machine>``; bare ``pid<j>`` actors map
-    through the pid; machine/network names pass through unchanged.
-    """
-    if "@" in actor:
-        return actor.rsplit("@", 1)[1]
-    if actor.startswith("pid"):
-        try:
-            return machines[int(actor[3:])]
-        except (ValueError, IndexError):
-            return actor
-    return actor
 
 
 #: The active observation installed by :func:`observe` (None = off).
@@ -165,8 +110,9 @@ def observe(*, spans: bool = False) -> t.Iterator[Observation]:
     """Install an :class:`Observation` for the dynamic extent.
 
     Runtimes constructed inside the block feed its metrics registry
-    and ledgers; with ``spans=True`` they also record full span
-    timelines (which disables the sweep pool for the extent — spans
+    and ledgers; with ``spans=True`` every virtual machine built inside
+    it also records its full span timeline live, message timing
+    included (which disables the sweep pool for the extent — spans
     cannot cross process boundaries).
     """
     global _current

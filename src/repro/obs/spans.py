@@ -18,9 +18,10 @@ Two APIs:
   wall time.  The CLI exporters never record these: shipped traces
   carry only simulated time, so identical runs stay bit-identical.
 
-Mirroring ``sim.trace.Trace``, a disabled tracer is a cheap no-op:
-hot paths guard on :attr:`Tracer.enabled` (one attribute read) and
-every method also no-ops defensively when disabled.
+A disabled tracer is a cheap no-op: every method no-ops when
+disabled, and the simulation layers go further — they hold no tracer
+at all (``Engine.obs_tracer is None``) outside ``observe(spans=True)``,
+so a hot path pays one ``is not None`` test per candidate span.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ the keyword configuration — so it can be
 
 Results come back as small :class:`SimResult` records rather than the
 full :class:`~repro.collectives.CollectiveOutcome` — outcomes drag the
-whole runtime (VM, processes, traces) along and are deliberately not
-picklable across the pool boundary.
+whole runtime (virtual machine, processes, barriers) along and are
+deliberately not picklable across the pool boundary.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.cluster.serialization import topology_hash
 from repro.cluster.topology import ClusterTopology
 from repro.errors import ReproError
 from repro.obs.accounting import RunObs, collect_run_obs
-from repro.obs.observe import current_observation
 
 __all__ = [
     "COLLECTIVE_OPS",
@@ -218,12 +217,7 @@ class SimJob:
     def run(self) -> SimResult:
         """Execute the simulation and distil the picklable result."""
         runner = _resolve_runner(self.op)
-        observation = current_observation()
         outcome = runner(self.topology, self.n, **dict(self.kwargs))
-        if observation is not None and observation.tracer.enabled:
-            # Simulated-time spans only (no wall-clock wrapper): exported
-            # traces must be bit-identical across identical invocations.
-            observation.ingest_spans(outcome)
         predicted = outcome.predicted_time
         return SimResult(
             name=outcome.name,

@@ -133,9 +133,11 @@ class _Attempt:
             network = link.network
             dropped, extra_delay = injector.message_fate(network, engine.now)
             if dropped:
-                if vm.trace.enabled:
-                    vm.trace.emit(
-                        engine.now, "drop", self.source.name, 0.0,
+                tracer = engine.obs_tracer
+                if tracer is not None:
+                    tracer.add(
+                        "drop", "drop", group=engine.obs_group, actor=self.source.host.spec.name,
+                        start=engine.now, end=engine.now,
                         dst=link.target.tid, nbytes=self.size, attempt=attempt,
                     )
                 if self.uid is None:
@@ -160,12 +162,13 @@ class _Attempt:
         link = self.link
         source = self.source
         target = link.target
-        vm = source.vm
-        now = vm.engine.now
-        if vm.trace.enabled:
-            vm.trace.emit(
-                now, "drain", target.name, now - self.start,
-                nbytes=self.size, src=source.tid, network=link.network,
+        engine = source.vm.engine
+        now = engine.now
+        tracer = engine.obs_tracer
+        if tracer is not None:
+            tracer.add(
+                "drain", "drain", group=engine.obs_group, actor=target.host.spec.name,
+                start=self.start, end=now, nbytes=self.size, src=source.tid, network=link.network,
             )
         uid = self.uid
         if uid is not None:
@@ -278,7 +281,7 @@ class Task:
         """
         vm = self.vm
         engine = vm.engine
-        trace = vm.trace
+        tracer = engine.obs_tracer
         link = self._links.get(dst)
         if link is None:
             link = self._links[dst] = _Link(self, vm.task(dst))
@@ -307,10 +310,10 @@ class Task:
             # the wire.
             start = engine.now
             yield host.cpu.hold(pack)
-            if trace.enabled:
-                trace.emit(
-                    engine.now, "pack", self.name, engine.now - start,
-                    nbytes=size, dst=dst, local=True,
+            if tracer is not None:
+                tracer.add(
+                    "pack", "pack", group=engine.obs_group, actor=host.spec.name,
+                    start=start, end=engine.now, nbytes=size, dst=dst, local=True,
                 )
             message = Message(self.tid, dst, tag, payload, size, sent_at, engine.now)
             target.mailbox.put(message)
@@ -327,16 +330,20 @@ class Task:
         # 1. pack on the sender CPU
         start = engine.now
         yield host.cpu.hold(pack)
-        if trace.enabled:
-            trace.emit(engine.now, "pack", self.name, engine.now - start, nbytes=size, dst=dst)
+        if tracer is not None:
+            tracer.add(
+                "pack", "pack", group=engine.obs_group, actor=host.spec.name,
+                start=start, end=engine.now, nbytes=size, dst=dst,
+            )
 
         # 2. inject through the sender NIC
         start = engine.now
         yield host.nic_out.hold(self._inject_time(link, size))
-        if trace.enabled:
-            trace.emit(
-                engine.now, "inject", self.name, engine.now - start,
-                nbytes=size, dst=dst, network=network, level=link.level,
+        if tracer is not None:
+            tracer.add(
+                "inject", "inject", group=engine.obs_group, actor=host.spec.name,
+                start=start, end=engine.now, nbytes=size, dst=dst, network=network,
+                level=link.level,
             )
 
         # 3 + 4. wire latency then drain at the receiver, in background.
@@ -379,15 +386,18 @@ class Task:
         """
         vm = self.vm
         engine = vm.engine
+        tracer = engine.obs_tracer
         link, size = first.link, first.size
         target = link.target
         arrivals = [first.arrival]
         for attempt in range(1, policy.max_attempts + 1):
             vm.metrics.inc("repro_send_timeouts_total")
-            vm.trace.emit(
-                engine.now, "timeout", self.name, 0.0,
-                dst=target.tid, nbytes=size, attempt=attempt - 1,
-            )
+            if tracer is not None:
+                tracer.add(
+                    "timeout", "timeout", group=engine.obs_group, actor=self.host.spec.name,
+                    start=engine.now, end=engine.now, dst=target.tid, nbytes=size,
+                    attempt=attempt - 1,
+                )
             if attempt == policy.max_attempts:
                 break
             vm.metrics.inc("repro_send_retries_total")
@@ -396,10 +406,12 @@ class Task:
                 yield engine.timeout(backoff)
             start = engine.now
             yield self.host.nic_out.hold(self._inject_time(link, size))
-            vm.trace.emit(
-                engine.now, "inject", self.name, engine.now - start,
-                nbytes=size, dst=target.tid, network=link.network, retry=attempt,
-            )
+            if tracer is not None:
+                tracer.add(
+                    "inject", "inject", group=engine.obs_group, actor=self.host.spec.name,
+                    start=start, end=engine.now,
+                    nbytes=size, dst=target.tid, network=link.network, retry=attempt,
+                )
             arrival = Event(engine, f"{link.name}#{attempt}")
             _Attempt(
                 self, link, size, first.payload, first.tag, first.sent_at, first.uid, arrival
@@ -436,11 +448,12 @@ class Task:
             engine = self.vm.engine
             start = engine.now
             yield self.host.cpu.hold(unpack)
-            trace = self.vm.trace
-            if trace.enabled:
-                trace.emit(
-                    engine.now, "unpack", self.name,
-                    engine.now - start, nbytes=message.nbytes, src=message.src,
+            tracer = engine.obs_tracer
+            if tracer is not None:
+                tracer.add(
+                    "unpack", "unpack", group=engine.obs_group,
+                    actor=self.host.spec.name, start=start, end=engine.now,
+                    nbytes=message.nbytes, src=message.src,
                 )
         self.received_messages += 1
         self.received_bytes += message.nbytes
@@ -467,9 +480,12 @@ class Task:
         engine = self.vm.engine
         start = engine.now
         yield self.host.cpu.hold(duration)
-        trace = self.vm.trace
-        if trace.enabled:
-            trace.emit(engine.now, "compute", self.name, engine.now - start, work=work)
+        tracer = engine.obs_tracer
+        if tracer is not None:
+            tracer.add(
+                "compute", "compute", group=engine.obs_group,
+                actor=self.host.spec.name, start=start, end=engine.now, work=work,
+            )
 
     def sleep(self, duration: float) -> Event:
         """An event that fires after ``duration`` (idle wait, no CPU)."""

@@ -14,11 +14,11 @@ from repro.cluster.network import NetworkSpec
 from repro.cluster.topology import ClusterTopology
 from repro.errors import PvmError, TaskNotFound
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.observe import current_observation
 from repro.pvm.delivery import DeliveryPolicy
 from repro.pvm.task import Task
 from repro.sim.engine import Engine
 from repro.sim.resources import Resource
-from repro.sim.trace import Trace
 from repro.util.lifetime import Released
 
 __all__ = ["Host", "VirtualMachine"]
@@ -56,8 +56,6 @@ class VirtualMachine:
         The heterogeneous cluster to enrol.
     engine:
         Optionally share an existing simulation engine.
-    trace:
-        Enable structured tracing of pack/inject/drain/unpack/compute.
     injector:
         Optional fresh :class:`~repro.faults.Injector`; attaches its
         fault plan (time-varying rates, message drops/delays,
@@ -72,14 +70,18 @@ class VirtualMachine:
         topology: ClusterTopology,
         *,
         engine: Engine | None = None,
-        trace: bool = False,
         serialize_nic: bool = True,
         injector: "t.Any | None" = None,
         delivery: "DeliveryPolicy | None" = None,
     ) -> None:
         self.topology = topology
         self.engine = engine if engine is not None else Engine()
-        self.trace = Trace(enabled=trace)
+        # Under observe(spans=True) every emission site records its span
+        # live in a fresh group; the simulated times are unaffected.
+        observation = current_observation()
+        if observation is not None and observation.tracer.enabled:
+            self.engine.obs_tracer = observation.tracer
+            self.engine.obs_group = observation.take_group()
         #: Per-run metrics (messages/bytes by network, fault counters);
         #: harvested into RunObs records by the observability layer.
         self.metrics = MetricsRegistry()
@@ -167,16 +169,16 @@ class VirtualMachine:
         fault-free superstep timing arithmetically, so every hook that
         observes or perturbs individual message events must be off: no
         fault injector, no delivery policy (even an unarmed one routes
-        through :meth:`run`'s clock-stop semantics), no structured
-        trace, and NIC serialization on (the timeline fold models the
+        through :meth:`run`'s clock-stop semantics), no span tracer,
+        and NIC serialization on (the timeline fold models the
         serialized port).
         """
         if self.injector is not None:
             return "injector"
         if self.delivery is not None:
             return "delivery policy"
-        if self.trace.enabled:
-            return "trace"
+        if self.engine.obs_tracer is not None:
+            return "spans"
         return "" if self.serialize_nic else "serialize_nic=False"
 
     @property

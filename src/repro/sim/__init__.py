@@ -20,7 +20,6 @@ from repro.sim.events import Event, Timeout, AllOf, AnyOf, UNSET
 from repro.sim.process import Process, ProcessKilled
 from repro.sim.resources import Resource, Store
 from repro.sim.barrier import Barrier
-from repro.sim.trace import Trace, TraceRecord
 
 __all__ = [
     "Engine",
@@ -34,6 +33,4 @@ __all__ = [
     "Resource",
     "Store",
     "Barrier",
-    "Trace",
-    "TraceRecord",
 ]

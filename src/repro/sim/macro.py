@@ -34,7 +34,7 @@ operations of :mod:`repro.pvm.task` / :mod:`repro.hbsplib.context`:
 
 Engagement depends on the machine only: :attr:`repro.pvm.vm.VirtualMachine.
 macro_blocker` names the one live hook (injector, delivery policy,
-structured trace, unserialized NIC) that falls back to the object path;
+span tracer, unserialized NIC) that falls back to the object path;
 see :meth:`repro.hbsplib.runtime.HbspRuntime.run`.  Any program qualifies,
 because a program reaches the machine only through super^i-steps
 (``ctx.send`` / ``ctx.send_each`` / ``ctx.compute`` / ``ctx.sync`` and

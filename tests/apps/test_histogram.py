@@ -6,6 +6,7 @@ import pytest
 from repro.apps import run_histogram
 from repro.collectives import RootPolicy, WorkloadPolicy
 from repro.collectives.base import make_items
+from repro.obs import observe
 
 N = 30_000
 
@@ -75,13 +76,13 @@ class TestHierarchy:
     def test_traffic_independent_of_n(self, grid):
         """Only bin vectors cross the network, so doubling n changes
         the time only through local compute."""
-        small = run_histogram(grid, N, trace=True)
-        large = run_histogram(grid, 4 * N, trace=True)
-        small_bytes = sum(
-            r.detail["nbytes"] for r in small.result.trace.filter("inject")
-        )
-        large_bytes = sum(
-            r.detail["nbytes"] for r in large.result.trace.filter("inject")
+        with observe(spans=True) as observation:
+            small = run_histogram(grid, N)
+            large = run_histogram(grid, 4 * N)
+        small_bytes, large_bytes = (
+            sum(s.args["nbytes"] for s in observation.tracer.filter(
+                "inject", group=outcome.runtime.obs_group))
+            for outcome in (small, large)
         )
         assert small_bytes == large_bytes
         assert large.time > small.time  # compute grew

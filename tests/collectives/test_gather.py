@@ -1,10 +1,13 @@
 """Tests for the HBSP^k gather collective."""
 
+import collections
+
 import numpy as np
 import pytest
 
 from repro.collectives import RootPolicy, WorkloadPolicy, run_gather
 from repro.collectives.base import make_items
+from repro.obs import observe
 
 
 def root_pid(outcome):
@@ -106,8 +109,11 @@ class TestTiming:
         assert slow.time < fast.time
 
     def test_trace_shows_root_drain(self, testbed_small):
-        outcome = run_gather(testbed_small, N, trace=True)
+        with observe(spans=True) as observation:
+            outcome = run_gather(testbed_small, N)
         pid = root_pid(outcome)
-        root_name = f"pid{pid}@{outcome.runtime.topology.machines[pid].name}"
-        drains = outcome.result.trace.by_actor("drain")
-        assert drains.get(root_name, 0) == max(drains.values())
+        root_name = outcome.runtime.topology.machines[pid].name
+        drains = collections.Counter()
+        for span in observation.tracer.filter("drain"):
+            drains[span.actor] += span.duration
+        assert drains[root_name] == max(drains.values())

@@ -5,6 +5,7 @@ import pytest
 
 from repro.collectives import RootPolicy, WorkloadPolicy, run_scatter
 from repro.collectives.base import make_items
+from repro.obs import observe
 
 N = 25_600
 
@@ -48,12 +49,13 @@ class TestCorrectness:
         assert max(sizes) - min(sizes) <= 1
 
     def test_root_keeps_own_chunk_without_sending(self, testbed_small):
-        outcome = run_scatter(testbed_small, N, trace=True)
+        with observe(spans=True) as observation:
+            outcome = run_scatter(testbed_small, N)
         root = outcome.runtime.fastest_pid
-        root_name = f"pid{root}@{outcome.runtime.topology.machines[root].name}"
+        root_name = outcome.runtime.topology.machines[root].name
         # The root packs messages for others but drains nothing.
-        drains = outcome.result.trace.by_actor("drain")
-        assert root_name not in drains
+        assert observation.tracer.filter("pack", actor=root_name)
+        assert observation.tracer.filter("drain", actor=root_name) == []
 
 
 class TestTiming:

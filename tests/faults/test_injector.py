@@ -10,9 +10,11 @@ from repro.faults import (
     FaultPlan,
     Injector,
     MachinePause,
+    MachineSlowdown,
     congestion_plan,
     straggler_plan,
 )
+from repro.obs import observe
 
 N = 2560  # 10 KB of int32 items: fast but non-trivial
 
@@ -42,13 +44,29 @@ class TestAttachment:
             run_gather(topology, N, faults=straggler_plan("no-such-machine"))
 
     def test_fault_marks_traced(self, topology):
-        outcome = run_gather(
-            topology, N, trace=True,
-            faults=straggler_plan(root_machine(topology), factor=2.0),
-        )
-        marks = [r for r in outcome.result.trace.records if r.category == "fault"]
+        with observe(spans=True) as observation:
+            run_gather(topology, N, faults=straggler_plan(root_machine(topology), factor=2.0))
+        marks = observation.tracer.filter("fault")
         assert len(marks) == 1
-        assert marks[0].detail["kind"] == "machine_slowdown"
+        assert marks[0].args["kind"] == "machine_slowdown"
+        assert marks[0].actor == root_machine(topology)
+
+    def test_fault_spans_cover_their_window(self, topology):
+        """A windowed fault spans [start, end) on its machine's track; an
+        open-ended one is a zero-length mark at its start."""
+        machine = topology.machines[1].name
+        plan = FaultPlan([
+            MachinePause(machine, start=0.002, duration=0.001),
+            MachineSlowdown(root_machine(topology), factor=2.0, start=0.001),
+        ])
+        with observe(spans=True) as observation:
+            run_gather(topology, N, faults=plan)
+        pause, slowdown = observation.tracer.filter("fault")
+        assert (pause.actor, pause.start, pause.end) == (machine, 0.002, 0.003)
+        assert pause.args == {"kind": "machine_pause"}
+        assert (slowdown.actor, slowdown.start, slowdown.end) == (
+            root_machine(topology), 0.001, 0.001
+        )
 
 
 class TestEffects:

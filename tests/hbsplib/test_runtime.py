@@ -164,8 +164,9 @@ class TestExecution:
             yield from ctx.compute(1000)
             yield from ctx.sync()
 
-        result = HbspRuntime(testbed_small, trace=True, macro=self.macro).run(prog)
-        assert len(result.trace) > 0
+        with observe(spans=True) as observation:
+            HbspRuntime(testbed_small, macro=self.macro).run(prog)
+        assert len(observation.tracer.filter("compute")) == testbed_small.num_machines
 
 
 class TestExecutionOnObjectPath(TestExecution):
@@ -197,7 +198,6 @@ class TestEnginePath:
     @pytest.mark.parametrize("hook, reason", [
         (lambda: {"injector": Injector(FaultPlan.empty())}, "injector"),
         (lambda: {"delivery": DeliveryPolicy.retry(2, timeout=1.0)}, "delivery policy"),
-        (lambda: {"trace": True}, "trace"),
         (lambda: {"serialize_nic": False}, "serialize_nic=False"),
     ])
     def test_object_path_names_the_one_live_hook(self, testbed_small, hook, reason):
@@ -214,6 +214,8 @@ class TestEnginePath:
         assert runtime.engine_path == ("object", "macro=False")
 
     def test_spans_are_named_before_the_trace_they_force(self, testbed_small):
+        """A span tracer is a live hook of its own: the machine picked it
+        up at construction and records message timing into it."""
         with observe(spans=True):
             runtime = HbspRuntime(testbed_small)
             runtime.run(_syncs)

@@ -347,10 +347,10 @@ def _runs_without_predicted():
 
     from repro.collectives import run_gather
     from repro.cluster import ucf_testbed
-    from repro.obs import observe, runs_json
+    from repro.obs import collect_run_obs, observe, runs_json
 
     with observe() as observation:
-        observation.ingest_outcome(run_gather(ucf_testbed(3), 500))
+        observation.record_run(collect_run_obs(run_gather(ucf_testbed(3), 500)))
     document = json.loads(runs_json(observation))
     del document["runs"][0]["predicted"]
     return json.dumps(document)

@@ -60,8 +60,7 @@ class TestExports:
             "DeliveryPolicy",
             "FaultError",
             "TimeoutError",
-            "Trace",
-            "TraceRecord",
+            "Tracer",
         ):
             assert name in repro.__all__
 

@@ -6,6 +6,7 @@ introduced a behaviour change (fix it) or it deliberately recalibrated
 the simulator (update the goldens *and* EXPERIMENTS.md together).
 """
 
+import contextlib
 import hashlib
 import json
 import pathlib
@@ -188,8 +189,10 @@ class TestHandComputedHbsp1:
 # span sequence of the three programs that chain two tree walks.  Each
 # case runs twice against the same pin: by default, on the macro path,
 # and once more with a live hook that forces the object path — an empty
-# fault plan, or for the two apps (which take no plan) the structured
-# trace.
+# fault plan, or for the two apps (which take no plan) span tracing.
+# The pinned spans are the runtime's superstep structure; the
+# message-timing spans recorded beside them are held by
+# test_event_path_pins.py.
 
 TOOLKIT_MACHINES = {
     "testbed": lambda: ucf_testbed(10),
@@ -228,19 +231,17 @@ TOOLKIT = {
 APPS = ("histogram", "matvec")
 ROOTS = {"fastest": RootPolicy.FASTEST, "slowest": RootPolicy.SLOWEST}
 SPANNED = ("allgather-hierarchical", "allreduce-tree", "histogram")
+STRUCTURE = ("superstep", "barrier", "phase", "engine")
 
 
 def toolkit_record(machine: str, op: str, root: str, *, object_path: bool = False) -> dict:
     """Everything one toolkit run produced, in the pin file's shape, from
     the default (macro) path or, with ``object_path``, the object path."""
     topology = TOOLKIT_MACHINES[machine]()
-    if not object_path:
-        hook = {}
-    elif op in APPS:
-        hook = {"trace": True}
-    else:
-        hook = {"faults": FaultPlan.empty()}
-    outcome = TOOLKIT[op](topology, ROOTS[root], **hook)
+    hook = {"faults": FaultPlan.empty()} if object_path and op not in APPS else {}
+    spanned = object_path and op in APPS
+    with observe(spans=True) if spanned else contextlib.nullcontext():
+        outcome = TOOLKIT[op](topology, ROOTS[root], **hook)
     if object_path:
         assert outcome.runtime.engine_path[0] == "object"
     else:
@@ -263,7 +264,7 @@ def toolkit_record(machine: str, op: str, root: str, *, object_path: bool = Fals
     if op in SPANNED and root == "fastest":
         with observe(spans=True) as observation:
             TOOLKIT[op](topology, ROOTS[root])
-        spans = observation.tracer.spans
+        spans = [s for s in observation.tracer.spans if s.category in STRUCTURE]
         record["spans"] = [[s.category, s.name, s.actor] for s in spans]
         record["span_times"] = hashlib.sha256(
             repr([(s.start, s.end) for s in spans]).encode()

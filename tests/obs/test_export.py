@@ -19,6 +19,7 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     chrome_trace,
+    collect_run_obs,
     observe,
     prometheus_text,
     summary,
@@ -36,7 +37,7 @@ _SAMPLE = re.compile(
 def _observed_gather(n: int = 1024, p: int = 4):
     with observe(spans=True) as observation:
         outcome = run_gather(ucf_testbed(p), n)
-        observation.ingest_outcome(outcome)
+        observation.record_run(collect_run_obs(outcome))
     return observation, outcome
 
 
@@ -144,7 +145,7 @@ class TestSummary:
     def test_row_overflow_is_reported_not_silent(self):
         with observe() as observation:
             for seed in range(3):
-                observation.ingest_outcome(run_gather(ucf_testbed(2), 128, seed=seed))
+                observation.record_run(collect_run_obs(run_gather(ucf_testbed(2), 128, seed=seed)))
         text = summary(observation, max_rows=1)
         assert "2 more superstep row(s)" in text
 

@@ -12,7 +12,7 @@ import pytest
 from repro.cluster.presets import ucf_testbed
 from repro.collectives import RootPolicy, run_gather
 from repro.faults import DeliveryPolicy, FaultPlan, MessageFaults
-from repro.obs import MetricsRegistry, observe, prometheus_text
+from repro.obs import MetricsRegistry, collect_run_obs, observe, prometheus_text
 from repro.obs.metrics import BUCKET_BOUNDS, METRIC_HELP, HistogramState
 from repro.perf import SimJob, sweep
 
@@ -73,7 +73,7 @@ class TestRunMetrics:
     def test_gather_populates_traffic_and_run_counters(self):
         with observe() as observation:
             outcome = run_gather(ucf_testbed(4), 1024)
-            observation.ingest_outcome(outcome)
+            observation.record_run(collect_run_obs(outcome))
         metrics = observation.metrics
         assert metrics.value("repro_runs_total") == 1.0
         assert metrics.value("repro_supersteps_total") == float(outcome.supersteps)
@@ -88,7 +88,7 @@ class TestRunMetrics:
                 faults=plan, fault_seed=3,
                 delivery=DeliveryPolicy.retry(3, timeout=0.25),
             )
-            observation.ingest_outcome(outcome)
+            observation.record_run(collect_run_obs(outcome))
         injector = outcome.runtime.vm.injector
         dropped = observation.metrics.counter_sum("repro_messages_dropped_total")
         assert dropped > 0

@@ -9,9 +9,11 @@ and cost nothing observable.
 
 from __future__ import annotations
 
+import json
+
 from repro.cluster.presets import smp_sgi_lan, ucf_testbed
 from repro.collectives import run_gather
-from repro.obs import NULL_TRACER, Tracer, observe
+from repro.obs import NULL_TRACER, Tracer, chrome_trace, collect_run_obs, observe
 
 
 class TestTracerUnit:
@@ -85,7 +87,6 @@ class TestRunSpans:
     def _spans_of(self, topology, n=1024):
         with observe(spans=True) as observation:
             outcome = run_gather(topology, n)
-            observation.ingest_outcome(outcome)
         return observation, outcome
 
     def test_two_level_gather_has_superstep_and_barrier_spans(self):
@@ -122,16 +123,33 @@ class TestRunSpans:
         assert groups == ["run1"]
         assert observation.tracer.group_labels["run1"] == outcome.name
 
+    def test_library_run_records_every_message_timing_span(self):
+        """A plain library call under ``observe(spans=True)`` records
+        message timing live: one inject and one drain per sent message,
+        in a Chrome process named after the run."""
+        with observe(spans=True) as observation:
+            outcome = run_gather(ucf_testbed(4), 1000, seed=1)
+            observation.record_run(collect_run_obs(outcome))
+        tracer = observation.tracer
+        sent = observation.metrics.counter_sum("repro_messages_sent_total")
+        assert sent > 0
+        assert len(tracer.filter("inject")) == len(tracer.filter("drain")) == sent
+        assert tracer.filter("pack") and tracer.filter("unpack")
+        machines = {m.name for m in outcome.runtime.topology.machines}
+        assert {s.actor for s in tracer.filter("drain")} <= machines
+        process = json.loads(chrome_trace(tracer))["traceEvents"][0]
+        assert process["name"] == "process_name"
+        assert process["args"]["name"] == outcome.name
+
     def test_no_observation_means_no_recording(self):
         outcome = run_gather(ucf_testbed(4), 1024)
         assert outcome.runtime.obs_tracer is None
-        # The DES trace stays off too (trace=False default untouched).
-        assert outcome.result.trace.records == []
+        assert outcome.runtime.engine.obs_tracer is None
 
     def test_metrics_only_observation_records_no_spans(self):
         with observe() as observation:
             outcome = run_gather(ucf_testbed(4), 1024)
-            observation.ingest_outcome(outcome)
+            observation.record_run(collect_run_obs(outcome))
         assert len(observation.tracer) == 0
         assert outcome.runtime.obs_tracer is None
         assert len(observation.ledgers) == 1  # metrics still flow

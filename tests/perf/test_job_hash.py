@@ -20,12 +20,80 @@ from repro.cluster import Cluster, ClusterTopology, MachineSpec, NetworkSpec, to
 from repro.cluster.presets import flat_cluster, ucf_testbed
 from repro.collectives import RootPolicy, WorkloadPolicy
 from repro.errors import ReproError
+from repro.faults import (
+    BackgroundLoad,
+    DeliveryPolicy,
+    FaultPlan,
+    LinkDegradation,
+    MachinePause,
+    MachineSlowdown,
+    MessageFaults,
+)
 from repro.perf import APP_OPS, COLLECTIVE_OPS, SimJob
 from repro.perf.job import content_tokens
+from repro.tuning import LevelSchedule, SchedulePlan
 
 
 def _hash(job: SimJob) -> str:
     return job.content_hash
+
+
+#: One valid value of every job-kwarg dataclass, and per field one other
+#: valid value.  The test below walks ``dataclasses.fields``, so a field
+#: added to any of these types fails it until it is listed here.
+_KWARG_VALUES = {
+    DeliveryPolicy: (
+        DeliveryPolicy(timeout=0.01, retries=2, backoff_base=0.005, backoff_factor=2.0),
+        {"timeout": 0.02, "retries": 3, "backoff_base": 0.004, "backoff_factor": 3.0},
+    ),
+    MachineSlowdown: (
+        MachineSlowdown("sgi-octane", factor=2.0, start=0.001, duration=0.01),
+        {"machine": "sgi-o2", "factor": 3.0, "start": 0.002, "duration": 0.02},
+    ),
+    MachinePause: (
+        MachinePause("sgi-octane", start=0.002, duration=0.001),
+        {"machine": "sgi-o2", "start": 0.003, "duration": 0.002},
+    ),
+    LinkDegradation: (
+        LinkDegradation("ucf-lan", gap_factor=2.0, extra_latency=0.001, start=0.0,
+                        duration=0.01),
+        {"network": "other-lan", "gap_factor": 3.0, "extra_latency": 0.002,
+         "start": 0.001, "duration": 0.02},
+    ),
+    MessageFaults: (
+        MessageFaults("ucf-lan", drop_prob=0.1, delay_prob=0.1, delay_mean=0.001,
+                      start=0.0, duration=0.01),
+        {"network": "other-lan", "drop_prob": 0.2, "delay_prob": 0.2,
+         "delay_mean": 0.002, "start": 0.001, "duration": 0.02},
+    ),
+    BackgroundLoad: (
+        BackgroundLoad("sgi-octane", intensity=0.5, start=0.0, duration=0.01,
+                       burst_mean=0.01),
+        {"machine": "sgi-o2", "intensity": 0.25, "start": 0.001, "duration": 0.02,
+         "burst_mean": 0.02},
+    ),
+    SchedulePlan: (
+        SchedulePlan("gather", (LevelSchedule("binomial"),)),
+        {"op": "broadcast", "levels": (LevelSchedule("flat"),)},
+    ),
+    LevelSchedule: (
+        LevelSchedule("flat"),
+        {"algorithm": "binomial", "segments": 2},
+    ),
+}
+
+
+def _gather_job(value) -> SimJob:
+    """The gather job that carries ``value`` in the kwarg it belongs to."""
+    if isinstance(value, DeliveryPolicy):
+        kwargs = {"delivery": value}
+    elif isinstance(value, SchedulePlan):
+        kwargs = {"plan": value}
+    elif isinstance(value, LevelSchedule):
+        kwargs = {"plan": SchedulePlan("gather", (value,))}
+    else:
+        kwargs = {"faults": FaultPlan([value])}
+    return SimJob.collective("gather", ucf_testbed(4), 1000, seed=0, **kwargs)
 
 
 class TestCanonical:
@@ -117,6 +185,19 @@ class TestDiscriminating:
         assert _hash(SimJob.collective("gather", other, 1000, seed=0)) != _hash(
             SimJob.collective("gather", ucf_testbed(4), 1000, seed=0)
         )
+
+    @pytest.mark.parametrize(
+        "kind,field",
+        [(kind, f.name) for kind in _KWARG_VALUES for f in dataclasses.fields(kind)],
+        ids=lambda v: v if isinstance(v, str) else v.__name__,
+    )
+    def test_every_job_kwarg_value_feeds_the_hash(self, kind, field):
+        """Two gather jobs differing only in one field of a delivery
+        policy, fault spec or schedule plan have different keys."""
+        base, alternates = _KWARG_VALUES[kind]
+        other = dataclasses.replace(base, **{field: alternates[field]})
+        assert getattr(other, field) != getattr(base, field)
+        assert _hash(_gather_job(other)) != _hash(_gather_job(base))
 
     def test_enum_members_are_distinguished(self):
         topology = ucf_testbed(4)

@@ -7,7 +7,7 @@ same simulated makespan, per-pid values, superstep counts, and
 per-superstep accounting marks — on any fault-free, untraced run of
 any program.  These properties pin that contract on random k<=3
 machines for every toolkit program, and pin the *fallback* contract:
-any live hook (trace, injector — even an empty plan, delivery policy,
+any live hook (span tracer, injector — even an empty plan, delivery policy,
 NIC-serialization ablation) silently reverts to the object path, and
 ``macro=True`` refuses instead of silently degrading.
 """
@@ -50,6 +50,7 @@ from repro.collectives import (
 from repro.errors import HbspError
 from repro.faults import DeliveryPolicy, FaultPlan
 from repro.hbsplib.runtime import HbspRuntime
+from repro.obs import observe
 
 # ---------------------------------------------------------------------------
 # Random k<=3 topology strategy (small, so paired runs stay fast)
@@ -473,8 +474,10 @@ class TestFallbackToObjectPath:
         assert outcome.runtime.engine_path == ("macro", "")
 
     def test_trace_forces_object_path(self):
-        outcome = run_gather(build_preset("testbed:4"), N, seed=1, trace=True)
+        with observe(spans=True):
+            outcome = run_gather(build_preset("testbed:4"), N, seed=1)
         assert outcome.runtime.macro is None
+        assert outcome.runtime.engine_path == ("object", "spans")
 
     def test_empty_fault_plan_forces_object_path(self):
         # An injector is an injector, even with nothing planned.
@@ -505,8 +508,8 @@ class TestFallbackToObjectPath:
 
 class TestMacroInsistRaises:
     def test_traced_machine_refused(self):
-        with pytest.raises(HbspError, match="fault-free, untraced"):
-            run_gather(build_preset("testbed:4"), N, seed=1, trace=True, macro=True)
+        with observe(spans=True), pytest.raises(HbspError, match="live hook: spans$"):
+            run_gather(build_preset("testbed:4"), N, seed=1, macro=True)
 
     def test_faulted_machine_refused(self):
         with pytest.raises(HbspError, match="fault-free, untraced"):

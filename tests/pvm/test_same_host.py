@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.cluster import ucf_testbed
+from repro.obs import observe
 from repro.pvm import VirtualMachine
 
 
 class TestSameHostIpc:
     def _run_pair(self, nbytes):
-        vm = VirtualMachine(ucf_testbed(2), trace=True)
+        with observe(spans=True) as observation:
+            vm = VirtualMachine(ucf_testbed(2))
 
         def receiver(task):
             message = yield from task.recv()
@@ -21,23 +23,24 @@ class TestSameHostIpc:
         recv_task = vm.spawn(receiver, 0)
         vm.spawn(sender, 0, recv_task.tid)  # same host, different task
         vm.run()
-        return vm, recv_task
+        return observation.tracer, recv_task
 
     def test_delivers_between_tasks_on_one_host(self):
-        vm, recv_task = self._run_pair(1000)
+        _tracer, recv_task = self._run_pair(1000)
         assert recv_task.process.value[0] == 1000
 
     def test_no_nic_or_wire_charged(self):
-        vm, _recv = self._run_pair(10_000)
-        assert vm.trace.total_duration("inject") == 0.0
-        assert vm.trace.total_duration("drain") == 0.0
+        tracer, _recv = self._run_pair(10_000)
+        assert tracer.filter("inject") == []
+        assert tracer.filter("drain") == []
 
     def test_pack_still_charged(self):
-        vm, _recv = self._run_pair(10_000)
-        assert vm.trace.total_duration("pack") > 0.0
+        tracer, _recv = self._run_pair(10_000)
+        (pack,) = tracer.filter("pack")
+        assert pack.duration > 0.0 and pack.args["local"] is True
 
     def test_faster_than_cross_host(self):
-        _vm, local = self._run_pair(50_000)
+        _tracer, local = self._run_pair(50_000)
 
         vm2 = VirtualMachine(ucf_testbed(2))
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterTopology, MachineSpec, NetworkSpec
+from repro.obs import observe
 from repro.pvm import VirtualMachine
 
 
-def make_vm(trace=True, **net_kwargs):
+def make_vm(**net_kwargs):
     """Two-machine cluster with easily computed costs."""
     net = NetworkSpec(
         "net",
@@ -25,7 +26,7 @@ def make_vm(trace=True, **net_kwargs):
         msg_overhead=0.0,
     )
     topo = ClusterTopology(Cluster("lan", net, [fast, slow]))
-    return VirtualMachine(topo, trace=trace)
+    return VirtualMachine(topo)
 
 
 class TestSendTiming:
@@ -105,7 +106,7 @@ class TestSendTiming:
                            unpack_cost=0.0, msg_overhead=0.0)
         machines = [MachineSpec(f"m{i}", cpu_rate=1e9, nic_gap=1e-6, pack_cost=0.0,
                                 unpack_cost=0.0, msg_overhead=0.0) for i in range(3)]
-        vm = VirtualMachine(ClusterTopology(Cluster("lan", net, machines)), trace=True)
+        vm = VirtualMachine(ClusterTopology(Cluster("lan", net, machines)))
 
         def sender(task, dst):
             yield from task.send(dst, np.zeros(1000, dtype=np.uint8))
@@ -173,7 +174,8 @@ class TestRecv:
         assert recv_task.received_bytes == 100
 
     def test_trace_has_all_phases(self):
-        vm = make_vm(trace=True)
+        with observe(spans=True) as observation:
+            vm = make_vm()
 
         def sender(task, dst):
             yield from task.send(dst, np.zeros(500, dtype=np.uint8))
@@ -184,6 +186,10 @@ class TestRecv:
         recv_task = vm.spawn(receiver, 1)
         vm.spawn(sender, 0, recv_task.tid)
         vm.run()
-        categories = vm.trace.categories()
+        spans = {s.category: s for s in observation.tracer}
         for phase in ("pack", "inject", "drain", "unpack"):
-            assert phase in categories
+            assert spans[phase].duration > 0
+        # Each phase is on the track of the machine that pays for it.
+        assert [spans[c].actor for c in ("pack", "inject", "drain", "unpack")] == [
+            "fast", "fast", "slow", "slow"
+        ]

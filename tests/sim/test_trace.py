@@ -1,75 +1,57 @@
-"""Unit tests for repro.sim.trace."""
+"""The simulator's one timeline recorder: the span tracer's record/query
+surface that message timing (pack/inject/drain/unpack/compute) uses."""
 
-from repro.sim import Trace
+from repro.obs import Tracer
+
+
+def add(tracer, category, actor, start, end, **args):
+    return tracer.add(category, category, group="run1", actor=actor,
+                      start=start, end=end, **args)
 
 
 class TestTrace:
     def test_disabled_is_noop(self):
-        trace = Trace(enabled=False)
-        trace.emit(1.0, "compute", "m0", 0.5)
-        assert len(trace) == 0
+        tracer = Tracer(enabled=False)
+        add(tracer, "compute", "m0", 0.5, 1.0)
+        assert len(tracer) == 0
 
     def test_emit_records(self):
-        trace = Trace()
-        trace.emit(1.0, "compute", "m0", 0.5, work=100)
-        assert len(trace) == 1
-        record = trace.records[0]
-        assert record.time == 1.0
-        assert record.category == "compute"
-        assert record.actor == "m0"
-        assert record.duration == 0.5
-        assert record.detail["work"] == 100
+        tracer = Tracer()
+        add(tracer, "compute", "m0", 0.5, 1.0, work=100)
+        assert len(tracer) == 1
+        span = tracer.spans[0]
+        assert span.end == 1.0
+        assert span.category == "compute"
+        assert span.actor == "m0"
+        assert span.duration == 0.5
+        assert span.args["work"] == 100
 
     def test_filter_by_category(self):
-        trace = Trace()
-        trace.emit(1.0, "pack", "a", 0.1)
-        trace.emit(2.0, "drain", "b", 0.2)
-        trace.emit(3.0, "pack", "b", 0.3)
-        assert len(trace.filter("pack")) == 2
-        assert len(trace.filter("drain")) == 1
+        tracer = Tracer()
+        add(tracer, "pack", "a", 0.9, 1.0)
+        add(tracer, "drain", "b", 1.8, 2.0)
+        add(tracer, "pack", "b", 2.7, 3.0)
+        assert len(tracer.filter("pack")) == 2
+        assert len(tracer.filter("drain")) == 1
 
     def test_filter_by_actor(self):
-        trace = Trace()
-        trace.emit(1.0, "pack", "a", 0.1)
-        trace.emit(2.0, "pack", "b", 0.2)
-        assert len(trace.filter(actor="a")) == 1
+        tracer = Tracer()
+        add(tracer, "pack", "a", 0.9, 1.0)
+        add(tracer, "pack", "b", 1.8, 2.0)
+        assert len(tracer.filter(actor="a")) == 1
 
     def test_filter_both(self):
-        trace = Trace()
-        trace.emit(1.0, "pack", "a", 0.1)
-        trace.emit(2.0, "drain", "a", 0.2)
-        assert len(trace.filter("pack", "a")) == 1
-
-    def test_total_duration(self):
-        trace = Trace()
-        trace.emit(1.0, "pack", "a", 0.1)
-        trace.emit(2.0, "pack", "b", 0.2)
-        assert trace.total_duration("pack") == 0.30000000000000004 or abs(
-            trace.total_duration("pack") - 0.3
-        ) < 1e-12
-
-    def test_by_actor(self):
-        trace = Trace()
-        trace.emit(1.0, "drain", "root", 0.5)
-        trace.emit(2.0, "drain", "root", 0.5)
-        trace.emit(3.0, "drain", "other", 0.1)
-        by_actor = trace.by_actor("drain")
-        assert by_actor["root"] == 1.0
-        assert by_actor["other"] == 0.1
-
-    def test_categories(self):
-        trace = Trace()
-        trace.emit(1.0, "pack", "a", 1.0)
-        trace.emit(2.0, "sync", "a", 2.0)
-        categories = trace.categories()
-        assert categories == {"pack": 1.0, "sync": 2.0}
+        tracer = Tracer()
+        add(tracer, "pack", "a", 0.9, 1.0)
+        add(tracer, "drain", "a", 1.8, 2.0)
+        assert len(tracer.filter("pack", actor="a")) == 1
 
     def test_iterable(self):
-        trace = Trace()
-        trace.emit(1.0, "x", "a")
-        assert [r.category for r in trace] == ["x"]
+        tracer = Tracer()
+        add(tracer, "x", "a", 1.0, 1.0)
+        assert [s.category for s in tracer] == ["x"]
 
     def test_point_events_have_zero_duration(self):
-        trace = Trace()
-        trace.emit(1.0, "mark", "a")
-        assert trace.records[0].duration == 0.0
+        tracer = Tracer()
+        add(tracer, "mark", "a", 1.0, 1.0)
+        assert tracer.spans[0].duration == 0.0
