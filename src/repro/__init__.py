@@ -35,7 +35,7 @@ Robustness (see ``docs/faults.md``)::
     from repro.faults import straggler_plan
     outcome = run_gather(
         ucf_testbed(8), 25600,
-        faults=straggler_plan("sun-ultra1", factor=4.0), fault_seed=1,
+        faults=straggler_plan("sun-ultra1", factor=4.0), seed=1,
         delivery=DeliveryPolicy.retry(3, timeout=0.25),
     )
 """

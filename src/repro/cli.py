@@ -26,9 +26,9 @@ Subcommands:
     Play one open-loop serving session (seeded arrivals, admission
     control, batching, subtree placement) and print its goodput,
     latency percentiles, and per-slice utilisation.
-``experiment ID``
-    Regenerate a paper artifact (same ids as ``python -m
-    repro.experiments``).
+``experiment [ID ...]``
+    Regenerate paper artifacts, every one by default (``python -m
+    repro.experiments`` is the same command).
 ``topology generate SPEC``
     Build a generated (or preset) topology, print a summary, and
     optionally write the topology JSON and/or a synthesized probe
@@ -217,8 +217,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         )
     topology = build_any(args.preset)
     decision = tune(
-        topology, args.collective, args.n, root=_root_spec(args.root), force=args.force,
-        shortlist=args.shortlist,
+        topology, args.collective, args.n, root=_root_spec(args.root), force=args.force
     )
     print(f"{args.collective}(n={args.n}) on {args.preset} -> {decision.plan.key}")
     print(f"  topology hash : {decision.topology_hash[:16]}…  root pid{decision.root}")
@@ -314,12 +313,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments import run_experiment
-    from repro.perf import effective_jobs, sweep
+    from repro.experiments.runner import EXPERIMENTS, check_experiment, run_experiment
+    from repro.perf import default_cache_dir, effective_jobs, sweep
 
-    with sweep(jobs=effective_jobs(args.jobs), cache_dir=args.cache_dir):
-        report = run_experiment(args.id, seed=args.seed, schedule=args.schedule)
-    print(report.render(plot=args.plot))
+    wanted = list(EXPERIMENTS) if args.ids in ([], ["all"]) else args.ids
+    # Check every id first: a typo must not surface after a long sweep.
+    ids = [check_experiment(i, seed=args.seed, schedule=args.schedule) for i in wanted]
+    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
+    # One executor for the whole invocation (even serially): experiments
+    # sharing grid points simulate them once.
+    with sweep(jobs=effective_jobs(args.jobs), cache_dir=cache_dir):
+        for experiment_id in ids:
+            report = run_experiment(experiment_id, seed=args.seed, schedule=args.schedule)
+            print(report.render(plot=args.plot))
+            print()
     return 0
 
 
@@ -381,7 +388,7 @@ def _cmd_topology_discover(args: argparse.Namespace) -> int:
         topology = build_any(t.cast(str, args.spec))
         truth = topology_partitions(topology)
         matrix = synthesize(topology, noise=args.noise, seed=args.seed)
-    result = discover(matrix, method=args.method, rel_tol=args.rel_tol)
+    result = discover(matrix, rel_tol=args.rel_tol)
     print(result.describe())
     if truth is not None:
         score = 1.0 - hierarchy_distance(truth, result.partitions)
@@ -510,8 +517,6 @@ def main(argv: t.Sequence[str] | None = None) -> int:
                              help="fastest | slowest | explicit pid")
     tune_parser.add_argument("--force", action="store_true",
                              help="re-tune even if a cached decision exists")
-    tune_parser.add_argument("--shortlist", type=int, default=4,
-                             help="analytic top-N to DES-validate (default 4)")
     cache_parser = sub.add_parser(
         "cache", help="inspect or reclaim the persistent caches"
     )
@@ -526,9 +531,12 @@ def main(argv: t.Sequence[str] | None = None) -> int:
                               help="prune target size per tier — sweeps and "
                               "decisions each keep at most this many bytes "
                               "(default 0 = keep nothing)")
-    experiment_parser = sub.add_parser("experiment", help="regenerate a paper artifact")
+    experiment_parser = sub.add_parser(
+        "experiment", help="regenerate paper artifacts (all of them by default)"
+    )
     experiment_parser.set_defaults(handler=_cmd_experiment)
-    experiment_parser.add_argument("id")
+    experiment_parser.add_argument("ids", nargs="*", metavar="ID",
+                                   help="experiment id(s) or 'all' (the default)")
     experiment_parser.add_argument("--plot", action="store_true",
                                    help="render as an ASCII line plot")
     experiment_parser.add_argument("--seed", type=int, default=None,
@@ -537,8 +545,10 @@ def main(argv: t.Sequence[str] | None = None) -> int:
                                    help="worker processes for the simulation "
                                    "sweep (output is bit-identical)")
     experiment_parser.add_argument("--cache-dir", default=None,
-                                   help="persist sweep results under this "
-                                   "directory and reuse them across runs")
+                                   help="persistent sweep-result cache (default: "
+                                   "$REPRO_CACHE_DIR or ~/.cache/repro/sweeps)")
+    experiment_parser.add_argument("--no-cache", action="store_true",
+                                   help="disable the persistent sweep-result cache")
     experiment_parser.add_argument("--schedule", default=None,
                                    choices=["default", "tuned"],
                                    help="collective schedule for experiments "
@@ -610,8 +620,6 @@ def main(argv: t.Sequence[str] | None = None) -> int:
                                  help="synthesize the matrix from this "
                                  "generator/preset spec instead (round-trip "
                                  "demo: scores recovery against the truth)")
-    discover_parser.add_argument("--method", default="auto",
-                                 choices=["auto", "linkage", "bands"])
     discover_parser.add_argument("--rel-tol", type=float, default=0.3,
                                  help="level-cut relative tolerance "
                                  "(default 0.3)")

@@ -6,25 +6,25 @@ whose pairwise communication costs are statistically indistinguishable
 belong to the same logical cluster, and the nesting of clusters falls
 out of agglomerative clustering of the distance matrix.
 
-Two interchangeable backends produce the level partitions:
+Two backends produce the level partitions, picked by matrix size:
 
-``linkage``
+``linkage`` (up to :data:`LINKAGE_LIMIT` machines)
     scipy average-linkage over the condensed distance matrix; the
     dendrogram merge heights are grouped into *bands* (the level-cut
     heuristic below) and the tree is cut once per band boundary.
-``bands``
+``bands`` (above it)
     Cuts the distance values themselves into bands and computes the
     connected components at each inter-band threshold directly, one
     representative per discovered cluster.  O(k p^2) with numpy row
     operations — this is the path that takes a 10^4-leaf matrix.
 
 **Level-cut heuristic.**  Sorted distance values are chained into a
-band while each consecutive value is within ``rel_tol`` (relative) +
-``abs_tol`` (absolute) of the previous one; a larger jump starts a new
-band.  Each band is one hierarchy level, so levels whose costs are
-indistinguishable at the given tolerance merge into one — exactly the
-"statistically homogeneous" criterion of the source paper, and the
-reason measurement noise does not hallucinate extra levels.
+band while each consecutive value is within ``rel_tol`` (relative)
+of the previous one; a larger jump starts a new band.  Each band is
+one hierarchy level, so levels whose costs are indistinguishable at
+the given tolerance merge into one — exactly the "statistically
+homogeneous" criterion of the source paper, and the reason
+measurement noise does not hallucinate extra levels.
 
 On a noiseless matrix synthesized from a tree topology the distances
 are ultrametric and both backends recover the true partition at every
@@ -54,9 +54,14 @@ __all__ = ["DiscoveryResult", "discover", "level_bands"]
 #: default separates real levels while absorbing realistic noise.
 DEFAULT_REL_TOL = 0.3
 
-#: Above this many machines, ``method="auto"`` switches from scipy
+#: Above this many machines, :func:`discover` switches from scipy
 #: average linkage to the banded connected-components backend.
 LINKAGE_LIMIT = 4096
+
+#: Cap on recovered levels: if band detection finds more, only the
+#: ``MAX_LEVELS - 1`` widest inter-band jumps become cuts (the rest
+#: merge — noise never fragments the hierarchy unboundedly).
+MAX_LEVELS = 12
 
 #: Row-sample cap for band detection on huge matrices: every value of a
 #: sampled row is considered, and every machine's row contains its own
@@ -142,16 +147,15 @@ def level_bands(
     values: np.ndarray,
     *,
     rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = 0.0,
 ) -> list[tuple[float, float]]:
     """Group sorted distance values into indistinguishability bands.
 
     Chains sorted unique values: ``v`` extends the current band when
-    ``v <= hi * (1 + rel_tol) + abs_tol`` (``hi`` = the band's current
-    top); otherwise it starts a new band.  Returns ``(lo, hi)`` per
+    ``v <= hi * (1 + rel_tol)`` (``hi`` = the band's current top);
+    otherwise it starts a new band.  Returns ``(lo, hi)`` per
     band, ascending.
     """
-    if rel_tol < 0 or abs_tol < 0:
+    if rel_tol < 0:
         raise DiscoveryError("band tolerances must be >= 0")
     unique = np.unique(np.asarray(values, dtype=np.float64).ravel())
     if unique.size == 0:
@@ -160,7 +164,7 @@ def level_bands(
     lo = hi = float(unique[0])
     for value in unique[1:]:
         value = float(value)
-        if value <= hi * (1.0 + rel_tol) + abs_tol:
+        if value <= hi * (1.0 + rel_tol):
             hi = value
         else:
             bands.append((lo, hi))
@@ -262,22 +266,10 @@ def _partitions_by_linkage(
     ]
 
 
-def _scipy_available() -> bool:
-    try:
-        import scipy.cluster.hierarchy  # noqa: F401
-    except ImportError:  # pragma: no cover - scipy ships in the toolchain
-        return False
-    return True
-
-
 def discover(
     matrix: ProbeMatrix,
     *,
-    method: str = "auto",
     rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = 0.0,
-    ref_bytes: float = 0.0,
-    max_levels: int = 12,
 ) -> DiscoveryResult:
     """Recover an HBSP^k hierarchy from a pairwise probe matrix.
 
@@ -285,58 +277,37 @@ def discover(
     ----------
     matrix:
         The measurements (see :class:`ProbeMatrix`).
-    method:
-        ``"linkage"`` (scipy average linkage), ``"bands"`` (threshold
-        components, the scalable path), or ``"auto"`` — linkage up to
-        :data:`LINKAGE_LIMIT` machines when scipy is importable, bands
-        beyond.
-    rel_tol / abs_tol:
-        Level-cut tolerances (see :func:`level_bands`).
-    ref_bytes:
-        Message size mixed into the dissimilarity
-        (``latency + ref_bytes * gap``); 0 clusters on latency alone.
-    max_levels:
-        Cap on recovered levels; if band detection finds more, only the
-        ``max_levels - 1`` widest inter-band jumps become cuts (the
-        rest merge — noise never fragments the hierarchy unboundedly).
+    rel_tol:
+        Level-cut tolerance (see :func:`level_bands`).
+
+    The backend is linkage up to :data:`LINKAGE_LIMIT` machines and
+    bands beyond; at most :data:`MAX_LEVELS` levels are recovered.
 
     Returns a :class:`DiscoveryResult` whose ``topology`` and
     ``params`` plug into everything that consumes a declared cluster
     (collectives, planner, kernels, experiments).
     """
-    if method not in ("auto", "linkage", "bands"):
-        raise DiscoveryError(
-            f"unknown method {method!r}; use auto, linkage, or bands"
-        )
-    if max_levels < 1:
-        raise DiscoveryError(f"max_levels must be >= 1, got {max_levels}")
     p = matrix.p
-    d = matrix.dissimilarity(ref_bytes)
+    d = matrix.dissimilarity()
     if p == 1:
         bands: list[tuple[float, float]] = []
         thresholds: list[float] = []
         partitions = [np.zeros(1, dtype=np.int64)]
         resolved = "bands"
     else:
-        bands = level_bands(_sample_values(d), rel_tol=rel_tol, abs_tol=abs_tol)
+        bands = level_bands(_sample_values(d), rel_tol=rel_tol)
         thresholds = _band_thresholds(bands)
-        if len(thresholds) > max_levels - 1:
+        if len(thresholds) > MAX_LEVELS - 1:
             # Keep the widest jumps (largest hi->lo ratio) as the cuts.
             jumps = [
                 (bands[i + 1][0] / bands[i][1] if bands[i][1] > 0 else np.inf, i)
                 for i in range(len(thresholds))
             ]
             keep = sorted(
-                index for _, index in sorted(jumps, reverse=True)[: max_levels - 1]
+                index for _, index in sorted(jumps, reverse=True)[: MAX_LEVELS - 1]
             )
             thresholds = [thresholds[i] for i in keep]
-        resolved = method
-        if resolved == "auto":
-            resolved = (
-                "linkage" if p <= LINKAGE_LIMIT and _scipy_available() else "bands"
-            )
-        if resolved == "linkage" and not _scipy_available():  # pragma: no cover
-            resolved = "bands"
+        resolved = "linkage" if p <= LINKAGE_LIMIT else "bands"
         compute = (
             _partitions_by_linkage if resolved == "linkage" else _partitions_by_bands
         )

@@ -101,23 +101,16 @@ class ProbeMatrix:
         """Number of machines."""
         return len(self.names)
 
-    def dissimilarity(self, ref_bytes: float = 0.0) -> np.ndarray:
+    def dissimilarity(self) -> np.ndarray:
         """The symmetric distance matrix inference clusters on.
 
-        ``d_{ij} = (latency_{ij} + ref_bytes * gap_{ij}`` symmetrized
-        as the mean of both directions, diagonal forced to zero).  The
-        default ``ref_bytes = 0`` clusters on latency alone — the
+        ``d_{ij} = latency_{ij}`` symmetrized as the mean of both
+        directions, diagonal forced to zero.  Latency alone is the
         quantity that separates hierarchy levels by an order of
-        magnitude (Section 1) — while the gap matrix still informs the
+        magnitude (Section 1); the gap matrix still informs the
         reconstructed per-machine NIC speeds.
         """
         d = self.latency
-        if ref_bytes:
-            if self.gap is None:
-                raise DiscoveryError(
-                    "ref_bytes > 0 needs a gap matrix (this one is latency-only)"
-                )
-            d = d + float(ref_bytes) * self.gap
         d = (d + d.T) * d.dtype.type(0.5)
         np.fill_diagonal(d, 0.0)
         return d

@@ -100,13 +100,11 @@ def run_allgather(
     scores: t.Mapping[str, float] | None = None,
     seed: int = 0,
     faults: "FaultPlan | None" = None,
-    fault_seed: int | None = None,
     delivery: t.Any | None = None,
 ) -> CollectiveOutcome:
     """Run the all-gather and predict its cost."""
     runtime = make_runtime(
-        topology, scores=scores, faults=faults, fault_seed=fault_seed,
-        seed=seed, delivery=delivery,
+        topology, scores=scores, faults=faults, seed=seed, delivery=delivery,
     )
     root_pid = resolve_root(runtime, root)
     counts = split_counts(runtime, n, workload)

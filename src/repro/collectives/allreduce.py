@@ -96,13 +96,11 @@ def run_allreduce(
     scores: t.Mapping[str, float] | None = None,
     seed: int = 0,
     faults: "FaultPlan | None" = None,
-    fault_seed: int | None = None,
     delivery: t.Any | None = None,
 ) -> CollectiveOutcome:
     """Run the all-reduce and predict its cost."""
     runtime = make_runtime(
-        topology, scores=scores, faults=faults, fault_seed=fault_seed,
-        seed=seed, delivery=delivery,
+        topology, scores=scores, faults=faults, seed=seed, delivery=delivery,
     )
     root_pid = resolve_root(runtime, root)
     result = runtime.run(allreduce_program, width, root_pid, strategy, seed)

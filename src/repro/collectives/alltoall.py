@@ -96,13 +96,11 @@ def run_alltoall(
     scores: t.Mapping[str, float] | None = None,
     seed: int = 0,
     faults: "FaultPlan | None" = None,
-    fault_seed: int | None = None,
     delivery: t.Any | None = None,
 ) -> CollectiveOutcome:
     """Run the total exchange and predict its cost."""
     runtime = make_runtime(
-        topology, scores=scores, faults=faults, fault_seed=fault_seed,
-        seed=seed, delivery=delivery,
+        topology, scores=scores, faults=faults, seed=seed, delivery=delivery,
     )
     counts = split_counts(runtime, n, workload)
     result = runtime.run(alltoall_program, counts, seed)

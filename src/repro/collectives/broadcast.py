@@ -189,7 +189,6 @@ def run_broadcast(
     scores: t.Mapping[str, float] | None = None,
     seed: int = 0,
     faults: "FaultPlan | None" = None,
-    fault_seed: int | None = None,
     delivery: t.Any | None = None,
     macro: bool | None = None,
     plan: SchedulePlan | None = None,
@@ -200,15 +199,15 @@ def run_broadcast(
     applies everywhere).  ``balanced_shares`` distributes first-phase
     shares by the ``c_j`` fractions instead of equally (Fig. 4(b)).
     ``macro`` selects the macro-event fast path (default: auto on
-    fault-free untraced runs; the result is bit-identical either way).
+    fault-free runs outside span tracing; the result is bit-identical
+    either way).
     ``plan`` runs an explicit :class:`~repro.tuning.plan.SchedulePlan`
     (overriding ``phases``); ``None`` is ``plan_from_phases(phases, k)``
     — the run and the prediction are that plan's and only the outcome
     and ledger names say ``phases=``.
     """
     runtime = make_runtime(
-        topology, scores=scores, faults=faults, fault_seed=fault_seed,
-        seed=seed, delivery=delivery, macro=macro,
+        topology, scores=scores, faults=faults, seed=seed, delivery=delivery, macro=macro,
     )
     if plan is None:
         plan, tag = plan_from_phases(phases, runtime.params.k), f"phases={phases!r}"

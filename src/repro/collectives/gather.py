@@ -118,7 +118,6 @@ def run_gather(
     seed: int = 0,
     serialize_nic: bool = True,
     faults: "FaultPlan | None" = None,
-    fault_seed: int | None = None,
     delivery: t.Any | None = None,
     macro: bool | None = None,
     plan: SchedulePlan | None = None,
@@ -129,8 +128,8 @@ def run_gather(
     / slowest / explicit pid) and ``workload`` (equal / balanced /
     explicit per-pid counts); ``serialize_nic=False`` is the ablation
     switch of :mod:`repro.experiments.ablations`.  ``macro`` selects
-    the macro-event fast path (default: auto on fault-free untraced
-    runs; the result is bit-identical either way).  ``plan`` runs an
+    the macro-event fast path (default: auto on fault-free runs outside
+    span tracing; the result is bit-identical either way).  ``plan`` runs an
     explicit :class:`~repro.tuning.plan.SchedulePlan` (e.g. a tuned
     one); ``None`` is the paper's flat schedule,
     ``default_plan("gather", k)`` — the run and the prediction are the
@@ -138,8 +137,7 @@ def run_gather(
     """
     runtime = make_runtime(
         topology, scores=scores, serialize_nic=serialize_nic,
-        faults=faults, fault_seed=fault_seed, seed=seed, delivery=delivery,
-        macro=macro,
+        faults=faults, seed=seed, delivery=delivery, macro=macro,
     )
     if plan is None:
         plan, tag = default_plan("gather", runtime.params.k), ""

@@ -62,13 +62,11 @@ def run_scan(
     scores: t.Mapping[str, float] | None = None,
     seed: int = 0,
     faults: "FaultPlan | None" = None,
-    fault_seed: int | None = None,
     delivery: t.Any | None = None,
 ) -> CollectiveOutcome:
     """Run the prefix-sum scan and predict its cost."""
     runtime = make_runtime(
-        topology, scores=scores, faults=faults, fault_seed=fault_seed,
-        seed=seed, delivery=delivery,
+        topology, scores=scores, faults=faults, seed=seed, delivery=delivery,
     )
     result = runtime.run(scan_program, width, seed)
     cpu_rates = [m.cpu_rate for m in runtime.topology.machines]

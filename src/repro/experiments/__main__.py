@@ -1,8 +1,8 @@
-"""``python -m repro.experiments`` entry point."""
+"""``python -m repro.experiments [ID ...]``: ``python -m repro experiment``."""
 
 import sys
 
-from repro.experiments.runner import main
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["experiment", *sys.argv[1:]]))

@@ -107,9 +107,7 @@ def robustness_report(
         topology = ucf_testbed(p)
         for label, (plan, delivery) in robustness_plans(topology).items():
             grid.append((p, label))
-            kwargs: dict[str, t.Any] = dict(
-                seed=seed, faults=plan, fault_seed=seed, delivery=delivery
-            )
+            kwargs: dict[str, t.Any] = dict(seed=seed, faults=plan, delivery=delivery)
             jobs.append(SimJob.collective(
                 "gather", topology, n, root=RootPolicy.SLOWEST,
                 workload=WorkloadPolicy.EQUAL, **kwargs))

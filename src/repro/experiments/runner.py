@@ -1,9 +1,12 @@
-"""Command-line entry point: ``python -m repro.experiments <id>``."""
+"""The experiment registry and :func:`run_experiment`.
+
+The command line is ``python -m repro experiment [ID ...]``
+(:mod:`repro.cli`); ``python -m repro.experiments [ID ...]`` is the
+same command.
+"""
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import inspect
 import typing as t
 
@@ -31,7 +34,7 @@ from repro.experiments.robustness import robustness_report
 from repro.experiments.serving import serving_curves
 from repro.util.validation import check_known
 
-__all__ = ["EXPERIMENTS", "run_experiment", "main"]
+__all__ = ["EXPERIMENTS", "check_experiment", "run_experiment"]
 
 #: Experiment id -> zero-config callable (matches DESIGN.md's index).
 EXPERIMENTS: dict[str, t.Callable[[], ExperimentReport]] = {
@@ -79,6 +82,30 @@ _ACCEPTS_SCHEDULE: frozenset[str] = frozenset(
 )
 
 
+def check_experiment(
+    experiment_id: str,
+    *,
+    seed: int | None = None,
+    schedule: str | None = None,
+) -> str:
+    """The registered id of ``experiment_id`` (an id or alias).
+
+    Raises :class:`~repro.errors.ExperimentError` for an unknown id, or
+    for a ``seed``/``schedule`` the experiment does not accept.
+    """
+    experiment_id = EXPERIMENT_ALIASES.get(experiment_id, experiment_id)
+    check_known("experiment", experiment_id, sorted(EXPERIMENTS), ExperimentError)
+    if seed is not None and experiment_id not in _ACCEPTS_SEED:
+        raise ExperimentError(
+            f"experiment {experiment_id!r} does not accept a seed"
+        )
+    if schedule is not None and experiment_id not in _ACCEPTS_SCHEDULE:
+        raise ExperimentError(
+            f"experiment {experiment_id!r} does not accept a schedule"
+        )
+    return experiment_id
+
+
 def run_experiment(
     experiment_id: str,
     *,
@@ -92,17 +119,7 @@ def run_experiment(
     (``"default"``/``"tuned"``) likewise selects the collective
     schedule for experiments that support it.
     """
-    experiment_id = EXPERIMENT_ALIASES.get(experiment_id, experiment_id)
-    check_known("experiment", experiment_id, sorted(EXPERIMENTS), ExperimentError)
-    factory = EXPERIMENTS[experiment_id]
-    if seed is not None and experiment_id not in _ACCEPTS_SEED:
-        raise ExperimentError(
-            f"experiment {experiment_id!r} does not accept a seed"
-        )
-    if schedule is not None and experiment_id not in _ACCEPTS_SCHEDULE:
-        raise ExperimentError(
-            f"experiment {experiment_id!r} does not accept a schedule"
-        )
+    factory = EXPERIMENTS[check_experiment(experiment_id, seed=seed, schedule=schedule)]
     kwargs: dict[str, t.Any] = {}
     if seed is not None:
         kwargs["seed"] = seed
@@ -117,98 +134,3 @@ def run_experiment(
         # bit-identical.
         observation.metrics.inc("repro_experiments_total")
     return factory(**kwargs)
-
-
-def main(argv: t.Sequence[str] | None = None) -> int:
-    """CLI: run one or all experiments and print their reports."""
-    from repro.obs.observe import add_obs_flags, observe_to
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments",
-        description="Regenerate the paper's figures and tables.",
-    )
-    parser.add_argument(
-        "experiment",
-        nargs="*",
-        default=["all"],
-        help=f"experiment id(s) or 'all'; known: {', '.join(sorted(EXPERIMENTS))}",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="override the experiment seed (for experiments that accept one)",
-    )
-    parser.add_argument(
-        "--schedule", choices=["default", "tuned"], default=None,
-        help="collective schedule for experiments that support it "
-        "(tuned = auto-tuned via the persistent decision cache)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the simulation sweeps (default: serial); "
-        "output is bit-identical at any value",
-    )
-    parser.add_argument(
-        "--cache-dir", type=str, default=None,
-        help="persistent result cache location (default: "
-        "$REPRO_CACHE_DIR or ~/.cache/repro/sweeps); repeated "
-        "invocations skip already-computed grid points",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the persistent result cache for this invocation",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="cProfile each experiment and dump the top functions by "
-        "cumulative time",
-    )
-    parser.add_argument(
-        "--profile-limit", type=int, default=15,
-        help="rows to show per experiment with --profile (default: 15)",
-    )
-    add_obs_flags(parser)
-    args = parser.parse_args(argv)
-    wanted = list(args.experiment)
-    if wanted == ["all"]:
-        wanted = list(EXPERIMENTS)
-    # One executor for the whole invocation (even serially): experiments
-    # sharing grid points simulate them once.
-    from repro.perf import default_cache_dir, effective_jobs, sweep
-
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    with observe_to(args.trace_out, args.metrics_out, args.obs_summary, args.runs_out):
-        with sweep(jobs=effective_jobs(args.jobs), cache_dir=cache_dir):
-            for experiment_id in wanted:
-                with (
-                    _profiled(experiment_id, args.profile_limit)
-                    if args.profile
-                    else contextlib.nullcontext()
-                ):
-                    report = run_experiment(
-                        experiment_id, seed=args.seed, schedule=args.schedule
-                    )
-                print(report.render())
-                print()
-    return 0
-
-
-@contextlib.contextmanager
-def _profiled(experiment_id: str, limit: int) -> t.Iterator[None]:
-    """cProfile the block, dumping top-N to stderr."""
-    import cProfile
-    import io
-    import pstats
-    import sys
-
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        yield
-    finally:
-        profile.disable()
-        buffer = io.StringIO()
-        stats = pstats.Stats(profile, stream=buffer)
-        stats.sort_stats("cumulative").print_stats(limit)
-        print(f"--- profile: {experiment_id} (top {limit} by cumulative) ---",
-              file=sys.stderr)
-        print(buffer.getvalue(), file=sys.stderr)

@@ -261,40 +261,29 @@ class HbspRuntime:
         return ("macro", "")
 
     @gc_paused()
-    def run(
-        self,
-        program: Program,
-        *args: t.Any,
-        per_pid_args: t.Sequence[tuple] | None = None,
-        **kwargs: t.Any,
-    ) -> HbspResult:
+    def run(self, program: Program, *args: t.Any, **kwargs: t.Any) -> HbspResult:
         """Execute ``program`` on every processor and simulate to completion.
 
-        ``program(ctx, *args, **kwargs)`` runs once per pid; with
-        ``per_pid_args``, process ``j`` instead receives
-        ``program(ctx, *per_pid_args[j], **kwargs)``.
+        ``program(ctx, *args, **kwargs)`` runs once per pid.  A call
+        refused before anything ran (a ``macro=True`` runtime with a
+        live hook) leaves the runtime unused.
 
         A run that finishes releases the contexts' and the macro engine's
         reference to this runtime (docs/simulator.md §4); one that raises
         leaves the world intact.
         """
-        if per_pid_args is not None and len(per_pid_args) != self.nprocs:
-            raise HbspError(
-                f"per_pid_args must have {self.nprocs} entries, got {len(per_pid_args)}"
-            )
         if self._ran:
             raise HbspError(
                 "this runtime already executed a program; create a fresh "
                 "HbspRuntime per measured run (the virtual clock is not reset)"
             )
-        self._ran = True
         self.engine_path = self._choose_path()
+        self._ran = True
         on_macro = self.engine_path[0] == "macro"
-        argv = per_pid_args if per_pid_args is not None else [args] * self.nprocs
 
         def wrapper(task, pid: int):  # the object path's process body
             ctx = self._contexts[pid]
-            value = yield from program(ctx, *argv[pid], **kwargs)
+            value = yield from program(ctx, *args, **kwargs)
             ctx._finished = True
             return value
 
@@ -315,8 +304,7 @@ class HbspRuntime:
             from repro.sim.macro import MacroEngine
 
             self.macro = MacroEngine(self, [
-                program(ctx, *argv[pid], **kwargs)
-                for pid, ctx in enumerate(self._contexts)
+                program(ctx, *args, **kwargs) for ctx in self._contexts
             ])
 
         time = self.vm.run()

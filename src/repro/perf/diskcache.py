@@ -60,7 +60,9 @@ __all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "DiskCache", "default_cache_dir
 #: v3: job keys encode a topology's pair multipliers (v2 keys collided
 #: for machines differing only in a pair multiplier, since removed).
 #: v4: job keys encode a topology as its ``topology_hash``.
-CACHE_SCHEMA_VERSION = 4
+#: v5: tuning-decision keys and records drop ``item_bytes``, and the
+#: robustness jobs drop the injector-seed keyword that repeated their seed.
+CACHE_SCHEMA_VERSION = 5
 
 
 def default_cache_dir() -> Path:

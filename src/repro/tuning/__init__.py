@@ -7,7 +7,7 @@ the vectorized cost kernels, DES-validate the analytic shortlist on the
 macro engine, and memoize the winning
 :class:`~repro.tuning.plan.SchedulePlan` in a persistent
 :class:`~repro.tuning.cache.DecisionCache` keyed by
-``(op, topology-hash, n, item_bytes)`` — repeated traffic resolves a
+``(op, topology-hash, n, root)`` — repeated traffic resolves a
 tuned schedule in O(1) with zero enumeration.
 
 The heavy modules (:mod:`~repro.tuning.tuner`,

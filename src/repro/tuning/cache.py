@@ -4,7 +4,7 @@ A tuned schedule is worth remembering: the cold pipeline enumerates
 and prices the whole plan space and DES-validates a shortlist, while
 the *decision* itself is a few hundred bytes of JSON.  The
 :class:`DecisionCache` stores one :class:`TunedDecision` per
-``(op, topology-hash, n, item_bytes, root)`` tuple — the topology hash
+``(op, topology-hash, n, root)`` tuple — the topology hash
 is :func:`repro.cluster.topology_hash`, canonical across dict ordering
 and schema versions — so repeated traffic on a known machine resolves
 its plan in O(1) with zero enumeration.
@@ -66,7 +66,6 @@ class TunedDecision(Spec):
     op: str
     topology_hash: str
     n: int
-    item_bytes: int
     root: int
     plan: SchedulePlan
     predicted_time: float
@@ -85,9 +84,7 @@ class TunedDecision(Spec):
         return 1.0 - self.simulated_time / self.default_time
 
 
-def decision_key(
-    op: str, topology_hash: str, n: int, item_bytes: int, root: int
-) -> str:
+def decision_key(op: str, topology_hash: str, n: int, root: int) -> str:
     """Stable cache key for one tuning decision.
 
     The composed tuple is hashed so every key is a uniform hex string
@@ -98,13 +95,11 @@ def decision_key(
     The tuning ``seed`` stays out of the key: it only draws the item
     values, and a gather's or broadcast's simulated time depends on
     item counts, never values, so every seed validates to the same
-    decision.  The space searched (``segments``, ``shortlist``) is not
-    in the key either, which is why :func:`~repro.tuning.tuner.tune`
-    serves and stores only the default space.
+    decision.  The space searched is fixed, so it needs no field.
     """
     if op not in ("gather", "broadcast"):
         raise CollectiveError(f"op must be 'gather' or 'broadcast', got {op!r}")
-    text = f"{op}|{topology_hash}|{int(n)}|{int(item_bytes)}|{int(root)}"
+    text = f"{op}|{topology_hash}|{int(n)}|{int(root)}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -123,10 +118,10 @@ class DecisionCache:
         self._memo: dict[str, TunedDecision] = {}
 
     def get(
-        self, op: str, topology_hash: str, n: int, item_bytes: int, root: int
+        self, op: str, topology_hash: str, n: int, root: int
     ) -> TunedDecision | None:
         """The memoized decision, or ``None`` on any miss/failure."""
-        key = decision_key(op, topology_hash, n, item_bytes, root)
+        key = decision_key(op, topology_hash, n, root)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -143,11 +138,7 @@ class DecisionCache:
     def put(self, decision: TunedDecision) -> None:
         """Memoize a decision in memory and (best-effort) on disk."""
         key = decision_key(
-            decision.op,
-            decision.topology_hash,
-            decision.n,
-            decision.item_bytes,
-            decision.root,
+            decision.op, decision.topology_hash, decision.n, decision.root
         )
         self._memo[key] = decision
         self.disk.put_json(key, decision.to_dict())

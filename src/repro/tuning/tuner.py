@@ -10,16 +10,16 @@ Cold path (:func:`tune` on an unseen ``(op, machine, n)``):
    ``(level, LevelSchedule)`` — ``|choices|·k``, not ``|choices|^k`` —
    with every plan assembled from the shared level steps, bit-identical
    to the scalar predictors.
-3. **Validate** the analytic top-``shortlist`` — the default plan is
-   always re-included — by actually running each candidate through the
-   macro-event DES engine, which prices contention and overlap the
-   closed form cannot see.  The shortlist is one
-   :func:`repro.perf.evaluate` batch of :class:`~repro.perf.SimJob`
-   values, run unobserved (the validations are the tuner's runs, not
-   the caller's): inside a :func:`~repro.perf.sweep` it shares the
-   executor's memo, disk cache and pool like any grid point, so a warm
-   sweep simulates nothing; outside one it runs inline and nothing
-   outlives the call.
+3. **Validate** the analytic top-:data:`DEFAULT_SHORTLIST` — the
+   default plan is always re-included — by actually running each
+   candidate through the macro-event DES engine, which prices
+   contention and overlap the closed form cannot see.  The shortlist
+   is one :func:`repro.perf.evaluate` batch of
+   :class:`~repro.perf.SimJob` values, run unobserved (the validations
+   are the tuner's runs, not the caller's): inside a
+   :func:`~repro.perf.sweep` it shares the executor's memo, disk cache
+   and pool like any grid point, so a warm sweep simulates nothing;
+   outside one it runs inline and nothing outlives the call.
 4. **Pick** the plan with the lowest *simulated* makespan (analytic
    rank breaks ties), and **memoize** the decision in the persistent
    :class:`~repro.tuning.cache.DecisionCache`.
@@ -54,8 +54,7 @@ from repro.perf.executor import evaluate
 from repro.perf.job import SimJob
 from repro.tuning.cache import DecisionCache, TunedDecision
 from repro.tuning.plan import SchedulePlan, default_plan
-from repro.tuning.space import DEFAULT_SEGMENTS, enumerate_plans
-from repro.util.units import BYTES_PER_INT
+from repro.tuning.space import enumerate_plans
 
 __all__ = ["DEFAULT_SHORTLIST", "TunedDecision", "tune", "tuned_plan"]
 
@@ -127,9 +126,6 @@ def tune(
     n: int,
     *,
     root: int | RootPolicy | None = None,
-    segments: t.Sequence[int] = DEFAULT_SEGMENTS,
-    shortlist: int = DEFAULT_SHORTLIST,
-    item_bytes: int = BYTES_PER_INT,
     seed: int = 0,
     cache: DecisionCache | None = None,
     force: bool = False,
@@ -139,32 +135,29 @@ def tune(
     ``cache=None`` uses the process-wide persistent cache under
     :func:`~repro.tuning.cache.default_decision_dir`; ``force=True``
     re-tunes even on a cache hit (and overwrites the stored decision).
-    The decision key is ``(op, topology-hash, n, item_bytes, root)``
-    with the root resolved to a concrete pid first, so policy spellings
-    of the same pid share one entry.  The key does not name the space
-    searched, so only the default ``segments`` and ``shortlist`` are
-    served from or stored in the cache; any other space is tuned afresh
-    on every call.
+    The decision key is ``(op, topology-hash, n, root)`` with the root
+    resolved to a concrete pid first, so policy spellings of the same
+    pid share one entry.  The space searched is fixed
+    (:data:`~repro.tuning.space.DEFAULT_SEGMENTS`,
+    :data:`DEFAULT_SHORTLIST`), so the key names every input that can
+    change a decision.
     """
     if op not in ("gather", "broadcast"):
         raise CollectiveError(f"op must be 'gather' or 'broadcast', got {op!r}")
     if n < 0:
         raise CollectiveError(f"n must be >= 0, got {n}")
-    if shortlist < 1:
-        raise CollectiveError(f"shortlist must be >= 1, got {shortlist}")
     if cache is None:
         cache = _default_cache()
     root_pid = _resolve_root_fast(topology, root)
     topo_hash = topology_hash(topology)
-    default_space = tuple(segments) == DEFAULT_SEGMENTS and shortlist == DEFAULT_SHORTLIST
-    if default_space and not force:
-        hit = cache.get(op, topo_hash, n, item_bytes, root_pid)
+    if not force:
+        hit = cache.get(op, topo_hash, n, root_pid)
         if hit is not None:
             return hit
     params = calibrate(topology)
-    plans = enumerate_plans(op, params.k, segments=segments)
+    plans = enumerate_plans(op, params.k)
     everything = rank_plans(params, n, plans, root=root_pid)
-    ranked = everything[:shortlist]
+    ranked = everything[:DEFAULT_SHORTLIST]
     base = default_plan(op, params.k)
     if all(plan != base for plan, _ in ranked):
         # Already priced with the rest of the space: no second pass.
@@ -184,13 +177,12 @@ def tune(
             best_plan = plan
             best_predicted = predicted
             best_time = simulated
-    assert best_plan is not None  # shortlist >= 1
+    assert best_plan is not None  # DEFAULT_SHORTLIST >= 1
 
     decision = TunedDecision(
         op=op,
         topology_hash=topo_hash,
         n=int(n),
-        item_bytes=int(item_bytes),
         root=root_pid,
         plan=best_plan,
         predicted_time=best_predicted,
@@ -199,8 +191,7 @@ def tune(
         candidates=len(plans),
         validated=len(ranked),
     )
-    if default_space:
-        cache.put(decision)
+    cache.put(decision)
     return decision
 
 

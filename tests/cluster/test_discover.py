@@ -15,6 +15,7 @@ from repro.cluster.discover import (
     synthesize,
     topology_partitions,
 )
+from repro.cluster.discover import infer
 from repro.cluster.discover.generators import GENERATORS
 from repro.cluster.discover.matrix import ProbeMatrix
 from repro.errors import DiscoveryError
@@ -63,10 +64,13 @@ class TestLevelBands:
 class TestExactRecovery:
     @pytest.mark.parametrize("case", sorted(RECOVERY_SPECS))
     @pytest.mark.parametrize("method", ["linkage", "bands"])
-    def test_noiseless_families_recover_exactly(self, case, method):
+    def test_noiseless_families_recover_exactly(self, case, method, monkeypatch):
+        """Size picks the backend; a zero linkage limit forces bands."""
+        if method == "bands":
+            monkeypatch.setattr(infer, "LINKAGE_LIMIT", 0)
         family, spec = RECOVERY_SPECS[case]
         topology = GENERATORS[family](seed=11, **spec)
-        result = discover(synthesize(topology), method=method)
+        result = discover(synthesize(topology))
         truth = topology_partitions(topology)
         assert exact_recovery(truth, result.partitions)
         assert result.method == method
@@ -78,14 +82,10 @@ class TestExactRecovery:
         assert result.partitions == ((0,),)
         assert result.topology.num_machines == 1
 
-    def test_unknown_method_rejected(self):
-        m = ProbeMatrix(names=("a", "b"), latency=np.ones((2, 2)) * 1e-4)
-        with pytest.raises(DiscoveryError, match="unknown method"):
-            discover(m, method="psychic")
-
-    def test_max_levels_caps_hierarchy(self):
+    def test_max_levels_caps_hierarchy(self, monkeypatch):
+        monkeypatch.setattr(infer, "MAX_LEVELS", 2)
         topology = GENERATORS["fat_tree"](seed=0, **SMALL_SPECS["fat_tree"])
-        result = discover(synthesize(topology), max_levels=2)
+        result = discover(synthesize(topology))
         assert result.k <= 2
 
 

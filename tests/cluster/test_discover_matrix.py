@@ -54,16 +54,6 @@ class TestDissimilarity:
         assert np.all(np.diag(d) == 0.0)
         assert d[0, 1] == pytest.approx(2.0)  # mean of both directions
 
-    def test_ref_bytes_mixes_gap(self):
-        m = _tiny()
-        d0 = m.dissimilarity()
-        d1 = m.dissimilarity(ref_bytes=1e6)
-        assert np.all(d1[~np.eye(3, dtype=bool)] > d0[~np.eye(3, dtype=bool)])
-
-    def test_ref_bytes_without_gap_rejected(self):
-        m = ProbeMatrix(names=("a", "b"), latency=np.ones((2, 2)) * 1e-4)
-        with pytest.raises(DiscoveryError, match="latency-only"):
-            m.dissimilarity(ref_bytes=1.0)
 
 
 class TestNoise:

@@ -1,7 +1,12 @@
-"""Tests for the experiment CLI runner."""
+"""Tests for the experiment registry and the ``repro experiment`` command."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ExperimentError
 from repro.experiments import EXPERIMENTS, run_experiment
 
@@ -48,55 +53,45 @@ class TestRegistry:
 
 
 class TestCli:
-    def test_main_single_experiment(self, capsys):
-        from repro.experiments.runner import main
+    """``repro experiment`` (``python -m repro.experiments`` is the same command)."""
 
-        assert main(["table1"]) == 0
+    def test_main_single_experiment(self, capsys):
+        assert main(["experiment", "table1"]) == 0
         out = capsys.readouterr().out
         assert "[table1]" in out
 
     def test_main_multiple(self, capsys):
-        from repro.experiments.runner import main
-
-        assert main(["table1", "table1"]) == 0
+        assert main(["experiment", "table1", "table1"]) == 0
         assert capsys.readouterr().out.count("[table1]") == 2
 
-    def test_profile_flag_dumps_stats(self, capsys):
-        from repro.experiments.runner import main
-
-        assert main(["table1", "--no-cache", "--profile",
-                     "--profile-limit", "5"]) == 0
+    def test_every_id_is_checked_before_any_runs(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "table1", "fig99"])
+        assert exit_info.value.code == 2
         captured = capsys.readouterr()
-        assert "[table1]" in captured.out  # the report still renders
-        assert "--- profile: table1 (top 5 by cumulative) ---" in captured.err
-        assert "cumulative" in captured.err  # pstats column header
+        assert captured.out == ""
+        assert "error: unknown experiment 'fig99'" in captured.err
 
-    def test_profile_flag_keeps_the_schedule(self, monkeypatch, tmp_path, capsys):
-        from repro.experiments.runner import main
+    def test_module_entry_point_is_the_experiment_command(self):
+        def stdout(*command):
+            return subprocess.run(
+                [sys.executable, "-m", *command, "table1"],
+                capture_output=True, check=True,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            ).stdout
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))  # tuning decisions
-        assert main(["fig4a", "--no-cache"]) == 0
-        default = capsys.readouterr().out
-        assert main(["fig4a", "--no-cache", "--schedule", "tuned"]) == 0
-        tuned = capsys.readouterr().out
-        assert tuned != default  # or the next line compares nothing
-        assert main(["fig4a", "--no-cache", "--schedule", "tuned", "--profile"]) == 0
-        assert capsys.readouterr().out == tuned
+        assert stdout("repro.experiments") == stdout("repro", "experiment")
 
     def test_cache_dir_flag_populates_cache(self, tmp_path, capsys):
-        from repro.experiments.runner import main
-
-        assert main(["fig3a", "--cache-dir", str(tmp_path)]) == 0
+        assert main(["experiment", "fig3a", "--cache-dir", str(tmp_path)]) == 0
         first = capsys.readouterr().out
         entries = list(tmp_path.rglob("*.json"))
         assert entries  # simulated grid points persisted
 
-        assert main(["fig3a", "--cache-dir", str(tmp_path)]) == 0
+        assert main(["experiment", "fig3a", "--cache-dir", str(tmp_path)]) == 0
         assert capsys.readouterr().out == first  # warm == cold, byte-wise
 
     def test_no_cache_flag_writes_nothing(self, monkeypatch, tmp_path, capsys):
-        from repro.experiments.runner import main
-
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert main(["table1", "--no-cache"]) == 0
+        assert main(["experiment", "table1", "--no-cache"]) == 0
         assert list(tmp_path.rglob("*.json")) == []

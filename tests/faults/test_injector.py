@@ -125,21 +125,15 @@ class TestDeterminism:
         plan = FaultPlan(BackgroundLoad(root_machine(topology), intensity=0.6,
                                         start=0.0, duration=1.0, burst_mean=1e-4))
         times = {
-            run_gather(topology, N, seed=1, faults=plan, fault_seed=7).time
+            run_gather(topology, N, seed=7, faults=plan).time
             for _ in range(3)
         }
         assert len(times) == 1
 
     def test_different_fault_seed_differs(self, topology):
+        """The injector is seeded with the run's ``seed``."""
         plan = FaultPlan(BackgroundLoad(root_machine(topology), intensity=0.6,
                                         start=0.0, duration=1.0, burst_mean=1e-4))
-        a = run_gather(topology, N, seed=1, faults=plan, fault_seed=1).time
-        b = run_gather(topology, N, seed=1, faults=plan, fault_seed=2).time
+        a = run_gather(topology, N, seed=1, faults=plan).time
+        b = run_gather(topology, N, seed=2, faults=plan).time
         assert a != b
-
-    def test_fault_seed_defaults_to_seed(self, topology):
-        plan = FaultPlan(BackgroundLoad(root_machine(topology), intensity=0.6,
-                                        start=0.0, duration=1.0, burst_mean=1e-4))
-        a = run_gather(topology, N, seed=5, faults=plan).time
-        b = run_gather(topology, N, seed=5, faults=plan, fault_seed=5).time
-        assert a == b

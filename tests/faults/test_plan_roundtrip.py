@@ -5,7 +5,7 @@ pins two things: ``loads(dumps(plan))`` reproduces the plan value for
 value, and running the simulator against the round-tripped plan yields
 a bit-identical injector timeline — same makespan, same stochastic
 message fates — because the injector is a deterministic function of
-``(plan, fault_seed)``.
+``(plan, seed)``.
 """
 
 from hypothesis import given, settings
@@ -86,16 +86,12 @@ class TestFaultPlanRoundTrip:
         assert restored == plan
         assert restored.to_json() == plan.to_json()
 
-    @given(plan=_plans, fault_seed=st.integers(0, 2**16))
+    @given(plan=_plans, seed=st.integers(0, 2**16))
     @settings(max_examples=10, deadline=None)
-    def test_compiled_timeline_is_bit_identical(self, plan, fault_seed):
+    def test_compiled_timeline_is_bit_identical(self, plan, seed):
         restored = FaultPlan.from_json(plan.to_json())
-        original = run_gather(
-            TOPOLOGY, 2000, seed=1, faults=plan, fault_seed=fault_seed
-        )
-        replayed = run_gather(
-            TOPOLOGY, 2000, seed=1, faults=restored, fault_seed=fault_seed
-        )
+        original = run_gather(TOPOLOGY, 2000, seed=seed, faults=plan)
+        replayed = run_gather(TOPOLOGY, 2000, seed=seed, faults=restored)
         assert replayed.time == original.time
         assert replayed.supersteps == original.supersteps
         a = original.runtime.vm.injector

@@ -114,24 +114,23 @@ class TestExecution:
             runtime.run(noop)
 
     def test_per_pid_args(self, testbed_small):
-        def prog(ctx, value):
+        """Per-pid inputs ride in one shared argument indexed by pid."""
+        def prog(ctx, values):
             yield from ctx.sync()
-            return value
+            return values[ctx.pid]
 
         runtime = HbspRuntime(testbed_small, macro=self.macro)
-        result = runtime.run(prog, per_pid_args=[(i * 10,) for i in range(4)])
+        result = runtime.run(prog, [i * 10 for i in range(4)])
         assert result.values == {0: 0, 1: 10, 2: 20, 3: 30}
 
-    def test_per_pid_args_length_checked(self, testbed_small):
-        runtime = HbspRuntime(testbed_small, macro=self.macro)
-        with pytest.raises(HbspError):
-            runtime.run(noop, per_pid_args=[()])
-
     def test_rejected_call_does_not_burn_the_runtime(self, testbed_small):
-        runtime = HbspRuntime(testbed_small, macro=self.macro)
-        with pytest.raises(HbspError, match="4 entries"):
-            runtime.run(noop, per_pid_args=[()])
-        assert sorted(runtime.run(noop).values) == [0, 1, 2, 3]
+        """A refused ``macro=True`` run leaves the runtime unused: the
+        second call meets the same refusal, not "already executed"."""
+        injector = Injector(FaultPlan.empty(), seed=0)
+        runtime = HbspRuntime(testbed_small, macro=True, injector=injector)
+        for _ in range(2):
+            with pytest.raises(HbspError, match="live hook: injector$"):
+                runtime.run(noop)
 
     def test_supersteps_counted(self, testbed_small):
         def prog(ctx):

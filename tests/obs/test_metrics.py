@@ -85,7 +85,7 @@ class TestRunMetrics:
         with observe() as observation:
             outcome = run_gather(
                 ucf_testbed(3), 512, root=RootPolicy.FASTEST,
-                faults=plan, fault_seed=3,
+                faults=plan, seed=3,
                 delivery=DeliveryPolicy.retry(3, timeout=0.25),
             )
             observation.record_run(collect_run_obs(outcome))

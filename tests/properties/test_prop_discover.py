@@ -6,6 +6,7 @@ latencies are separated beyond the band tolerance, ``discover()``
 returns the generating partition at every level, for both backends.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from repro.cluster.discover import (
     synthesize,
     topology_partitions,
 )
+from repro.cluster.discover import infer
 
 # ---------------------------------------------------------------------------
 # Strategy: random trees of height <= 3 with well-separated level latencies
@@ -91,13 +93,17 @@ class TestExactRecovery:
     @given(topology=balanced_tree_strategy())
     @settings(max_examples=30, deadline=None)
     def test_noiseless_linkage_recovers_partitions(self, topology):
-        result = discover(synthesize(topology), method="linkage")
+        result = discover(synthesize(topology))
+        assert result.method == "linkage"
         assert exact_recovery(topology_partitions(topology), result.partitions)
 
     @given(topology=balanced_tree_strategy())
     @settings(max_examples=30, deadline=None)
     def test_noiseless_bands_recovers_partitions(self, topology):
-        result = discover(synthesize(topology), method="bands")
+        with pytest.MonkeyPatch.context() as patch:  # size alone picks bands
+            patch.setattr(infer, "LINKAGE_LIMIT", 0)
+            result = discover(synthesize(topology))
+        assert result.method == "bands"
         assert exact_recovery(topology_partitions(topology), result.partitions)
 
     @given(topology=balanced_tree_strategy())

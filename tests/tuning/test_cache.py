@@ -19,7 +19,6 @@ def _decision(**overrides) -> TunedDecision:
         op="broadcast",
         topology_hash="ab" * 32,
         n=4000,
-        item_bytes=8,
         root=0,
         plan=SchedulePlan(
             "broadcast", (LevelSchedule("one", 2), LevelSchedule("two"))
@@ -36,26 +35,25 @@ def _decision(**overrides) -> TunedDecision:
 
 class TestDecisionKey:
     def test_deterministic_hex(self):
-        key = decision_key("gather", "ff" * 32, 100, 8, 3)
-        assert key == decision_key("gather", "ff" * 32, 100, 8, 3)
+        key = decision_key("gather", "ff" * 32, 100, 3)
+        assert key == decision_key("gather", "ff" * 32, 100, 3)
         assert len(key) == 64
         int(key, 16)  # hex
 
     def test_every_field_discriminates(self):
-        base = ("gather", "ff" * 32, 100, 8, 3)
+        base = ("gather", "ff" * 32, 100, 3)
         variants = [
-            ("broadcast", "ff" * 32, 100, 8, 3),
-            ("gather", "ee" * 32, 100, 8, 3),
-            ("gather", "ff" * 32, 101, 8, 3),
-            ("gather", "ff" * 32, 100, 4, 3),
-            ("gather", "ff" * 32, 100, 8, 2),
+            ("broadcast", "ff" * 32, 100, 3),
+            ("gather", "ee" * 32, 100, 3),
+            ("gather", "ff" * 32, 101, 3),
+            ("gather", "ff" * 32, 100, 2),
         ]
         keys = {decision_key(*base)} | {decision_key(*v) for v in variants}
         assert len(keys) == len(variants) + 1
 
     def test_rejects_unknown_op(self):
         with pytest.raises(CollectiveError, match="op must be"):
-            decision_key("scatter", "ff" * 32, 100, 8, 0)
+            decision_key("scatter", "ff" * 32, 100, 0)
 
 
 class TestTunedDecision:
@@ -78,15 +76,15 @@ class TestDecisionCache:
     def test_put_get_len(self, tmp_path):
         cache = DecisionCache(tmp_path)
         decision = _decision()
-        assert cache.get("broadcast", decision.topology_hash, 4000, 8, 0) is None
+        assert cache.get("broadcast", decision.topology_hash, 4000, 0) is None
         cache.put(decision)
         assert len(cache) == 1
-        assert cache.get("broadcast", decision.topology_hash, 4000, 8, 0) == decision
+        assert cache.get("broadcast", decision.topology_hash, 4000, 0) == decision
 
     def test_survives_process_restart(self, tmp_path):
         DecisionCache(tmp_path).put(_decision())
         fresh = DecisionCache(tmp_path)
-        hit = fresh.get("broadcast", "ab" * 32, 4000, 8, 0)
+        hit = fresh.get("broadcast", "ab" * 32, 4000, 0)
         assert hit == _decision()
 
     def test_version_bump_orphans_old_decisions(self, tmp_path):
@@ -94,14 +92,14 @@ class TestDecisionCache:
         version must never serve a newer one."""
         DecisionCache(tmp_path, version="v2-1.0").put(_decision())
         bumped = DecisionCache(tmp_path, version="v2-2.0")
-        assert bumped.get("broadcast", "ab" * 32, 4000, 8, 0) is None
+        assert bumped.get("broadcast", "ab" * 32, 4000, 0) is None
         assert len(bumped) == 0
         # the old entries are stale bytes prune() reclaims
         stats = bumped.stats()
         assert stats.stale_versions == ("v2-1.0",) and stats.stale_bytes > 0
         bumped.prune()
         assert DecisionCache(tmp_path, version="v2-1.0").get(
-            "broadcast", "ab" * 32, 4000, 8, 0
+            "broadcast", "ab" * 32, 4000, 0
         ) is None
 
     def test_corrupted_entry_is_a_miss(self, tmp_path):
@@ -111,7 +109,7 @@ class TestDecisionCache:
         assert len(entries) == 1
         entries[0].write_text("{not json")
         fresh = DecisionCache(tmp_path)
-        assert fresh.get("broadcast", "ab" * 32, 4000, 8, 0) is None
+        assert fresh.get("broadcast", "ab" * 32, 4000, 0) is None
 
     def test_valid_json_wrong_shape_is_a_miss(self, tmp_path):
         cache = DecisionCache(tmp_path)
@@ -119,7 +117,7 @@ class TestDecisionCache:
         entry = next(iter(cache.disk.dir.glob("*/*.json")))
         entry.write_text(json.dumps({"op": "broadcast"}))
         assert DecisionCache(tmp_path).get(
-            "broadcast", "ab" * 32, 4000, 8, 0
+            "broadcast", "ab" * 32, 4000, 0
         ) is None
 
     def test_clear_drops_memory_and_disk(self, tmp_path):
@@ -127,14 +125,14 @@ class TestDecisionCache:
         cache.put(_decision())
         cache.clear()
         assert len(cache) == 0
-        assert cache.get("broadcast", "ab" * 32, 4000, 8, 0) is None
+        assert cache.get("broadcast", "ab" * 32, 4000, 0) is None
 
     def test_prune_clears_the_memo_too(self, tmp_path):
         cache = DecisionCache(tmp_path)
         cache.put(_decision())
         removed, freed = cache.prune(0)
         assert removed == 1 and freed > 0
-        assert cache.get("broadcast", "ab" * 32, 4000, 8, 0) is None
+        assert cache.get("broadcast", "ab" * 32, 4000, 0) is None
 
     def test_repr_mentions_root_and_counts(self, tmp_path):
         cache = DecisionCache(tmp_path)

@@ -1,6 +1,7 @@
 """Tests for the tuning pipeline: enumerate, price, validate, memoize."""
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro.collectives import RootPolicy, run_broadcast, run_gather
 from repro.errors import CollectiveError
 from repro.hbsplib.runtime import HbspRuntime
 from repro.perf import sweep
-from repro.tuning.cache import DecisionCache
+from repro.tuning.cache import DecisionCache, decision_key
 from repro.tuning.tuner import _resolve_root_fast, tune, tuned_plan
 
 
@@ -124,7 +125,8 @@ class TestTune:
             return original(params, n, plans, **kwargs)
 
         monkeypatch.setattr(tuner_module, "rank_plans", counting)
-        decision = tune(topology, "broadcast", 4000, shortlist=1, cache=cache)
+        monkeypatch.setattr(tuner_module, "DEFAULT_SHORTLIST", 1)
+        decision = tune(topology, "broadcast", 4000, cache=cache)
         assert calls == [decision.candidates]
         # The appended default carries its total from that one pricing.
         assert decision.validated == 2
@@ -154,8 +156,6 @@ class TestTune:
             tune(topology, "scatter", 100, cache=cache)
         with pytest.raises(CollectiveError, match="n must be"):
             tune(topology, "gather", -1, cache=cache)
-        with pytest.raises(CollectiveError, match="shortlist"):
-            tune(topology, "gather", 100, shortlist=0, cache=cache)
 
     def test_tuned_plan_returns_the_winning_plan(self, topology, cache):
         decision = tune(topology, "broadcast", 4000, cache=cache)
@@ -164,18 +164,48 @@ class TestTune:
         ) == decision.plan
 
 
+#: What each keyed ``tune()`` parameter is at the base call and mutated.
+_KEYED = {
+    "topology": (two_lans(3), two_lans(3, nic_slowdown=1.5)),
+    "op": ("gather", "broadcast"),
+    "n": (4000, 4001),
+    "root": (0, 1),
+}
+
+#: ``tune()`` parameters that may leave the decision key alone.
+_EXEMPT = {
+    # Draws item values only; a gather's or broadcast's time depends on
+    # item counts (test_the_seed_cannot_move_a_decision).
+    "seed",
+    # Where and whether a decision is stored or recomputed, not what it is.
+    "cache",
+    "force",
+}
+
+
+class _KeyRecorder:
+    """A stand-in cache that answers every lookup and records its key."""
+
+    def __init__(self):
+        self.keys: list[str] = []
+
+    def get(self, *key):
+        self.keys.append(decision_key(*key))
+        return "hit"
+
+
 class TestDecisionKey:
-    def test_a_narrowed_space_is_neither_served_nor_stored(self, cache, tmp_path_factory):
-        """The key does not name the space searched: a decision tuned
-        over one segment and a one-plan shortlist must not answer a
-        plain tune of the same machine."""
-        narrow = tune(two_lans(3), "broadcast", 64, segments=(1,), shortlist=1, cache=cache)
-        assert (narrow.candidates, narrow.validated) == (9, 2)
-        plain = tune(two_lans(3), "broadcast", 64, cache=cache)
-        assert (plain.candidates, plain.validated) == (25, 5)
-        fresh = DecisionCache(tmp_path_factory.mktemp("fresh"))
-        assert tune(two_lans(3), "broadcast", 64, cache=fresh) == plain
-        assert len(cache) == 1
+    def test_every_tune_parameter_moves_the_key_or_is_exempt(self):
+        """A new ``tune()`` parameter fails here until it is keyed or
+        exempted with a reason (ROADMAP item 8(e))."""
+        names = set(inspect.signature(tune).parameters)
+        assert names == set(_KEYED) | _EXEMPT, names ^ (set(_KEYED) | _EXEMPT)
+        cache = _KeyRecorder()
+        base = {name: values[0] for name, values in _KEYED.items()}
+        tune(**base, cache=cache)
+        for name, (_, mutated) in _KEYED.items():
+            tune(**{**base, name: mutated}, cache=cache)
+        assert len(set(cache.keys)) == len(cache.keys) == 1 + len(_KEYED)
 
     @pytest.mark.parametrize("op", ["gather", "broadcast"])
     def test_the_seed_cannot_move_a_decision(self, op, cache):

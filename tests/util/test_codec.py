@@ -97,7 +97,7 @@ _plans = st.builds(
 )
 _decisions = st.builds(
     TunedDecision, st.just("gather"), st.text("0123456789abcdef", min_size=64, max_size=64),
-    st.integers(1, 10**7), st.integers(1, 16), st.integers(0, 99), _plans,
+    st.integers(1, 10**7), st.integers(0, 99), _plans,
     _positive, _positive, _positive, st.integers(1, 500), st.integers(1, 8),
 )
 _machines = st.builds(MachineSpec, _names, _positive, _positive, _positive, _positive,
@@ -138,7 +138,7 @@ class TestRoundTrip:
 # -- goldens ------------------------------------------------------------------
 _MACHINES = ("sun-ultra5-a", "sgi-o2-b", "sgi-octane")
 _DECISION = TunedDecision(
-    op="gather", topology_hash="ab" * 32, n=25600, item_bytes=4, root=3,
+    op="gather", topology_hash="ab" * 32, n=25600, root=3,
     plan=SchedulePlan("gather", (LevelSchedule("flat", 4), LevelSchedule("binomial"))),
     predicted_time=0.0123, simulated_time=0.0145, default_time=0.02,
     candidates=16, validated=4,
@@ -297,8 +297,7 @@ class TestDecisionCacheStaysLenient:
     def test_malformed_record_is_a_miss(self, tmp_path, damage):
         cache = DecisionCache(tmp_path)
         cache.put(_DECISION)
-        key = (_DECISION.op, _DECISION.topology_hash, _DECISION.n,
-               _DECISION.item_bytes, _DECISION.root)
+        key = (_DECISION.op, _DECISION.topology_hash, _DECISION.n, _DECISION.root)
         assert DecisionCache(tmp_path).get(*key) == _DECISION
         (entry,) = [p for p in tmp_path.rglob("*.json")]
         record = json.loads(entry.read_text())
