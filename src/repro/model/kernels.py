@@ -4,11 +4,16 @@
 workload, plan)`` configuration — fine for a single prediction,
 wasteful for the planner's ``2^k x roots`` enumeration, the tuner's
 plan spaces and the experiment modules' model-side curves, which
-evaluate hundreds of closely-related points.  This module *compiles* a
-parameter set once — tree slices, coordinator tables — and then
-evaluates an entire grid of configurations with array operations:
-per-level ``r·h`` maxima, ``g·h + L`` ledger terms, and workload
-subtree sums all become numpy expressions over the grid axis.
+evaluate hundreds of closely-related points.  A parameter set is
+compiled once per :class:`~repro.model.params.HBSPParams` object: its
+cached :attr:`~repro.model.params.HBSPParams.table` (leaf and child
+runs, fan-outs, ``L``, default coordinators per level) is the one the
+scalar predictors read too, and every kernel on that object shares it.
+The kernels then evaluate an entire grid of configurations with array
+operations, a whole level at a time: every cluster's ``r·h`` maximum
+is a segment reduction over the level's ``(children, G)`` rows, and
+``g·h + L`` ledger terms and workload subtree sums are numpy
+expressions over the grid axis.
 
 One path
 --------
@@ -62,7 +67,7 @@ import numpy as np
 from repro.bytemark.ranking import partition_items
 from repro.errors import CollectiveError, ModelError
 from repro.model.cost import CostLedger
-from repro.model.params import HBSPParams
+from repro.model.params import ClusterTable, HBSPParams, LevelTable
 from repro.model.predict import (
     check_inputs,
     check_counts,
@@ -107,7 +112,7 @@ def balanced_counts(params: HBSPParams, ns: np.ndarray) -> np.ndarray:
     unique, inverse = np.unique(ns, return_inverse=True)
     table = np.array(
         [default_counts(params, int(n)) for n in unique], dtype=np.int64
-    )
+    ).reshape(unique.size, params.p)
     return table[inverse]
 
 
@@ -161,23 +166,25 @@ def _worst_cluster(
 
 def _binomial_round_steps(
     level: int,
-    per_round: t.Mapping[int, list[tuple[int, np.ndarray]]],
+    per_round: t.Mapping[int, list[tuple[np.ndarray, np.ndarray]]],
     L_level: np.ndarray,
     what: str,
 ) -> list[_Step]:
-    """One step per binomial round from ``{round: [(cluster j, g·h)]}``.
+    """One step per binomial round from ``{round: [(clusters js, g·h)]}``.
 
     Clusters run ⌈log₂C⌉ rounds, so a later round's worst-cluster scan
-    covers only the clusters still active in it.
+    covers only the clusters still active in it, in cluster order.
     """
     steps = []
     for t_round in sorted(per_round):
-        js = [j for j, _ in per_round[t_round]]
+        js = np.concatenate([js for js, _ in per_round[t_round]])
+        order = np.argsort(js, kind="stable")
+        js = js[order]
+        gh_rows = np.concatenate([gh for _, gh in per_round[t_round]])[order]
         labels = tuple(
             f"super{level}: binomial {what} round {t_round + 1} in {(level, j)}"
-            for j in js
+            for j in js.tolist()
         )
-        gh_rows = np.stack([gh for _, gh in per_round[t_round]])
         steps.append(_worst_cluster(level, gh_rows, L_level[js], labels))
     return steps
 
@@ -351,10 +358,10 @@ def _group_plans(
     gids: dict[SchedulePlan, int] = {}
     gid_of_object = {
         key: gids.setdefault(plan, len(gids))
-        for key, plan in {id(plan): plan for plan in plan_list}.items()
+        for key, plan in dict(zip(map(id, plan_list), plan_list)).items()
     }
     group_of = np.fromiter(
-        (gid_of_object[id(plan)] for plan in plan_list), dtype=np.int64, count=G
+        map(gid_of_object.__getitem__, map(id, plan_list)), dtype=np.int64, count=G
     )
     pos_of = np.zeros(G, dtype=np.int64)
     out = []
@@ -430,211 +437,139 @@ def _plan_grid(
 
 
 # ---------------------------------------------------------------------------
-# Compiled topology tables (shared by both kernels)
+# Level-wide passes over the parameter set's ClusterTable
 # ---------------------------------------------------------------------------
 
-class _CompiledTree:
-    """Per-params tables: slices, coordinators, labels — computed once."""
+def _check_grid(
+    params: HBSPParams,
+    ns: np.ndarray | t.Sequence[int],
+    roots: int | t.Sequence[int] | np.ndarray | None,
+    counts: t.Any = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Normalise the per-point axes; reject what the scalars reject.
 
-    def __init__(self, params: HBSPParams) -> None:
-        self.params = params
-        p, k = params.p, params.k
-        self.p, self.k, self.g = p, k, params.g
-        self.r0 = np.array([params.r_of(0, j) for j in range(p)])
-        self.fastest = params.fastest_index(0) if p else 0
-
-        #: leaves[level][j] — level-0 indices of M_{level,j}'s subtree.
-        self.leaves: list[list[tuple[int, ...]]] = [
-            [(j,) for j in range(p)]
-        ]
-        #: child_start[level] — reduceat offsets into level-1 nodes.
-        self.child_start: dict[int, np.ndarray] = {}
-        #: child_slice[level][j] — (start, stop) run of M_{level,j}'s children.
-        self.child_slice: dict[int, list[tuple[int, int]]] = {}
-        #: in_sub[level] — (m_level, p) bool: is leaf r in M_{level,j}'s subtree?
-        self.in_sub: dict[int, np.ndarray] = {}
-        #: dc[level] — (m_level,) default coordinator (min by (r, j)).
-        self.dc: dict[int, np.ndarray] = {}
-        #: child_pos[level][j] — (p,) position of the child containing a leaf.
-        self.child_pos: dict[int, list[np.ndarray]] = {}
-        #: L[level] — (m_level,) synchronisation costs.
-        self.L: dict[int, np.ndarray] = {}
-        #: weighted[level][j] — child fractions for "c"-weighted two-phase
-        #: shares ({str(i): w_i / total_w} in child order), lazily built.
-        self._weighted: dict[tuple[int, int], dict[str, float]] = {}
-
-        for level in range(1, k + 1):
-            m_here = params.m[level]
-            starts, slices, level_leaves = [], [], []
-            in_sub = np.zeros((m_here, p), dtype=bool)
-            child_pos = []
-            offset = 0
-            for j in range(m_here):
-                fan = params.fan_out[(level, j)]
-                starts.append(offset)
-                slices.append((offset, offset + fan))
-                merged: list[int] = []
-                pos = np.zeros(p, dtype=np.int64)
-                for c_index in range(fan):
-                    child_leaves = self.leaves[level - 1][offset + c_index]
-                    merged.extend(child_leaves)
-                    for leaf in child_leaves:
-                        pos[leaf] = c_index
-                level_leaves.append(tuple(merged))
-                in_sub[j, merged] = True
-                child_pos.append(pos)
-                offset += fan
-            self.leaves.append(level_leaves)
-            self.child_start[level] = np.array(starts, dtype=np.int64)
-            self.child_slice[level] = slices
-            self.in_sub[level] = in_sub
-            self.dc[level] = np.array(
-                [
-                    min(leaves, key=lambda j: (params.r_of(0, j), j))
-                    for leaves in level_leaves
-                ],
-                dtype=np.int64,
-            )
-            self.child_pos[level] = child_pos
-            self.L[level] = np.array(
-                [params.L_of(level, j) for j in range(m_here)]
-            )
-
-    # -- per-evaluation helpers -------------------------------------------------
-    def check_grid(
-        self,
-        ns: np.ndarray | t.Sequence[int],
-        roots: int | t.Sequence[int] | np.ndarray | None,
-        counts: t.Any = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Normalise the per-point axes; reject what the scalars reject.
-
-        Shapes are this representation's own concern; the *values* are
-        screened with array comparisons and the first offending point
-        is handed to the scalar predictors' checks, which raise.
-        ``roots=None`` is the fastest processor at every point.
-        """
-        ns = np.asarray(ns, dtype=np.int64)
-        if ns.ndim != 1:
-            raise CollectiveError(f"ns must be one-dimensional, got shape {ns.shape}")
-        G = ns.size
-        roots_arr = np.asarray(self.fastest if roots is None else roots, dtype=np.int64)
-        if roots_arr.ndim == 0:
-            roots_arr = np.full(G, int(roots_arr), dtype=np.int64)
-        if roots_arr.shape != (G,):
+    Shapes are this representation's own concern; the *values* are
+    screened with array comparisons and the first offending point
+    is handed to the scalar predictors' checks, which raise.
+    ``roots=None`` is the default root at every point.
+    """
+    p = params.p
+    ns = np.asarray(ns, dtype=np.int64)
+    if ns.ndim != 1:
+        raise CollectiveError(f"ns must be one-dimensional, got shape {ns.shape}")
+    G = ns.size
+    roots_arr = np.asarray(
+        params.table.fastest if roots is None else roots, dtype=np.int64
+    )
+    if roots_arr.ndim == 0:
+        roots_arr = np.full(G, int(roots_arr), dtype=np.int64)
+    if roots_arr.shape != (G,):
+        raise CollectiveError(
+            f"roots must be a scalar or a length-{G} sequence, "
+            f"got shape {roots_arr.shape}"
+        )
+    bad = (ns < 0) | (roots_arr < 0) | (roots_arr >= p)
+    if counts is not None:
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (G, p):
             raise CollectiveError(
-                f"roots must be a scalar or a length-{G} sequence, "
-                f"got shape {roots_arr.shape}"
+                f"counts must have shape ({G}, {p}), got {counts.shape}"
             )
-        bad = (ns < 0) | (roots_arr < 0) | (roots_arr >= self.p)
-        if counts is not None:
-            counts = np.asarray(counts, dtype=np.int64)
-            if counts.shape != (G, self.p):
-                raise CollectiveError(
-                    f"counts must have shape ({G}, {self.p}), got {counts.shape}"
-                )
-            bad |= (counts < 0).any(axis=1) | (counts.sum(axis=1) != ns)
-        if bad.any():
-            i = int(np.argmax(bad))
-            check_inputs(self.params, int(ns[i]), int(roots_arr[i]))
-            check_counts(counts[i].tolist(), int(ns[i]), self.p)
-        return ns, roots_arr, counts
+        bad |= (counts < 0).any(axis=1) | (counts.sum(axis=1) != ns)
+    if bad.any():
+        i = int(np.argmax(bad))
+        check_inputs(params, int(ns[i]), int(roots_arr[i]))
+        check_counts(counts[i].tolist(), int(ns[i]), p)
+    return ns, roots_arr, counts
 
-    def coords(self, level: int, roots: np.ndarray) -> np.ndarray:
-        """``(m_level, G)`` coordinator leaf of every node, per point.
 
-        The default coordinator (fastest leaf, ties by index) applies
-        unless the point's root lies inside the subtree — then the root
-        coordinates its own chain, exactly as the scalar
-        ``_coordinator_leaf`` resolves it.
+def _coords(table: ClusterTable, level: int, roots: np.ndarray) -> np.ndarray:
+    """Coordinator leaf of every node of ``level``, per point.
+
+    ``(m_level, G)``: the default coordinator unless the point's root
+    lies inside the subtree — then the root coordinates its own chain,
+    as :meth:`~repro.model.params.LevelTable.coordinators` resolves
+    it.  Leaves coordinate themselves whatever the root: ``(p, 1)``.
+    """
+    nodes = table.levels[level]
+    if level == 0:
+        return nodes.coord[:, np.newaxis]
+    lo, hi = nodes.leaf_start[:-1, np.newaxis], nodes.leaf_start[1:, np.newaxis]
+    inside = (lo <= roots) & (roots < hi)
+    return np.where(inside, roots, nodes.coord[:, np.newaxis])
+
+
+def _per_cluster(ufunc: np.ufunc, rows: np.ndarray, nodes: LevelTable) -> np.ndarray:
+    """``(m, G)``: ``ufunc`` over each cluster's run of child ``rows``.
+
+    A level whose clusters share one fan-out ``C`` reduces the
+    ``(m, C, G)`` view: ``reduceat`` along axis 0 is many times slower
+    on wide grids.
+    """
+    C = nodes.uniform_fan
+    if C:
+        return ufunc.reduce(rows.reshape(nodes.fan.size, C, rows.shape[1]), axis=1)
+    return ufunc.reduceat(rows, nodes.child_start[:-1], axis=0)
+
+
+class _Level:
+    """One level's coordinator tables over the distinct points.
+
+    ``child_r`` is the slowness of every child coordinator (rows of the
+    level below), ``own`` the ``(m, G)`` row of the child whose
+    coordinator is the cluster's own: it keeps its data local (no
+    self-send).
+    """
+
+    def __init__(
+        self,
+        table: ClusterTable,
+        level: int,
+        coords_here: np.ndarray,
+        coords_below: np.ndarray,
+    ) -> None:
+        self.nodes = table.levels[level]
+        self.below = table.levels[level - 1]
+        self.r_coord = table.r0[coords_here]  # (m, G)
+        self.child_r = table.r0[coords_below]  # (m_below, G) or (p, 1)
+        self.own = np.searchsorted(self.below.leaf_start, coords_here, side="right") - 1
+        self.G = coords_here.shape[1]
+
+    def fan_h(self, volumes: np.ndarray) -> np.ndarray:
+        """``(m, G)`` ``max r·h`` of every cluster's coordinator fan-in or out.
+
+        Every child coordinator but the cluster's own moves its row of
+        the ``(m_below, G)`` byte ``volumes``; the cluster coordinator
+        moves all of its children's.
         """
-        if level == 0:
-            raise ModelError("level-0 nodes coordinate themselves")
-        return np.where(
-            self.in_sub[level][:, roots],
-            roots[np.newaxis, :],
-            self.dc[level][:, np.newaxis],
+        cols = np.arange(self.G)
+        products = self.child_r * volumes
+        products[self.own, cols] = 0.0
+        coord_bytes = _per_cluster(np.add, volumes, self.nodes) - volumes[self.own, cols]
+        return np.maximum(
+            self.r_coord * coord_bytes, _per_cluster(np.maximum, products, self.nodes)
         )
 
-    def cluster_tables(
-        self,
-        level: int,
-        j: int,
-        coords_here: np.ndarray,
-        coords_below: np.ndarray | None,
-    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """``(C, r_coord, child_r, own_pos)`` of cluster ``M_{level,j}``.
+    def binomial_groups(
+        self, js: np.ndarray
+    ) -> t.Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """Clusters ``js`` with rounds to run, grouped by fan-out ``C``.
 
-        ``child_r`` is the slowness of the child coordinators — ``(C, G)``,
-        or ``(C, 1)`` for leaves, which coordinate themselves whatever
-        the root is — and ``own_pos`` the ``(G,)`` child whose
-        coordinator is the cluster's own: it keeps its data local (no
-        self-send).
+        Yields ``(C, js_C, rot_r, rows)``.  Binomial trees run over the
+        child positions relative to the coordinator's: ``rows[c, q]``
+        is, at every point, the child row at relative position ``q`` of
+        cluster ``js_C[c]``, ``(own_pos + q) % C``, and ``rot_r`` its
+        ``child_r``.
         """
-        start, stop = self.child_slice[level][j]
-        coord = coords_here[j]  # (G,)
-        if coords_below is None:
-            child_r = self.r0[start:stop][:, np.newaxis]
-        else:
-            child_r = self.r0[coords_below[start:stop]]
-        return stop - start, self.r0[coord], child_r, self.child_pos[level][j][coord]
-
-    def weighted_fractions(self, level: int, j: int) -> dict[str, float]:
-        """Per-child first-phase fractions for the "c"-weighted scheme.
-
-        Mirrors the scalar arithmetic exactly: builtin ``sum`` over each
-        child's leaf fractions in leaf order, builtin ``sum`` over the
-        children in child order, then one division per child.
-        """
-        key = (level, j)
-        cached = self._weighted.get(key)
-        if cached is None:
-            params = self.params
-            start, stop = self.child_slice[level][j]
-            weights = [
-                sum(
-                    params.c_of(0, leaf)
-                    for leaf in self.leaves[level - 1][child]
-                )
-                for child in range(start, stop)
-            ]
-            total_w = sum(weights)
-            cached = self._weighted[key] = {
-                str(i): w / total_w for i, w in enumerate(weights)
-            }
-        return cached
-
-
-def _fan_h(
-    r_coord: np.ndarray,
-    child_r: np.ndarray,
-    own_pos: np.ndarray,
-    volumes: np.ndarray,
-) -> np.ndarray:
-    """``(G,)`` ``max r·h`` of one coordinator fan-in or fan-out.
-
-    Every child coordinator but the cluster's own moves its row of the
-    ``(C, G)`` byte ``volumes``; the cluster coordinator moves all of
-    them.
-    """
-    points = np.arange(own_pos.size)
-    values = np.empty((volumes.shape[0] + 1, own_pos.size))
-    values[0] = r_coord * (volumes.sum(axis=0) - volumes[own_pos, points])
-    values[1:] = child_r * volumes
-    values[own_pos + 1, points] = 0.0
-    return values.max(axis=0)
-
-
-def _rotated(rows: np.ndarray, own_pos: np.ndarray) -> np.ndarray:
-    """Per-child ``rows`` with the cluster coordinator's child first.
-
-    Binomial trees run over the child positions relative to the
-    coordinator's: row ``q`` of the result is child ``(own_pos + q) % C``
-    at every point.
-    """
-    C = rows.shape[0]
-    idx = (own_pos[np.newaxis, :] + np.arange(C)[:, np.newaxis]) % C
-    return np.take_along_axis(np.broadcast_to(rows, idx.shape), idx, axis=0)
+        fan = self.nodes.fan[js]
+        cols = np.arange(self.G)
+        child_r = np.broadcast_to(self.child_r, (self.child_r.shape[0], self.G))
+        for C in np.unique(fan[fan > 1]).tolist():
+            js_C = js[fan == C]
+            first = self.nodes.child_start[js_C][:, np.newaxis, np.newaxis]
+            own_pos = self.own[js_C][:, np.newaxis, :] - first
+            rows = first + (own_pos + np.arange(C)[:, np.newaxis]) % C
+            yield C, js_C, child_r[rows, cols], rows
 
 
 # ---------------------------------------------------------------------------
@@ -644,18 +579,18 @@ def _rotated(rows: np.ndarray, own_pos: np.ndarray) -> np.ndarray:
 class GatherKernel:
     """Vectorized :func:`~repro.model.predict.predict_gather_plan`.
 
-    Compile once per parameter set; evaluate arbitrary grids of
-    ``(n, root, counts)`` points.  The gather ascends level by level:
-    subtree totals are ``np.add.reduceat`` segment sums, the per-cluster
-    h-relation is an elementwise max over ``r·h`` products, and the
-    worst cluster per level is an ``argmax`` (first-max, matching the
-    scalar strict ``>`` scan).
+    Built on the parameter set's cached :class:`ClusterTable`; evaluates
+    arbitrary grids of ``(n, root, counts)`` points.  The gather ascends
+    level by level: subtree totals are per-cluster segment sums, every
+    cluster's h-relation an elementwise max over ``r·h`` products of the
+    whole level at once, and the worst cluster per level an ``argmax``
+    (first-max, matching the scalar strict ``>`` scan).
     """
 
     def __init__(self, params: HBSPParams, *, item_bytes: int = BYTES_PER_INT) -> None:
         self.params = params
         self.item_bytes = check_item_bytes(int(item_bytes))
-        self._tree = _CompiledTree(params)
+        self.table = params.table
 
     def evaluate(
         self,
@@ -673,7 +608,7 @@ class GatherKernel:
         the ledgers named as :func:`~repro.model.predict.predict_gather`
         names them.
         """
-        ns, roots_arr, counts = self._tree.check_grid(ns, roots, counts)
+        ns, roots_arr, counts = _check_grid(self.params, ns, roots, counts)
         k = self.params.k
         plans = [default_plan("gather", k)] * ns.size
         return self._price(
@@ -698,7 +633,7 @@ class GatherKernel:
         Bit-identical to
         :func:`~repro.model.predict.predict_gather_plan` per point.
         """
-        ns, roots_arr, counts = self._tree.check_grid(ns, roots, counts)
+        ns, roots_arr, counts = _check_grid(self.params, ns, roots, counts)
         k = self.params.k
         plan_list = _check_plans(plans, "gather", k, ns.size)
         return self._price(
@@ -715,7 +650,7 @@ class GatherKernel:
         name_of: t.Callable[[int], str],
     ) -> PlanGrid:
         """The one gather evaluation, over already-checked arguments."""
-        tree, params = self._tree, self.params
+        table, params = self.table, self.params
         if counts is None:
             first, point_of = _distinct_points(ns, roots)
             point_counts = balanced_counts(params, ns[first])
@@ -725,18 +660,16 @@ class GatherKernel:
         # A lone processor (or an empty grid) communicates nothing.
         levels = range(1, params.k + 1) if params.p > 1 and ns.size else ()
         #: Plan-independent per-level tables over the distinct points.
-        totals = [np.ascontiguousarray(point_counts.T)]  # (m_level, U) int64
-        coords: list[np.ndarray | None] = [None]
+        totals = [point_counts.T]  # (m_level, U) int64
+        coords, level_tables = _coords(table, 0, roots[first]), {}
         for level in levels:
-            totals.append(
-                np.add.reduceat(totals[-1], tree.child_start[level], axis=0)
-            )
-            coords.append(tree.coords(level, roots[first]))
+            totals.append(_per_cluster(np.add, totals[-1], table.levels[level]))
+            below, coords = coords, _coords(table, level, roots[first])
+            level_tables[level] = _Level(table, level, coords, below)
         return _plan_grid(
             "gather", ns, roots, plan_list, levels,
             lambda level, schedule: self._level_steps(
-                level, schedule, totals[level - 1],
-                coords[level], coords[level - 1],
+                level, schedule, totals[level - 1], level_tables[level]
             ),
             point_of, np.ones(ns.size, dtype=bool), name_of,
         )
@@ -746,43 +679,27 @@ class GatherKernel:
         level: int,
         schedule: LevelSchedule,
         totals_below: np.ndarray,
-        coords_here: np.ndarray,
-        coords_below: np.ndarray | None,
+        here: _Level,
     ) -> list[_Step]:
         """The charged steps of one level under one ``LevelSchedule``."""
         if schedule.algorithm == "binomial":
-            return self._binomial_steps(
-                level, totals_below, coords_here, coords_below
-            )
-        tree, S = self._tree, schedule.segments
-        clusters = range(self.params.m[level])
+            return self._binomial_steps(level, totals_below, here)
+        S, g = schedule.segments, self.params.g
         steps = []
         for s in range(S):
-            gh_rows = np.empty((len(clusters), totals_below.shape[1]))
-            for j in clusters:
-                start, stop = tree.child_slice[level][j]
-                _, r_coord, child_r, own_pos = tree.cluster_tables(
-                    level, j, coords_here, coords_below
-                )
-                # Chunk s of each child's T accumulated items,
-                # T//S + (1 if s < T%S), as the one division it equals.
-                sent = (totals_below[start:stop] + (S - 1 - s)) // S
-                gh_rows[j] = tree.g * _fan_h(
-                    r_coord, child_r, own_pos, sent * self.item_bytes
-                )
+            # Chunk s of each child's T accumulated items,
+            # T//S + (1 if s < T%S), as the one division it equals.
+            sent = totals_below if S == 1 else (totals_below + (S - 1 - s)) // S
+            gh_rows = g * here.fan_h(sent * self.item_bytes)
             labels = tuple(
                 f"super{level}{segment_suffix(s, S)}: gather into {(level, j)}"
-                for j in clusters
+                for j in range(gh_rows.shape[0])
             )
-            steps.append(_worst_cluster(level, gh_rows, tree.L[level], labels))
+            steps.append(_worst_cluster(level, gh_rows, here.nodes.L, labels))
         return steps
 
     def _binomial_steps(
-        self,
-        level: int,
-        totals_below: np.ndarray,
-        coords_here: np.ndarray,
-        coords_below: np.ndarray | None,
+        self, level: int, totals_below: np.ndarray, here: _Level
     ) -> list[_Step]:
         """Per-round steps of a binomial-tree gather level.
 
@@ -790,28 +707,22 @@ class GatherKernel:
         relative 0; round ``t`` sends each holder's accumulated window
         ``[q, q+2^t)`` down to ``q - 2^t``.
         """
-        tree, item_bytes = self._tree, self.item_bytes
-        G = totals_below.shape[1]
-        per_round: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for j in range(self.params.m[level]):
-            C, _, child_r, own_pos = tree.cluster_tables(
-                level, j, coords_here, coords_below
-            )
-            start, stop = tree.child_slice[level][j]
-            rot_tot = _rotated(totals_below[start:stop], own_pos)
-            rot_r = _rotated(child_r, own_pos)
-            prefix = np.zeros((C + 1, G), dtype=np.int64)
-            np.cumsum(rot_tot, axis=0, out=prefix[1:])
+        g, item_bytes = self.params.g, self.item_bytes
+        cols = np.arange(here.G)
+        per_round: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        for C, js, rot_r, rows in here.binomial_groups(np.arange(here.nodes.fan.size)):
+            prefix = np.zeros((js.size, C + 1, here.G), dtype=np.int64)
+            np.cumsum(totals_below[rows, cols], axis=1, out=prefix[:, 1:])
             for t_round in range(binomial_rounds(C)):
                 half = 1 << t_round
-                rows = []
+                loads = []
                 for q in range(half, C, 2 * half):
-                    volume = (prefix[min(q + half, C)] - prefix[q]) * item_bytes
-                    rows.append(rot_r[q] * volume)
-                    rows.append(rot_r[q - half] * volume)
-                gh = tree.g * np.max(np.stack(rows), axis=0)
-                per_round.setdefault(t_round, []).append((j, gh))
-        return _binomial_round_steps(level, per_round, tree.L[level], "gather")
+                    volume = (prefix[:, min(q + half, C)] - prefix[:, q]) * item_bytes
+                    loads.append(rot_r[:, q] * volume)
+                    loads.append(rot_r[:, q - half] * volume)
+                gh = g * np.max(np.stack(loads), axis=0)
+                per_round.setdefault(t_round, []).append((js, gh))
+        return _binomial_round_steps(level, per_round, here.nodes.L, "gather")
 
 
 # ---------------------------------------------------------------------------
@@ -829,17 +740,15 @@ class BroadcastKernel:
     def __init__(self, params: HBSPParams, *, item_bytes: int = BYTES_PER_INT) -> None:
         self.params = params
         self.item_bytes = check_item_bytes(int(item_bytes))
-        self._tree = _CompiledTree(params)
+        self.table = params.table
         #: Clusters with more than one child, per level (singleton
         #: wrapper clusters send nothing and charge nothing).
         self._fanned = {
-            level: [
-                j
-                for j in range(params.m[level])
-                if params.fan_out[(level, j)] > 1
-            ]
+            level: np.flatnonzero(self.table.levels[level].fan > 1)
             for level in range(1, params.k + 1)
         }
+        #: "c"-weighted two-phase fractions per cluster, lazily built.
+        self._weighted: dict[tuple[int, int], dict[str, float]] = {}
 
     def evaluate(
         self,
@@ -857,7 +766,7 @@ class BroadcastKernel:
         named as :func:`~repro.model.predict.predict_broadcast` names
         them.
         """
-        ns, roots_arr, _ = self._tree.check_grid(ns, roots)
+        ns, roots_arr, _ = _check_grid(self.params, ns, roots)
         k = self.params.k
         if isinstance(phases, (str, t.Mapping)) or not isinstance(phases, t.Iterable):
             specs: t.Sequence[PhaseSpec] = [phases] * ns.size
@@ -890,7 +799,7 @@ class BroadcastKernel:
         Bit-identical per point to
         :func:`~repro.model.predict.predict_broadcast_plan`.
         """
-        ns, roots_arr, _ = self._tree.check_grid(ns, roots)
+        ns, roots_arr, _ = _check_grid(self.params, ns, roots)
         k = self.params.k
         plan_list = _check_plans(plans, "broadcast", k, ns.size)
         return self._price(
@@ -907,24 +816,26 @@ class BroadcastKernel:
         name_of: t.Callable[[int], str],
     ) -> PlanGrid:
         """The one broadcast evaluation, over already-checked points."""
-        tree, params = self._tree, self.params
+        table, params = self.table, self.params
         check_fractions(fractions, params.p)
         first, point_of = _distinct_points(ns, roots)
         point_ns, point_roots = ns[first], roots[first]
         # Singleton-only levels (and so p == 1 machines) charge nothing.
         levels = [
-            level for level in range(params.k, 0, -1) if self._fanned[level]
+            level for level in range(params.k, 0, -1) if self._fanned[level].size
         ]
         #: Plan-independent coordinator tables over the distinct points.
-        coords = {
-            level: tree.coords(level, point_roots)
-            for level in range(1, params.k + 1)
+        level_tables = {
+            level: _Level(
+                table, level,
+                _coords(table, level, point_roots), _coords(table, level - 1, point_roots),
+            )
+            for level in levels
         }
         return _plan_grid(
             "broadcast", ns, roots, plan_list, levels,
             lambda level, schedule: self._level_steps(
-                level, schedule, point_ns, coords[level],
-                coords.get(level - 1), fractions,
+                level, schedule, point_ns, level_tables[level], fractions
             ),
             point_of, ns > 0, name_of,
         )
@@ -934,119 +845,100 @@ class BroadcastKernel:
         level: int,
         schedule: LevelSchedule,
         ns: np.ndarray,
-        coords_here: np.ndarray,
-        coords_below: np.ndarray | None,
+        here: _Level,
         fractions: t.Sequence[float] | None,
     ) -> list[_Step]:
         """The charged steps of one level under one ``LevelSchedule``."""
         if schedule.algorithm == "binomial":
-            return self._binomial_steps(level, ns, coords_here, coords_below)
-        tree, fanned, S = self._tree, self._fanned[level], schedule.segments
-        L_of = tree.L[level][fanned]
+            return self._binomial_steps(level, ns, here)
+        fanned, S, g = self._fanned[level], schedule.segments, self.params.g
+        L_of = here.nodes.L[fanned]
         if schedule.algorithm == "two":
-            gh_rows = np.stack(
-                [
-                    self._two_phase_gh(
-                        level, j, ns, coords_here, coords_below, fractions
-                    )
-                    for j in fanned
-                ]
-            )
+            gh_rows = g * self._two_phase_h(level, ns, here, fractions)[fanned]
             labels = tuple(
-                f"super{level}: two-phase bcast in {(level, j)}" for j in fanned
+                f"super{level}: two-phase bcast in {(level, j)}" for j in fanned.tolist()
             )
             return [_worst_cluster(level, gh_rows, 2 * L_of, labels)]
         steps = []
         for s in range(S):
             # Coordinator fan-out of chunk s to every child.
             chunk = (ns + (S - 1 - s)) // S * self.item_bytes
-            gh_rows = np.empty((len(fanned), ns.size))
-            for row, j in enumerate(fanned):
-                C, r_coord, child_r, own_pos = tree.cluster_tables(
-                    level, j, coords_here, coords_below
-                )
-                volumes = np.broadcast_to(chunk, (C, ns.size))
-                gh_rows[row] = tree.g * _fan_h(r_coord, child_r, own_pos, volumes)
+            volumes = np.broadcast_to(chunk, (here.below.fan.size, ns.size))
+            gh_rows = g * here.fan_h(volumes)[fanned]
             labels = tuple(
                 f"super{level}{segment_suffix(s, S)}: one-phase bcast "
                 f"in {(level, j)}"
-                for j in fanned
+                for j in fanned.tolist()
             )
             steps.append(_worst_cluster(level, gh_rows, L_of, labels))
         return steps
 
-    def _two_phase_gh(
+    def _two_phase_h(
         self,
         level: int,
-        j: int,
         ns: np.ndarray,
-        coords_here: np.ndarray,
-        coords_below: np.ndarray | None,
+        here: _Level,
         fractions: t.Sequence[float] | None,
     ) -> np.ndarray:
-        """``(G,)`` ``g·h`` of cluster ``j``'s scatter + total exchange."""
-        tree, item_bytes = self._tree, self.item_bytes
-        C, r_coord, child_r, own_pos = tree.cluster_tables(
-            level, j, coords_here, coords_below
-        )
-        shares = self._shares(level, j, C, ns, fractions)
-        h_a = _fan_h(r_coord, child_r, own_pos, shares * item_bytes)
-        values_b = child_r * (
-            np.maximum(shares * (C - 1), ns[np.newaxis, :] - shares) * item_bytes
-        )
-        return tree.g * (h_a + values_b.max(axis=0))
-
-    def _shares(
-        self,
-        level: int,
-        j: int,
-        C: int,
-        ns: np.ndarray,
-        fractions: t.Sequence[float] | None,
-    ) -> np.ndarray:
-        """(C, G) first-phase shares per child for the two-phase scheme."""
+        """``(m, G)`` ``h`` of every cluster's scatter + total exchange."""
+        nodes, parent = here.nodes, here.below.parent
+        C = nodes.fan[parent][:, np.newaxis]  # each child row's cluster size
         if fractions is None:
-            quotient = ns // C
-            remainder = ns % C
-            return quotient[np.newaxis, :] + (
-                np.arange(C, dtype=np.int64)[:, np.newaxis]
-                < remainder[np.newaxis, :]
-            )
-        weighted = self._tree.weighted_fractions(level, j)
-        unique, inverse = np.unique(ns, return_inverse=True)
-        table = np.empty((unique.size, C), dtype=np.int64)
-        for u, n in enumerate(unique):
-            part = partition_items(int(n), weighted)
-            table[u] = [part[str(i)] for i in range(C)]
-        return table[inverse].T
+            position = np.arange(parent.size) - nodes.child_start[parent]
+            shares = ns // C + (position[:, np.newaxis] < ns % C)
+        else:
+            shares = self._weighted_shares(level, ns, here)
+        h_a = here.fan_h(shares * self.item_bytes)
+        values_b = here.child_r * (
+            np.maximum(shares * (C - 1), ns - shares) * self.item_bytes
+        )
+        return h_a + _per_cluster(np.maximum, values_b, nodes)
 
-    def _binomial_steps(
-        self,
-        level: int,
-        ns: np.ndarray,
-        coords_here: np.ndarray,
-        coords_below: np.ndarray | None,
-    ) -> list[_Step]:
+    def _weighted_shares(self, level: int, ns: np.ndarray, here: _Level) -> np.ndarray:
+        """``(m_below, G)`` "c"-weighted first-phase shares of every child.
+
+        One :func:`~repro.bytemark.ranking.partition_items` per fanned
+        cluster and distinct ``n``, over fractions that mirror the scalar
+        arithmetic exactly: builtin ``sum`` over each child's leaf
+        fractions in leaf order, builtin ``sum`` over the children in
+        child order, then one division per child.
+        """
+        starts, leaves = here.nodes.child_start.tolist(), here.below.leaf_start.tolist()
+        unique, inverse = np.unique(ns, return_inverse=True)
+        table = np.zeros((len(leaves) - 1, unique.size), dtype=np.int64)
+        for j in self._fanned[level].tolist():
+            start, stop = starts[j], starts[j + 1]
+            weighted = self._weighted.get((level, j))
+            if weighted is None:
+                weights = [
+                    sum(self.params.c_of(0, leaf) for leaf in range(leaves[i], leaves[i + 1]))
+                    for i in range(start, stop)
+                ]
+                total_w = sum(weights)
+                weighted = self._weighted[level, j] = {
+                    str(i): w / total_w for i, w in enumerate(weights)
+                }
+            for u, n in enumerate(unique.tolist()):
+                part = partition_items(n, weighted)
+                table[start:stop, u] = [part[str(i)] for i in range(stop - start)]
+        return table[:, inverse]
+
+    def _binomial_steps(self, level: int, ns: np.ndarray, here: _Level) -> list[_Step]:
         """Per-round steps of a binomial-tree broadcast level.
 
         Rotated so the coordinator holds relative position 0; in round
         ``t`` every holder ``q < 2^t`` forwards the full payload to
         ``q + 2^t``.
         """
-        tree = self._tree
-        volume = ns * self.item_bytes
-        per_round: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for j in self._fanned[level]:
-            C, _, child_r, own_pos = tree.cluster_tables(
-                level, j, coords_here, coords_below
-            )
-            rot_r = _rotated(child_r, own_pos)
+        g, volume = self.params.g, ns * self.item_bytes
+        per_round: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        for C, js, rot_r, _ in here.binomial_groups(self._fanned[level]):
             for t_round in range(binomial_rounds(C)):
                 half = 1 << t_round
-                rows = []
+                loads = []
                 for q in range(min(half, C - half)):
-                    rows.append(rot_r[q] * volume)
-                    rows.append(rot_r[q + half] * volume)
-                gh = tree.g * np.max(np.stack(rows), axis=0)
-                per_round.setdefault(t_round, []).append((j, gh))
-        return _binomial_round_steps(level, per_round, tree.L[level], "bcast")
+                    loads.append(rot_r[:, q] * volume)
+                    loads.append(rot_r[:, q + half] * volume)
+                gh = g * np.max(np.stack(loads), axis=0)
+                per_round.setdefault(t_round, []).append((js, gh))
+        return _binomial_round_steps(level, per_round, here.nodes.L, "bcast")

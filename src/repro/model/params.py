@@ -37,16 +37,99 @@ import itertools
 import math
 import typing as t
 
+import numpy as np
+
 from repro.bytemark.ranking import fractions_from_scores
 from repro.bytemark.suite import true_scores
 from repro.cluster.topology import ClusterTopology
 from repro.errors import CalibrationError, ValidationError
-from repro.model.tree import HBSPNode, HBSPTree
+from repro.model.tree import HBSPTree
 from repro.util.validation import check_positive
 
-__all__ = ["HBSPParams", "calibrate"]
+__all__ = ["ClusterTable", "HBSPParams", "LevelTable", "calibrate"]
 
 Key = tuple[int, int]  # (level i, index j)
+
+
+def fastest_of_runs(
+    r0: np.ndarray, leaves: np.ndarray, run: np.ndarray, start: np.ndarray
+) -> np.ndarray:
+    """The fastest of each run ``leaves[start[j]:start[j + 1]]``.
+
+    ``run`` numbers every leaf's run.  The model's one coordinator rule:
+    smallest ``r_{0,j}``, ties to the smaller leaf index ``j``.
+    """
+    order = np.lexsort((leaves, r0[leaves], run))
+    return leaves[order[start[:-1]]]
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class LevelTable:
+    """One level's nodes ``M_{level,j}`` as arrays indexed by ``j``.
+
+    Levels are filled left-to-right in DFS order, so a subtree is the
+    leaf run ``[leaf_start[j], leaf_start[j + 1])`` and a node's
+    children are the run ``[child_start[j], child_start[j + 1])`` of the
+    level below.
+    """
+
+    leaf_start: np.ndarray  # (m + 1,) int64
+    child_start: np.ndarray  # (m + 1,) int64; all zeros on level 0
+    parent: np.ndarray  # index one level up; all 0 on the top level
+    fan: np.ndarray  # m_{level,j}
+    L: np.ndarray  # L_{level,j}; NaN on level 0
+    coord: np.ndarray  # default coordinator leaf (:func:`fastest_of_runs`)
+    uniform_fan: int  # the fan-out every node has, 0 if they differ
+
+    def coordinators(self, root: int | None) -> list[int]:
+        """Each node's coordinator leaf when the collective roots at ``root``.
+
+        The default coordinator, except that the node whose subtree
+        holds ``root`` is coordinated by ``root`` itself — this is how
+        the experiments re-root a collective on a chosen processor.
+        """
+        coords = self.coord.tolist()
+        if root is not None:
+            coords[bisect.bisect_right(self.leaf_start, root) - 1] = root
+        return coords
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class ClusterTable:
+    """Every level of an HBSP^k tree, bottom-up (``levels[i]`` is level i)."""
+
+    r0: np.ndarray  # r_{0,j} of every leaf
+    levels: tuple[LevelTable, ...]
+    fastest: int  # the top-level coordinator: every collective's default root
+
+    @classmethod
+    def build(cls, params: "HBSPParams") -> "ClusterTable":
+        p, k = params.m[0], params.k
+        fans = [[0] * p] + [
+            [params.fan_out[(level, j)] for j in range(params.m[level])]
+            for level in range(1, k + 1)
+        ]
+        # Each node's parent one level up; the top level forms one run.
+        parents = [np.repeat(np.arange(len(up)), up) for up in fans[1:]]
+        parents.append(np.zeros(len(fans[k]), dtype=np.int64))
+        r0 = np.array([params.r[(0, j)] for j in range(p)])
+        leaf_start = np.arange(p + 1, dtype=np.int64)
+        coord, L = leaf_start[:-1], np.full(p, np.nan)
+        levels = []
+        for level, fan in enumerate(fans):
+            child_start = np.array([0, *itertools.accumulate(fan)], dtype=np.int64)
+            if level:
+                leaf_start = leaf_start[child_start]
+                coord = fastest_of_runs(r0, coord, parents[level - 1], child_start)
+                L = np.array([params.L[(level, j)] for j in range(len(fan))])
+            uniform = fan[0] if len(set(fan)) == 1 else 0
+            levels.append(LevelTable(
+                leaf_start, child_start, parents[level], np.array(fan, dtype=np.int64),
+                L, coord, uniform,
+            ))
+        top = np.array([0, coord.size])
+        fastest = fastest_of_runs(r0, coord, parents[k], top)
+        return cls(r0, tuple(levels), int(fastest[0]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,47 +214,36 @@ class HBSPParams:
         return max(range(self.m[level]), key=lambda j: (self.r[(level, j)], -j))
 
     # -- structure navigation ---------------------------------------------------
-    # Levels are filled left-to-right in DFS order, so the children of
-    # M_{i,j} are a contiguous run of level-(i-1) nodes starting at the
-    # sum of the fan-outs of M_{i,0} .. M_{i,j-1}.
     @functools.cached_property
-    def _child_start(self) -> tuple[tuple[int, ...], ...]:
-        """``[level][j]``: level-(level-1) index of ``M_{level,j}``'s first
-        child, closed by the level's child total (``[0]`` is unused)."""
-        return ((),) + tuple(
-            tuple(
-                itertools.accumulate(
-                    (self.fan_out[(level, j)] for j in range(self.m[level])),
-                    initial=0,
-                )
-            )
-            for level in range(1, self.k + 1)
-        )
+    def table(self) -> "ClusterTable":
+        """The tree as per-level arrays, built once per parameter set.
+
+        It reads ``m``, ``fan_out``, ``r`` and ``L`` only: the scalar
+        predictors, both kernels and every planner call share it.
+        """
+        return ClusterTable.build(self)
 
     def children_of(self, level: int, index: int) -> tuple[Key, ...]:
         """Keys of the children of ``M_{level,index}`` (level-1 nodes)."""
         if level < 1:
             return ()
         fan = self.fan_out[(level, index)]
-        offset = self._child_start[level][index]
+        offset = int(self.table.levels[level].child_start[index])
         return tuple((level - 1, offset + j) for j in range(fan))
 
     def parent_of(self, level: int, index: int) -> Key | None:
         """Key of the parent of ``M_{level,index}`` (``None`` for the root)."""
         if not 0 <= level < self.k:
             return None
-        starts = self._child_start[level + 1]
-        if not 0 <= index < starts[-1]:
+        parent = self.table.levels[level].parent
+        if not 0 <= index < parent.size:
             return None
-        return (level + 1, bisect.bisect_right(starts, index) - 1)
+        return (level + 1, int(parent[index]))
 
     def leaf_indices(self, level: int, index: int) -> tuple[int, ...]:
         """Level-0 indices in the subtree of ``M_{level,index}``."""
-        lo, hi = index, index + 1
-        for above in range(level, 0, -1):  # subtrees are contiguous runs
-            starts = self._child_start[above]
-            lo, hi = starts[lo], starts[hi]
-        return tuple(range(lo, hi))
+        leaf_start = self.table.levels[level].leaf_start
+        return tuple(range(int(leaf_start[index]), int(leaf_start[index + 1])))
 
     def with_equal_fractions(self) -> "HBSPParams":
         """A copy with ``c_{0,j} = 1/p`` (the unbalanced baseline)."""

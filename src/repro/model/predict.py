@@ -92,16 +92,11 @@ def default_counts(params: HBSPParams, n: int) -> list[int]:
 def _coordinator_leaf(params: HBSPParams, key: Key, root: int | None) -> int:
     """Leaf (level-0 index) acting as coordinator of subtree ``key``.
 
-    The fastest member (smallest ``r``) coordinates, except that the
-    subtree containing ``root`` is coordinated by ``root`` itself — this
-    is how the experiments re-root a collective on a chosen processor.
+    Read off ``params.table`` (:meth:`~repro.model.params.LevelTable.coordinators`):
+    the fastest member, unless the subtree holds ``root``.
     """
-    if key[0] == 0:
-        return key[1]  # a leaf coordinates itself whatever the root is
-    leaves = params.leaf_indices(*key)
-    if root is not None and root in leaves:
-        return root
-    return min(leaves, key=lambda j: (params.r_of(0, j), j))
+    level, j = key
+    return params.table.levels[level].coordinators(root)[j]
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +114,7 @@ def check_inputs(
     if n < 0:
         raise CollectiveError(f"{what} must be >= 0, got {n}")
     if root is None:
-        root = params.fastest_index(0)
+        root = params.table.fastest
     if not 0 <= root < params.p:
         raise CollectiveError(f"root {root} out of range for p={params.p}")
     return root
@@ -172,7 +167,7 @@ def check_workload(
 #: is the slowness of child ``i``'s coordinator, ``own_pos`` the child
 #: whose coordinator is the cluster's own (it keeps its data local: no
 #: self-send) and ``coord`` that coordinator's level-0 index.
-Cluster = tuple[Key, list[Key], float, list[float], t.Optional[int], float, int]
+Cluster = tuple[Key, list[Key], float, list[float], int, float, int]
 
 
 def clusters(
@@ -183,25 +178,23 @@ def clusters(
     ``singletons=False`` leaves out one-child wrapper clusters, which
     have nobody to send to: only the gather charges their barrier.
     """
+    here, below = params.table.levels[level], params.table.levels[level - 1]
+    child_coords = below.coordinators(root)
+    starts, L = here.child_start.tolist(), here.L.tolist()
     out = []
-    for j in range(params.m[level]):
-        key = (level, j)
-        children = params.children_of(*key)
-        if not singletons and len(children) <= 1:
+    for j, coord in enumerate(here.coordinators(root)):
+        start, stop = starts[j], starts[j + 1]
+        if not singletons and stop - start <= 1:
             continue
-        coord = _coordinator_leaf(params, key, root)
-        child_coords = [_coordinator_leaf(params, c, root) for c in children]
-        own_pos = next(
-            (i for i, c in enumerate(child_coords) if c == coord), None
-        )
+        coords = child_coords[start:stop]
         out.append(
             (
-                key,
-                children,
+                (level, j),
+                [(level - 1, i) for i in range(start, stop)],
                 params.r_of(0, coord),
-                [params.r_of(0, c) for c in child_coords],
-                own_pos,
-                params.L_of(level, j),
+                [params.r_of(0, c) for c in coords],
+                coords.index(coord),
+                L[j],
                 coord,
             )
         )
@@ -254,7 +247,6 @@ def _charge_binomial(
         ):
             if rounds[index] <= t_round:
                 continue
-            assert own_pos is not None
             loads = loads_of(index, len(children), own_pos, child_r, 1 << t_round)
             label = f"super{level}: binomial {what} round {t_round + 1} in {key}"
             candidates.append((0.0, g * h_relation(loads), L, label))
@@ -264,7 +256,7 @@ def _charge_binomial(
 def fan_loads(
     r_coord: float,
     child_r: t.Sequence[float],
-    own_pos: int | None,
+    own_pos: int,
     volumes: t.Sequence[int],
 ) -> list[tuple[float, int]]:
     """``(r, h)`` loads of one coordinator fan-in or fan-out.

@@ -10,7 +10,9 @@ The calls here go through the plan-less entry points (``evaluate``,
 ``predict_gather`` / ``predict_broadcast``), which are the plan
 evaluators at ``default_plan`` / ``plan_from_phases``: a scalar ↔
 kernel two-way, with the ledger *names* those entry points choose
-included in every comparison.
+included in every comparison.  The random trees are narrow (fan-outs
+1–3), so ``TestGeneratedMachines`` adds the wide, uniform levels of the
+generator families (8- to 16-wide), under every plan of the space.
 """
 
 import itertools
@@ -20,11 +22,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numpy as np
+import pytest
 
+from repro.cluster.discover.generators import GENERATORS
 from repro.model.kernels import BroadcastKernel, GatherKernel, equal_counts
-from repro.model.params import HBSPParams
+from repro.model.params import HBSPParams, calibrate
 from repro.model.planner import best_broadcast_phases, best_root
-from repro.model.predict import default_counts, predict_broadcast, predict_gather
+from repro.model.predict import (
+    default_counts,
+    predict_broadcast,
+    predict_broadcast_plan,
+    predict_gather,
+    predict_gather_plan,
+)
+from repro.tuning.space import enumerate_plans
 
 
 @st.composite
@@ -213,3 +224,33 @@ class TestPlannerBruteForceAgreement:
         assert root == best_root_scalar
         assert ledger.total == best_total
         assert_ledger_identical(predict(params, n, root=root), ledger)
+
+
+class TestGeneratedMachines:
+    """Every plan of the space on each generator family's machine: sizes
+    0, 1 and an odd one, at the fastest, a middle and the slowest root."""
+
+    @pytest.mark.parametrize("family", sorted(GENERATORS))
+    @pytest.mark.parametrize("op", ["gather", "broadcast"])
+    def test_every_plan_bit_identical(self, family, op):
+        params = calibrate(GENERATORS[family](seed=0))
+        kernel, predict = {
+            "gather": (GatherKernel, predict_gather_plan),
+            "broadcast": (BroadcastKernel, predict_broadcast_plan),
+        }[op]
+        roots = [params.table.fastest, params.p // 2, params.slowest_index(0)]
+        points = [
+            (plan, n, root)
+            for plan in enumerate_plans(op, params.k)
+            for n in (0, 1, 100_003)
+            for root in roots
+        ]
+        grid = kernel(params).evaluate_plans(
+            np.array([n for _, n, _ in points], dtype=np.int64),
+            [plan for plan, _, _ in points],
+            roots=np.array([root for _, _, root in points], dtype=np.int64),
+        )
+        for i, (plan, n, root) in enumerate(points):
+            expected = predict(params, n, plan, root=root)
+            assert_ledger_identical(expected, grid.ledger(i))
+            assert grid.totals[i] == expected.total
