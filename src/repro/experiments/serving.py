@@ -72,14 +72,12 @@ def serving_curves(
 ) -> ExperimentReport:
     """Sweep offered load; report goodput, latency percentiles, shed."""
     from repro.serve.costs import StageCostModel
-    from repro.serve.placement import carve_slices
-    from repro.serve.service import resolve_cluster, run_service
+    from repro.serve.service import run_service, serve_slices
 
     base = serving_config(rates[0], seed=seed, process=process)
-    slices = carve_slices(resolve_cluster(base.cluster), base.policy.placement)
     # One shared cost model: the job universe is independent of the
     # arrival rate, so every rate point reuses one prewarmed batch.
-    model = StageCostModel(base, slices)
+    model = StageCostModel(base, serve_slices(base)[0])
 
     goodput: dict[float, float] = {}
     p50: dict[float, float] = {}

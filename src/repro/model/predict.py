@@ -349,10 +349,11 @@ def _gather_ledger(
             subtree_total[cluster[0]] = sum(totals)
         if schedule.algorithm == "flat":
             S = schedule.segments
-            chunked = [[split_segments(c, S) for c in totals] for totals in held]
             for s in range(S):
+                # Chunk s of each child's total, split_segments' rule.
                 volumes = [
-                    [chunk[s] * item_bytes for chunk in chunks] for chunks in chunked
+                    [(c + S - 1 - s) // S * item_bytes for c in totals]
+                    for totals in held
                 ]
                 charge_fan(
                     ledger, g, level, level_clusters, volumes, "gather into",

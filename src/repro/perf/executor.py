@@ -17,16 +17,13 @@ worker count:
 Caching
 -------
 
-Four layers, all keyed by the job content hash:
+Three layers, all keyed by the job content hash:
 
 * the executor memo — results live for the executor's lifetime, so a
   sweep that revisits a grid point (or two experiments sharing one)
   simulates it once;
 * per-call dedupe — duplicate jobs inside one ``evaluate`` batch are
   submitted once;
-* the per-process worker cache — a worker that receives a hash it has
-  already simulated answers from memory (cheap insurance when the same
-  executor evaluates overlapping batches);
 * the optional persistent :class:`~repro.perf.diskcache.DiskCache`
   (``cache_dir=...``) — results survive the process, so repeated
   invocations skip already-computed grid points entirely.
@@ -82,19 +79,6 @@ def effective_jobs(requested: int) -> int:
         )
         return cores
     return requested
-
-#: Worker-process result cache (content hash -> result).  Module-global
-#: so it persists for the worker's lifetime within a pool.
-_worker_cache: dict[str, SimResult] = {}
-
-
-def _execute_job(item: tuple[str, SimJob]) -> tuple[str, SimResult]:
-    """Pool target: run one job (or answer from the worker cache)."""
-    key, job = item
-    result = _worker_cache.get(key)
-    if result is None:
-        _worker_cache[key] = result = job.run()
-    return key, result
 
 
 class SweepExecutor:
@@ -200,8 +184,8 @@ class SweepExecutor:
                 # hash, and the output list is rebuilt from the
                 # caller's key order, so worker scheduling can't
                 # reorder anything.
-                for key, result in self._ensure_pool().map(
-                    _execute_job, list(pending.items())
+                for key, result in zip(
+                    pending, self._ensure_pool().map(SimJob.run, pending.values())
                 ):
                     memo[key] = result
             if self._disk is not None:

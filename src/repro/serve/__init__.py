@@ -34,7 +34,7 @@ from repro.serve.placement import (
     slice_variants,
 )
 from repro.serve.report import ServiceReport, percentile
-from repro.serve.service import run_service, resolve_cluster, serve_slices
+from repro.serve.service import ServeSession, resolve_cluster, run_service, serve_slices
 
 __all__ = [
     "Arrival",
@@ -43,6 +43,7 @@ __all__ = [
     "REQUEST_TEMPLATES",
     "RequestKind",
     "STAGE_OPS",
+    "ServeSession",
     "ServiceConfig",
     "ServiceReport",
     "Slice",

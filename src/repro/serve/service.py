@@ -31,19 +31,22 @@ a single all-present epoch whose live map is the identity — so a
 static session runs the same loop and is bit-identical by
 construction.
 
-When a :func:`repro.obs.observe` observation is active the session
-emits ``repro_serve_*`` metrics (arrival/shed/batch counters, latency
-and queue-depth histograms) and, with spans on, one span per request
-plus one per membership epoch — so the Chrome-trace and Prometheus
-exporters work on serving sessions for free.
+A :class:`ServeSession` holds one session's state; its counters are
+the report's counters.  When a :func:`repro.obs.observe` observation is
+active the session samples the ``repro_serve_queue_depth`` histogram
+at each admission and, once it finishes, folds its counters and
+latencies into the ``repro_serve_*`` metrics (a session that raises
+part-way records none of them).  With spans on it adds one span per
+request and one per membership epoch — so the Chrome-trace and
+Prometheus exporters work on serving sessions for free.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import typing as t
 from collections import deque
+from functools import partial
 
 from repro.cluster.presets import build_any
 from repro.cluster.topology import ClusterTopology
@@ -51,7 +54,7 @@ from repro.dynamics.epochs import Epoch, membership_epochs
 from repro.dynamics.plan import DynamicPlan
 from repro.errors import ServeError
 from repro.obs.observe import current_observation
-from repro.serve.arrivals import Arrival, generate_arrivals, offered_rate
+from repro.serve.arrivals import Arrival, generate_arrivals, kind_counts, offered_rate
 from repro.serve.config import ServiceConfig
 from repro.serve.costs import StageCostModel
 from repro.serve.placement import Slice, carve_slices, pick_slice, slice_variants
@@ -59,7 +62,7 @@ from repro.serve.report import ServiceReport
 from repro.sim.engine import Engine
 from repro.util.lifetime import gc_paused
 
-__all__ = ["run_service", "resolve_cluster", "serve_slices"]
+__all__ = ["ServeSession", "run_service", "resolve_cluster", "serve_slices"]
 
 
 def resolve_cluster(spec: str) -> ClusterTopology:
@@ -127,302 +130,298 @@ def run_service(
     goodput-vs-offered-load sweeps); by default the session builds and
     prewarms its own.
     """
-    slices, (epochs, live, n_base) = serve_slices(config, dynamics)
-    if costs is None:
-        model = StageCostModel(config, slices)
-    else:
-        _check_shared_model(costs, config, slices)
-        model = costs
-    model.prewarm()
+    return ServeSession(config, dynamics=dynamics, costs=costs).run()
 
-    observation = current_observation()
-    metrics = observation.metrics if observation is not None else None
-    tracer = (
-        observation.tracer
-        if observation is not None and observation.tracer.enabled
-        else None
-    )
 
-    arrivals = generate_arrivals(config)
-    engine = Engine()
-    queue: deque[Arrival] = deque()
-    idle = [True] * n_base
-    busy_time = [0.0] * len(slices)
-    slice_completed = [0] * len(slices)
-    kind_completed = [0] * len(config.workload)
-    latencies: list[float] = []
-    state = {
-        "admitted": 0, "shed": 0, "batches": 0, "depth_max": 0,
-        "redispatched": 0, "degraded": 0, "degraded_shed": 0,
-    }
-    retries: dict[int, int] = {}
-    retry_pending = [False]
-    limit = config.policy.queue_limit
-    max_batch = config.policy.max_batch
-    max_redispatch = config.policy.max_redispatch
-    slice_members = [
-        frozenset(m.name for m in s.topology.machines) for s in slices
-    ]
-    # Flattened membership timeline: epoch lookups, live-variant reads,
-    # and interrupt scans run per dispatch, so they must not hash tuple
-    # keys or walk the whole epoch list.  Simulated time is monotone,
-    # so a cursor advanced in place makes the epoch lookup amortised
-    # O(1) across the session.
-    epoch_starts = [e.start for e in epochs]
-    n_epochs = len(epochs)
-    live_rows = [
-        [live.get((j, e)) for j in range(n_base)] for e in range(n_epochs)
-    ]
-    # (current epoch index, start of the next epoch) — the second field
-    # lets dispatch's hot path decide "no boundary ahead of this batch"
-    # with one float comparison.
-    epoch_cursor = [0, epoch_starts[1] if n_epochs > 1 else math.inf]
-    # Epochs whose live map is the identity (every base slice hosts
-    # itself) skip the live-row lookup in dispatch.
-    identity_rows = [
-        all(row[j] == j for j in range(n_base)) for row in live_rows
-    ]
+class ServeSession:
+    """One serving session: its queue, slices and counters.
 
-    def _epoch_index(t_now: float) -> int:
-        i = epoch_cursor[0]
-        while i + 1 < n_epochs and epoch_starts[i + 1] <= t_now:
-            i += 1
-        epoch_cursor[0] = i
-        epoch_cursor[1] = epoch_starts[i + 1] if i + 1 < n_epochs else math.inf
-        return i
+    Construction carves the slice table, prewarms the cost model and
+    schedules every arrival; :meth:`run` plays the session to the end
+    and returns its :class:`ServiceReport`, and :meth:`step` plays it
+    one engine event at a time.  Between events ``in_flight()`` lies in
+    ``[0, busy slices * max_batch]`` and is 0 exactly when every slice
+    is idle; at the end ``offered == completed + shed + degraded_shed``.
+    """
 
-    def _next_boundary(t_now: float) -> float | None:
-        i = bisect.bisect_right(epoch_starts, t_now)
-        return epoch_starts[i] if i < len(epoch_starts) else None
+    def __init__(
+        self,
+        config: ServiceConfig,
+        *,
+        dynamics: DynamicPlan | None = None,
+        costs: StageCostModel | None = None,
+    ) -> None:
+        slices, (epochs, live, n_base) = serve_slices(config, dynamics)
+        if costs is None:
+            costs = StageCostModel(config, slices)
+        else:
+            _check_shared_model(costs, config, slices)
+        costs.prewarm()
+        observation = current_observation()
+        self.metrics = observation.metrics if observation is not None else None
+        self.tracer = (
+            observation.tracer
+            if observation is not None and observation.tracer.enabled
+            else None
+        )
+        self.config = config
+        self.dynamics = dynamics
+        self.model = costs
+        self.slices = slices
+        self.epochs = epochs
+        self.n_base = n_base
+        self.limit = config.policy.queue_limit
+        self.max_batch = config.policy.max_batch
+        self.slice_members = [
+            frozenset(m.name for m in s.topology.machines) for s in slices
+        ]
+        # Epoch starts with an ``inf`` sentinel: simulated time is
+        # monotone, so the covering epoch is one index advanced in
+        # place and the next boundary is always ``starts[epoch + 1]``.
+        self.starts = [e.start for e in epochs] + [math.inf]
+        self.epoch = 0
+        self.live_rows = [
+            [live.get((j, e)) for j in range(n_base)] for e in range(len(epochs))
+        ]
 
-    def _interrupt_time(variant: int, start: float, cost: float) -> float | None:
-        """First epoch boundary in ``(start, start+cost)`` that takes a
-        machine away from the dispatched variant, if any."""
-        members = slice_members[variant]
-        end = start + cost
-        # Dispatch advances the cursor to the epoch covering ``start``
-        # just before calling this, so the candidate boundaries begin
-        # at the next epoch (their starts strictly increase).
-        for i in range(epoch_cursor[0] + 1, n_epochs):
-            boundary = epoch_starts[i]
-            if boundary >= end:
-                return None
-            if not members <= epochs[i].present:
-                return boundary
-        return None
+        self.engine = Engine()
+        self.arrivals = generate_arrivals(config)
+        self.queue: deque[Arrival] = deque()
+        self.idle = [True] * n_base
+        self.busy_time = [0.0] * len(slices)
+        self.slice_completed = [0] * len(slices)
+        self.kind_completed = [0] * len(config.workload)
+        self.latencies: list[float] = []
+        self.retries: dict[int, int] = {}
+        self.retry_pending = False
+        self.admitted = 0
+        self.shed = 0
+        self.batches = 0
+        self.redispatched = 0
+        self.degraded = 0
+        self.degraded_shed = 0
+        self.depth_max = 0
+        for arrival in self.arrivals:
+            self.engine.call_at(arrival.time, partial(self._admit, arrival))
 
-    def _shed_degraded(request: Arrival) -> None:
-        state["degraded_shed"] += 1
+    def in_flight(self) -> int:
+        """Requests dispatched to a slice and not yet completed or shed."""
+        return (
+            self.admitted - len(self.queue) - len(self.latencies)
+            - self.degraded_shed
+        )
+
+    def step(self) -> bool:
+        """Process one engine event; ``False`` once nothing is queued."""
+        if not self.engine._heap:
+            return False
+        self.engine.step()
+        return True
+
+    def run(self) -> ServiceReport:
+        """Play the remaining events, emit the session's metrics and
+        spans, and return its report."""
+        makespan = self.engine.run()
+        config = self.config
+        slo = config.policy.slo
+        latencies = self.latencies
+        good = (
+            sum(1 for latency in latencies if latency <= slo)
+            if slo is not None
+            else len(latencies)
+        )
+        report = ServiceReport(
+            cluster=config.cluster,
+            seed=config.seed,
+            duration=config.duration,
+            offered=len(self.arrivals),
+            offered_rate=offered_rate(config),
+            admitted=self.admitted,
+            completed=len(latencies),
+            shed=self.shed,
+            batches=self.batches,
+            goodput=good / config.duration,
+            slo=slo,
+            makespan=makespan,
+            queue_depth_max=self.depth_max,
+            latencies=tuple(latencies),
+            slice_names=tuple(s.name for s in self.slices),
+            slice_busy=tuple(self.busy_time),
+            slice_completed=tuple(self.slice_completed),
+            kind_completed=tuple(
+                (kind.name, self.kind_completed[i])
+                for i, kind in enumerate(config.workload)
+            ),
+            epochs=len(self.epochs),
+            redispatched=self.redispatched,
+            degraded=self.degraded,
+            degraded_shed=self.degraded_shed,
+        )
+        metrics = self.metrics
         if metrics is not None:
-            metrics.inc("repro_serve_degraded_shed_total")
-
-    def dispatch() -> None:
-        while queue:
-            idle_slices = [j for j in range(n_base) if idle[j]]
-            if not idle_slices:
-                return
-            if engine.now >= epoch_cursor[1]:
-                _epoch_index(engine.now)
-            if not identity_rows[epoch_cursor[0]]:
-                row = live_rows[epoch_cursor[0]]
-                placeable = [
-                    (j, row[j]) for j in idle_slices if row[j] is not None
-                ]
-                if not placeable:
-                    if not all(idle):
-                        return  # a completion will re-dispatch
-                    boundary = _next_boundary(engine.now)
-                    if boundary is None:
-                        # The surviving membership can never host a
-                        # request again: shed the backlog as degraded.
-                        while queue:
-                            _shed_degraded(queue.popleft())
-                        return
-                    if not retry_pending[0]:
-                        retry_pending[0] = True
-                        engine.call_at(boundary, _retry)
-                    return
-            else:
-                # A fully-live epoch places every idle base slice on
-                # itself.
-                placeable = [(j, j) for j in idle_slices]
-            kind = queue[0].kind
-            size = 1
-            while (
-                size < max_batch
-                and size < len(queue)
-                and queue[size].kind == kind
+            # Only non-zero counts are added, so the registry gets
+            # exactly the keys that one increment per event would make.
+            for kind, count in kind_counts(config, self.arrivals).items():
+                if count:
+                    metrics.inc(
+                        "repro_serve_requests_total", count, labels=(("kind", kind),)
+                    )
+            for name, count in (
+                ("repro_serve_shed_total", report.shed),
+                ("repro_serve_batches_total", report.batches),
+                ("repro_serve_completed_total", report.completed),
+                ("repro_serve_redispatched_total", report.redispatched),
+                ("repro_serve_degraded_requests_total", report.degraded),
+                ("repro_serve_degraded_shed_total", report.degraded_shed),
             ):
-                size += 1
-            batch_costs = [float("inf")] * n_base
-            variant_slice = list(slices[:n_base])
-            variant_of = dict(placeable)
-            for j, variant in placeable:
-                batch_costs[j] = model.request_cost(kind, variant, size)
-                variant_slice[j] = slices[variant]
-            target = pick_slice(
-                [j for j, _ in placeable], batch_costs, variant_slice
-            )
-            variant = variant_of[target]
-            batch = [queue.popleft() for _ in range(size)]
-            idle[target] = False
-            state["batches"] += 1
-            if metrics is not None:
-                metrics.inc("repro_serve_batches_total")
-            cost = batch_costs[target]
-            start = engine.now
-            cut = (
-                _interrupt_time(variant, start, cost)
-                if start + cost > epoch_cursor[1]
-                else None
-            )
-            if cut is None:
-                engine.call_at(
-                    start + cost,
-                    lambda j=target, v=variant, b=batch, s=start, c=cost: (
-                        _complete(j, v, b, s, c)
-                    ),
-                )
-            else:
-                engine.call_at(
-                    cut,
-                    lambda j=target, v=variant, b=batch, s=start: (
-                        _interrupt(j, v, b, s)
-                    ),
-                )
-
-    def _retry() -> None:
-        retry_pending[0] = False
-        dispatch()
-
-    def _interrupt(
-        target: int, variant: int, batch: list[Arrival], start: float
-    ) -> None:
-        """The dispatched slice lost a machine: requeue or shed the batch."""
-        idle[target] = True
-        busy_time[variant] += engine.now - start
-        kept: list[Arrival] = []
-        for request in batch:
-            attempts = retries.get(request.request_id, 0) + 1
-            retries[request.request_id] = attempts
-            if attempts > max_redispatch:
-                _shed_degraded(request)
-            else:
-                kept.append(request)
-                state["redispatched"] += 1
-                if metrics is not None:
-                    metrics.inc("repro_serve_redispatched_total")
-        for request in reversed(kept):  # keep arrival order at the front
-            queue.appendleft(request)
-        state["depth_max"] = max(state["depth_max"], len(queue))
-        dispatch()
-
-    def _complete(
-        target: int, variant: int, batch: list[Arrival], start: float, cost: float
-    ) -> None:
-        idle[target] = True
-        busy_time[variant] += cost
-        slice_completed[variant] += len(batch)
-        degraded = variant >= n_base
-        if degraded:
-            state["degraded"] += len(batch)
-        now = engine.now
-        for request in batch:
-            kind = config.workload[request.kind]
-            # Queue wait + service time, not (now - arrival): for a
-            # request dispatched the instant it arrived this is the
-            # batch-runner makespan *exactly* (no float round-trip
-            # through the event clock), which the vanishing-load
-            # degeneration tests assert bit-for-bit.
-            latency = (start - request.time) + cost
-            latencies.append(latency)
-            kind_completed[request.kind] += 1
-            if metrics is not None:
-                metrics.inc("repro_serve_completed_total")
+                if count:
+                    metrics.inc(name, count)
+            for latency in latencies:
                 metrics.observe("repro_serve_latency_seconds", latency)
-                if degraded:
-                    metrics.inc("repro_serve_degraded_requests_total")
-            if tracer is not None:
-                tracer.add(
-                    "serve", kind.name,
-                    group="serve", actor=f"slice {slices[variant].name}",
-                    start=request.time, end=now,
-                    request=request.request_id, batch=len(batch),
-                )
-        dispatch()
-
-    def _admit(arrival: Arrival) -> None:
-        kind = config.workload[arrival.kind]
-        if metrics is not None:
-            metrics.inc(
-                "repro_serve_requests_total", labels=(("kind", kind.name),)
-            )
-        if limit is not None and len(queue) >= limit:
-            state["shed"] += 1
-            if metrics is not None:
-                metrics.inc("repro_serve_shed_total")
-            return
-        queue.append(arrival)
-        state["admitted"] += 1
-        depth = len(queue)
-        state["depth_max"] = max(state["depth_max"], depth)
-        if metrics is not None:
-            metrics.observe("repro_serve_queue_depth", float(depth))
-        dispatch()
-
-    for arrival in arrivals:
-        engine.call_at(arrival.time, lambda a=arrival: _admit(a))
-    makespan = engine.run()
-
-    slo = config.policy.slo
-    good = (
-        sum(1 for latency in latencies if latency <= slo)
-        if slo is not None
-        else len(latencies)
-    )
-    goodput = good / config.duration
-    if metrics is not None:
-        metrics.set_gauge("repro_serve_goodput", goodput)
-        metrics.set_gauge("repro_serve_queue_depth_max", float(state["depth_max"]))
-    if dynamics:
-        if metrics is not None:
-            metrics.set_gauge("repro_serve_epochs", float(len(epochs)))
-        if tracer is not None:
+            metrics.set_gauge("repro_serve_goodput", report.goodput)
+            metrics.set_gauge("repro_serve_queue_depth_max", float(self.depth_max))
+            if self.dynamics:
+                metrics.set_gauge("repro_serve_epochs", float(len(self.epochs)))
+        if self.dynamics and self.tracer is not None:
             horizon = max(makespan, config.duration)
-            for epoch in epochs:
+            for epoch in self.epochs:
                 if epoch.start >= horizon:
                     continue
-                tracer.add(
+                self.tracer.add(
                     "serve", f"epoch {epoch.index}",
                     group="serve", actor="membership",
                     start=epoch.start, end=min(epoch.end, horizon),
                     present=len(epoch.present),
                 )
+        return report
 
-    return ServiceReport(
-        cluster=config.cluster,
-        seed=config.seed,
-        duration=config.duration,
-        offered=len(arrivals),
-        offered_rate=offered_rate(config),
-        admitted=state["admitted"],
-        completed=len(latencies),
-        shed=state["shed"],
-        batches=state["batches"],
-        goodput=goodput,
-        slo=slo,
-        makespan=makespan,
-        queue_depth_max=state["depth_max"],
-        latencies=tuple(latencies),
-        slice_names=tuple(s.name for s in slices),
-        slice_busy=tuple(busy_time),
-        slice_completed=tuple(slice_completed),
-        kind_completed=tuple(
-            (kind.name, kind_completed[i])
-            for i, kind in enumerate(config.workload)
-        ),
-        epochs=len(epochs),
-        redispatched=state["redispatched"],
-        degraded=state["degraded"],
-        degraded_shed=state["degraded_shed"],
-    )
+    def _admit(self, arrival: Arrival) -> None:
+        queue = self.queue
+        limit = self.limit
+        if limit is not None and len(queue) >= limit:
+            self.shed += 1
+            return
+        queue.append(arrival)
+        self.admitted += 1
+        depth = len(queue)
+        if depth > self.depth_max:
+            self.depth_max = depth
+        if self.metrics is not None:
+            self.metrics.observe("repro_serve_queue_depth", float(depth))
+        self._dispatch()
+
+    def _dispatch(self) -> None:
+        queue = self.queue
+        idle = self.idle
+        if not queue or True not in idle:
+            return
+        engine = self.engine
+        starts = self.starts
+        now = engine.now
+        while starts[self.epoch + 1] <= now:
+            self.epoch += 1
+        row = self.live_rows[self.epoch]
+        n_base = self.n_base
+        slices = self.slices
+        while queue:
+            placeable = [
+                (j, row[j]) for j in range(n_base)
+                if idle[j] and row[j] is not None
+            ]
+            if not placeable:
+                if not all(idle):
+                    return  # a completion will re-dispatch
+                boundary = starts[self.epoch + 1]
+                if boundary == math.inf:
+                    # The surviving membership can never host a request
+                    # again: shed the backlog as degraded.
+                    self.degraded_shed += len(queue)
+                    queue.clear()
+                elif not self.retry_pending:
+                    self.retry_pending = True
+                    engine.call_at(boundary, self._retry)
+                return
+            kind = queue[0].kind
+            size = 1
+            while (
+                size < self.max_batch
+                and size < len(queue)
+                and queue[size].kind == kind
+            ):
+                size += 1
+            variant_of = dict(placeable)
+            costs = {j: self.model.request_cost(kind, v, size) for j, v in placeable}
+            target = pick_slice(
+                list(variant_of), costs, {j: slices[v] for j, v in placeable}
+            )
+            variant, cost = variant_of[target], costs[target]
+            batch = [queue.popleft() for _ in range(size)]
+            idle[target] = False
+            self.batches += 1
+            end = now + cost
+            # The first boundary inside the batch that takes a machine
+            # away from its variant interrupts it.
+            i = self.epoch + 1
+            while (
+                starts[i] < end
+                and self.slice_members[variant] <= self.epochs[i].present
+            ):
+                i += 1
+            if starts[i] < end:
+                engine.call_at(
+                    starts[i], partial(self._interrupt, target, variant, batch, now)
+                )
+            else:
+                engine.call_at(
+                    end, partial(self._complete, target, variant, batch, now, cost)
+                )
+
+    def _retry(self) -> None:
+        self.retry_pending = False
+        self._dispatch()
+
+    def _interrupt(
+        self, target: int, variant: int, batch: list[Arrival], start: float
+    ) -> None:
+        """The dispatched slice lost a machine: requeue or shed the batch."""
+        self.idle[target] = True
+        self.busy_time[variant] += self.engine.now - start
+        kept: list[Arrival] = []
+        for request in batch:
+            attempts = self.retries.get(request.request_id, 0) + 1
+            self.retries[request.request_id] = attempts
+            if attempts > self.config.policy.max_redispatch:
+                self.degraded_shed += 1
+            else:
+                kept.append(request)
+        self.redispatched += len(kept)
+        self.queue.extendleft(reversed(kept))  # keep arrival order at the front
+        self.depth_max = max(self.depth_max, len(self.queue))
+        self._dispatch()
+
+    def _complete(
+        self, target: int, variant: int, batch: list[Arrival], start: float, cost: float
+    ) -> None:
+        self.idle[target] = True
+        self.busy_time[variant] += cost
+        self.slice_completed[variant] += len(batch)
+        if variant >= self.n_base:
+            self.degraded += len(batch)
+        tracer = self.tracer
+        workload = self.config.workload
+        for request in batch:
+            # Queue wait + service time, not (now - arrival): for a
+            # request dispatched the instant it arrived this is the
+            # batch-runner makespan *exactly* (no float round-trip
+            # through the event clock), which the vanishing-load
+            # degeneration tests assert bit-for-bit.
+            self.latencies.append((start - request.time) + cost)
+            self.kind_completed[request.kind] += 1
+            if tracer is not None:
+                tracer.add(
+                    "serve", workload[request.kind].name,
+                    group="serve", actor=f"slice {self.slices[variant].name}",
+                    start=request.time, end=self.engine.now,
+                    request=request.request_id, batch=len(batch),
+                )
+        self._dispatch()

@@ -20,6 +20,7 @@ from repro.serve import (
     run_service,
 )
 from repro.serve.service import resolve_cluster
+from tests.serve.test_session import step_checked
 
 pytestmark = pytest.mark.scale
 
@@ -82,6 +83,11 @@ class TestThousandLeafChurn:
         assert first == second
         assert first.latencies == second.latencies
         assert first.slice_completed == second.slice_completed
+
+    def test_every_event_conserves_requests(self):
+        config = _big_config()
+        report = step_checked(config, _churned(config, rate=2.0))
+        assert report.epochs > 1
 
     def test_zero_churn_matches_static_at_scale(self):
         config = _big_config(seed=2)
