@@ -12,9 +12,15 @@ Expected shape: every family holds at 1.0 with zero noise (the exact
 recovery guarantee the property tests enforce) and degrades gracefully
 — latency bands are an order of magnitude apart, so recovery survives
 sigma well past realistic ping jitter.
+
+Inside a ``sweep(cache_dir=...)`` each (family, noise) point is one entry
+of the sweep's disk tier, keyed by its inputs, so a warm sweep neither
+synthesizes nor discovers; with no disk tier nothing is written.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 from repro.cluster.discover import (
     discover,
@@ -25,6 +31,8 @@ from repro.cluster.discover import (
 )
 from repro.cluster.discover.generators import GENERATORS
 from repro.experiments.improvement import ExperimentReport
+from repro.perf import current_executor
+from repro.perf.job import content_tokens
 from repro.util.rng import derive_seed
 
 __all__ = ["discovery_roundtrip", "FAMILY_SPECS", "NOISE_LEVELS"]
@@ -49,6 +57,7 @@ def discovery_roundtrip(seed: int = 2001) -> ExperimentReport:
     recovery score ``1 - hierarchy_distance`` against the generating
     truth.  Deterministic in ``seed`` (noise draws derive from it).
     """
+    disk = getattr(current_executor(), "disk", None)
     series: dict[str, dict[float, float]] = {}
     exact_at_zero: list[str] = []
     for family, spec in FAMILY_SPECS.items():
@@ -56,14 +65,22 @@ def discovery_roundtrip(seed: int = 2001) -> ExperimentReport:
         truth = topology_partitions(topology)
         points: dict[float, float] = {}
         for noise in NOISE_LEVELS:
-            matrix = synthesize(
-                topology,
-                noise=noise,
-                seed=derive_seed(seed, "discovery", family, str(noise)),
-            )
-            result = discover(matrix)
-            points[noise] = 1.0 - hierarchy_distance(truth, result.partitions)
-            if noise == 0.0 and exact_recovery(truth, result.partitions):
+            noise_seed = derive_seed(seed, "discovery", family, str(noise))
+            tokens: list[bytes] = []
+            content_tokens(("discovery", topology, noise, noise_seed), tokens)
+            key = hashlib.sha256(b"".join(tokens)).hexdigest()
+            point = None if disk is None else disk.get_json(key)
+            shape = point and {name: type(v) for name, v in point.items()}
+            if shape != {"score": float, "exact": bool}:  # a miss or a malformed entry
+                result = discover(synthesize(topology, noise=noise, seed=noise_seed))
+                point = {
+                    "score": 1.0 - hierarchy_distance(truth, result.partitions),
+                    "exact": noise == 0.0 and exact_recovery(truth, result.partitions),
+                }
+                if disk is not None:
+                    disk.put_json(key, point)
+            points[noise] = point["score"]
+            if point["exact"]:
                 exact_at_zero.append(family)
         series[family] = points
     notes = [

@@ -18,8 +18,10 @@ is meaningfully above 1 (latency-dominated broadcasts at small ``n``,
 bimodal cloud machines) and where the defaults were already right
 (bandwidth-dominated large-``n`` regimes, most gathers).
 
-Decisions are tuned into a throwaway cache so the experiment is
-self-contained; the persistent user cache is untouched.
+Inside a ``sweep(cache_dir=...)`` decisions are tuned into that sweep's
+disk tier, beside the validations they were picked on, so a warm sweep
+neither prices nor simulates; with no disk tier (``--no-cache``, or no
+sweep), into a throwaway directory.  ``repro tune``'s cache is untouched.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import typing as t
 
 from repro.cluster.discover.generators import GENERATORS
 from repro.experiments.improvement import ExperimentReport, improvement_factor
+from repro.perf import current_executor
 from repro.tuning.cache import DecisionCache
 
 __all__ = ["tuning_improvement", "TUNING_SCENARIOS"]
@@ -62,8 +65,10 @@ def tuning_improvement(
 
     series: dict[str, dict[int, float]] = {}
     winners: list[str] = []
+    disk = getattr(current_executor(), "disk", None)
     with tempfile.TemporaryDirectory(prefix="repro-tuning-") as scratch:
-        cache = DecisionCache(scratch)
+        root, version = (scratch, None) if disk is None else (disk.root, disk.version)
+        cache = DecisionCache(root, version=version)
         for family in families:
             generator, kwargs = TUNING_SCENARIOS[family]
             topology = GENERATORS[generator](seed=seed, **kwargs)

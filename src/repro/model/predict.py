@@ -53,7 +53,7 @@ import typing as t
 
 from repro.bytemark.ranking import partition_items
 from repro.errors import CollectiveError, ModelError
-from repro.model.cost import CostLedger, h_relation
+from repro.model.cost import CostLedger
 from repro.model.params import HBSPParams, Key
 from repro.tuning.plan import (
     PhaseSpec,
@@ -201,6 +201,12 @@ def clusters(
     return out
 
 
+def _h(loads: t.Iterable[tuple[float, float]]) -> float:
+    """``h_relation`` without per-load checks: the loads come from checked inputs, and a
+    NaN or inf one still fails ``charge`` (``max``/``charge_worst`` keep a leading NaN)."""
+    return max([r * h for r, h in loads], default=0.0)
+
+
 def charge_worst(
     ledger: CostLedger,
     level: int,
@@ -249,7 +255,7 @@ def _charge_binomial(
                 continue
             loads = loads_of(index, len(children), own_pos, child_r, 1 << t_round)
             label = f"super{level}: binomial {what} round {t_round + 1} in {key}"
-            candidates.append((0.0, g * h_relation(loads), L, label))
+            candidates.append((0.0, g * _h(loads), L, label))
         charge_worst(ledger, level, candidates)
 
 
@@ -291,7 +297,7 @@ def charge_fan(
     """
     candidates = []
     for i, (key, _, r_coord, child_r, own_pos, L, _) in enumerate(level_clusters):
-        gh = g * h_relation(fan_loads(r_coord, child_r, own_pos, volumes[i]))
+        gh = g * _h(fan_loads(r_coord, child_r, own_pos, volumes[i]))
         w = 0.0 if work is None else work[i]
         candidates.append((w, gh, L, f"super{level}{suffix}: {what} {key}"))
     charge_worst(ledger, level, candidates)
@@ -446,7 +452,7 @@ def _broadcast_ledger(
                     (child_r[i], max(shares[i] * (m - 1), n - shares[i]) * item_bytes)
                     for i in range(m)
                 ]
-                gh = g * (h_relation(loads_a) + h_relation(loads_b))
+                gh = g * (_h(loads_a) + _h(loads_b))
                 label = f"super{level}: two-phase bcast in {key}"
                 candidates.append((0.0, gh, 2 * L, label))
             charge_worst(ledger, level, candidates)

@@ -116,6 +116,11 @@ class SweepExecutor:
         #: Unique configurations answered by the persistent disk cache.
         self.disk_hits = 0
 
+    @property
+    def disk(self) -> DiskCache | None:
+        """The persistent tier, if any: experiments keep non-job results here too."""
+        return self._disk
+
     # -- pool management -----------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:

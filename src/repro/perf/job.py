@@ -26,6 +26,7 @@ import functools
 import hashlib
 import struct
 import typing as t
+from collections import abc
 
 import numpy as np
 
@@ -79,6 +80,12 @@ def _resolve_runner(op: str) -> t.Callable[..., t.Any]:
 
 
 # -- content hashing ----------------------------------------------------------
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """A dataclass type's field names (``None`` for any other type), once per type."""
+    return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else None
+
+
 def content_tokens(value: t.Any, out: list[bytes]) -> None:
     """Append a canonical byte encoding of ``value`` to ``out``.
 
@@ -114,13 +121,13 @@ def content_tokens(value: t.Any, out: list[bytes]) -> None:
         # The topology's one content identity, memoised on the
         # (immutable) instance: a sweep hashes ~5 jobs per topology.
         out.append(b"Y" + topology_hash(value).encode())
-    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+    elif (names := _field_names(type(value))) is not None:
         out.append(f"D{type(value).__qualname__}(".encode())
-        for field in dataclasses.fields(value):
-            out.append(field.name.encode() + b"=")
-            content_tokens(getattr(value, field.name), out)
+        for name in names:
+            out.append(name.encode() + b"=")
+            content_tokens(getattr(value, name), out)
         out.append(b")")
-    elif isinstance(value, t.Mapping):
+    elif isinstance(value, abc.Mapping):
         # Keys sort by their own canonical encoding, so mixed key types
         # and insertion order cannot change the hash.
         encoded = []

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro
 from repro.cli import PRESETS, build_preset, main
 from repro.errors import ReproError
 
@@ -190,6 +191,32 @@ class TestTuningCommands:
         assert "gather(n=2000)" in out
         assert "plans priced analytically" in out
         assert "verdict" in out
+
+    def test_cache_covers_the_experiments_entries(self, isolated_cache, capsys, monkeypatch):
+        """``repro experiment`` keeps the tuning experiment's decisions
+        and the discovery scores in the sweeps tier: ``cache`` counts,
+        orphans and clears them with it, and the decisions tier stays
+        empty."""
+        import repro.perf.diskcache as diskcache
+
+        assert main(["experiment", "tuning", "discovery"]) == 0
+        capsys.readouterr()
+        current = isolated_cache / f"v{diskcache.CACHE_SCHEMA_VERSION}-{repro.__version__}"
+        records = [json.loads(path.read_text()) for path in current.glob("*/*.json")]
+        assert sum("plan" in record for record in records) == 12  # 4 families x 3 sizes
+        assert sum("score" in record for record in records) == 24  # 4 families x 6 noises
+        assert main(["cache", "stats"]) == 0
+        out = capsys.readouterr().out
+        assert f"(sweeps {len(records)}, decisions 0)" in out
+
+        monkeypatch.setattr(diskcache, "CACHE_SCHEMA_VERSION", diskcache.CACHE_SCHEMA_VERSION + 1)
+        assert main(["cache", "stats"]) == 0
+        out = capsys.readouterr().out
+        assert "(sweeps 0, decisions 0)" in out
+        assert f"in {current.name}" in out  # orphaned, not lost
+        assert main(["cache", "clear"]) == 0
+        capsys.readouterr()
+        assert list(isolated_cache.rglob("*.json")) == []
 
     def test_tune_is_idempotent_across_invocations(self, capsys):
         assert main(["tune", "broadcast", "two-lans", "--n", "2000"]) == 0

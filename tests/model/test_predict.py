@@ -1,10 +1,14 @@
 """Unit tests for repro.model.predict — the Section-4 closed forms."""
 
+import itertools
+
 import pytest
 
 from repro.cluster import flat_cluster, multi_lan, smp_sgi_lan, ucf_testbed
-from repro.errors import CollectiveError, ModelError
-from repro.model import calibrate
+from repro.cluster.presets import deep_hierarchy
+from repro.errors import CollectiveError, ModelError, ReproError, ValidationError
+from repro.model import calibrate, h_relation
+from repro.model import predict as predict_module
 from repro.model.predict import (
     default_counts,
     paper_broadcast_hbsp1_one_phase,
@@ -14,8 +18,11 @@ from repro.model.predict import (
     paper_gather_hbsp1,
     paper_gather_hbsp2_super2,
     predict_broadcast,
+    predict_broadcast_plan,
     predict_gather,
+    predict_gather_plan,
 )
+from repro.tuning.plan import LevelSchedule, SchedulePlan, default_plan
 
 N = 25_600  # 100 KB of ints
 
@@ -201,3 +208,51 @@ class TestPaperFormulaGuards:
             paper_gather_hbsp2_super2(testbed_params, N)
         with pytest.raises(ModelError):
             paper_broadcast_hbsp2_super2_one_phase(testbed_params, N)
+
+
+class TestUncheckedLoads:
+    """The predictors take each step's h-relation without
+    :func:`h_relation`'s per-load checks: every input the checked loop
+    rejected must still raise the same error, and every other input
+    must price (or fail) exactly as before."""
+
+    @pytest.mark.parametrize("machine", [ucf_testbed(4), deep_hierarchy(2, 3)])
+    def test_agrees_with_the_checked_h_relation(self, machine, monkeypatch):
+        params = calibrate(machine)
+        k, nan, inf = params.k, float("nan"), float("inf")
+        plans = [
+            default_plan("gather", k),
+            SchedulePlan("gather", (LevelSchedule("binomial"),) * k),
+            SchedulePlan("gather", (LevelSchedule("flat", segments=2),) * k),
+            default_plan("broadcast", k),
+            SchedulePlan("broadcast", (LevelSchedule("one", segments=2),) * k),
+            SchedulePlan("broadcast", (LevelSchedule("binomial"),) * k),
+        ]
+        cases = [
+            (plan, n, item_bytes, extra)
+            for plan in plans
+            for n, item_bytes in itertools.product(
+                (nan, inf, 2.5, 0, 100), (nan, inf, 0.5, 2.5, 4)
+            )
+            for extra in (
+                [{}, {"counts": [inf] + [0] * (params.p - 1)}]
+                if plan.op == "gather"
+                else [{}, {"fractions": [nan] * params.p}]
+            )
+        ]
+
+        def outcomes():
+            out = []
+            for plan, n, item_bytes, extra in cases:
+                predict = predict_gather_plan if plan.op == "gather" else predict_broadcast_plan
+                try:
+                    out.append(predict(params, n, plan, item_bytes=item_bytes, **extra).steps)
+                except (ReproError, ArithmeticError, ValueError) as error:
+                    out.append(type(error))
+            return out
+
+        unchecked = outcomes()
+        monkeypatch.setattr(predict_module, "_h", h_relation)
+        checked = outcomes()
+        assert unchecked == checked
+        assert ValidationError in checked  # the grid reaches the per-load checks

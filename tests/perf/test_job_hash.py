@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterTopology, MachineSpec, NetworkSpec, topology_hash
+from repro.cluster.discover.generators import fat_tree
 from repro.cluster.presets import flat_cluster, ucf_testbed
 from repro.collectives import RootPolicy, WorkloadPolicy
 from repro.errors import ReproError
@@ -223,6 +224,44 @@ class TestDiscriminating:
         base = digest(np.array([1, 2, 3], dtype=np.int32))
         assert digest(np.array([1, 2, 4], dtype=np.int32)) != base
         assert digest(np.array([1, 2, 3], dtype=np.int64)) != base
+
+
+class TestDigestPins:
+    """Disk-cache keys are content hashes: a change to the encoding's
+    implementation must not move a digest, or every stored entry
+    silently misses."""
+
+    def test_digests_are_stable(self):
+        testbed = ucf_testbed(4)
+        jobs = {
+            "1317af05225db45a210778f48f32f8ef003a8328d5cca1999199636587aaf43e":
+                SimJob.collective(
+                    "broadcast", fat_tree(2, 2, 4, seed=0), 500, root=0, seed=0,
+                    macro=True, plan=SchedulePlan("broadcast", (
+                        LevelSchedule("one", segments=2),
+                        LevelSchedule("binomial"),
+                        LevelSchedule("two"),
+                    )),
+                ),
+            "da672c718a44c231f2d08f169d456d356d16187dca6d5dbdcb06ed6e589247c2":
+                SimJob.collective("gather", testbed, 1000, seed=0, faults=FaultPlan([
+                    MachineSlowdown("sgi-octane", factor=2.0, start=0.001, duration=0.01),
+                    MessageFaults("ucf-lan", drop_prob=0.1, delay_prob=0.1,
+                                  delay_mean=0.001, start=0.0, duration=0.01),
+                ])),
+            "73e0f875c3732d524446a71eb17b8b81786f4b51093359f0ca34a56e7883bca1":
+                SimJob.collective(
+                    "gather", testbed, 1000, seed=3, root=RootPolicy.FASTEST,
+                    workload=WorkloadPolicy.BALANCED,
+                    scores={"sgi-octane": 2.5, "sun-ultra1": 1.0, "sgi-indy": 0.75,
+                            "sun-classic": 1.25},
+                ),
+            "5b46669adfd838eaa5dd2ed5b1cf5c62cbe448cec226301f7b45e587529e0a7e":
+                SimJob.collective("broadcast", testbed, 1000, seed=1, delivery=DeliveryPolicy(
+                    timeout=0.01, retries=2, backoff_base=0.005, backoff_factor=2.0,
+                )),
+        }
+        assert [job.content_hash for job in jobs.values()] == list(jobs)
 
 
 class TestValidation:

@@ -13,6 +13,7 @@ from repro.errors import CollectiveError
 from repro.hbsplib.runtime import HbspRuntime
 from repro.perf import sweep
 from repro.tuning.cache import DecisionCache, decision_key
+from repro.tuning import tuner as tuner_module
 from repro.tuning.tuner import _resolve_root_fast, tune, tuned_plan
 
 
@@ -37,6 +38,20 @@ def runtime_runs(monkeypatch):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(HbspRuntime, "run", counting)
+    return calls
+
+
+@pytest.fixture
+def pricing_calls(monkeypatch):
+    """One entry per ``calibrate``/``rank_plans`` call the tuner makes."""
+    calls: list[str] = []
+    for name in ("calibrate", "rank_plans"):
+
+        def counting(*args, _name=name, _original=getattr(tuner_module, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(tuner_module, name, counting)
     return calls
 
 
@@ -221,15 +236,20 @@ class TestDecisionKey:
 class TestValidationBatch:
     """The shortlist is one executor batch: cached like any grid point."""
 
-    def test_a_warm_sweep_replays_the_tuning_experiment(self, tmp_path, runtime_runs):
+    def test_a_warm_sweep_replays_the_tuning_experiment(
+        self, tmp_path, runtime_runs, pricing_calls
+    ):
+        """The decisions persist beside the validations: a warm pass
+        neither simulates nor calibrates nor prices."""
         from repro.experiments import run_experiment
 
         with sweep(cache_dir=tmp_path):
             cold = run_experiment("tuning").render()
-            assert runtime_runs
+            assert runtime_runs and pricing_calls
             runtime_runs.clear()
+            pricing_calls.clear()
             warm = run_experiment("tuning").render()
-        assert runtime_runs == []
+        assert runtime_runs == [] and pricing_calls == []
         assert warm == cold
 
     def test_force_outside_a_sweep_simulates_every_shortlisted_plan(
