@@ -16,7 +16,6 @@ __all__ = [
     "RoutingError",
     "PvmError",
     "TaskNotFound",
-    "MailboxClosed",
     "FaultError",
     "FaultPlanError",
     "TimeoutError",
@@ -78,10 +77,6 @@ class PvmError(ReproError):
 
 class TaskNotFound(PvmError, KeyError):
     """A task id (tid) does not name a live task in the virtual machine."""
-
-
-class MailboxClosed(PvmError):
-    """A receive was attempted on a task whose mailbox has been closed."""
 
 
 class FaultError(PvmError):

@@ -20,8 +20,6 @@ synthesizes nor discovers; with no disk tier nothing is written.
 
 from __future__ import annotations
 
-import hashlib
-
 from repro.cluster.discover import (
     discover,
     exact_recovery,
@@ -31,8 +29,7 @@ from repro.cluster.discover import (
 )
 from repro.cluster.discover.generators import GENERATORS
 from repro.experiments.improvement import ExperimentReport
-from repro.perf import current_executor
-from repro.perf.job import content_tokens
+from repro.perf import cached_point
 from repro.util.rng import derive_seed
 
 __all__ = ["discovery_roundtrip", "FAMILY_SPECS", "NOISE_LEVELS"]
@@ -49,6 +46,9 @@ FAMILY_SPECS: dict[str, dict[str, int]] = {
 #: Multiplicative noise strengths swept per family (lognormal sigma).
 NOISE_LEVELS: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.4, 0.8)
 
+#: The stored entry of one (family, noise) point.
+_SCORE_SHAPE = {"score": float, "exact": bool}
+
 
 def discovery_roundtrip(seed: int = 2001) -> ExperimentReport:
     """Generate -> synthesize(+noise) -> discover -> score, per family.
@@ -57,7 +57,6 @@ def discovery_roundtrip(seed: int = 2001) -> ExperimentReport:
     recovery score ``1 - hierarchy_distance`` against the generating
     truth.  Deterministic in ``seed`` (noise draws derive from it).
     """
-    disk = getattr(current_executor(), "disk", None)
     series: dict[str, dict[float, float]] = {}
     exact_at_zero: list[str] = []
     for family, spec in FAMILY_SPECS.items():
@@ -66,19 +65,17 @@ def discovery_roundtrip(seed: int = 2001) -> ExperimentReport:
         points: dict[float, float] = {}
         for noise in NOISE_LEVELS:
             noise_seed = derive_seed(seed, "discovery", family, str(noise))
-            tokens: list[bytes] = []
-            content_tokens(("discovery", topology, noise, noise_seed), tokens)
-            key = hashlib.sha256(b"".join(tokens)).hexdigest()
-            point = None if disk is None else disk.get_json(key)
-            shape = point and {name: type(v) for name, v in point.items()}
-            if shape != {"score": float, "exact": bool}:  # a miss or a malformed entry
+
+            def score():
                 result = discover(synthesize(topology, noise=noise, seed=noise_seed))
-                point = {
+                return {
                     "score": 1.0 - hierarchy_distance(truth, result.partitions),
                     "exact": noise == 0.0 and exact_recovery(truth, result.partitions),
                 }
-                if disk is not None:
-                    disk.put_json(key, point)
+
+            point = cached_point(
+                "discovery", (topology, noise, noise_seed), score, _SCORE_SHAPE
+            )
             points[noise] = point["score"]
             if point["exact"]:
                 exact_at_zero.append(family)

@@ -18,6 +18,8 @@ rate, duration, seed)`` via ``RngStream(seed, "dynamics", "churn")``,
 arrivals are pure functions of the config seed, and each churn point
 prewars its own expanded slice table (degraded variants differ per
 plan) through one deterministic :func:`repro.perf.evaluate` batch.
+Inside a ``sweep(cache_dir=...)`` each churn point's row is one entry
+of the sweep's disk tier, so a warm sweep replays no session.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import typing as t
 
 from repro.experiments.improvement import ExperimentReport
 from repro.experiments.serving import serving_config
+from repro.perf import cached_point
 
 __all__ = ["dynamics_curves", "CHURN_RATES", "DYNAMICS_OFFERED_RATE"]
 
@@ -36,6 +39,11 @@ CHURN_RATES: tuple[float, ...] = (0.0, 0.05, 0.1, 0.25, 0.5, 1.0)
 #: Offered load for every point: just below the static knee, so lost
 #: capacity shows up as queueing/shedding rather than idle headroom.
 DYNAMICS_OFFERED_RATE = 16.0
+
+#: The stored row of one churn point: what the report reads of a session.
+_ROW_SHAPE = {
+    "goodput": float, "p99": float, "degraded": float, "shed": float, "epochs": int,
+}
 
 
 def dynamics_curves(
@@ -51,27 +59,30 @@ def dynamics_curves(
     base = serving_config(offered_rate, seed=seed)
     machines = [m.name for m in resolve_cluster(base.cluster).machines]
 
-    goodput: dict[float, float] = {}
-    p99: dict[float, float] = {}
-    degraded: dict[float, float] = {}
-    shed: dict[float, float] = {}
-    max_epochs = 1
+    rows: dict[float, dict] = {}
     for rate in churn_rates:
         plan = churn_plan(
             machines, rate=rate, duration=base.duration, seed=seed
         )
-        report = run_service(base, dynamics=plan)
-        goodput[rate] = report.goodput
-        p99[rate] = report.latency_p99
-        degraded[rate] = (
-            report.degraded / report.completed if report.completed else 0.0
-        )
-        shed[rate] = (
-            (report.shed + report.degraded_shed) / report.offered
-            if report.offered
-            else 0.0
-        )
-        max_epochs = max(max_epochs, report.epochs)
+
+        def session() -> dict:
+            report = run_service(base, dynamics=plan)
+            return {
+                "goodput": report.goodput,
+                "p99": report.latency_p99,
+                "degraded": (
+                    report.degraded / report.completed if report.completed else 0.0
+                ),
+                "shed": (
+                    (report.shed + report.degraded_shed) / report.offered
+                    if report.offered
+                    else 0.0
+                ),
+                "epochs": report.epochs,
+            }
+
+        rows[rate] = cached_point("dynamics", (base, plan), session, _ROW_SHAPE)
+    max_epochs = max([1, *(row["epochs"] for row in rows.values())])
     return ExperimentReport(
         experiment_id="dynamics",
         title=(
@@ -80,10 +91,13 @@ def dynamics_curves(
         ),
         x_name="churn (leaves/s)",
         series={
-            "goodput (req/s)": goodput,
-            "p99 latency (s)": p99,
-            "degraded fraction": degraded,
-            "shed fraction": shed,
+            label: {rate: row[field] for rate, row in rows.items()}
+            for label, field in (
+                ("goodput (req/s)", "goodput"),
+                ("p99 latency (s)", "p99"),
+                ("degraded fraction", "degraded"),
+                ("shed fraction", "shed"),
+            )
         },
         notes=[
             f"fixed offered load {offered_rate:g} req/s; churn is seeded "

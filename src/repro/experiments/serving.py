@@ -15,14 +15,18 @@ makespan flows through :func:`repro.perf.evaluate`'s deterministic
 merge — one prewarmed :class:`~repro.serve.costs.StageCostModel` is
 shared across all rate points, so under ``--jobs N`` the whole job
 universe fans out in a single batch and the report is bit-identical at
-any ``N``.
+any ``N``.  Inside a ``sweep(cache_dir=...)`` each rate point's row is
+one entry of the sweep's disk tier (:func:`repro.perf.cached_point`),
+so a warm sweep neither prewarms nor replays a session.
 """
 
 from __future__ import annotations
 
+import functools
 import typing as t
 
 from repro.experiments.improvement import ExperimentReport
+from repro.perf import cached_point
 from repro.serve.config import ArrivalSpec, PolicySpec, RequestKind, ServiceConfig
 
 __all__ = ["serving_curves", "serving_config", "SERVING_RATES"]
@@ -30,6 +34,9 @@ __all__ = ["serving_curves", "serving_config", "SERVING_RATES"]
 #: Offered-load grid (requests per simulated second).  The knee of the
 #: default workload on two-lans:3 sits around 24-32 req/s.
 SERVING_RATES: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0, 24.0, 32.0, 48.0, 64.0)
+
+#: The stored row of one rate point: what the report reads of a session.
+_ROW_SHAPE = {"goodput": float, "p50": float, "p99": float, "shed": float}
 
 
 def serving_config(
@@ -75,25 +82,29 @@ def serving_curves(
     from repro.serve.service import run_service, serve_slices
 
     base = serving_config(rates[0], seed=seed, process=process)
-    # One shared cost model: the job universe is independent of the
-    # arrival rate, so every rate point reuses one prewarmed batch.
-    model = StageCostModel(base, serve_slices(base)[0])
 
-    goodput: dict[float, float] = {}
-    p50: dict[float, float] = {}
-    p99: dict[float, float] = {}
-    shed: dict[float, float] = {}
-    knee_rate, knee_goodput = rates[0], 0.0
+    @functools.cache
+    def shared_model() -> StageCostModel:
+        # One shared cost model: the job universe is independent of the
+        # arrival rate, so every rate point reuses one prewarmed batch.
+        # It is built on the first point the disk tier cannot answer.
+        return StageCostModel(base, serve_slices(base)[0])
+
+    rows: dict[float, dict] = {}
     for rate in rates:
-        report = run_service(
-            serving_config(rate, seed=seed, process=process), costs=model
-        )
-        goodput[rate] = report.goodput
-        p50[rate] = report.latency_p50
-        p99[rate] = report.latency_p99
-        shed[rate] = report.shed_fraction
-        if report.goodput > knee_goodput:
-            knee_rate, knee_goodput = rate, report.goodput
+        config = serving_config(rate, seed=seed, process=process)
+
+        def session() -> dict:
+            report = run_service(config, costs=shared_model())
+            return {
+                "goodput": report.goodput,
+                "p50": report.latency_p50,
+                "p99": report.latency_p99,
+                "shed": report.shed_fraction,
+            }
+
+        rows[rate] = cached_point("serve", (config,), session, _ROW_SHAPE)
+    knee_rate = max(rows, key=lambda rate: rows[rate]["goodput"])
     return ExperimentReport(
         experiment_id="serve",
         title=(
@@ -102,10 +113,13 @@ def serving_curves(
         ),
         x_name="offered (req/s)",
         series={
-            "goodput (req/s)": goodput,
-            "p50 latency (s)": p50,
-            "p99 latency (s)": p99,
-            "shed fraction": shed,
+            label: {rate: row[field] for rate, row in rows.items()}
+            for label, field in (
+                ("goodput (req/s)", "goodput"),
+                ("p50 latency (s)", "p50"),
+                ("p99 latency (s)", "p99"),
+                ("shed fraction", "shed"),
+            )
         },
         notes=[
             "open-loop arrivals: load keeps coming whether or not the "
@@ -114,7 +128,7 @@ def serving_curves(
             "goodput counts completions within the 2 s SLO per second of "
             "offered-arrival window; below the knee it tracks offered "
             "load ~1:1",
-            f"knee: goodput peaks at {knee_goodput:.3g} req/s around "
+            f"knee: goodput peaks at {rows[knee_rate]['goodput']:.3g} req/s around "
             f"{knee_rate:g} req/s offered; past it admission control "
             "sheds the excess and p99 pins against the bounded queue",
             "bit-identical at any --jobs N: the kernel-cost universe is "

@@ -23,6 +23,7 @@ from repro.perf.diskcache import (
 )
 from repro.perf.executor import (
     SweepExecutor,
+    cached_point,
     current_executor,
     effective_jobs,
     evaluate,
@@ -39,6 +40,7 @@ __all__ = [
     "SimJob",
     "SimResult",
     "SweepExecutor",
+    "cached_point",
     "current_executor",
     "default_cache_dir",
     "effective_jobs",

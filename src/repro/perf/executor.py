@@ -35,6 +35,7 @@ can never be served across differing seeds.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import multiprocessing
 import os
 import sys
@@ -43,10 +44,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 from repro.obs.observe import current_observation
 from repro.perf.diskcache import DiskCache
-from repro.perf.job import SimJob, SimResult
+from repro.perf.job import SimJob, SimResult, content_tokens
 
 __all__ = [
     "SweepExecutor",
+    "cached_point",
     "sweep",
     "current_executor",
     "evaluate",
@@ -257,3 +259,32 @@ def evaluate(jobs: t.Iterable[SimJob]) -> list[SimResult]:
     if _current is not None:
         return _current.evaluate(jobs)
     return SweepExecutor(jobs=1).evaluate(jobs)
+
+
+def cached_point(
+    tag: str,
+    inputs: t.Sequence[t.Any],
+    compute: t.Callable[[], dict],
+    shape: t.Mapping[str, type],
+) -> dict:
+    """``compute()``'s JSON row, kept as one entry of the sweep's disk tier.
+
+    Keyed by a sha256 over ``content_tokens((tag, *inputs))``.  A stored
+    row whose value types match ``shape`` key for key is returned; a miss
+    or a malformed entry is recomputed and stored.  With no disk tier it
+    is a plain ``compute()``, and under an active observation the row is
+    recomputed, not read, so what the computation records is not skipped.
+    """
+    disk = None if _current is None else _current.disk
+    if disk is None:
+        return compute()
+    tokens: list[bytes] = []
+    content_tokens((tag, *inputs), tokens)
+    key = hashlib.sha256(b"".join(tokens)).hexdigest()
+    if current_observation() is None:
+        point = disk.get_json(key)
+        if point is not None and {name: type(v) for name, v in point.items()} == shape:
+            return point
+    point = compute()
+    disk.put_json(key, point)
+    return point

@@ -34,7 +34,6 @@ from repro.tuning.space import (
     DEFAULT_SEGMENTS,
     enumerate_plans,
     level_choices,
-    space_size,
 )
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "enumerate_plans",
     "level_choices",
     "plan_from_phases",
-    "space_size",
     "split_segments",
     "DecisionCache",
     "TunedDecision",

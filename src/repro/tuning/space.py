@@ -23,7 +23,7 @@ import typing as t
 from repro.errors import CollectiveError
 from repro.tuning.plan import LevelSchedule, SchedulePlan, default_plan
 
-__all__ = ["DEFAULT_SEGMENTS", "level_choices", "enumerate_plans", "space_size"]
+__all__ = ["DEFAULT_SEGMENTS", "level_choices", "enumerate_plans"]
 
 #: Segmentation factors explored for the segmentable algorithms.
 DEFAULT_SEGMENTS: tuple[int, ...] = (1, 2, 4)
@@ -65,13 +65,6 @@ def enumerate_plans(
     base = default_plan(op, k)
     plans.sort(key=lambda plan: plan != base)  # stable: default first
     return plans
-
-
-def space_size(
-    op: str, k: int, *, segments: t.Sequence[int] = DEFAULT_SEGMENTS
-) -> int:
-    """``|level_choices|^k`` — plans enumerate_plans would yield."""
-    return len(level_choices(op, segments)) ** max(0, k)
 
 
 def _check_segments(segments: t.Sequence[int]) -> tuple[int, ...]:

@@ -14,8 +14,6 @@ from repro.util.units import (
     KIB,
     MIB,
     BYTES_PER_INT,
-    bytes_to_items,
-    items_to_bytes,
     kb,
     format_bytes,
     format_time,
@@ -36,8 +34,6 @@ __all__ = [
     "KIB",
     "MIB",
     "BYTES_PER_INT",
-    "bytes_to_items",
-    "items_to_bytes",
     "kb",
     "format_bytes",
     "format_time",

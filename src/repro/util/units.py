@@ -15,8 +15,6 @@ __all__ = [
     "MIB",
     "BYTES_PER_INT",
     "kb",
-    "items_to_bytes",
-    "bytes_to_items",
     "format_bytes",
     "format_time",
 ]
@@ -34,16 +32,6 @@ BYTES_PER_INT = 4
 def kb(kbytes: float) -> int:
     """Convert KBytes to a whole number of bytes."""
     return int(round(kbytes * KIB))
-
-
-def items_to_bytes(items: int) -> int:
-    """Size in bytes of ``items`` 4-byte integers."""
-    return int(items) * BYTES_PER_INT
-
-
-def bytes_to_items(nbytes: int) -> int:
-    """Number of whole 4-byte integers that fit in ``nbytes``."""
-    return int(nbytes) // BYTES_PER_INT
 
 
 def format_bytes(nbytes: float) -> str:

@@ -22,7 +22,6 @@ class TestHierarchy:
     def test_subsystem_groups(self):
         assert issubclass(errors.DeadlockError, errors.SimulationError)
         assert issubclass(errors.RoutingError, errors.TopologyError)
-        assert issubclass(errors.MailboxClosed, errors.PvmError)
         assert issubclass(errors.SuperstepError, errors.HbspError)
         assert issubclass(errors.CalibrationError, errors.ModelError)
 

@@ -6,10 +6,8 @@ from repro.util.units import (
     BYTES_PER_INT,
     KIB,
     MIB,
-    bytes_to_items,
     format_bytes,
     format_time,
-    items_to_bytes,
     kb,
 )
 
@@ -31,19 +29,6 @@ class TestConversions:
 
     def test_kb_fractional(self):
         assert kb(0.5) == 512
-
-    def test_items_to_bytes(self):
-        assert items_to_bytes(25600) == 102400
-
-    def test_bytes_to_items(self):
-        assert bytes_to_items(102400) == 25600
-
-    def test_roundtrip(self):
-        for items in (0, 1, 25600, 256000):
-            assert bytes_to_items(items_to_bytes(items)) == items
-
-    def test_bytes_to_items_floors(self):
-        assert bytes_to_items(7) == 1
 
 
 class TestFormatting:
