@@ -1,21 +1,16 @@
 #!/usr/bin/env python3
-"""Ranking machines with the BYTEmark-style suite (Section 5.1).
+"""Ranking machines by BYTEmark-style scores (Section 5.1).
 
-Two demonstrations:
-
-1. run the *real* kernel implementations on this host (numeric sort,
-   Fourier, LU decomposition, ...) and aggregate BYTEmark-style
-   integer/float indices;
-2. simulate per-machine scores for the testbed (with the measurement
-   noise of a non-dedicated cluster) and derive the ranking and the
-   workload fractions ``c_j`` exactly as the experiments do.
+Simulates per-machine scores for the testbed (with the measurement
+noise of a non-dedicated cluster) and derives the ranking and the
+workload fractions ``c_j`` exactly as the experiments do, then splits
+a data set into whole-item shares.
 
 Run:  python examples/bytemark_ranking.py
 """
 
 from repro.bytemark import (
     fractions_from_scores,
-    measure_host,
     partition_items,
     ranking_from_scores,
     simulate_scores,
@@ -25,19 +20,6 @@ from repro.util.tables import AsciiTable
 
 
 def main() -> None:
-    # --- 1. the real thing, on this host ----------------------------------
-    print("running the BYTEmark-style suite on this host (scale=1)...")
-    result = measure_host(scale=1, seed=0)
-    table = AsciiTable("host benchmark", ["kernel", "score (work units/s)"])
-    for name, score in result.scores.items():
-        table.add_row([name, f"{score:.3e}"])
-    print(table.render())
-    print(f"integer index: {result.integer_index:.3e}   "
-          f"float index: {result.float_index:.3e}   "
-          f"overall: {result.index:.3e}")
-    print()
-
-    # --- 2. simulated scores for the testbed ------------------------------
     topology = ucf_testbed(10)
     scores = simulate_scores(topology, noise_sigma=0.08, seed=2001)
     ranking = ranking_from_scores(scores)

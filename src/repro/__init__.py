@@ -9,7 +9,8 @@ Layered architecture (bottom-up):
 * :mod:`repro.cluster` — heterogeneous k-level cluster descriptions;
 * :mod:`repro.cluster.discover` — hierarchy inference from pairwise
   probe matrices + parametric 10^3-10^4-leaf topology generators;
-* :mod:`repro.bytemark` — BYTEmark-style machine ranking;
+* :mod:`repro.bytemark` — simulated BYTEmark-style scores, machine
+  ranking and ``c_j`` workload shares;
 * :mod:`repro.pvm` — PVM-like message-passing runtime on the simulator;
 * :mod:`repro.model` — the HBSP^k machine tree, parameters, and cost model;
 * :mod:`repro.hbsplib` — the BSPlib-style programming library;

@@ -1,9 +1,21 @@
-"""From benchmark scores to rankings, fractions, and partitions.
+"""BYTEmark-style machine scores, the speed ranking, and workload shares.
 
-The paper's balanced-workload experiments compute each machine's
-fraction ``c_j`` "using the BYTEmark results" (Section 5.1).  This
-module implements that derivation plus the integer partitioning needed
-to hand out whole data items.
+The paper (Section 5.1) ranks testbed processors with the BYTEmark
+benchmark and derives the workload fractions ``c_j`` "using the
+BYTEmark results".  This module simulates the scores and implements
+that derivation:
+
+* :func:`true_scores` — each machine's index is exactly its
+  :attr:`~repro.cluster.MachineSpec.cpu_rate`;
+* :func:`simulate_scores` — the same, times seeded log-normal
+  measurement noise (the testbed was non-dedicated).  The
+  ``ablations`` experiment runs Fig. 3(b)'s gather with this noise on
+  and off and prints ``T_u/T_b`` = 1.457 on, 1.224 off, so there the
+  noise does not erode balancing (ROADMAP item 16);
+* :func:`ranking_from_scores`, :func:`fractions_from_scores` — scores →
+  speed ranking and ``c_j`` fractions;
+* :func:`partition_items` — the integer partition that hands out whole
+  data items.
 """
 
 from __future__ import annotations
@@ -12,9 +24,48 @@ import math
 import typing as t
 
 from repro.errors import PartitionError, ValidationError
-from repro.util.validation import check_positive_int
+from repro.util.rng import RngStream
+from repro.util.validation import check_non_negative, check_positive_int
 
-__all__ = ["ranking_from_scores", "fractions_from_scores", "partition_items"]
+if t.TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.topology import ClusterTopology
+
+__all__ = [
+    "simulate_scores",
+    "true_scores",
+    "ranking_from_scores",
+    "fractions_from_scores",
+    "partition_items",
+]
+
+
+def true_scores(topology: "ClusterTopology") -> dict[str, float]:
+    """Noise-free BYTEmark indices: exactly each machine's ``cpu_rate``."""
+    return {m.name: float(m.cpu_rate) for m in topology.machines}
+
+
+def simulate_scores(
+    topology: "ClusterTopology",
+    *,
+    noise_sigma: float = 0.08,
+    seed: int = 2001,
+) -> dict[str, float]:
+    """Simulated BYTEmark indices for every machine of ``topology``.
+
+    Each machine's index is its true ``cpu_rate`` scaled by a log-normal
+    measurement-noise factor (median 1.0, shape ``noise_sigma``).  The
+    per-machine noise stream is derived from the machine *name*, so the
+    score of a given machine is independent of which other machines are
+    in the topology — exactly like benchmarking real hosts one by one.
+
+    ``noise_sigma = 0`` returns the true scores.
+    """
+    check_non_negative("noise_sigma", noise_sigma)
+    out: dict[str, float] = {}
+    for machine in topology.machines:
+        stream = RngStream(seed, "bytemark", machine.name)
+        out[machine.name] = float(machine.cpu_rate) * stream.lognormal_factor(noise_sigma)
+    return out
 
 
 def ranking_from_scores(scores: t.Mapping[str, float]) -> list[str]:

@@ -18,7 +18,7 @@ import typing as t
 
 import numpy as np
 
-from repro.bytemark.ranking import partition_items
+from repro.bytemark import partition_items
 from repro.cluster.topology import ClusterTopology
 from repro.collectives.base import CollectiveOutcome, make_runtime
 from repro.collectives.schedules import WorkloadPolicy, split_counts

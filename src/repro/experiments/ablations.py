@@ -20,7 +20,7 @@ import typing as t
 
 import numpy as np
 
-from repro.bytemark.suite import simulate_scores, true_scores
+from repro.bytemark import simulate_scores, true_scores
 from repro.cluster.machine import MachineSpec
 from repro.cluster.presets import ucf_testbed
 from repro.cluster.topology import Cluster, ClusterTopology

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import typing as t
 
-from repro.bytemark.suite import simulate_scores
+from repro.bytemark import simulate_scores
 from repro.cluster.presets import ucf_testbed
 from repro.collectives import RootPolicy, WorkloadPolicy
 from repro.experiments.improvement import ExperimentReport, improvement_factor

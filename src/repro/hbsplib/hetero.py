@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import typing as t
 
-from repro.bytemark.ranking import partition_items
+from repro.bytemark import partition_items
 from repro.errors import PartitionError
 from repro.util.validation import check_positive_int
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
-from repro.bytemark.ranking import fractions_from_scores, ranking_from_scores
-from repro.bytemark.suite import true_scores
+from repro.bytemark import fractions_from_scores, ranking_from_scores, true_scores
 from repro.cluster.topology import ClusterTopology
 from repro.errors import HbspError
 from repro.hbsplib.context import HbspContext

@@ -41,10 +41,9 @@ path is a fixed sequence of IEEE-754 double operations (``r*h``
 products, a running max, ``g*h``, ``+ L``) and the vectorized path
 performs the *same* operations elementwise; integer workload arithmetic
 (subtree sums, chunk sizes, two-phase shares) is exact in int64.  The
-only knowingly scalar piece is
-:func:`~repro.bytemark.ranking.partition_items` (largest-remainder
-with string-keyed tie-breaks), which runs once per *unique* ``n``
-rather than once per grid point.
+only knowingly scalar piece is :func:`~repro.bytemark.partition_items`
+(largest-remainder with string-keyed tie-breaks), which runs once per
+*unique* ``n`` rather than once per grid point.
 
 Usage
 -----
@@ -64,7 +63,7 @@ import typing as t
 
 import numpy as np
 
-from repro.bytemark.ranking import partition_items
+from repro.bytemark import partition_items
 from repro.errors import CollectiveError, ModelError
 from repro.model.cost import CostLedger
 from repro.model.params import ClusterTable, HBSPParams, LevelTable
@@ -897,8 +896,8 @@ class BroadcastKernel:
     def _weighted_shares(self, level: int, ns: np.ndarray, here: _Level) -> np.ndarray:
         """``(m_below, G)`` "c"-weighted first-phase shares of every child.
 
-        One :func:`~repro.bytemark.ranking.partition_items` per fanned
-        cluster and distinct ``n``, over fractions that mirror the scalar
+        One :func:`~repro.bytemark.partition_items` per fanned cluster
+        and distinct ``n``, over fractions that mirror the scalar
         arithmetic exactly: builtin ``sum`` over each child's leaf
         fractions in leaf order, builtin ``sum`` over the children in
         child order, then one division per child.

@@ -39,8 +39,7 @@ import typing as t
 
 import numpy as np
 
-from repro.bytemark.ranking import fractions_from_scores
-from repro.bytemark.suite import true_scores
+from repro.bytemark import fractions_from_scores, true_scores
 from repro.cluster.topology import ClusterTopology
 from repro.errors import CalibrationError, ValidationError
 from repro.model.tree import HBSPTree

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import typing as t
 
-from repro.bytemark.ranking import partition_items
+from repro.bytemark import partition_items
 from repro.errors import CollectiveError, ModelError
 from repro.model.cost import CostLedger
 from repro.model.params import HBSPParams, Key

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import typing as t
 
+from repro.bytemark import ranking_from_scores, true_scores
 from repro.cluster.serialization import topology_hash
 from repro.cluster.topology import ClusterTopology
 from repro.collectives.schedules import RootPolicy
@@ -93,9 +94,6 @@ def _resolve_root_fast(
                 f"root pid {root} out of range [0, {topology.num_machines})"
             )
         return root
-    from repro.bytemark.ranking import ranking_from_scores
-    from repro.bytemark.suite import true_scores
-
     ranking = ranking_from_scores(true_scores(topology))
     name = ranking[-1] if root is RootPolicy.SLOWEST else ranking[0]
     return topology.machine_id(name)

@@ -2,12 +2,9 @@
 
 from repro.util.validation import (
     check_finite,
-    check_fraction,
-    check_index,
     check_non_negative,
     check_positive,
     check_positive_int,
-    check_probability_vector,
 )
 from repro.util.rng import RngStream, derive_seed
 from repro.util.units import (
@@ -23,12 +20,9 @@ from repro.util.plot import ascii_plot
 
 __all__ = [
     "check_finite",
-    "check_fraction",
-    "check_index",
     "check_non_negative",
     "check_positive",
     "check_positive_int",
-    "check_probability_vector",
     "RngStream",
     "derive_seed",
     "KIB",

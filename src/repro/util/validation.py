@@ -10,19 +10,16 @@ they can be used inline::
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from repro.errors import ValidationError
 
 __all__ = [
     "check_finite",
-    "check_fraction",
-    "check_index",
     "check_known",
     "check_non_negative",
     "check_positive",
     "check_positive_int",
-    "check_probability_vector",
 ]
 
 
@@ -64,39 +61,6 @@ def check_positive_int(name: str, value: int) -> int:
     if value < 1:
         raise ValidationError(f"{name} must be >= 1, got {value!r}")
     return int(value)
-
-
-def check_index(name: str, value: int, size: int) -> int:
-    """Return ``value`` as an int, requiring ``0 <= value < size``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{name} must be an integer index, got {value!r}")
-    if not 0 <= value < size:
-        raise ValidationError(f"{name} must be in [0, {size}), got {value}")
-    return value
-
-
-def check_fraction(name: str, value: float) -> float:
-    """Return ``value`` as a float, requiring ``0 <= value <= 1``."""
-    out = check_finite(name, value)
-    if not 0.0 <= out <= 1.0:
-        raise ValidationError(f"{name} must be in [0, 1], got {out!r}")
-    return out
-
-
-def check_probability_vector(
-    name: str, values: Sequence[float], *, tol: float = 1e-9
-) -> tuple[float, ...]:
-    """Validate that ``values`` are non-negative and sum to 1 within ``tol``.
-
-    Returns the values as a tuple of floats.
-    """
-    out = tuple(check_non_negative(f"{name}[{i}]", v) for i, v in enumerate(values))
-    if not out:
-        raise ValidationError(f"{name} must be non-empty")
-    total = math.fsum(out)
-    if abs(total - 1.0) > tol:
-        raise ValidationError(f"{name} must sum to 1 (got {total!r}, tol={tol})")
-    return out
 
 
 def check_known(

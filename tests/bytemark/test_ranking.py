@@ -1,4 +1,4 @@
-"""Unit tests for repro.bytemark.ranking."""
+"""Unit tests for repro.bytemark's ranking, fractions and partitions."""
 
 import pytest
 

@@ -1,49 +1,10 @@
-"""Unit tests for repro.bytemark.suite."""
-
-import math
+"""Unit tests for repro.bytemark's simulated scores."""
 
 import pytest
 
-from repro.bytemark import BytemarkResult, measure_host, simulate_scores, true_scores
-from repro.bytemark.kernels import KERNELS
+from repro.bytemark import simulate_scores, true_scores
 from repro.cluster import ucf_testbed
 from repro.errors import ValidationError
-
-
-class TestBytemarkResult:
-    def test_aggregates_geometric_mean(self):
-        scores = {k.name: 100.0 for k in KERNELS}
-        result = BytemarkResult.from_scores(scores)
-        assert result.index == pytest.approx(100.0)
-        assert result.integer_index == pytest.approx(100.0)
-        assert result.float_index == pytest.approx(100.0)
-
-    def test_geometric_not_arithmetic(self):
-        integer_kernels = [k for k in KERNELS if k.category == "integer"]
-        scores = {k.name: 1.0 for k in integer_kernels}
-        scores[integer_kernels[0].name] = 100.0
-        result = BytemarkResult.from_scores(scores)
-        expected = math.exp(math.log(100.0) / len(integer_kernels))
-        assert result.integer_index == pytest.approx(expected)
-
-    def test_empty_scores_rejected(self):
-        with pytest.raises(ValueError):
-            BytemarkResult.from_scores({})
-
-    def test_partial_suite_ok(self):
-        result = BytemarkResult.from_scores({KERNELS[0].name: 10.0})
-        assert result.index == pytest.approx(10.0)
-
-
-class TestMeasureHost:
-    def test_runs_and_reports_all_kernels(self):
-        result = measure_host(scale=1, seed=0, kernels=KERNELS[:3])
-        assert len(result.scores) == 3
-        assert all(score > 0 for score in result.scores.values())
-
-    def test_index_positive(self):
-        result = measure_host(scale=1, seed=0, kernels=KERNELS[:2])
-        assert result.index > 0
 
 
 class TestSimulateScores:

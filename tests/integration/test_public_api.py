@@ -1,11 +1,15 @@
 """API-stability tests: the documented public surface exists and is
 documented.
 
-These catch accidental removals/renames of public names and enforce
-the docstring convention (every public item carries documentation).
+These catch accidental removals/renames of public names, enforce
+the docstring convention (every public item carries documentation),
+and keep dead public definitions from piling up.
 """
 
+import ast
 import inspect
+import pathlib
+import re
 
 import pytest
 
@@ -100,3 +104,77 @@ class TestDocstrings:
                 ):
                     undocumented.append(f"{cls.__name__}.{name}")
         assert not undocumented, f"undocumented methods: {undocumented}"
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+#: Public definitions that only tests, ``__all__`` lists and package
+#: re-exports name, kept on purpose.
+KEPT_UNREFERENCED = {
+    "run_allgather": "public collective API, a top-level repro export",
+    "run_scatter": "public collective API, one run_* per collective",
+    "run_alltoall": "public collective API, one run_* per collective",
+    "run_scan": "public collective API, a top-level repro export",
+    "run_jacobi": "public application API, one run_* per app",
+    "run_histogram": "public application API, one run_* per app",
+    "run_matvec": "public application API, one run_* per app",
+    "paper_gather_hbsp1": "the paper's closed form, the tests' oracle",
+    "paper_gather_hbsp2_super2": "the paper's closed form, the tests' oracle",
+    "superstep_cost": "the paper's w + g*h + L, the property tests' oracle",
+}
+
+
+def _scan(path: pathlib.Path) -> tuple[list[str], set[str]]:
+    """The public top-level definitions of ``path``, and every word of
+    it that can name a definition.
+
+    Code, docstrings and comments all count as words: a ``:func:``
+    mention documents the name as API.  What does not count is a
+    ``def``/``class`` line's own name, any ``__all__`` list, and a
+    package ``__init__``'s re-export imports.
+    """
+    source = path.read_text()
+    tree = ast.parse(source, str(path))
+    defined = [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+    skipped: set[int] = set()
+    for node in tree.body:
+        is_all = isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        )
+        reexport = path.name == "__init__.py" and isinstance(node, ast.ImportFrom)
+        if is_all or reexport:
+            skipped.update(range(node.lineno, node.end_lineno + 1))
+    kept = "\n".join(
+        line
+        for number, line in enumerate(source.splitlines(), 1)
+        if number not in skipped
+    )
+    return defined, set(re.findall(r"\w+", re.sub(r"\b(?:def|class)\s+\w+", "", kept)))
+
+
+class TestNoDeadPublicDefinitions:
+    def test_every_public_definition_is_used_outside_tests(self):
+        """A public top-level function or class that nothing in src/,
+        bench/ or examples/ names, apart from its own def, ``__all__``
+        and package re-exports, is dead code kept alive by its tests."""
+        defined: dict[str, str] = {}
+        used: set[str] = set()
+        for folder in ("src", "bench", "examples"):
+            for path in sorted((ROOT / folder).rglob("*.py")):
+                names, words = _scan(path)
+                used |= words
+                if folder == "src":
+                    defined.update((name, str(path.relative_to(ROOT))) for name in names)
+        assert set(KEPT_UNREFERENCED) <= set(defined)
+        dead = sorted(
+            f"{path}: {name}"
+            for name, path in defined.items()
+            if name not in used and name not in KEPT_UNREFERENCED
+        )
+        assert not dead, f"public definitions only tests use: {dead}"

@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bytemark.ranking import fractions_from_scores, partition_items
+from repro.bytemark import fractions_from_scores, partition_items
 from repro.hbsplib import equal_partition, proportional_partition
 
 scores_strategy = st.dictionaries(

@@ -1,18 +1,13 @@
 """Unit tests for repro.util.validation."""
 
-import math
-
 import pytest
 
 from repro.errors import ValidationError
 from repro.util.validation import (
     check_finite,
-    check_fraction,
-    check_index,
     check_non_negative,
     check_positive,
     check_positive_int,
-    check_probability_vector,
 )
 
 
@@ -76,50 +71,3 @@ class TestCheckPositiveInt:
         with pytest.raises(ValidationError, match="integer"):
             check_positive_int("x", True)
 
-
-class TestCheckIndex:
-    def test_accepts_in_range(self):
-        assert check_index("i", 0, 3) == 0
-        assert check_index("i", 2, 3) == 2
-
-    @pytest.mark.parametrize("bad", [-1, 3, 100])
-    def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValidationError):
-            check_index("i", bad, 3)
-
-    def test_rejects_bool(self):
-        with pytest.raises(ValidationError):
-            check_index("i", True, 3)
-
-
-class TestCheckFraction:
-    @pytest.mark.parametrize("ok", [0.0, 0.5, 1.0])
-    def test_accepts_unit_interval(self, ok):
-        assert check_fraction("f", ok) == ok
-
-    @pytest.mark.parametrize("bad", [-0.01, 1.01])
-    def test_rejects_outside(self, bad):
-        with pytest.raises(ValidationError):
-            check_fraction("f", bad)
-
-
-class TestCheckProbabilityVector:
-    def test_accepts_valid(self):
-        out = check_probability_vector("c", [0.25, 0.25, 0.5])
-        assert out == (0.25, 0.25, 0.5)
-
-    def test_accepts_fsum_rounding(self):
-        values = [0.1] * 10
-        assert math.isclose(sum(check_probability_vector("c", values)), 1.0)
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValidationError, match="sum to 1"):
-            check_probability_vector("c", [0.5, 0.6])
-
-    def test_rejects_negative_entry(self):
-        with pytest.raises(ValidationError):
-            check_probability_vector("c", [1.5, -0.5])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValidationError, match="non-empty"):
-            check_probability_vector("c", [])
