@@ -89,7 +89,7 @@ from repro.obs import (
     observe,
     prometheus_text,
 )
-from repro.perf import SimJob, SimResult, SweepExecutor, evaluate, sweep
+from repro.perf import SimJob, SweepExecutor, evaluate, sweep
 from repro.serve import (
     ServiceConfig,
     ServiceReport,
@@ -136,7 +136,6 @@ __all__ = [
     "CostLedger",
     "calibrate",
     "SimJob",
-    "SimResult",
     "SweepExecutor",
     "evaluate",
     "sweep",

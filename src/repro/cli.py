@@ -20,8 +20,8 @@ Subcommands:
     decision in the persistent cache; ``run --schedule tuned`` then
     resolves it in O(1).
 ``cache {stats,prune,clear}``
-    Inspect or reclaim the persistent sweep-result and
-    tuning-decision caches (per-tier breakdown plus totals).
+    Inspect or reclaim the persistent cache: simulation results,
+    tuning decisions and experiment rows, one store.
 ``serve``
     Play one open-loop serving session (seeded arrivals, admission
     control, batching, subtree placement) and print its goodput,
@@ -236,50 +236,28 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.perf import DiskCache, default_cache_dir
-    from repro.tuning.cache import DecisionCache
     from repro.util.units import format_bytes
 
-    stores: list[tuple[str, t.Any]] = [
-        ("sweeps", DiskCache(default_cache_dir())),
-        ("decisions", DecisionCache()),
-    ]
+    store = DiskCache(default_cache_dir())
     if args.cache_action == "stats":
-        per_tier: list[tuple[str, int, int]] = []
-        for label, store in stores:
-            stats = store.stats()
-            root = store.root if hasattr(store, "root") else store.disk.root
-            print(f"{label} cache at {root}")
-            print(f"  current ({stats.version}): {stats.entries} entries, "
-                  f"{format_bytes(stats.bytes)}")
-            if stats.stale_versions:
-                print(f"  stale: {format_bytes(stats.stale_bytes)} in "
-                      f"{', '.join(stats.stale_versions)}")
-            else:
-                print("  stale: none")
-            per_tier.append((label, stats.entries, stats.bytes))
-        breakdown = ", ".join(f"{label} {n}" for label, n, _ in per_tier)
-        print(f"total: {sum(n for _, n, _ in per_tier)} entries, "
-              f"{format_bytes(sum(b for _, _, b in per_tier))} ({breakdown})")
+        stats = store.stats()
+        print(f"cache at {store.root}")
+        print(f"  current ({stats.version}): {stats.entries} entries, "
+              f"{format_bytes(stats.bytes)}")
+        if stats.stale_versions:
+            print(f"  stale: {format_bytes(stats.stale_bytes)} in "
+                  f"{', '.join(stats.stale_versions)}")
+        else:
+            print("  stale: none")
         return 0
     if args.cache_action == "prune":
-        limit = 0 if args.max_bytes is None else args.max_bytes
-        totals = [0, 0]
-        for label, store in stores:
-            removed, freed = store.prune(limit)
-            totals[0] += removed
-            totals[1] += freed
-            print(f"{label}: removed {removed} item(s), freed {format_bytes(freed)}")
-        print(f"total: removed {totals[0]} item(s), freed "
-              f"{format_bytes(totals[1])}")
+        removed, freed = store.prune(0 if args.max_bytes is None else args.max_bytes)
+        print(f"removed {removed} item(s), freed {format_bytes(freed)}")
         return 0
     # clear
-    for label, store in stores:
-        entries = len(store)
-        if isinstance(store, DiskCache):
-            store.wipe()
-        else:
-            store.clear()
-        print(f"{label}: cleared ({entries} entries)")
+    entries = len(store)
+    store.wipe()
+    print(f"cleared ({entries} entries)")
     return 0
 
 
@@ -523,14 +501,12 @@ def main(argv: t.Sequence[str] | None = None) -> int:
     cache_parser.set_defaults(handler=_cmd_cache)
     cache_parser.add_argument("cache_action",
                               choices=["stats", "prune", "clear"],
-                              help="stats: per-tier (sweeps/decisions) entries "
-                              "and bytes plus totals; prune: per tier, drop "
-                              "stale versions then oldest entries, reporting "
-                              "a combined total; clear: wipe both tiers")
+                              help="stats: entries and bytes, current version "
+                              "vs stale ones; prune: drop stale versions then "
+                              "oldest entries; clear: wipe every version")
     cache_parser.add_argument("--max-bytes", type=int, default=None,
-                              help="prune target size per tier — sweeps and "
-                              "decisions each keep at most this many bytes "
-                              "(default 0 = keep nothing)")
+                              help="prune target size: keep at most this many "
+                              "bytes of entries (default 0 = keep nothing)")
     experiment_parser = sub.add_parser(
         "experiment", help="regenerate paper artifacts (all of them by default)"
     )
@@ -545,10 +521,12 @@ def main(argv: t.Sequence[str] | None = None) -> int:
                                    help="worker processes for the simulation "
                                    "sweep (output is bit-identical)")
     experiment_parser.add_argument("--cache-dir", default=None,
-                                   help="persistent sweep-result cache (default: "
+                                   help="persistent cache of simulation results "
+                                   "and tuning decisions (default: "
                                    "$REPRO_CACHE_DIR or ~/.cache/repro/sweeps)")
     experiment_parser.add_argument("--no-cache", action="store_true",
-                                   help="disable the persistent sweep-result cache")
+                                   help="persist nothing, tuning decisions "
+                                   "included")
     experiment_parser.add_argument("--schedule", default=None,
                                    choices=["default", "tuned"],
                                    help="collective schedule for experiments "
@@ -577,8 +555,9 @@ def main(argv: t.Sequence[str] | None = None) -> int:
                               help="worker processes for the kernel-cost "
                               "prewarm (output is bit-identical)")
     serve_parser.add_argument("--cache-dir", default=None,
-                              help="persist kernel-cost results under this "
-                              "directory and reuse them across sessions")
+                              help="persist kernel-cost results and tuning "
+                              "decisions under this directory and reuse them "
+                              "across sessions")
     serve_parser.add_argument("--dynamics", metavar="PLAN.json", default=None,
                               help="play the session against a churn plan: "
                               "machine_join / machine_leave events (see "

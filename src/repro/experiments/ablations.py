@@ -25,12 +25,11 @@ from repro.cluster.machine import MachineSpec
 from repro.cluster.presets import ucf_testbed
 from repro.cluster.topology import Cluster, ClusterTopology
 from repro.collectives.schedules import RootPolicy, WorkloadPolicy
-from repro.experiments.improvement import ExperimentReport, improvement_factor
+from repro.experiments.improvement import ExperimentReport, _items, improvement_factor
 from repro.model.kernels import GatherKernel, balanced_counts, equal_counts
 from repro.model.params import calibrate
 from repro.perf import SimJob, evaluate
 from repro.util.tables import AsciiTable
-from repro.util.units import BYTES_PER_INT, kb
 
 __all__ = [
     "symmetric_pack_topology",
@@ -70,10 +69,6 @@ def _gather_job(
         "gather", topology, n, root=root, workload=workload,
         scores=scores, serialize_nic=serialize_nic, seed=seed,
     )
-
-
-def _items(size_kb: int) -> int:
-    return kb(size_kb) // BYTES_PER_INT
 
 
 def ablation_pack_asymmetry(size_kb: int = 500, *, seed: int = 0) -> dict[str, float]:

@@ -15,12 +15,11 @@ import numpy as np
 from repro.cluster.presets import (
     ETHERNET_100,
     flat_cluster,
-    multi_lan,
     smp_sgi_lan,
     two_lans,
     ucf_testbed,
 )
-from repro.experiments.improvement import ExperimentReport, improvement_factor
+from repro.experiments.improvement import ExperimentReport, _items, improvement_factor
 from repro.perf import SimJob, evaluate
 from repro.model.kernels import BroadcastKernel, GatherKernel
 from repro.model.params import calibrate
@@ -31,7 +30,6 @@ from repro.model.predict import (
     paper_broadcast_hbsp2_super2_two_phase,
 )
 from repro.util.tables import AsciiTable
-from repro.util.units import BYTES_PER_INT, kb
 
 __all__ = [
     "table1_parameters",
@@ -39,10 +37,6 @@ __all__ = [
     "sec4_gather_hierarchy",
     "model_fidelity",
 ]
-
-
-def _items(size_kb: float) -> int:
-    return int(kb(size_kb)) // BYTES_PER_INT
 
 
 def table1_parameters() -> ExperimentReport:

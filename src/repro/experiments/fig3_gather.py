@@ -18,9 +18,8 @@ import typing as t
 from repro.bytemark import simulate_scores
 from repro.cluster.presets import ucf_testbed
 from repro.collectives import RootPolicy, WorkloadPolicy
-from repro.experiments.improvement import ExperimentReport, improvement_factor
+from repro.experiments.improvement import ExperimentReport, _items, improvement_factor
 from repro.perf import SimJob, evaluate
-from repro.util.units import BYTES_PER_INT, kb
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.collectives.schedules import SchedulePolicy
@@ -45,10 +44,6 @@ PROCESSOR_COUNTS: tuple[int, ...] = tuple(range(2, 11))
 DEFAULT_NOISE_SIGMA = 0.3
 
 
-def _items(size_kb: int) -> int:
-    return kb(size_kb) // BYTES_PER_INT
-
-
 def fig3a_gather_root(
     sizes_kb: t.Sequence[int] = PROBLEM_SIZES_KB,
     processor_counts: t.Sequence[int] = PROCESSOR_COUNTS,
@@ -66,9 +61,10 @@ def fig3a_gather_root(
     from repro.collectives.schedules import resolve_plan
 
     grid = [(size_kb, p) for size_kb in sizes_kb for p in processor_counts]
+    testbeds = {p: ucf_testbed(p) for p in processor_counts}
     jobs = []
     for size_kb, p in grid:
-        topology = ucf_testbed(p)
+        topology = testbeds[p]
         for root in (RootPolicy.SLOWEST, RootPolicy.FASTEST):
             kwargs: dict[str, t.Any] = {}
             plan = resolve_plan(
@@ -114,15 +110,18 @@ def fig3b_gather_balance(
     equal (``T_u``) or proportional to noisy BYTEmark scores (``T_b``).
     """
     grid = [(size_kb, p) for size_kb in sizes_kb for p in processor_counts]
+    testbeds = {p: ucf_testbed(p) for p in processor_counts}
+    scores = {
+        p: simulate_scores(topology, noise_sigma=noise_sigma, seed=score_seed)
+        for p, topology in testbeds.items()
+    }
     jobs = []
     for size_kb, p in grid:
-        topology = ucf_testbed(p)
-        scores = simulate_scores(topology, noise_sigma=noise_sigma, seed=score_seed)
         for workload in (WorkloadPolicy.EQUAL, WorkloadPolicy.BALANCED):
             jobs.append(
                 SimJob.collective(
-                    "gather", topology, _items(size_kb), root=RootPolicy.FASTEST,
-                    workload=workload, scores=scores, seed=seed,
+                    "gather", testbeds[p], _items(size_kb), root=RootPolicy.FASTEST,
+                    workload=workload, scores=scores[p], seed=seed,
                 )
             )
     results = evaluate(jobs)

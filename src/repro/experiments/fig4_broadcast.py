@@ -23,9 +23,8 @@ from repro.experiments.fig3_gather import (
     DEFAULT_NOISE_SIGMA,
     PROBLEM_SIZES_KB,
     PROCESSOR_COUNTS,
-    _items,
 )
-from repro.experiments.improvement import ExperimentReport, improvement_factor
+from repro.experiments.improvement import ExperimentReport, _items, improvement_factor
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.collectives.schedules import SchedulePolicy
@@ -48,9 +47,10 @@ def fig4a_broadcast_root(
     from repro.collectives.schedules import resolve_plan
 
     grid = [(size_kb, p) for size_kb in sizes_kb for p in processor_counts]
+    testbeds = {p: ucf_testbed(p) for p in processor_counts}
     jobs = []
     for size_kb, p in grid:
-        topology = ucf_testbed(p)
+        topology = testbeds[p]
         for root in (RootPolicy.SLOWEST, RootPolicy.FASTEST):
             kwargs: dict[str, t.Any] = {}
             plan = resolve_plan(
@@ -97,15 +97,18 @@ def fig4b_broadcast_balance(
     ``T_u`` uses equal shares.
     """
     grid = [(size_kb, p) for size_kb in sizes_kb for p in processor_counts]
+    testbeds = {p: ucf_testbed(p) for p in processor_counts}
+    scores = {
+        p: simulate_scores(topology, noise_sigma=noise_sigma, seed=score_seed)
+        for p, topology in testbeds.items()
+    }
     jobs = []
     for size_kb, p in grid:
-        topology = ucf_testbed(p)
-        scores = simulate_scores(topology, noise_sigma=noise_sigma, seed=score_seed)
         for balanced in (False, True):
             jobs.append(
                 SimJob.collective(
-                    "broadcast", topology, _items(size_kb), root=RootPolicy.FASTEST,
-                    phases="two", balanced_shares=balanced, scores=scores, seed=seed,
+                    "broadcast", testbeds[p], _items(size_kb), root=RootPolicy.FASTEST,
+                    phases="two", balanced_shares=balanced, scores=scores[p], seed=seed,
                 )
             )
     results = evaluate(jobs)

@@ -13,8 +13,14 @@ import typing as t
 
 from repro.errors import ExperimentError
 from repro.util.tables import format_series
+from repro.util.units import BYTES_PER_INT, kb
 
 __all__ = ["improvement_factor", "ExperimentReport"]
+
+
+def _items(size_kb: float) -> int:
+    """The item count of a ``size_kb``-KByte problem of C ``int``\\ s."""
+    return kb(size_kb) // BYTES_PER_INT
 
 
 def improvement_factor(t_a: float, t_b: float) -> float:

@@ -29,7 +29,7 @@ import typing as t
 
 from repro.cluster.presets import ucf_testbed
 from repro.collectives import RootPolicy, WorkloadPolicy
-from repro.experiments.improvement import ExperimentReport, improvement_factor
+from repro.experiments.improvement import ExperimentReport, _items, improvement_factor
 from repro.perf import SimJob, evaluate
 from repro.faults import (
     DeliveryPolicy,
@@ -38,7 +38,6 @@ from repro.faults import (
     flaky_network_plan,
     straggler_plan,
 )
-from repro.util.units import BYTES_PER_INT, kb
 
 __all__ = [
     "ROBUSTNESS_SIZE_KB",
@@ -55,10 +54,6 @@ ROBUSTNESS_PROCESSOR_COUNTS: tuple[int, ...] = (2, 4, 6, 8, 10)
 
 #: Retry policy used under the flaky plan: generous timeout, 3 retries.
 FLAKY_DELIVERY = DeliveryPolicy.retry(3, timeout=0.25)
-
-
-def _items(size_kb: int) -> int:
-    return kb(size_kb) // BYTES_PER_INT
 
 
 def robustness_plans(topology) -> dict[str, tuple[FaultPlan, DeliveryPolicy | None]]:

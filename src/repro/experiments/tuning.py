@@ -18,21 +18,18 @@ is meaningfully above 1 (latency-dominated broadcasts at small ``n``,
 bimodal cloud machines) and where the defaults were already right
 (bandwidth-dominated large-``n`` regimes, most gathers).
 
-Inside a ``sweep(cache_dir=...)`` decisions are tuned into that sweep's
-disk tier, beside the validations they were picked on, so a warm sweep
-neither prices nor simulates; with no disk tier (``--no-cache``, or no
-sweep), into a throwaway directory.  ``repro tune``'s cache is untouched.
+Decisions are kept where :func:`repro.tuning.tune` keeps them: inside a
+``sweep(cache_dir=...)``, in that sweep's disk tier beside the
+validations they were picked on, so a warm sweep neither prices nor
+simulates; under ``--no-cache``, nowhere.
 """
 
 from __future__ import annotations
 
-import tempfile
 import typing as t
 
 from repro.cluster.discover.generators import GENERATORS
 from repro.experiments.improvement import ExperimentReport, improvement_factor
-from repro.perf import current_executor
-from repro.tuning.cache import DecisionCache
 
 __all__ = ["tuning_improvement", "TUNING_SCENARIOS"]
 
@@ -65,25 +62,21 @@ def tuning_improvement(
 
     series: dict[str, dict[int, float]] = {}
     winners: list[str] = []
-    disk = getattr(current_executor(), "disk", None)
-    with tempfile.TemporaryDirectory(prefix="repro-tuning-") as scratch:
-        root, version = (scratch, None) if disk is None else (disk.root, disk.version)
-        cache = DecisionCache(root, version=version)
-        for family in families:
-            generator, kwargs = TUNING_SCENARIOS[family]
-            topology = GENERATORS[generator](seed=seed, **kwargs)
-            values: dict[int, float] = {}
-            for n in ns:
-                decision = tune(topology, op, int(n), seed=seed, cache=cache)
-                values[int(n)] = improvement_factor(
-                    decision.default_time, decision.simulated_time
+    for family in families:
+        generator, kwargs = TUNING_SCENARIOS[family]
+        topology = GENERATORS[generator](seed=seed, **kwargs)
+        values: dict[int, float] = {}
+        for n in ns:
+            decision = tune(topology, op, int(n), seed=seed)
+            values[int(n)] = improvement_factor(
+                decision.default_time, decision.simulated_time
+            )
+            if not decision.plan.is_default:
+                winners.append(
+                    f"{family} n={n}: {decision.plan.key} "
+                    f"({100 * decision.improvement:.1f}% faster)"
                 )
-                if not decision.plan.is_default:
-                    winners.append(
-                        f"{family} n={n}: {decision.plan.key} "
-                        f"({100 * decision.improvement:.1f}% faster)"
-                    )
-            series[family] = values
+        series[family] = values
     notes = [
         "factor = T_default / T_tuned, both DES-simulated; >= 1 by "
         "construction (the default plan is always in the validated "

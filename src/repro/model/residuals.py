@@ -35,7 +35,6 @@ run-wholesale — equations from a misaligned join would be garbage.
 from __future__ import annotations
 
 import dataclasses
-import typing as t
 
 from repro.errors import CalibrationError
 from repro.obs.accounting import RunObs, SuperstepLedger

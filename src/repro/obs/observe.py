@@ -6,9 +6,9 @@ pick it up through :func:`current_observation` — no parameter threading
 through eight collectives and four experiment layers.
 
 Determinism: metrics and ledgers are fed exclusively from the compact
-:class:`~repro.obs.accounting.RunObs` records that ride inside
-:class:`~repro.perf.job.SimResult`, merged by the sweep executor in
-submission order.  Worker processes and the persistent disk cache
+:class:`~repro.obs.accounting.RunObs` records that
+:meth:`~repro.perf.job.SimJob.run` returns, merged by the sweep executor
+in submission order.  Worker processes and the persistent disk cache
 therefore produce byte-identical exports to a serial cold run.  Span
 tracing (``spans=True``) additionally records full timelines, which
 forces simulations inline into the observing process.
@@ -62,12 +62,6 @@ class Observation:
         return f"run{self._groups}"
 
     # -- feeding -------------------------------------------------------------
-    def record_result(self, result: t.Any) -> None:
-        """Fold one :class:`~repro.perf.job.SimResult` in (ledger + metrics)."""
-        run = getattr(result, "obs", None)
-        if run is not None:
-            self.record_run(run)
-
     def record_run(self, run: RunObs) -> SuperstepLedger:
         """Fold one run's compact record into metrics and ledgers."""
         metrics = self.metrics

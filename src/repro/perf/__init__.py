@@ -29,7 +29,7 @@ from repro.perf.executor import (
     evaluate,
     sweep,
 )
-from repro.perf.job import APP_OPS, COLLECTIVE_OPS, SimJob, SimResult
+from repro.perf.job import APP_OPS, COLLECTIVE_OPS, SimJob
 
 __all__ = [
     "APP_OPS",
@@ -38,7 +38,6 @@ __all__ = [
     "COLLECTIVE_OPS",
     "DiskCache",
     "SimJob",
-    "SimResult",
     "SweepExecutor",
     "cached_point",
     "current_executor",

@@ -10,9 +10,10 @@ previous run already simulated.
 Exactness
 ---------
 
-Entries round-trip :class:`~repro.perf.job.SimResult` through JSON.
-``json`` serialises floats with ``repr`` (the shortest string that
-round-trips) and parses them back with ``float``, so the restored
+A simulation's entry is its :class:`~repro.obs.accounting.RunObs` as
+:meth:`~repro.obs.accounting.RunObs.to_jsonable` writes it.  ``json``
+serialises floats with ``repr`` (the shortest string that round-trips)
+and parses them back with ``float``, so the restored
 ``time``/``predicted_time`` are the *same doubles* that were stored —
 warm-cache reports are byte-identical to cold-cache ones, which the
 tests enforce on rendered output.
@@ -50,7 +51,6 @@ from pathlib import Path
 
 from repro.errors import ValidationError
 from repro.obs.accounting import RunObs
-from repro.perf.job import SimResult
 
 __all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "DiskCache", "default_cache_dir"]
 
@@ -62,11 +62,16 @@ __all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "DiskCache", "default_cache_dir
 #: v4: job keys encode a topology as its ``topology_hash``.
 #: v5: tuning-decision keys and records drop ``item_bytes``, and the
 #: robustness jobs drop the injector-seed keyword that repeated their seed.
-CACHE_SCHEMA_VERSION = 5
+#: v6: a simulation's entry is its bare ``RunObs`` record; v5 wrapped it
+#: in an object that repeated four of its fields.
+CACHE_SCHEMA_VERSION = 6
 
 
 def default_cache_dir() -> Path:
-    """Where sweep results persist when no ``--cache-dir`` is given.
+    """The default root of the one persistent store.
+
+    Sweep results persist here when no ``--cache-dir`` is given, and so
+    do the tuning decisions made outside any sweep.
 
     ``$REPRO_CACHE_DIR`` if set; else ``$XDG_CACHE_HOME/repro/sweeps``;
     else ``~/.cache/repro/sweeps``.
@@ -80,7 +85,8 @@ def default_cache_dir() -> Path:
 
 
 #: Version directories look like ``v2-0.5.0``; anything else beneath a
-#: cache root (e.g. a nested decision-cache root) is not ours to prune.
+#: cache root (say, a user's own files under ``$REPRO_CACHE_DIR``) is not
+#: ours to prune.
 _VERSION_DIR = re.compile(r"^v\d+-")
 
 
@@ -105,7 +111,12 @@ class CacheStats:
 
 
 class DiskCache:
-    """Content-hash-keyed persistent store of :class:`SimResult`\\ s.
+    """Content-hash-keyed persistent store of :class:`RunObs` records.
+
+    The same version directory also holds the JSON rows other layers
+    keep through :meth:`get_json`/:meth:`put_json`: tuning decisions
+    (:class:`~repro.tuning.cache.DecisionCache`) and the experiments'
+    :func:`~repro.perf.cached_point` rows.
 
     Parameters
     ----------
@@ -158,43 +169,26 @@ class DiskCache:
         except OSError:
             pass
 
-    def get(self, key: str) -> SimResult | None:
-        """The stored result for ``key``, or ``None`` on any failure."""
+    def get(self, key: str) -> RunObs | None:
+        """The stored record for ``key``, or ``None`` on any failure."""
         data = self.get_json(key)
         if data is None:
             return None
         try:
-            predicted = data["predicted_time"]
-            obs = data["obs"]
-            return SimResult(
-                name=str(data["name"]),
-                time=float(data["time"]),
-                predicted_time=None if predicted is None else float(predicted),
-                supersteps=int(data["supersteps"]),
-                obs=None if obs is None else RunObs.from_jsonable(obs),
-            )
+            return RunObs.from_jsonable(data)
         except (ValueError, KeyError, TypeError, IndexError):
             return None
 
-    def put(self, key: str, result: SimResult) -> None:
-        """Persist ``result`` atomically; failures are non-fatal."""
-        self.put_json(
-            key,
-            {
-                "name": result.name,
-                "time": result.time,
-                "predicted_time": result.predicted_time,
-                "supersteps": result.supersteps,
-                "obs": None if result.obs is None else result.obs.to_jsonable(),
-            },
-        )
+    def put(self, key: str, run: RunObs) -> None:
+        """Persist ``run`` atomically; failures are non-fatal."""
+        self.put_json(key, run.to_jsonable())
 
     def wipe(self) -> None:
         """Delete every version directory (current and stale).
 
-        Non-version children of the root are left alone — under the
-        ``$REPRO_CACHE_DIR`` override other caches (e.g. the tuning
-        decisions) nest inside this root.
+        Non-version children of the root are left alone: the
+        ``$REPRO_CACHE_DIR`` override may point at a directory that
+        holds other files too.
         """
         shutil.rmtree(self.dir, ignore_errors=True)
         for stale in self._stale_dirs():
@@ -251,8 +245,8 @@ class DiskCache:
         the remainder fits.  ``max_bytes=0`` keeps only the empty
         current-version skeleton.  Returns ``(removed_items, freed_bytes)``
         where removed_items counts stale version dirs plus evicted
-        entries.  Non-version directories under the root (for example a
-        nested decision cache) are never touched.
+        entries.  Non-version directories under the root are never
+        touched.
         """
         if max_bytes < 0:
             raise ValidationError(f"max_bytes must be >= 0, got {max_bytes}")

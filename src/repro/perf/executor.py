@@ -3,7 +3,7 @@
 Determinism contract
 --------------------
 
-``evaluate(jobs)`` returns one :class:`~repro.perf.job.SimResult` per
+``evaluate(jobs)`` returns one :class:`~repro.obs.accounting.RunObs` per
 job, **in job order**, and the results are bit-identical whatever the
 worker count:
 
@@ -42,9 +42,10 @@ import sys
 import typing as t
 from concurrent.futures import ProcessPoolExecutor
 
+from repro.obs.accounting import RunObs
 from repro.obs.observe import current_observation
 from repro.perf.diskcache import DiskCache
-from repro.perf.job import SimJob, SimResult, content_tokens
+from repro.perf.job import SimJob, content_tokens
 
 __all__ = [
     "SweepExecutor",
@@ -106,7 +107,7 @@ class SweepExecutor:
         cache_version: str | None = None,
     ) -> None:
         self.jobs = max(1, int(jobs))
-        self._memo: dict[str, SimResult] = {}
+        self._memo: dict[str, RunObs] = {}
         self._pool: ProcessPoolExecutor | None = None
         self._disk: DiskCache | None = (
             None if cache_dir is None else DiskCache(cache_dir, version=cache_version)
@@ -151,7 +152,7 @@ class SweepExecutor:
         self.close()
 
     # -- evaluation ----------------------------------------------------------
-    def evaluate(self, jobs: t.Iterable[SimJob]) -> list[SimResult]:
+    def evaluate(self, jobs: t.Iterable[SimJob]) -> list[RunObs]:
         """Run every job, returning results in job order.
 
         Duplicate and previously-seen configurations are served from
@@ -204,7 +205,7 @@ class SweepExecutor:
             # submission order — identical whatever the worker count
             # and whether results came from caches or fresh runs.
             for result in results:
-                observation.record_result(result)
+                observation.record_run(result)
         return results
 
     def __repr__(self) -> str:
@@ -249,7 +250,7 @@ def sweep(
         executor.close()
 
 
-def evaluate(jobs: t.Iterable[SimJob]) -> list[SimResult]:
+def evaluate(jobs: t.Iterable[SimJob]) -> list[RunObs]:
     """Evaluate jobs through the active :func:`sweep` executor.
 
     Outside any ``sweep`` block the batch runs inline in this process

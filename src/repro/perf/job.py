@@ -12,10 +12,13 @@ the keyword configuration — so it can be
 * replayed deterministically (the simulator is a pure function of the
   job; see :mod:`repro.perf.executor` for the bit-identity guarantee).
 
-Results come back as small :class:`SimResult` records rather than the
-full :class:`~repro.collectives.CollectiveOutcome` — outcomes drag the
-whole runtime (virtual machine, processes, barriers) along and are
-deliberately not picklable across the pool boundary.
+Results come back as compact :class:`~repro.obs.accounting.RunObs`
+records rather than the full :class:`~repro.collectives.CollectiveOutcome`
+— outcomes drag the whole runtime (virtual machine, processes, barriers)
+along and are deliberately not picklable across the pool boundary.  The
+record carries what the experiments read (makespan, prediction,
+superstep count) and what metrics and ledgers are rebuilt from, so it
+is also what the memo, the pool and the disk cache hold.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "COLLECTIVE_OPS",
     "APP_OPS",
     "SimJob",
-    "SimResult",
     "content_tokens",
 ]
 
@@ -161,26 +163,6 @@ def content_tokens(value: t.Any, out: list[bytes]) -> None:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class SimResult:
-    """The picklable outcome of one :class:`SimJob`.
-
-    Carries exactly what the experiment layer consumes: the simulated
-    makespan, the analytic prediction (``None`` for applications that
-    don't provide one) and the superstep count — plus the compact
-    :class:`~repro.obs.accounting.RunObs` observability record, which
-    rides along (it is plain data, not part of the content hash) so
-    metrics and superstep ledgers survive worker pools and the
-    persistent disk cache.
-    """
-
-    name: str
-    time: float
-    predicted_time: float | None
-    supersteps: int
-    obs: RunObs | None = None
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class SimJob:
     """One independent simulation: ``run_<op>(topology, n, **kwargs)``.
@@ -221,18 +203,10 @@ class SimJob:
         content_tokens(self.kwargs, out)
         return hashlib.sha256(b"".join(out)).hexdigest()
 
-    def run(self) -> SimResult:
-        """Execute the simulation and distil the picklable result."""
+    def run(self) -> RunObs:
+        """Execute the simulation and distil the picklable record."""
         runner = _resolve_runner(self.op)
-        outcome = runner(self.topology, self.n, **dict(self.kwargs))
-        predicted = outcome.predicted_time
-        return SimResult(
-            name=outcome.name,
-            time=float(outcome.time),
-            predicted_time=None if predicted is None else float(predicted),
-            supersteps=int(outcome.supersteps),
-            obs=collect_run_obs(outcome),
-        )
+        return collect_run_obs(runner(self.topology, self.n, **dict(self.kwargs)))
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{key}={value!r}" for key, value in self.kwargs)

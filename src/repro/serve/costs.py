@@ -18,9 +18,10 @@ in-config traffic) falls back to a single inline evaluation.
 
 With ``policy.schedule == "tuned"`` the gather/broadcast stages
 resolve a :class:`~repro.tuning.plan.SchedulePlan` per
-``(op, topology-slice, n)`` through :mod:`repro.tuning`'s persistent
-:class:`~repro.tuning.cache.DecisionCache` — cold tunes once per
-distinct shape, then O(1) lookups.
+``(op, topology-slice, n)`` through :func:`repro.tuning.tune` — cold
+tunes once per distinct shape, then O(1) lookups in the store ``tune``
+picks (the active sweep's disk tier, so ``repro serve --cache-dir``
+keeps its decisions there).
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ from repro.perf.job import APP_OPS, SimJob
 from repro.serve.config import ServiceConfig
 from repro.serve.placement import Slice
 
-if t.TYPE_CHECKING:
-    from repro.tuning.cache import DecisionCache
-
 __all__ = ["StageCostModel"]
 
 #: (kind index, stage index, slice index, batch size)
@@ -44,16 +42,9 @@ StageKey = tuple[int, int, int, int]
 class StageCostModel:
     """Maps ``(kind, stage, slice, batch)`` to a simulated makespan."""
 
-    def __init__(
-        self,
-        config: ServiceConfig,
-        slices: t.Sequence[Slice],
-        *,
-        decision_cache: "DecisionCache | None" = None,
-    ) -> None:
+    def __init__(self, config: ServiceConfig, slices: t.Sequence[Slice]) -> None:
         self.config = config
         self.slices = tuple(slices)
-        self._decision_cache = decision_cache
         self._plans: dict[tuple[str, int, int], t.Any] = {}
         self._costs: dict[StageKey, float] = {}
         self._prewarmed = False
@@ -65,10 +56,7 @@ class StageCostModel:
         if key not in self._plans:
             from repro.tuning.tuner import tuned_plan
 
-            self._plans[key] = tuned_plan(
-                self.slices[slice_index].topology, op, n,
-                cache=self._decision_cache,
-            )
+            self._plans[key] = tuned_plan(self.slices[slice_index].topology, op, n)
         return self._plans[key]
 
     def job(self, key: StageKey) -> SimJob:

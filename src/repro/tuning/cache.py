@@ -13,8 +13,9 @@ Storage rides on :class:`repro.perf.DiskCache`, inheriting its
 guarantees: atomic writes, any unreadable entry is a miss, and entries
 live under a ``v{schema}-{package-version}`` directory so a version
 bump orphans stale decisions wholesale (the simulator whose timings
-justified them may have changed).  A per-process in-memory memo sits
-in front of the disk for the hot path.
+justified them may have changed).  Which root :func:`repro.tuning.tune`
+keeps a decision in when given no cache is its one rule: the active
+sweep's disk tier, else :func:`~repro.perf.default_cache_dir`.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-from pathlib import Path
 
 from repro.errors import CollectiveError
-from repro.perf.diskcache import CacheStats, DiskCache
+from repro.perf.diskcache import DiskCache
 from repro.tuning.plan import SchedulePlan
 from repro.util.codec import Spec
 
@@ -33,23 +33,7 @@ __all__ = [
     "DecisionCache",
     "TunedDecision",
     "decision_key",
-    "default_decision_dir",
 ]
-
-
-def default_decision_dir() -> Path:
-    """Where tuning decisions persist.
-
-    ``$REPRO_CACHE_DIR/decisions`` if the override is set (so tests
-    and sandboxes redirect every repro cache with one variable); else
-    ``$XDG_CACHE_HOME/repro/decisions``; else ``~/.cache/repro/decisions``.
-    """
-    override = os.environ.get("REPRO_CACHE_DIR")
-    if override:
-        return Path(override) / "decisions"
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro" / "decisions"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,62 +88,33 @@ def decision_key(op: str, topology_hash: str, n: int, root: int) -> str:
 
 
 class DecisionCache:
-    """Two-tier (memory, disk) store of :class:`TunedDecision`\\ s."""
+    """:class:`TunedDecision` entries in a :class:`~repro.perf.DiskCache` root.
+
+    Hides the decision key and the record's codec; the store itself
+    (stats, pruning, clearing) is the :class:`~repro.perf.DiskCache`
+    over the same root.
+    """
 
     def __init__(
-        self,
-        root: str | os.PathLike[str] | None = None,
-        *,
-        version: str | None = None,
+        self, root: str | os.PathLike[str], *, version: str | None = None
     ) -> None:
-        self.disk = DiskCache(
-            default_decision_dir() if root is None else root, version=version
-        )
-        self._memo: dict[str, TunedDecision] = {}
+        self.disk = DiskCache(root, version=version)
 
     def get(
         self, op: str, topology_hash: str, n: int, root: int
     ) -> TunedDecision | None:
-        """The memoized decision, or ``None`` on any miss/failure."""
-        key = decision_key(op, topology_hash, n, root)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        data = self.disk.get_json(key)
+        """The stored decision, or ``None`` on any miss/failure."""
+        data = self.disk.get_json(decision_key(op, topology_hash, n, root))
         if data is None:
             return None
         try:
-            decision = TunedDecision.from_dict(data)
+            return TunedDecision.from_dict(data)
         except CollectiveError:  # a malformed record is a miss
             return None
-        self._memo[key] = decision
-        return decision
 
     def put(self, decision: TunedDecision) -> None:
-        """Memoize a decision in memory and (best-effort) on disk."""
+        """Persist a decision (best-effort, like every disk-cache write)."""
         key = decision_key(
             decision.op, decision.topology_hash, decision.n, decision.root
         )
-        self._memo[key] = decision
         self.disk.put_json(key, decision.to_dict())
-
-    def stats(self) -> CacheStats:
-        return self.disk.stats()
-
-    def prune(self, max_bytes: int = 0) -> tuple[int, int]:
-        self._memo.clear()
-        return self.disk.prune(max_bytes)
-
-    def clear(self) -> None:
-        """Drop every decision, all versions, memory included."""
-        self._memo.clear()
-        self.disk.wipe()
-
-    def __len__(self) -> int:
-        return len(self.disk)
-
-    def __repr__(self) -> str:
-        return (
-            f"DecisionCache({str(self.disk.root)!r}, entries={len(self)}, "
-            f"memo={len(self._memo)})"
-        )

@@ -21,8 +21,11 @@ Cold path (:func:`tune` on an unseen ``(op, machine, n)``):
    and pool like any grid point, so a warm sweep simulates nothing;
    outside one it runs inline and nothing outlives the call.
 4. **Pick** the plan with the lowest *simulated* makespan (analytic
-   rank breaks ties), and **memoize** the decision in the persistent
-   :class:`~repro.tuning.cache.DecisionCache`.
+   rank breaks ties), and **memoize** the decision as a
+   :class:`~repro.tuning.cache.DecisionCache` entry: inside a
+   :func:`~repro.perf.sweep`, of the sweep's disk tier, beside the
+   validations it was picked on (none under ``--no-cache``); outside
+   one, of :func:`~repro.perf.default_cache_dir`.
 
 Because the default plan is always in the validated shortlist and the
 winner is chosen on simulated time, a tuned run can never be slower
@@ -51,7 +54,8 @@ from repro.errors import CollectiveError
 from repro.model.params import calibrate
 from repro.model.planner import rank_plans
 from repro.obs.observe import _unobserved
-from repro.perf.executor import evaluate
+from repro.perf.diskcache import default_cache_dir
+from repro.perf.executor import current_executor, evaluate
 from repro.perf.job import SimJob
 from repro.tuning.cache import DecisionCache, TunedDecision
 from repro.tuning.plan import SchedulePlan, default_plan
@@ -63,14 +67,20 @@ __all__ = ["DEFAULT_SHORTLIST", "TunedDecision", "tune", "tuned_plan"]
 #: plan is appended when it is not already among them).
 DEFAULT_SHORTLIST = 4
 
-_process_cache: DecisionCache | None = None
 
+def _decision_store() -> DecisionCache | None:
+    """Where :func:`tune` keeps decisions when given no cache.
 
-def _default_cache() -> DecisionCache:
-    global _process_cache
-    if _process_cache is None:
-        _process_cache = DecisionCache()
-    return _process_cache
+    Inside a :func:`~repro.perf.sweep`, the sweep's disk tier — so a
+    decision lives beside the validations it was picked on, and a sweep
+    with no disk tier persists nothing; outside any sweep,
+    :func:`~repro.perf.default_cache_dir`.
+    """
+    executor = current_executor()
+    if executor is None:
+        return DecisionCache(default_cache_dir())
+    disk = executor.disk
+    return None if disk is None else DecisionCache(disk.root, version=disk.version)
 
 
 def _resolve_root_fast(
@@ -130,9 +140,10 @@ def tune(
 ) -> TunedDecision:
     """Pick (or recall) the best schedule for ``op`` on this machine.
 
-    ``cache=None`` uses the process-wide persistent cache under
-    :func:`~repro.tuning.cache.default_decision_dir`; ``force=True``
-    re-tunes even on a cache hit (and overwrites the stored decision).
+    ``cache=None`` keeps the decision in the active sweep's disk tier
+    (nowhere, if the sweep has none) or, outside any sweep, under
+    :func:`~repro.perf.default_cache_dir`; ``force=True`` re-tunes even
+    on a cache hit (and overwrites the stored decision).
     The decision key is ``(op, topology-hash, n, root)`` with the root
     resolved to a concrete pid first, so policy spellings of the same
     pid share one entry.  The space searched is fixed
@@ -145,10 +156,10 @@ def tune(
     if n < 0:
         raise CollectiveError(f"n must be >= 0, got {n}")
     if cache is None:
-        cache = _default_cache()
+        cache = _decision_store()
     root_pid = _resolve_root_fast(topology, root)
     topo_hash = topology_hash(topology)
-    if not force:
+    if not force and cache is not None:
         hit = cache.get(op, topo_hash, n, root_pid)
         if hit is not None:
             return hit
@@ -189,7 +200,8 @@ def tune(
         candidates=len(plans),
         validated=len(ranked),
     )
-    cache.put(decision)
+    if cache is not None:
+        cache.put(decision)
     return decision
 
 

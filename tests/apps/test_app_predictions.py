@@ -1,7 +1,5 @@
 """Tests for the application-level cost predictions."""
 
-import pytest
-
 from repro.apps import run_histogram, run_matvec
 from repro.collectives import WorkloadPolicy
 

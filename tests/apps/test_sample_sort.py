@@ -1,7 +1,6 @@
 """Tests for the parallel sample sort application."""
 
 import numpy as np
-import pytest
 
 from repro.apps import run_sample_sort
 from repro.collectives import RootPolicy, WorkloadPolicy

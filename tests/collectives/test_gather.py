@@ -3,7 +3,6 @@
 import collections
 
 import numpy as np
-import pytest
 
 from repro.collectives import RootPolicy, WorkloadPolicy, run_gather
 from repro.collectives.base import make_items

@@ -1,7 +1,6 @@
 """Tests for the HBSP^k reduction."""
 
 import numpy as np
-import pytest
 
 from repro.collectives import RootPolicy, run_gather, run_reduce
 from repro.collectives.base import make_items

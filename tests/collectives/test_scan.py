@@ -1,7 +1,6 @@
 """Tests for the prefix-sum scan."""
 
 import numpy as np
-import pytest
 
 from repro.collectives import run_scan
 from repro.collectives.base import make_items

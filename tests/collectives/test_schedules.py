@@ -66,13 +66,12 @@ class TestSplitCounts:
 class TestResolvePlan:
     @pytest.fixture
     def tuning_cache(self, tmp_path, monkeypatch):
-        """Point the process-wide decision cache at a throwaway dir."""
+        """Point the default cache root, where decisions made outside a
+        sweep persist, at a throwaway dir."""
         from repro.tuning.cache import DecisionCache
-        import repro.tuning.tuner as tuner
 
-        cache = DecisionCache(tmp_path)
-        monkeypatch.setattr(tuner, "_process_cache", cache)
-        return cache
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        return DecisionCache(tmp_path)
 
     def test_default_spellings_return_none(self, testbed_small):
         for spelling in (None, SchedulePolicy.DEFAULT, "default"):
@@ -94,7 +93,7 @@ class TestResolvePlan:
         )
         decision = tune(testbed_small, "gather", 2000, cache=tuning_cache)
         assert plan == decision.plan
-        assert len(tuning_cache) == 1  # resolve_plan populated it; tune hit
+        assert len(tuning_cache.disk) == 1  # resolve_plan populated it; tune hit
 
     def test_tuned_accepts_the_string_spelling(self, testbed_small, tuning_cache):
         plan = resolve_plan(testbed_small, "broadcast", 2000, "tuned")

@@ -4,8 +4,6 @@ The full-sweep shape assertions live in tests/integration/test_shapes.py;
 here we validate the harness mechanics on small sweeps.
 """
 
-import pytest
-
 from repro.experiments import (
     fig3a_gather_root,
     fig3b_gather_balance,

@@ -14,7 +14,6 @@ from repro.experiments import discovery, run_experiment
 from repro.experiments.dynamics import dynamics_curves
 from repro.experiments.serving import serving_config, serving_curves
 from repro.perf import cached_point, default_cache_dir, sweep
-from repro.tuning.cache import default_decision_dir
 
 
 def _count_calls(monkeypatch, module, names, calls):
@@ -143,5 +142,5 @@ def test_without_a_disk_tier_nothing_is_written(tmp_path, monkeypatch):
     with sweep():
         for experiment_id in ("tuning", "discovery", "serve", "dynamics"):
             run_experiment(experiment_id)
-    for root in (default_cache_dir(), default_decision_dir()):
-        assert not root.exists() or not any(p.is_file() for p in root.rglob("*"))
+    root = default_cache_dir()
+    assert not root.exists() or not any(p.is_file() for p in root.rglob("*"))

@@ -4,7 +4,6 @@ import re
 
 import pytest
 
-from repro.bytemark import simulate_scores
 from repro.errors import DeadlockError, HbspError
 from repro.faults import DeliveryPolicy, FaultPlan, Injector
 from repro.hbsplib import HbspRuntime

@@ -178,11 +178,8 @@ class TestTopologyCommands:
 class TestTuningCommands:
     @pytest.fixture(autouse=True)
     def isolated_cache(self, tmp_path, monkeypatch):
-        """Point every persistent cache at a throwaway directory."""
-        import repro.tuning.tuner as tuner
-
+        """Point the persistent cache at a throwaway directory."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(tuner, "_process_cache", None)
         return tmp_path
 
     def test_tune_prints_the_decision(self, capsys):
@@ -194,9 +191,8 @@ class TestTuningCommands:
 
     def test_cache_covers_the_experiments_entries(self, isolated_cache, capsys, monkeypatch):
         """``repro experiment`` keeps the tuning experiment's decisions
-        and the discovery scores in the sweeps tier: ``cache`` counts,
-        orphans and clears them with it, and the decisions tier stays
-        empty."""
+        and the discovery scores in its one store: ``cache`` counts,
+        orphans and clears them with the simulation results."""
         import repro.perf.diskcache as diskcache
 
         assert main(["experiment", "tuning", "discovery"]) == 0
@@ -205,14 +201,15 @@ class TestTuningCommands:
         records = [json.loads(path.read_text()) for path in current.glob("*/*.json")]
         assert sum("plan" in record for record in records) == 12  # 4 families x 3 sizes
         assert sum("score" in record for record in records) == 24  # 4 families x 6 noises
+        assert list(isolated_cache.iterdir()) == [current]
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
-        assert f"(sweeps {len(records)}, decisions 0)" in out
+        assert f"current ({current.name}): {len(records)} entries" in out
 
         monkeypatch.setattr(diskcache, "CACHE_SCHEMA_VERSION", diskcache.CACHE_SCHEMA_VERSION + 1)
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
-        assert "(sweeps 0, decisions 0)" in out
+        assert ": 0 entries" in out
         assert f"in {current.name}" in out  # orphaned, not lost
         assert main(["cache", "clear"]) == 0
         capsys.readouterr()
@@ -275,54 +272,111 @@ class TestTuningCommands:
         with pytest.raises(SystemExit):
             main(["experiment", "table1", "--schedule", "tuned"])
 
-    def test_cache_stats_prune_clear(self, tmp_path, capsys):
+    def _records(self, root) -> list[dict]:
+        return [json.loads(path.read_text()) for path in root.rglob("*.json")]
+
+    def test_cache_stats_prune_clear(self, isolated_cache, capsys):
         assert main(["tune", "gather", "testbed:4", "--n", "2000"]) == 0
         capsys.readouterr()
+        # Outside a sweep the validations persist nothing: the one entry
+        # is the decision.
+        assert ["plan" in record for record in self._records(isolated_cache)] == [True]
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
-        assert "sweeps cache at" in out
-        assert "decisions cache at" in out
-        assert "1 entries" in out
+        assert f"cache at {isolated_cache}" in out
+        assert ": 1 entries" in out
         assert main(["cache", "prune"]) == 0
         out = capsys.readouterr().out
-        assert "decisions: removed 1 item(s)" in out
+        assert "removed 1 item(s)" in out
         assert main(["cache", "stats"]) == 0
-        assert "0 entries" in capsys.readouterr().out
-        # --force re-tunes (the first decision is still memoized in
-        # this process) and re-persists the decision to disk
+        assert ": 0 entries" in capsys.readouterr().out
+        # --force re-tunes and re-persists the decision to disk
         assert main(
             ["tune", "gather", "testbed:4", "--n", "2000", "--force"]
         ) == 0
         capsys.readouterr()
         assert main(["cache", "clear"]) == 0
         out = capsys.readouterr().out
-        assert "decisions: cleared (1 entries)" in out
+        assert "cleared (1 entries)" in out
+        assert self._records(isolated_cache) == []
 
     def test_cache_prune_honours_max_bytes(self, capsys):
         assert main(["tune", "gather", "testbed:4", "--n", "2000"]) == 0
         capsys.readouterr()
         assert main(["cache", "prune", "--max-bytes", "1000000"]) == 0
         out = capsys.readouterr().out
-        assert "decisions: removed 0 item(s)" in out
+        assert "removed 0 item(s)" in out
 
-    def test_cache_stats_breaks_down_tiers(self, capsys):
-        """stats counts the decisions tier apart from sweeps, plus a total."""
-        assert main(["tune", "gather", "testbed:4", "--n", "2000"]) == 0
+    def test_cache_stats_breaks_down_tiers(self, isolated_cache, capsys):
+        """stats counts simulation results and decisions as one store:
+        a tuned experiment's 90 decisions sit beside its runs."""
+        assert main(["experiment", "fig3a", "--schedule", "tuned"]) == 0
         capsys.readouterr()
+        records = self._records(isolated_cache)
+        decisions = sum("plan" in record for record in records)
+        runs = sum("marks" in record for record in records)
+        assert decisions == 90 and runs > 0
+        assert decisions + runs == len(records)
         assert main(["cache", "stats"]) == 0
-        out = capsys.readouterr().out
-        # The tune above stored exactly one decision and no sweep results.
-        assert "(sweeps 0, decisions 1)" in out
-        assert "total: 1 entries" in out
+        assert f": {len(records)} entries" in capsys.readouterr().out
 
-    def test_cache_prune_prints_total(self, capsys):
+    def test_cache_prune_prints_total(self, isolated_cache, capsys):
+        from repro.util.units import format_bytes
+
         assert main(["tune", "gather", "testbed:4", "--n", "2000"]) == 0
         capsys.readouterr()
+        (entry,) = isolated_cache.rglob("*.json")
+        size = entry.stat().st_size
         assert main(["cache", "prune"]) == 0
         out = capsys.readouterr().out
-        assert "sweeps: removed 0 item(s)" in out
-        assert "decisions: removed 1 item(s)" in out
-        assert "total: removed 1 item(s)" in out
+        assert f"removed 1 item(s), freed {format_bytes(size)}" in out
+
+
+class TestDecisionsFollowTheCacheFlags:
+    """A tuning decision is kept in the store its command was given:
+    ``--cache-dir`` holds it, ``--no-cache`` keeps it nowhere, and the
+    default root (``$REPRO_CACHE_DIR``) is never written behind them."""
+
+    @pytest.fixture(autouse=True)
+    def home(self, tmp_path, monkeypatch):
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(home))
+        return home
+
+    @staticmethod
+    def _files(root) -> list:
+        return [path for path in root.rglob("*") if path.is_file()]
+
+    def test_no_cache_persists_no_decision(self, home, capsys):
+        assert main(["experiment", "fig3a", "--schedule", "tuned", "--no-cache"]) == 0
+        assert self._files(home) == []
+
+    def test_cache_dir_holds_every_decision(self, home, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main([
+            "experiment", "fig3a", "--schedule", "tuned", "--cache-dir", str(store),
+        ]) == 0
+        assert self._files(home) == []
+        records = [json.loads(path.read_text()) for path in self._files(store)]
+        assert sum("plan" in record for record in records) == 90
+
+    def test_serve_cache_dir_holds_its_decisions(self, home, tmp_path, capsys):
+        import dataclasses
+
+        from repro.serve import default_config
+
+        config = default_config(duration=2.0)
+        config = dataclasses.replace(
+            config, policy=dataclasses.replace(config.policy, schedule="tuned")
+        )
+        path = tmp_path / "service.json"
+        path.write_text(config.to_json())
+        store = tmp_path / "store"
+        assert main(["serve", "--config", str(path), "--cache-dir", str(store)]) == 0
+        assert self._files(home) == []
+        records = [json.loads(entry.read_text()) for entry in self._files(store)]
+        assert any("plan" in record for record in records)
 
 
 class TestServeCommand:

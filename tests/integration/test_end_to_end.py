@@ -9,7 +9,6 @@ from repro import (
     HbspRuntime,
     MachineSpec,
     NetworkSpec,
-    RootPolicy,
     WorkloadPolicy,
     calibrate,
     run_broadcast,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import flat_cluster, smp_sgi_lan, ucf_testbed
+from repro.cluster import flat_cluster, ucf_testbed
 from repro.collectives import run_broadcast
 from repro.errors import ModelError
 from repro.model import best_broadcast_phases, best_root, calibrate, hierarchy_penalty

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro.cluster import flat_cluster, multi_lan, smp_sgi_lan, ucf_testbed
+from repro.cluster import flat_cluster, ucf_testbed
 from repro.cluster.presets import deep_hierarchy
 from repro.errors import CollectiveError, ModelError, ReproError, ValidationError
 from repro.model import calibrate, h_relation

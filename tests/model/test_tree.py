@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.cluster import Cluster, ClusterTopology, MachineSpec
-from repro.cluster.presets import CAMPUS_ATM, ETHERNET_100
 from repro.errors import ModelError
 from repro.model import HBSPTree
 

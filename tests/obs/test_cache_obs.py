@@ -1,7 +1,7 @@
 """Warm-cache observability: cached results still feed metrics/ledgers.
 
-The disk cache stores the compact RunObs record alongside each result
-(schema v2), so a fully-warm sweep must export byte-identical metrics
+The disk cache stores each result as its compact RunObs record (schema
+v6; v2 to v5 wrapped it), so a fully-warm sweep must export byte-identical metrics
 and summaries to the cold run that populated it — satisfying the same
 identity contract the rendered reports already honour.
 """
@@ -54,15 +54,15 @@ class TestWarmCacheObservability:
         executor.evaluate(_batch()[:1])
         (entry,) = list(DiskCache(tmp_path).dir.glob("*/*.json"))
         data = json.loads(entry.read_text())
-        assert data["obs"] is not None
-        assert data["obs"]["machines"]
-        assert data["obs"]["marks"]
+        assert "obs" not in data  # the entry is the record, not a wrapper
+        assert data["machines"]
+        assert data["marks"]
 
     def test_v1_entries_without_obs_miss_cleanly(self, tmp_path):
         cache = DiskCache(tmp_path)
         key = "ab" + "0" * 62
         # A pre-obs (schema v1) payload in the current version dir: the
-        # missing "obs" key must read as a miss, never as a crash.
+        # missing record keys must read as a miss, never as a crash.
         cache._path(key).parent.mkdir(parents=True)
         cache._path(key).write_text(json.dumps({
             "name": "gather", "time": 1.0,

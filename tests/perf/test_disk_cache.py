@@ -16,11 +16,11 @@ import pytest
 from repro.cluster.presets import ucf_testbed
 from repro.collectives import RootPolicy
 from repro.experiments.fig3_gather import fig3a_gather_root
+from repro.obs import RunObs
 from repro.perf import (
     CACHE_SCHEMA_VERSION,
     DiskCache,
     SimJob,
-    SimResult,
     SweepExecutor,
     default_cache_dir,
     effective_jobs,
@@ -34,26 +34,41 @@ def _gather_job(seed: int = 0, n: int = 500, p: int = 3) -> SimJob:
     )
 
 
-def _result(name: str = "gather") -> SimResult:
-    return SimResult(name=name, time=1.25, predicted_time=1.5, supersteps=3)
+def _result(
+    name: str = "gather",
+    time: float = 1.25,
+    predicted_time: float | None = 1.5,
+    supersteps: int = 3,
+) -> RunObs:
+    return RunObs(
+        name=name,
+        machines=("a", "b"),
+        r=(1.0, 2.0 / 3.0),
+        marks=(((0.1, 0.2, 1, 2, 3, 4),), ((0.3, 1e-9 / 7.0, 5, 6, 7, 8),)),
+        predicted=None if predicted_time is None else (("step", 1, 0.5, 0.25, 1e-3),),
+        counters=(("repro_messages_sent_total", (("machine", "a"),), 4.0),),
+        time=time,
+        predicted_time=predicted_time,
+        supersteps=supersteps,
+    )
 
 
 class TestDiskCache:
     def test_round_trip_is_exact(self, tmp_path):
         cache = DiskCache(tmp_path)
-        stored = SimResult(
-            name="gather", time=0.1 + 0.2, predicted_time=1e-9 / 3.0, supersteps=7
-        )
+        stored = _result(time=0.1 + 0.2, predicted_time=1e-9 / 3.0, supersteps=7)
         cache.put("ab" + "0" * 62, stored)
         restored = cache.get("ab" + "0" * 62)
         assert restored == stored  # same doubles, not approximately
+        # The entry is the record itself, nothing wrapped around it.
+        assert cache.get_json("ab" + "0" * 62) == json.loads(json.dumps(stored.to_jsonable()))
 
     def test_absent_key_misses(self, tmp_path):
         assert DiskCache(tmp_path).get("ff" + "0" * 62) is None
 
     def test_none_predicted_time_round_trips(self, tmp_path):
         cache = DiskCache(tmp_path)
-        stored = SimResult(name="app", time=2.0, predicted_time=None, supersteps=1)
+        stored = _result(name="app", time=2.0, predicted_time=None, supersteps=1)
         cache.put("cd" + "0" * 62, stored)
         assert cache.get("cd" + "0" * 62) == stored
 
@@ -202,32 +217,32 @@ class TestStatsAndPrune:
         assert paths[1].exists() and paths[2].exists()
 
     def test_prune_never_touches_non_version_dirs(self, tmp_path):
-        """A nested decision-cache root under the sweep root survives."""
+        """Unrelated data under the cache root survives."""
         cache = DiskCache(tmp_path)
         self._fill(cache, 1)
-        nested = tmp_path / "decisions" / "v2-0.2.0" / "ab"
+        nested = tmp_path / "notes" / "v2-0.2.0" / "ab"
         nested.mkdir(parents=True)
         (nested.parent.parent / "note.txt").write_text("keep me")
         removed, _ = cache.prune(0)
         assert removed == 1
         assert nested.is_dir()
-        assert (tmp_path / "decisions" / "note.txt").read_text() == "keep me"
+        assert (tmp_path / "notes" / "note.txt").read_text() == "keep me"
 
     def test_wipe_never_touches_non_version_dirs(self, tmp_path):
-        """wipe() drops every version dir but spares nested caches."""
+        """wipe() drops every version dir but spares unrelated data."""
         cache = DiskCache(tmp_path)
         self._fill(cache, 2)
         stale = tmp_path / "v1-0.1.0"
         stale.mkdir()
         (stale / "old.json").write_text("{}")
-        nested = tmp_path / "decisions" / "v2-0.2.0"
+        nested = tmp_path / "notes" / "v2-0.2.0"
         nested.mkdir(parents=True)
-        (tmp_path / "decisions" / "note.txt").write_text("keep me")
+        (tmp_path / "notes" / "note.txt").write_text("keep me")
         cache.wipe()
         assert len(cache) == 0
         assert not stale.exists()
         assert nested.is_dir()
-        assert (tmp_path / "decisions" / "note.txt").read_text() == "keep me"
+        assert (tmp_path / "notes" / "note.txt").read_text() == "keep me"
 
     def test_prune_rejects_negative_budget(self, tmp_path):
         with pytest.raises(ValueError, match="max_bytes"):

@@ -1,6 +1,6 @@
 """Property tests: cost-model algebra."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.model import CostLedger, h_relation, superstep_cost

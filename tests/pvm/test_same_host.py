@@ -1,7 +1,6 @@
 """Tests for same-host inter-task messaging (the daemon loopback path)."""
 
 import numpy as np
-import pytest
 
 from repro.cluster import ucf_testbed
 from repro.obs import observe

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Engine
-from repro.sim.process import Process, ProcessKilled
+from repro.sim.process import Process
 
 
 @pytest.fixture

@@ -5,12 +5,8 @@ import json
 import pytest
 
 from repro.errors import CollectiveError
-from repro.tuning.cache import (
-    DecisionCache,
-    TunedDecision,
-    decision_key,
-    default_decision_dir,
-)
+from repro.perf import DiskCache
+from repro.tuning.cache import DecisionCache, TunedDecision, decision_key
 from repro.tuning.plan import LevelSchedule, SchedulePlan
 
 
@@ -78,7 +74,7 @@ class TestDecisionCache:
         decision = _decision()
         assert cache.get("broadcast", decision.topology_hash, 4000, 0) is None
         cache.put(decision)
-        assert len(cache) == 1
+        assert len(cache.disk) == 1
         assert cache.get("broadcast", decision.topology_hash, 4000, 0) == decision
 
     def test_survives_process_restart(self, tmp_path):
@@ -93,11 +89,12 @@ class TestDecisionCache:
         DecisionCache(tmp_path, version="v2-1.0").put(_decision())
         bumped = DecisionCache(tmp_path, version="v2-2.0")
         assert bumped.get("broadcast", "ab" * 32, 4000, 0) is None
-        assert len(bumped) == 0
-        # the old entries are stale bytes prune() reclaims
-        stats = bumped.stats()
+        assert len(bumped.disk) == 0
+        # the old entries are stale bytes the store's prune() reclaims
+        store = DiskCache(tmp_path, version="v2-2.0")
+        stats = store.stats()
         assert stats.stale_versions == ("v2-1.0",) and stats.stale_bytes > 0
-        bumped.prune()
+        store.prune()
         assert DecisionCache(tmp_path, version="v2-1.0").get(
             "broadcast", "ab" * 32, 4000, 0
         ) is None
@@ -119,30 +116,3 @@ class TestDecisionCache:
         assert DecisionCache(tmp_path).get(
             "broadcast", "ab" * 32, 4000, 0
         ) is None
-
-    def test_clear_drops_memory_and_disk(self, tmp_path):
-        cache = DecisionCache(tmp_path)
-        cache.put(_decision())
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get("broadcast", "ab" * 32, 4000, 0) is None
-
-    def test_prune_clears_the_memo_too(self, tmp_path):
-        cache = DecisionCache(tmp_path)
-        cache.put(_decision())
-        removed, freed = cache.prune(0)
-        assert removed == 1 and freed > 0
-        assert cache.get("broadcast", "ab" * 32, 4000, 0) is None
-
-    def test_repr_mentions_root_and_counts(self, tmp_path):
-        cache = DecisionCache(tmp_path)
-        cache.put(_decision())
-        text = repr(cache)
-        assert str(tmp_path) in text and "entries=1" in text
-
-    def test_default_dir_honours_cache_override(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert default_decision_dir() == tmp_path / "decisions"
-        monkeypatch.delenv("REPRO_CACHE_DIR")
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        assert default_decision_dir() == tmp_path / "xdg" / "repro" / "decisions"

@@ -154,7 +154,7 @@ class TestTune:
         mutated = two_lans(3, nic_slowdown=1.5)
         b = tune(mutated, "broadcast", 4000, cache=cache)
         assert a.topology_hash != b.topology_hash
-        assert len(cache) == 2
+        assert len(cache.disk) == 2
 
     def test_root_policy_and_pid_share_one_entry(self, topology, cache):
         by_policy = tune(
@@ -164,7 +164,7 @@ class TestTune:
             topology, "gather", 2000, root=by_policy.root, cache=cache
         )
         assert by_pid == by_policy
-        assert len(cache) == 1
+        assert len(cache.disk) == 1
 
     def test_input_validation(self, topology, cache):
         with pytest.raises(CollectiveError, match="op must be"):

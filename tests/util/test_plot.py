@@ -1,7 +1,5 @@
 """Tests for the ASCII line-plot renderer."""
 
-import pytest
-
 from repro.util import ascii_plot
 
 
