@@ -91,16 +91,21 @@ def jacobi_program(
         # because each Jacobi step only moves values by O(h²)).
         yield from ctx.compute(_OPS_PER_CELL * cells)
         padded = np.concatenate(([left_halo], u, [right_halo]))
-        local_residual = (
-            float(np.abs((padded[:-2] - 2 * u + padded[2:]) / (h * h) + 1.0).max())
-            if cells
-            else 0.0
-        )
         u = 0.5 * (padded[:-2] + padded[2:] + f_h2)
         iterations += 1
 
-        # Periodic global convergence check (reduce + broadcast).
+        # Periodic global convergence check (reduce + broadcast), on
+        # the residual of the pre-update values ``padded[1:-1]``.
         if iterations % check_every == 0 or iterations == max_iterations:
+            local_residual = (
+                float(
+                    np.abs(
+                        (padded[:-2] - 2 * padded[1:-1] + padded[2:]) / (h * h) + 1.0
+                    ).max()
+                )
+                if cells
+                else 0.0
+            )
             am_root = ctx.pid == root
             arrived = yield from exchange(
                 ctx, {} if am_root else {root: local_residual}, tag=_RESIDUAL

@@ -139,7 +139,7 @@ def sample_sort_program(
     lo = int(held[0]) if held.size else None
     hi = int(held[-1]) if held.size else None
     sorted_ok = bool(np.all(held[1:] >= held[:-1]))
-    checksum = int(held.astype(np.int64).sum()) if held.size else 0
+    checksum = int(held.sum(dtype=np.int64)) if held.size else 0
     return (int(held.size), lo, hi, sorted_ok, checksum)
 
 

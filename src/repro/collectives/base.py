@@ -242,7 +242,7 @@ def count_and_checksum(items: np.ndarray | None) -> tuple[int, int]:
     — ``(0, 0)`` for a process that ends up holding nothing."""
     if items is None or not items.size:
         return (0, 0)
-    return (int(items.size), int(items.astype(np.int64).sum()))
+    return (int(items.size), int(items.sum(dtype=np.int64)))
 
 
 def concat_payloads(arrays: t.Iterable[np.ndarray]) -> np.ndarray:

@@ -18,15 +18,24 @@ process at the peak rate: candidates arrive at
 ``lambda(t) / peak`` where ``lambda(t) = rate * (1 + amplitude *
 sin(2*pi*t / period))``.  Thinning draws exactly one acceptance coin
 per candidate, so the draw order — and hence the sequence — is fixed.
+
+Poisson gaps are drawn in blocks of :data:`_BLOCK` and accumulated by
+``np.cumsum``, which adds in the same order as a scalar ``now += gap``
+loop, so the times equal that loop's bit for bit.  Diurnal candidates
+stay one at a time: their gaps and acceptance coins interleave on one
+stream, and a ziggurat draw consumes a variable number of words, so a
+block of gaps would shift every coin after it.  Kinds come from their
+own stream in one block either way.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import typing as t
 
-from repro.serve.config import ServiceConfig
+import numpy as np
+
+from repro.serve.config import ArrivalSpec, ServiceConfig
 from repro.util.rng import RngStream
 
 __all__ = ["Arrival", "diurnal_rate", "generate_arrivals", "offered_rate"]
@@ -42,8 +51,7 @@ def diurnal_rate(
     return base * (1.0 + amplitude * math.sin(2.0 * math.pi * t_now / period))
 
 
-@dataclasses.dataclass(frozen=True)
-class Arrival:
+class Arrival(t.NamedTuple):
     """One request hitting the front door."""
 
     request_id: int
@@ -61,34 +69,59 @@ def offered_rate(config: ServiceConfig) -> float:
 def generate_arrivals(config: ServiceConfig) -> tuple[Arrival, ...]:
     """The session's full arrival sequence, sorted by time."""
     spec = config.arrival
-    times = RngStream(config.seed, "serve", "arrivals")
-    kinds = RngStream(config.seed, "serve", "kinds")
+    times = RngStream(config.seed, "serve", "arrivals").generator
+    kinds = RngStream(config.seed, "serve", "kinds").generator
     weights = [kind.weight for kind in config.workload]
-    total_weight = sum(weights)
-    cdf = []
-    running = 0.0
-    for weight in weights:
-        running += weight / total_weight
-        cdf.append(running)
+    cdf = np.cumsum([weight / sum(weights) for weight in weights])
     cdf[-1] = 1.0  # guard the float tail so every draw lands somewhere
 
-    peak = spec.rate * (1.0 + (spec.amplitude if spec.process == "diurnal" else 0.0))
-    out: list[Arrival] = []
+    if spec.process == "diurnal":
+        stamps = _thinned_times(times, spec, config.duration)
+    else:
+        stamps = _poisson_times(times, spec.rate, config.duration)
+    # The first kind whose cumulative bound exceeds the draw.
+    drawn = np.searchsorted(cdf, kinds.random(len(stamps)), side="right")
+    return tuple(map(Arrival._make, zip(range(len(stamps)), stamps, drawn.tolist())))
+
+
+#: Exponential gaps drawn per block by the poisson process.
+_BLOCK = 4096
+
+
+def _poisson_times(
+    generator: np.random.Generator, rate: float, duration: float
+) -> list[float]:
+    """Arrival times at ``rate`` below ``duration``, drawn in blocks."""
+    blocks = []
     now = 0.0
     while True:
-        now += times.exponential(1.0 / peak)
-        if now >= config.duration:
-            break
-        if spec.process == "diurnal":
-            lam = diurnal_rate(
-                now, base=spec.rate, amplitude=spec.amplitude, period=spec.period
-            )
-            if times.uniform() >= lam / peak:
-                continue
-        draw = kinds.uniform()
-        kind = next(i for i, bound in enumerate(cdf) if draw < bound)
-        out.append(Arrival(request_id=len(out), time=now, kind=kind))
-    return tuple(out)
+        gaps = generator.exponential(1.0 / rate, _BLOCK)
+        gaps[0] += now
+        stamps = np.cumsum(gaps)
+        end = int(np.searchsorted(stamps, duration, side="left"))
+        if end < _BLOCK:
+            blocks.append(stamps[:end])
+            return np.concatenate(blocks).tolist()
+        blocks.append(stamps)
+        now = float(stamps[-1])
+
+
+def _thinned_times(
+    generator: np.random.Generator, spec: ArrivalSpec, duration: float
+) -> list[float]:
+    """Diurnal arrival times below ``duration``: thinned peak-rate candidates."""
+    peak = spec.rate * (1.0 + spec.amplitude)
+    out: list[float] = []
+    now = 0.0
+    while True:
+        now += generator.exponential(1.0 / peak)
+        if now >= duration:
+            return out
+        lam = diurnal_rate(
+            now, base=spec.rate, amplitude=spec.amplitude, period=spec.period
+        )
+        if generator.random() < lam / peak:
+            out.append(now)
 
 
 def kind_counts(

@@ -47,6 +47,8 @@ class StageCostModel:
         self.slices = tuple(slices)
         self._plans: dict[tuple[str, int, int], t.Any] = {}
         self._costs: dict[StageKey, float] = {}
+        #: (kind index, batch size) -> batch cost on every slice
+        self._requests: dict[tuple[int, int], tuple[float, ...]] = {}
         self._prewarmed = False
 
     # -- job construction ----------------------------------------------------
@@ -96,8 +98,9 @@ class StageCostModel:
         Under an active :func:`repro.perf.sweep` executor the batch fans
         out across workers and every cache layer; results are
         bit-identical at any worker count, so the service loop they
-        feed is too.  Idempotent — a model shared across sessions (the
-        load-sweep experiments) pays for its universe once.
+        feed is too.  It then fills the :meth:`request_costs` table the
+        dispatcher reads.  Idempotent — a model shared across sessions
+        (the load-sweep experiments) pays for its universe once.
         """
         if self._prewarmed:
             return 0
@@ -106,6 +109,9 @@ class StageCostModel:
         results = evaluate(self.job(key) for key in keys)
         for key, result in zip(keys, results):
             self._costs[key] = result.time
+        for kind_index in range(len(self.config.workload)):
+            for batch in range(1, self.config.policy.max_batch + 1):
+                self.request_costs(kind_index, batch)
         return len(keys)
 
     def stage_cost(self, key: StageKey) -> float:
@@ -116,13 +122,20 @@ class StageCostModel:
             self._costs[key] = cost = result.time
         return cost
 
-    def request_cost(self, kind_index: int, slice_index: int, batch: int) -> float:
-        """Simulated seconds for a whole batch of one kind on one slice."""
-        kind = self.config.workload[kind_index]
-        return sum(
-            self.stage_cost((kind_index, stage_index, slice_index, batch))
-            for stage_index in range(len(kind.stages))
-        )
+    def request_costs(self, kind_index: int, batch: int) -> tuple[float, ...]:
+        """Simulated seconds for a whole batch of one kind, by slice index.
+
+        Each entry sums the kind's stage costs left to right; prewarm
+        fills the table for every in-config ``(kind, batch)``.
+        """
+        row = self._requests.get((kind_index, batch))
+        if row is None:
+            stages = range(len(self.config.workload[kind_index].stages))
+            row = self._requests[(kind_index, batch)] = tuple(
+                sum(self.stage_cost((kind_index, stage, j, batch)) for stage in stages)
+                for j in range(len(self.slices))
+            )
+        return row
 
     def __repr__(self) -> str:
         return (

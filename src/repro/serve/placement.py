@@ -31,6 +31,7 @@ __all__ = [
     "Slice",
     "carve_slices",
     "pick_slice",
+    "rank_slices",
     "restrict_topology",
     "slice_variants",
 ]
@@ -82,18 +83,32 @@ def _capacity(topology: ClusterTopology) -> float:
     return float(sum(machine.cpu_rate for machine in topology.machines))
 
 
+def rank_slices(
+    placeable: t.Iterable[tuple[int, int]],
+    costs: t.Sequence[float],
+    slices: t.Sequence[Slice],
+) -> list[tuple[int, int]]:
+    """``(index, variant)`` pairs, the one finishing a batch soonest first.
+
+    ``variant`` indexes ``costs`` and ``slices``; ``index`` is the base
+    slice it serves.  Ties (identical costs — e.g. homogeneous
+    subtrees) break toward the higher-capacity variant, then the lower
+    index, keeping the choice deterministic and capacity-proportional.
+    The order is total, so the first idle pair of a ranking is the pick
+    among the idle ones.
+    """
+    return sorted(
+        placeable, key=lambda pair: (costs[pair[1]], -slices[pair[1]].capacity, pair[0])
+    )
+
+
 def pick_slice(
     idle: t.Sequence[int], costs: t.Sequence[float], slices: t.Sequence[Slice]
 ) -> int:
-    """The idle slice finishing this batch soonest.
-
-    Ties (identical costs — e.g. homogeneous subtrees) break toward the
-    higher-capacity slice, then the lower index, keeping the choice
-    deterministic and capacity-proportional.
-    """
+    """The idle slice finishing this batch soonest (see :func:`rank_slices`)."""
     if not idle:
         raise ServeError("pick_slice needs at least one idle slice")
-    return min(idle, key=lambda j: (costs[j], -slices[j].capacity, j))
+    return rank_slices([(j, j) for j in idle], costs, slices)[0][0]
 
 
 def restrict_topology(

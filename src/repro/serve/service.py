@@ -57,7 +57,7 @@ from repro.obs.observe import current_observation
 from repro.serve.arrivals import Arrival, generate_arrivals, kind_counts, offered_rate
 from repro.serve.config import ServiceConfig
 from repro.serve.costs import StageCostModel
-from repro.serve.placement import Slice, carve_slices, pick_slice, slice_variants
+from repro.serve.placement import Slice, carve_slices, rank_slices, slice_variants
 from repro.serve.report import ServiceReport
 from repro.sim.engine import Engine
 from repro.util.lifetime import gc_paused
@@ -180,9 +180,17 @@ class ServeSession:
         # place and the next boundary is always ``starts[epoch + 1]``.
         self.starts = [e.start for e in epochs] + [math.inf]
         self.epoch = 0
-        self.live_rows = [
-            [live.get((j, e)) for j in range(n_base)] for e in range(len(epochs))
+        # Epochs that leave the same variants live share one row of
+        # ``live_rows``; ``row_of[epoch]`` is its index.
+        rows: dict[tuple[int | None, ...], int] = {}
+        self.row_of = [
+            rows.setdefault(tuple(live.get((j, e)) for j in range(n_base)), len(rows))
+            for e in range(len(epochs))
         ]
+        self.live_rows = list(rows)
+        #: (row, kind, batch size) -> live ``(slice, variant, cost)``
+        #: triples, best first (filled on first use)
+        self.rankings: dict[tuple[int, int, int], list[tuple[int, int, float]]] = {}
 
         self.engine = Engine()
         self.arrivals = generate_arrivals(config)
@@ -201,8 +209,10 @@ class ServeSession:
         self.degraded = 0
         self.degraded_shed = 0
         self.depth_max = 0
+        call_at = self.engine.call_at
+        admit = self._admit
         for arrival in self.arrivals:
-            self.engine.call_at(arrival.time, partial(self._admit, arrival))
+            call_at(arrival.time, partial(admit, arrival))
 
     def in_flight(self) -> int:
         """Requests dispatched to a slice and not yet completed or shed."""
@@ -310,6 +320,16 @@ class ServeSession:
             self.metrics.observe("repro_serve_queue_depth", float(depth))
         self._dispatch()
 
+    def _ranking(self, row: int, kind: int, size: int) -> list[tuple[int, int, float]]:
+        """The live slices of ``live_rows[row]`` for a ``(kind, size)``
+        batch, best first."""
+        costs = self.model.request_costs(kind, size)
+        live = [(j, v) for j, v in enumerate(self.live_rows[row]) if v is not None]
+        ranking = self.rankings[(row, kind, size)] = [
+            (j, v, costs[v]) for j, v in rank_slices(live, costs, self.slices)
+        ]
+        return ranking
+
     def _dispatch(self) -> None:
         queue = self.queue
         idle = self.idle
@@ -320,15 +340,24 @@ class ServeSession:
         now = engine.now
         while starts[self.epoch + 1] <= now:
             self.epoch += 1
-        row = self.live_rows[self.epoch]
-        n_base = self.n_base
-        slices = self.slices
+        row = self.row_of[self.epoch]
+        rankings = self.rankings
         while queue:
-            placeable = [
-                (j, row[j]) for j in range(n_base)
-                if idle[j] and row[j] is not None
-            ]
-            if not placeable:
+            kind = queue[0].kind
+            size = 1
+            while (
+                size < self.max_batch
+                and size < len(queue)
+                and queue[size].kind == kind
+            ):
+                size += 1
+            ranking = rankings.get((row, kind, size))
+            if ranking is None:
+                ranking = self._ranking(row, kind, size)
+            for target, variant, cost in ranking:
+                if idle[target]:
+                    break
+            else:
                 if not all(idle):
                     return  # a completion will re-dispatch
                 boundary = starts[self.epoch + 1]
@@ -341,20 +370,6 @@ class ServeSession:
                     self.retry_pending = True
                     engine.call_at(boundary, self._retry)
                 return
-            kind = queue[0].kind
-            size = 1
-            while (
-                size < self.max_batch
-                and size < len(queue)
-                and queue[size].kind == kind
-            ):
-                size += 1
-            variant_of = dict(placeable)
-            costs = {j: self.model.request_cost(kind, v, size) for j, v in placeable}
-            target = pick_slice(
-                list(variant_of), costs, {j: slices[v] for j, v in placeable}
-            )
-            variant, cost = variant_of[target], costs[target]
             batch = [queue.popleft() for _ in range(size)]
             idle[target] = False
             self.batches += 1

@@ -90,3 +90,35 @@ class TestBalanceBenefit:
             workload=WorkloadPolicy.BALANCED,
         )
         assert equal.time / balanced.time > 1.4
+
+
+class TestCheckCadencePins:
+    """``(iterations, residual, checksum, time)`` at every check cadence.
+
+    The residual is only read on check iterations, so it is only
+    computed there; these values were recorded when it was still
+    computed on every iteration, and must not move.
+    """
+
+    PINS = {
+        (1, 10): (10, 0.9941406249999998, 0.23592939013840836, 0.06495153142857145),
+        (1, 200): (109, 0.19783666353760498, 1.1976054433995282, 0.7079709684571446),
+        (7, 10): (10, 0.9941406249999998, 0.23592939013840836, 0.03090735314285714),
+        (7, 200): (112, 0.18790586199993464, 1.208359638587498, 0.3189262665142853),
+        (25, 10): (10, 0.9941406249999998, 0.23592939013840836, 0.026651830857142855),
+        (25, 200): (125, 0.15030574605193192, 1.2490589220044421, 0.30123062742857065),
+    }
+
+    @pytest.mark.parametrize("check_every, max_iterations", sorted(PINS))
+    def test_pinned(self, testbed_small, check_every, max_iterations):
+        outcome = run_jacobi(
+            testbed_small, 16, max_iterations=max_iterations,
+            check_every=check_every, tol=0.2,
+        )
+        values = [outcome.values[pid] for pid in sorted(outcome.values)]
+        (iterations,) = {v[1] for v in values}
+        (residual,) = {v[2] for v in values}
+        checksum = sum(v[3] for v in values)
+        assert (iterations, residual, checksum, outcome.time) == self.PINS[
+            (check_every, max_iterations)
+        ]

@@ -3,8 +3,11 @@
 import dataclasses
 import math
 
-from repro.serve import default_config, generate_arrivals, offered_rate
-from repro.serve.arrivals import kind_counts
+import pytest
+
+from repro.serve import Arrival, default_config, generate_arrivals, offered_rate
+from repro.serve.arrivals import _BLOCK, kind_counts
+from repro.util.rng import RngStream
 
 
 def _diurnal(seed=0, duration=40.0, rate=5.0, amplitude=0.8, period=10.0):
@@ -46,6 +49,46 @@ class TestPoissonArrivals:
         config = default_config(seed=0, duration=500.0, rate=4.0)
         counts = kind_counts(config, generate_arrivals(config))
         assert counts["interactive"] > counts["analytics"] > counts["sort"]
+
+
+def _scalar_poisson(config):
+    """The one-draw-at-a-time poisson loop the block draw must equal."""
+    times = RngStream(config.seed, "serve", "arrivals")
+    kinds = RngStream(config.seed, "serve", "kinds")
+    weights = [kind.weight for kind in config.workload]
+    cdf = []
+    running = 0.0
+    for weight in weights:
+        running += weight / sum(weights)
+        cdf.append(running)
+    cdf[-1] = 1.0
+    out = []
+    now = 0.0
+    while True:
+        now += times.exponential(1.0 / config.arrival.rate)
+        if now >= config.duration:
+            return tuple(out)
+        draw = kinds.uniform()
+        kind = next(i for i, bound in enumerate(cdf) if draw < bound)
+        out.append(Arrival(request_id=len(out), time=now, kind=kind))
+
+
+class TestBlockDraw:
+    RATES = (0.2, 0.7, 3.0, 45.0, 100.0)
+    DURATIONS = (7.5, 100.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_scalar_loop(self, seed):
+        # 5 seeds x 5 rates x 2 durations = 50 triples; 45 and 100
+        # req/s over 100 s need two and three blocks.
+        assert self.RATES[-1] * self.DURATIONS[-1] > 2 * _BLOCK
+        for rate in self.RATES:
+            for duration in self.DURATIONS:
+                config = default_config(seed=seed, duration=duration, rate=rate)
+                arrivals = generate_arrivals(config)
+                assert arrivals == _scalar_poisson(config), (seed, rate, duration)
+                assert [a.request_id for a in arrivals] == list(range(len(arrivals)))
+                assert all(a.time < duration for a in arrivals)
 
 
 class TestDiurnalArrivals:

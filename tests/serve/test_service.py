@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ServeError
 from repro.obs import observe
@@ -14,6 +16,7 @@ from repro.serve import (
     pick_slice,
     run_service,
 )
+from repro.serve.placement import rank_slices
 from repro.serve.service import resolve_cluster
 
 
@@ -59,6 +62,22 @@ class TestPlacement:
         best = max(range(2), key=lambda j: (slices[j].capacity, -j))
         assert tie == best
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_ranked_pick_equals_pick_slice(self, data):
+        # The dispatcher ranks every live slice once per (kind, batch)
+        # and takes the first idle one; that must be pick_slice over
+        # the idle ones, ties (few distinct costs/capacities) included.
+        base = carve_slices(resolve_cluster("two-lans:3"), "subtrees")[0]
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        costs = data.draw(st.lists(st.sampled_from((1.0, 2.0, 3.0)), min_size=n, max_size=n))
+        capacities = data.draw(st.lists(st.sampled_from((1.0, 2.0)), min_size=n, max_size=n))
+        idle = data.draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+        slices = [base._replace(index=j, capacity=c) for j, c in enumerate(capacities)]
+        ranking = rank_slices([(j, j) for j in range(n)], costs, slices)
+        ranked = next(j for j, _ in ranking if idle[j])
+        assert ranked == pick_slice([j for j in range(n) if idle[j]], costs, slices)
+
     def test_pick_slice_needs_an_idle_slice(self):
         topology = resolve_cluster("two-lans:3")
         slices = carve_slices(topology, "subtrees")
@@ -98,8 +117,8 @@ class TestStageCostModel:
         )
         model = StageCostModel(config, slices)
         model.prewarm()
-        one = model.request_cost(0, 0, 1)
-        four = model.request_cost(0, 0, 4)
+        one = model.request_costs(0, 1)[0]
+        four = model.request_costs(0, 4)[0]
         assert one < four < 4 * one
 
 
